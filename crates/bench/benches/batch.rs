@@ -1,18 +1,16 @@
-//! Criterion: batch execution architecture — the old path (fresh engine
-//! allocations per run, per-item `Mutex<Option<R>>` result slots) against
-//! the new one (one long-lived `SimWorkspace` per worker, chunked cursor
-//! with direct slot writes) on a ≥10k-run campaign, plus the
-//! single-threaded engine-only fresh-vs-reuse comparison.
+//! Criterion: batch execution architecture — one long-lived
+//! `SimWorkspace` per worker with the chunked cursor on a ≥10k-run
+//! campaign, plus the single-threaded engine-only fresh-vs-reuse
+//! comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::WaitThenTransmitFactory;
-use radio_sim::parallel::{default_threads, par_map_init, par_map_mutex_baseline};
+use radio_sim::parallel::{default_threads, par_map_init};
 use radio_sim::{Executor, Msg, RunOpts, SimWorkspace};
 
 /// 10k small flood configurations with varied shapes and tag spreads —
-/// enough runs that per-run allocation and per-item locking dominate the
-/// measured difference.
+/// enough runs that per-run allocation dominates the measured difference.
 fn campaign_configs() -> Vec<Configuration> {
     (0..10_000u64)
         .map(|i| {
@@ -42,19 +40,6 @@ fn bench_batch(c: &mut Criterion) {
     };
     let threads = default_threads();
     group.throughput(Throughput::Elements(configs.len() as u64));
-
-    // The pre-refactor batch path: a fresh executor (all engine state
-    // reallocated) per run, one contended-capable Mutex slot per item.
-    group.bench_function("fresh_run_mutex_slots_10k", |b| {
-        b.iter(|| {
-            let out = par_map_mutex_baseline(&configs, threads, |config| {
-                Executor::run(config, &factory, RunOpts::default())
-                    .unwrap()
-                    .rounds
-            });
-            out.iter().sum::<u64>()
-        })
-    });
 
     // The campaign path: one workspace per worker, chunked direct writes.
     group.bench_function("workspace_reuse_chunked_10k", |b| {

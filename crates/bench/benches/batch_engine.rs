@@ -1,50 +1,29 @@
-//! Criterion: the fused batch engine on the 10k-rep small-graph elect
-//! campaign — batched (the default) vs `--no-batch` one-run-per-worker —
-//! plus the engine-only fused-vs-sequential comparison the campaign
-//! numbers decompose into.
+//! Criterion: campaign dedupe on the 10k-rep small-graph elect campaign —
+//! dedupe on (the default) vs `--no-batch` (every run compiled and
+//! simulated).
 //!
 //! **Gate (≥1.5×, alongside the cache.rs/classify.rs gates):** the
 //! `batch_campaign/batched` benchmark must run at least 1.5× faster than
 //! `batch_campaign/one_per_worker` on the grid below: path:8 + star:8 ×
 //! arith-stride-1 tags × span 4 × Beeping × 5000 reps = 10 000 runs.
-//! Small graphs make the per-run fixed costs (workspace dispatch,
-//! per-run schedule-cache lookups, metric materialization) the dominant
-//! term — exactly what the batch path amortizes: one cache lookup per
-//! distinct fingerprint per batch, the `u64`-bitset observation fast
-//! path for Beeping, materialization-free `MemberView` metrics, and
-//! within-batch execution sharing for duplicate draws (arith tags over
-//! span 4 redraw a handful of distinct configurations per cell, so most
-//! members of a 16-run batch copy a representative's bit-identical
-//! shape instead of re-simulating it). Locally measured (release,
-//! 1 worker thread): one_per_worker ≈ 33 ms/iter (≈3.3 µs/run),
-//! batched ≈ 13 ms/iter (≈1.3 µs/run) — ≈2.6×. Regressions below 1.5×
-//! mean a batch-path fixed cost grew (per-member allocation, lost
-//! dedupe) or the fast path stopped engaging.
-//!
-//! `batch_engine_only` isolates the engine itself — `run_batch_fused`
-//! vs `run_batch` on identical configuration slices, no campaign layer,
-//! no dedupe — so a campaign-level regression can be attributed to the
-//! engine or to the metrics layer by comparing the two groups. This
-//! group is *ungated* and close to parity by design (locally ≈2.9 vs
-//! ≈3.2 ms/iter, fused ~9% slower on fully distinct configs): with
-//! every member distinct and full Executions materialized, the fused
-//! loop's extra bookkeeping is all cost and no amortization. The
-//! campaign-level win comes from what the batch boundary *enables* —
-//! lookup dedupe, execution sharing, materialization-free metrics —
-//! which is exactly why the gate lives on the campaign group.
+//! Arith tags over span 4 redraw a handful of distinct configurations
+//! per cell, so most runs of a 16-run slice repeat an earlier run's
+//! `config_fingerprint` and copy its metrics: no cache lookup, no
+//! compile, no simulation. Both arms read metrics from the resident
+//! `SimWorkspace` run without building an `Execution`, so the ratio is
+//! the dedupe alone. Locally measured (release, 1 worker thread):
+//! one_per_worker ≈ 44 ms/iter, batched ≈ 10 ms/iter — ≈4.3×. A ratio
+//! below 1.5× means the slice memo stopped finding duplicates or a
+//! per-run fixed cost grew on the deduped path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radio_bench::campaign::{
     BatchConfig, CacheConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
 };
-use radio_graph::Configuration;
-use radio_sim::drip::WaitThenTransmitFactory;
-use radio_sim::{parallel, ModelKind, Msg, RunOpts};
+use radio_sim::{parallel, ModelKind, RunOpts};
 
 /// The gate grid: 2 families × 1 strategy × 1 size × 1 span × 1 model ×
-/// 5000 reps = 10 000 runs, every graph n = 8 (so the Beeping bitset
-/// fast path and the one-cache-lookup-per-fingerprint dedupe both
-/// engage on every batch).
+/// 5000 reps = 10 000 runs, every graph n = 8.
 fn small_graph_spec(batch: BatchConfig) -> CampaignSpec {
     CampaignSpec {
         phase: Phase::Elect,
@@ -70,8 +49,7 @@ fn bench_batch_campaign(c: &mut Criterion) {
     group.throughput(Throughput::Elements(runs));
     let threads = parallel::default_threads();
 
-    // `--no-batch`: the one-run-per-worker path — every run pays its own
-    // cache lookup, workspace dispatch, and Execution materialization.
+    // `--no-batch`: every run pays its own cache lookup and simulation.
     group.bench_function("one_per_worker", |b| {
         b.iter(|| {
             let mut runner = CampaignRunner::new(small_graph_spec(BatchConfig::disabled()), 1);
@@ -80,7 +58,7 @@ fn bench_batch_campaign(c: &mut Criterion) {
         })
     });
 
-    // The default: fused batches of `BatchConfig::DEFAULT_SIZE`.
+    // The default: dedupe within slices of `BatchConfig::DEFAULT_SIZE`.
     group.bench_function("batched", |b| {
         b.iter(|| {
             let mut runner = CampaignRunner::new(small_graph_spec(BatchConfig::default()), 1);
@@ -91,48 +69,5 @@ fn bench_batch_campaign(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_engine_only(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_engine_only");
-    group
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(3000));
-
-    // 1024 distinct 8-node stars (rotated tag vectors — no duplicate
-    // fingerprints, so nothing for sharing to collapse: this measures
-    // the engine's own per-run overhead, not the dedupe).
-    let configs: Vec<Configuration> = (0..1024u64)
-        .map(|i| {
-            let graph = FamilySpec::Star.build(8, 0).unwrap();
-            let tags: Vec<u64> = (0..8).map(|v| (v + i) % 8).collect();
-            Configuration::new(graph, tags).unwrap()
-        })
-        .collect();
-    let factory = WaitThenTransmitFactory {
-        wait: 1,
-        msg: Msg(3),
-        lifetime: 12,
-    };
-    group.throughput(Throughput::Elements(configs.len() as u64));
-
-    group.bench_function("one_per_worker", |b| {
-        b.iter(|| {
-            parallel::run_batch(&configs, &factory, ModelKind::Beeping, RunOpts::default()).len()
-        })
-    });
-    group.bench_function("fused", |b| {
-        b.iter(|| {
-            parallel::run_batch_fused(
-                &configs,
-                &factory,
-                ModelKind::Beeping,
-                RunOpts::default(),
-                BatchConfig::DEFAULT_SIZE,
-            )
-            .len()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_batch_campaign, bench_batch_engine_only);
+criterion_group!(benches, bench_batch_campaign);
 criterion_main!(benches);

@@ -48,8 +48,8 @@ fn main() {
                     "usage: experiments [--quick] [--seed N] [--out DIR] [e1 e2 … e10]\n\
                      runs the paper-claim experiments (all by default) and prints\n\
                      Markdown tables; --out also writes <id>_<k>.md/.csv files\n\
-                     --bench-json PATH  instead measure the fused batch engine against\n\
-                     the one-run-per-worker campaign path and the million-node scale\n\
+                     --bench-json PATH  instead measure the campaign dedupe (on vs\n\
+                     --no-batch) and the million-node scale\n\
                      path (CSR-direct + streaming elect at 10⁵/10⁶ nodes), appending\n\
                      one JSON trajectory row per measurement to PATH"
                 );
@@ -96,11 +96,12 @@ fn main() {
     }
 }
 
-/// `--bench-json`: time the 10k-rep small-graph elect campaign through
-/// the fused batch engine (default size) and through the one-run-per-
-/// worker path (`--no-batch`), best of three passes each after a warm-up,
-/// and append one machine-readable trajectory row — so future changes can
-/// see the engine's perf curve without re-deriving the workload.
+/// `--bench-json`: time the 10k-rep small-graph elect campaign of
+/// `benches/batch_engine.rs` with the slice dedupe on (default slice
+/// length) and off (`--no-batch`), best of three passes each after a
+/// warm-up, and append one machine-readable trajectory row — so future
+/// changes can see the dedupe's perf curve without re-deriving the
+/// workload.
 fn bench_batch(path: &std::path::Path, seed: u64) {
     use radio_bench::campaign::{
         BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
@@ -136,15 +137,15 @@ fn bench_batch(path: &std::path::Path, seed: u64) {
         best
     };
     let sequential = time(BatchConfig::disabled());
-    let batched = time(BatchConfig::default());
+    let deduped = time(BatchConfig::default());
     let row = format!(
         "{{\"bench\":\"batch_engine\",\"runs\":{runs},\"threads\":{threads},\
-         \"batch_size\":{},\"sequential_ns_per_run\":{:.0},\"batched_ns_per_run\":{:.0},\
+         \"slice\":{},\"sequential_ns_per_run\":{:.0},\"deduped_ns_per_run\":{:.0},\
          \"speedup\":{:.3}}}\n",
         BatchConfig::DEFAULT_SIZE,
         sequential,
-        batched,
-        sequential / batched,
+        deduped,
+        sequential / deduped,
     );
     use std::io::Write;
     let mut file = std::fs::OpenOptions::new()
@@ -154,11 +155,11 @@ fn bench_batch(path: &std::path::Path, seed: u64) {
         .expect("open --bench-json path");
     file.write_all(row.as_bytes()).expect("append bench row");
     eprintln!(
-        "batch engine: sequential {:.0} ns/run, batched {:.0} ns/run — {:.2}× \
+        "campaign dedupe: off {:.0} ns/run, on {:.0} ns/run — {:.2}× \
          ({} runs, {} threads; row appended to {})",
         sequential,
-        batched,
-        sequential / batched,
+        deduped,
+        sequential / deduped,
         runs,
         threads,
         path.display()

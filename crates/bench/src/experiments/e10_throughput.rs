@@ -1,27 +1,25 @@
-//! E10 — substrate sanity: simulator throughput, parallel batch speedup,
-//! and batch-architecture gains.
+//! E10 — substrate sanity: simulator throughput and parallel batch
+//! speedup.
 //!
 //! The scaling experiments (E3–E5, E8) lean on the simulator sustaining
 //! millions of node-rounds per second and on the batch runner spreading
 //! independent runs across cores; the campaign layer additionally leans
 //! on per-worker workspace reuse making back-to-back runs allocation-free.
-//! This experiment measures all three:
+//! This experiment measures:
 //!
 //! * single-run throughput (node-rounds/s) of the canonical DRIP across
 //!   configuration sizes;
 //! * wall-clock speedup of a batch of independent elections at 1, 2, 4, …
 //!   worker threads — each worker owning one long-lived [`SimWorkspace`]
 //!   through the worker-scoped [`par_map_init`];
-//! * the same election batch through the *old* batch path (fresh engine
-//!   state per run, per-item `Mutex` result slots) versus the
-//!   workspace-reuse path, plus a declarative campaign executed through
+//! * a declarative campaign executed through
 //!   [`CampaignRunner`](crate::campaign::CampaignRunner) with streaming
 //!   per-cell aggregation.
 
 use std::time::Instant;
 
 use radio_graph::families;
-use radio_sim::parallel::{default_threads, par_map_init, par_map_mutex_baseline};
+use radio_sim::parallel::{default_threads, par_map_init};
 use radio_sim::SimWorkspace;
 use radio_util::table::{fmt_f64, Table};
 
@@ -114,46 +112,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
         threads *= 2;
     }
 
-    // Batch architecture: the same election batch through the pre-campaign
-    // path (fresh engine allocations per run, per-item Mutex slots) and
-    // the workspace-reuse path, at full parallelism.
-    let mut arch = Table::new(
-        "E10c: batch architecture — fresh-run/Mutex vs workspace-reuse/chunked",
-        &["path", "wall ms", "runs/s"],
-    );
     let threads = default_threads();
-    let timed_fresh = {
-        let start = Instant::now();
-        let reports = par_map_mutex_baseline(&configs, threads, |config| {
-            anon_radio::elect_leader(config).expect("G_m feasible")
-        });
-        std::hint::black_box(reports.len());
-        start.elapsed().as_secs_f64()
-    };
-    let timed_reuse = {
-        let start = Instant::now();
-        let reports = par_map_init(&configs, threads, SimWorkspace::new, |ws, config| {
-            anon_radio::elect_leader_in(
-                ws,
-                config,
-                radio_sim::ModelKind::default(),
-                radio_sim::RunOpts::default(),
-            )
-            .expect("G_m feasible")
-        });
-        std::hint::black_box(reports.len());
-        start.elapsed().as_secs_f64()
-    };
-    for (label, wall) in [
-        ("fresh+mutex", timed_fresh),
-        ("workspace+chunked", timed_reuse),
-    ] {
-        arch.push_row(vec![
-            label.to_string(),
-            fmt_f64(wall * 1e3, 2),
-            fmt_f64(configs.len() as f64 / wall.max(1e-9), 0),
-        ]);
-    }
 
     // Declarative campaign with streaming aggregation: the E10 sweep
     // expressed as a CampaignSpec and folded shard by shard.
@@ -163,7 +122,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     let wall = start.elapsed().as_secs_f64();
     let campaign = aggregate_table(
         format!(
-            "E10d: campaign of {} elections over {} shards — streaming per-cell aggregates \
+            "E10c: campaign of {} elections over {} shards — streaming per-cell aggregates \
              ({:.0} runs/s)",
             runner.spec().total_runs(),
             runner.shard_count(),
@@ -172,7 +131,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
         &runner,
     );
 
-    vec![throughput, speedup, arch, campaign]
+    vec![throughput, speedup, campaign]
 }
 
 #[cfg(test)]
@@ -182,12 +141,11 @@ mod tests {
     #[test]
     fn tables_have_expected_shape() {
         let tables = run(Effort::Quick, 1);
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 3);
         assert!(tables[0].len() >= 4);
         assert!(tables[1].len() >= 2);
-        assert_eq!(tables[2].len(), 2, "fresh vs reuse");
         // one campaign row per grid cell
         let spec = election_spec(Effort::Quick, 1);
-        assert_eq!(tables[3].len(), spec.cells().len());
+        assert_eq!(tables[2].len(), spec.cells().len());
     }
 }

@@ -32,6 +32,11 @@ use radio_sim::ModelKind;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` anywhere is a request, not a file name or an unknown flag.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     // `campaign` owns its flag grammar (grid lists, shard/thread counts):
     // hand it the raw arguments before the shared --model/--no-leap
     // extraction below can reject them.
@@ -737,7 +742,7 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
     use radio_util::rng::{derive, rng_from};
 
     let mut family: Option<FamilySpec> = None;
-    let mut n = 8usize;
+    let mut n: Option<usize> = None;
     let mut span = 4u64;
     let mut tags = TagStrategy::Uniform;
     let mut seed = radio_util::rng::DEFAULT_ROOT_SEED;
@@ -752,9 +757,11 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
             match arg.as_str() {
                 "--family" => family = Some(value("--family")?.parse()?),
                 "--size" => {
-                    n = value("--size")?
-                        .parse()
-                        .map_err(|e| format!("--size: {e}"))?
+                    n = Some(
+                        value("--size")?
+                            .parse()
+                            .map_err(|e| format!("--size: {e}"))?,
+                    )
                 }
                 "--span" => {
                     span = value("--span")?
@@ -777,6 +784,8 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
         return 2;
     }
     let family = family.expect("dispatched on --family");
+    // A size-pinned spec (`grid:10x10`) names its own node count.
+    let n = n.or(family.node_count()).unwrap_or(8);
     let csr = match family.build_csr(n, derive(seed, "graph")) {
         Ok(csr) => csr,
         Err(e) => {
@@ -927,17 +936,22 @@ fn with_config(args: &[String], f: impl FnOnce(&Configuration) -> i32) -> i32 {
 }
 
 fn usage() -> i32 {
-    eprintln!(
-        "anon-radio — deterministic leader election in anonymous radio networks\n\
+    eprintln!("{USAGE}");
+    2
+}
+
+const USAGE: &str = "anon-radio — deterministic leader election in anonymous radio networks\n\
          \n\
-         usage:\n\
+         usage (--help anywhere prints this and exits 0):\n\
          \u{20}  anon-radio check   <file|->    decide feasibility (Thm 3.17)\n\
          \u{20}  anon-radio trace   <file|->    show the Classifier refinement trace\n\
          \u{20}  anon-radio elect   <file|->    compile and run the dedicated election\n\
          \u{20}                                 (--model no-cd|cd|beep selects the channel;\n\
          \u{20}                                 --no-leap executes every round one by one\n\
          \u{20}                                 instead of time-leaping quiet stretches)\n\
-         \u{20}  anon-radio elect --family SPEC --size N --span S [--tags STRAT] [--seed K]\n\
+         \u{20}  anon-radio elect --family SPEC [--size N] --span S [--tags STRAT] [--seed K]\n\
+         \u{20}                                 (--size defaults to a size-pinned spec's own\n\
+         \u{20}                                 node count, else 8)\n\
          \u{20}                                 build the configuration CSR-direct (no\n\
          \u{20}                                 intermediate graph — the million-node route)\n\
          \u{20}                                 and run the election on it; reports the raw\n\
@@ -963,11 +977,11 @@ fn usage() -> i32 {
          \u{20}                       memoizes classify+compile across repeated shapes by\n\
          \u{20}                       default; rows are bit-identical either way)\n\
          \u{20}      --cache-capacity N  bound the cache at ~N entries (default 4096)\n\
-         \u{20}      --no-batch       run elect-phase simulations one at a time (batches of\n\
-         \u{20}                       runs execute through one fused engine pass by default;\n\
-         \u{20}                       rows are bit-identical either way up to the measured\n\
-         \u{20}                       tail from \"wall_ns\" on)\n\
-         \u{20}      --batch-size B   member runs per fused batch (default 16)\n\
+         \u{20}      --no-batch       compile and simulate every elect-phase run (by default a\n\
+         \u{20}                       run repeating an earlier draw of its slice copies that\n\
+         \u{20}                       run's metrics; rows are bit-identical either way up to\n\
+         \u{20}                       the measured tail from \"wall_ns\" on)\n\
+         \u{20}      --batch-size B   runs per dedupe slice (default 16)\n\
          \u{20}      --row-format jsonl|binary  row encoding for --out (binary is the\n\
          \u{20}                       compact length-prefixed format; `rows convert` maps\n\
          \u{20}                       it back to identical JSONL)\n\
@@ -986,7 +1000,4 @@ fn usage() -> i32 {
          \u{20}      --threads T --queue Q  worker pool size and bounded job-queue depth\n\
          \u{20}      --no-cache / --cache-capacity N  shared schedule-cache policy\n\
          \n\
-         configuration file format: see `radio-graph::io` docs"
-    );
-    2
-}
+         configuration file format: see `radio-graph::io` docs";

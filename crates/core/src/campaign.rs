@@ -41,7 +41,7 @@ use std::time::Instant;
 use radio_classifier::ClassifierWorkspace;
 use radio_graph::{Configuration, Graph};
 use radio_sim::parallel::par_map_init;
-use radio_sim::{BatchRun, BatchWorkspace, ModelKind, RunOpts, SimWorkspace};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::fxhash::FxHashMap;
 use radio_util::rng::{derive, derive_index, rng_from};
 use radio_util::stats::StreamingStats;
@@ -50,7 +50,6 @@ pub use radio_graph::family::{FamilyError, FamilySpec};
 pub use radio_graph::tags::TagStrategy;
 
 use crate::cache::{config_fingerprint, CacheConfig, CacheStats, ScheduleCache};
-use crate::canonical::CanonicalFactory;
 use crate::dedicated::CompiledElection;
 
 /// Which pipeline stage a campaign sweeps.
@@ -112,10 +111,6 @@ impl std::fmt::Display for Phase {
 pub struct CampaignWorkspace {
     /// Recycled engine state for simulations.
     pub sim: SimWorkspace,
-    /// Recycled fused-batch engine state — the default elect-phase path
-    /// ([`election_metrics_batched`]) runs each batch of member runs
-    /// through one engine pass instead of one [`SimWorkspace`] run each.
-    pub batch: BatchWorkspace,
     /// Recycled classifier state (label interner, refine buffers,
     /// worklist).
     pub classifier: ClassifierWorkspace,
@@ -144,18 +139,19 @@ impl CampaignWorkspace {
     }
 }
 
-/// Batched-execution policy for elect campaigns (`--no-batch`,
-/// `--batch-size`). Batching is on by default: runs are grouped into
-/// contiguous batches (never crossing a cell boundary — pure position
-/// arithmetic, invariant under threads and shard geometry) and each batch
-/// executes as one fused [`BatchWorkspace`] pass. Rows are bit-identical
-/// to the unbatched path up to the measured tail (`wall_ns` onward).
-/// Ignored by the classify phase, which runs no simulation.
+/// Dedupe policy for elect campaigns (`--no-batch`, `--batch-size`).
+/// Campaigns run in contiguous slices of at most `size` runs that never
+/// cross a cell boundary (pure position arithmetic). With dedupe on (the
+/// default), a run whose configuration fingerprint repeats an earlier
+/// run of its slice copies that run's metrics instead of compiling and
+/// simulating again ([`election_metrics_batched`]). Rows are
+/// bit-identical either way up to the measured tail (`wall_ns` onward).
+/// The classify phase never dedupes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Whether the elect phase batches at all (`--no-batch` clears it).
+    /// Whether the elect phase dedupes at all (`--no-batch` clears it).
     pub enabled: bool,
-    /// Maximum member runs per fused batch (`--batch-size N`, ≥ 1).
+    /// Maximum runs per slice (`--batch-size N`, ≥ 1).
     pub size: usize,
 }
 
@@ -169,9 +165,9 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Default batch size: large enough that engine dispatch and the
-    /// per-batch compile dedupe amortize over many members, small enough
-    /// that dynamic work-stealing still balances skewed cells.
+    /// Default slice length: long enough that repeated draws of a cell
+    /// find each other, short enough that dynamic work-stealing still
+    /// balances skewed cells.
     pub const DEFAULT_SIZE: usize = 16;
 
     /// The `--no-batch` configuration.
@@ -330,8 +326,8 @@ pub struct CampaignSpec {
     /// compiles a schedule. Cached and uncached campaigns produce
     /// bit-identical rows up to the cache counters themselves.
     pub cache: CacheConfig,
-    /// Batched-execution policy for elect campaigns (`--no-batch`,
-    /// `--batch-size`). Batched and unbatched campaigns produce
+    /// Dedupe policy for elect campaigns (`--no-batch`,
+    /// `--batch-size`). Deduped and plain campaigns produce
     /// bit-identical rows up to the measured tail.
     pub batch: BatchConfig,
 }
@@ -597,8 +593,8 @@ pub struct RunMetrics {
     /// simulate for the election workload).
     pub wall_ns: u64,
     /// Workspace high-water mark in bytes after the run: the summed
-    /// backing-buffer capacities of the engine state the run used (sim or
-    /// batch planes + classifier interner). Like `wall_ns` it is a
+    /// backing-buffer capacities of the engine state the run used (sim
+    /// planes + classifier interner). Like `wall_ns` it is a
     /// measured, environment-dependent observation, so it lives in the
     /// rows' measured tail.
     pub mem_hw: u64,
@@ -711,9 +707,10 @@ impl CellAggregate {
 
 /// The elect-phase per-run workload: the full election pipeline on the
 /// drawn configuration — classify through the worker's recycled
-/// [`ClassifierWorkspace`], compile, simulate through its
-/// [`SimWorkspace`], validate the exactly-one-leader contract against the
-/// classifier's prediction.
+/// [`ClassifierWorkspace`], compile, simulate resident in its
+/// [`SimWorkspace`] (no [`Execution`](radio_sim::Execution) is built: the
+/// decision function reads each final history in place), validate the
+/// exactly-one-leader contract against the classifier's prediction.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
@@ -749,18 +746,22 @@ pub fn election_metrics(
     }
     metrics.feasible = true;
     let factory = compiled.factory();
-    match workspace.sim.run_kind(model, config, &factory, opts) {
-        Ok(execution) => {
+    match workspace
+        .sim
+        .run_kind_resident(model, config, &factory, opts)
+    {
+        Ok(run) => {
             let decision = compiled.decision();
-            let leaders: Vec<_> = (0..config.size() as radio_graph::NodeId)
-                .filter(|&v| decision.is_leader(execution.history(v)))
-                .collect();
-            metrics.elected = leaders == [compiled.predicted_leader()];
+            let sim = &workspace.sim;
+            let mut leaders = (0..config.size() as radio_graph::NodeId)
+                .filter(|&v| decision.is_leader_view(sim.history_view(v)));
+            metrics.elected =
+                leaders.next() == Some(compiled.predicted_leader()) && leaders.next().is_none();
             metrics.simulated = true;
-            metrics.rounds = execution.rounds;
-            metrics.transmissions = execution.stats.transmissions;
-            metrics.rounds_stepped = execution.rounds_stepped;
-            metrics.rounds_leapt = execution.rounds_leapt;
+            metrics.rounds = run.rounds;
+            metrics.transmissions = run.stats.transmissions;
+            metrics.rounds_stepped = run.rounds_stepped;
+            metrics.rounds_leapt = run.rounds_leapt;
         }
         Err(_) => metrics.aborted = true,
     }
@@ -769,23 +770,20 @@ pub fn election_metrics(
     metrics
 }
 
-/// The elect-phase workload for one *batch* of runs `lo..hi` (global run
-/// indices, all inside `cell`): compile once per distinct configuration
-/// fingerprint, execute every feasible member through the workspace's
-/// fused [`BatchWorkspace`], and fold metrics straight off the engine's
-/// borrowed [`MemberView`](radio_sim::MemberView)s — no per-run
-/// [`Execution`](radio_sim::Execution) is ever materialized.
+/// The elect-phase workload for one contiguous slice `lo..hi` of global
+/// run indices, all inside `cell`: [`election_metrics`] per run, memoized
+/// on [`config_fingerprint`] within the slice when `spec.batch` enables
+/// dedupe.
 ///
-/// Every column up to the measured tail is bit-identical to running
-/// [`election_metrics`] per member. The tail differs in the expected
-/// ways: `wall_ns` is the batch's elapsed time attributed evenly across
-/// its members (per-member timing inside a fused pass is not separable),
-/// and the cache counters account the *batch-local* compile dedupe — the
-/// first member of each distinct fingerprint records the real cache
-/// lookup, and members sharing its compile record a hit (with a cache
-/// attached; with `--no-cache` they record neither, since no cache was
-/// consulted — the batch-local dedupe is pure memoization of a pure
-/// function, not a cache policy).
+/// Equal fingerprints mean equal configurations (the cache's exact-key
+/// identity), and equal configurations under the same model and opts
+/// produce bit-identical elections — so a duplicate draw copies its
+/// representative's metrics, measured tail included, instead of
+/// compiling and simulating again. Only its cache accounting is its own:
+/// it records a hit when a cache is attached (the memo answered it
+/// without consulting the shared cache) and neither a hit nor a miss
+/// otherwise. The memo is only probed and inserted, never iterated, so
+/// the returned metrics keep the slice's positional order.
 pub fn election_metrics_batched(
     workspace: &mut CampaignWorkspace,
     spec: &CampaignSpec,
@@ -793,119 +791,22 @@ pub fn election_metrics_batched(
     lo: usize,
     hi: usize,
 ) -> Vec<RunMetrics> {
-    // lint:allow(wall-clock): designated timing site feeding the wall_ns
-    // column, which lives in the measured row tail
-    let start = Instant::now();
-    let count = hi - lo;
-    let mut metrics = vec![RunMetrics::default(); count];
-    let configs: Vec<Configuration> = (lo..hi)
-        .map(|idx| spec.configuration(cell, idx % spec.reps))
-        .collect();
-
-    // One compile per distinct fingerprint in the batch. The memo map is
-    // only ever probed and inserted (never iterated), so member order
-    // stays the batch's positional order.
-    let mut uniq: Vec<CompiledElection> = Vec::new();
-    let mut which: Vec<usize> = Vec::with_capacity(count);
+    let mut metrics: Vec<RunMetrics> = Vec::with_capacity(hi - lo);
     let mut seen: FxHashMap<u128, usize> = FxHashMap::default();
-    for (k, config) in configs.iter().enumerate() {
-        match seen.get(&config_fingerprint(config)) {
-            Some(&slot) => {
-                which.push(slot);
-                if workspace.cache.is_some() {
-                    metrics[k].cache_hit = true;
-                }
+    for idx in lo..hi {
+        let config = spec.configuration(cell, idx % spec.reps);
+        if spec.batch.enabled {
+            let fingerprint = config_fingerprint(&config);
+            if let Some(&k) = seen.get(&fingerprint) {
+                let mut copy = metrics[k];
+                copy.cache_hit = workspace.cache.is_some();
+                copy.cache_miss = false;
+                metrics.push(copy);
+                continue;
             }
-            None => {
-                let compiled = match &workspace.cache {
-                    Some(cache) => {
-                        let (compiled, lookup) =
-                            cache.compile_in(&mut workspace.classifier, config);
-                        metrics[k].cache_hit = lookup.is_hit();
-                        metrics[k].cache_miss = !lookup.is_hit();
-                        compiled
-                    }
-                    None => CompiledElection::compile_in(&mut workspace.classifier, config),
-                };
-                seen.insert(config_fingerprint(config), uniq.len());
-                which.push(uniq.len());
-                uniq.push(compiled);
-            }
+            seen.insert(fingerprint, metrics.len());
         }
-    }
-
-    let factories: Vec<Option<CanonicalFactory>> = uniq
-        .iter()
-        .map(|c| c.feasible().then(|| c.factory()))
-        .collect();
-    // Within-batch execution sharing: equal fingerprints mean equal
-    // configurations (the cache's `Key::Exact` identity), and equal
-    // configurations under the same opts produce bit-identical
-    // executions — so the engine simulates one representative per
-    // distinct feasible config and duplicates copy its shape verbatim.
-    let mut runs: Vec<BatchRun<'_>> = Vec::with_capacity(count);
-    let mut run_members: Vec<usize> = Vec::with_capacity(count);
-    let mut rep_of: Vec<Option<usize>> = vec![None; uniq.len()];
-    for k in 0..count {
-        if let Some(factory) = &factories[which[k]] {
-            metrics[k].feasible = true;
-            if rep_of[which[k]].is_none() {
-                rep_of[which[k]] = Some(k);
-                runs.push(BatchRun {
-                    config: &configs[k],
-                    factory,
-                });
-                run_members.push(k);
-            }
-        }
-    }
-    if !runs.is_empty() {
-        let batch = &mut workspace.batch;
-        batch.run_kind_with(cell.model, &runs, spec.opts, |i, outcome| {
-            let k = run_members[i];
-            let m = &mut metrics[k];
-            match outcome {
-                Ok(view) => {
-                    let compiled = &uniq[which[k]];
-                    let decision = compiled.decision();
-                    let mut leaders = (0..configs[k].size() as radio_graph::NodeId)
-                        .filter(|&v| decision.is_leader_view(view.history(v)));
-                    m.elected = leaders.next() == Some(compiled.predicted_leader())
-                        && leaders.next().is_none();
-                    m.simulated = true;
-                    m.rounds = view.rounds();
-                    m.transmissions = view.stats().transmissions;
-                    m.rounds_stepped = view.rounds_stepped();
-                    m.rounds_leapt = view.rounds_leapt();
-                }
-                Err(_) => m.aborted = true,
-            }
-        });
-    }
-    // Fan the representative's simulated shape back out to its
-    // duplicates (their cache accounting, set above, is their own).
-    for k in 0..count {
-        if !metrics[k].feasible {
-            continue;
-        }
-        let rep = rep_of[which[k]].expect("feasible slot has a representative");
-        if rep != k {
-            let src = metrics[rep];
-            let m = &mut metrics[k];
-            m.elected = src.elected;
-            m.simulated = src.simulated;
-            m.aborted = src.aborted;
-            m.rounds = src.rounds;
-            m.transmissions = src.transmissions;
-            m.rounds_stepped = src.rounds_stepped;
-            m.rounds_leapt = src.rounds_leapt;
-        }
-    }
-    let each = start.elapsed().as_nanos() as u64 / count as u64;
-    let mem_hw = workspace.batch.mem_bytes() + workspace.classifier.mem_bytes();
-    for m in &mut metrics {
-        m.wall_ns = each;
-        m.mem_hw = mem_hw;
+        metrics.push(election_metrics(workspace, &config, cell.model, spec.opts));
     }
     metrics
 }
@@ -1069,24 +970,37 @@ impl CampaignRunner {
     }
 
     /// Executes the next shard over `threads` workers with the spec's
-    /// phase workload ([`election_metrics`] / [`classify_metrics`]).
-    /// Returns `None` when the campaign is complete.
+    /// phase workload ([`election_metrics_batched`] /
+    /// [`classify_metrics`]). Returns `None` when the campaign is
+    /// complete.
     pub fn run_next_shard(&mut self, threads: usize) -> Option<ShardReport> {
-        match self.spec.phase {
-            Phase::Elect if self.spec.batch.enabled => self.run_next_shard_batched(threads),
-            Phase::Elect => self.run_next_shard_with(threads, &election_metrics),
-            Phase::Classify => self.run_next_shard_with(threads, &classify_metrics),
-        }
+        self.run_next_slices(threads, &run_slice)
     }
 
-    /// The batched elect-phase shard path: the shard's run range is split
-    /// into contiguous batches (pure position arithmetic — each batch
-    /// stays inside one cell and holds at most `spec.batch.size` runs, so
-    /// the split is invariant under threads and shard geometry), workers
-    /// claim whole batches, and every batch runs through the worker's
-    /// [`BatchWorkspace`] as one fused engine pass
-    /// ([`election_metrics_batched`]).
-    fn run_next_shard_batched(&mut self, threads: usize) -> Option<ShardReport> {
+    /// [`CampaignRunner::run_next_shard`] with a custom per-run workload
+    /// (the bench harness passes engine-comparison runners).
+    pub fn run_next_shard_with<F>(&mut self, threads: usize, run: &F) -> Option<ShardReport>
+    where
+        F: Fn(&mut CampaignWorkspace, &Configuration, ModelKind, RunOpts) -> RunMetrics + Sync,
+    {
+        self.run_next_slices(threads, &|ws, spec, cell, lo, hi| {
+            each_run(ws, spec, cell, lo, hi, run)
+        })
+    }
+
+    /// Executes the next shard slice by slice: the shard's run range is
+    /// cut into `slices`, workers claim whole slices, and `run_slice`
+    /// returns each slice's metrics in run order.
+    ///
+    /// Each worker thread owns one [`CampaignWorkspace`] — a simulation
+    /// workspace *and* a classifier workspace — for the whole shard; only
+    /// the shard's `RunMetrics` are materialized, never its executions or
+    /// records.
+    fn run_next_slices<F>(&mut self, threads: usize, run_slice: &F) -> Option<ShardReport>
+    where
+        F: Fn(&mut CampaignWorkspace, &CampaignSpec, &CellKey, usize, usize) -> Vec<RunMetrics>
+            + Sync,
+    {
         if self.is_done() {
             return None;
         }
@@ -1096,29 +1010,16 @@ impl CampaignRunner {
         // lint:allow(wall-clock): shard wall time feeds the stderr progress
         // report only, never a result row
         let started = Instant::now();
-        let reps = self.spec.reps;
-        let size = self.spec.batch.size.max(1);
-        let mut batches: Vec<(usize, usize)> = Vec::new();
-        let mut i = start;
-        while i < end {
-            let cell_end = (i / reps + 1) * reps;
-            let stop = cell_end.min(end).min(i + size);
-            batches.push((i, stop));
-            i = stop;
-        }
         let spec = &self.spec;
         let cells = &self.cells;
         let cache = &self.cache;
         let results: Vec<(usize, Vec<RunMetrics>)> = par_map_init(
-            &batches,
+            &slices(start, end, spec),
             threads,
             || CampaignWorkspace::with_cache(cache.clone()),
             |ws, &(lo, hi)| {
                 let cell_idx = lo / spec.reps;
-                (
-                    cell_idx,
-                    election_metrics_batched(ws, spec, &cells[cell_idx], lo, hi),
-                )
+                (cell_idx, run_slice(ws, spec, &cells[cell_idx], lo, hi))
             },
         );
         for (cell_idx, ms) in &results {
@@ -1129,52 +1030,6 @@ impl CampaignRunner {
         Some(ShardReport {
             shard,
             runs: end - start,
-            wall_s: started.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// [`CampaignRunner::run_next_shard`] with a custom per-run workload
-    /// (the bench harness passes engine-comparison runners).
-    ///
-    /// Each worker thread owns one [`CampaignWorkspace`] — a simulation
-    /// workspace *and* a classifier workspace — for the whole shard; only
-    /// the shard's `RunMetrics` are materialized, never its executions or
-    /// records.
-    pub fn run_next_shard_with<F>(&mut self, threads: usize, run: &F) -> Option<ShardReport>
-    where
-        F: Fn(&mut CampaignWorkspace, &Configuration, ModelKind, RunOpts) -> RunMetrics + Sync,
-    {
-        if self.is_done() {
-            return None;
-        }
-        let shard = self.next_shard;
-        self.next_shard += 1;
-        let (start, end) = self.shard_range(shard);
-        let indices: Vec<usize> = (start..end).collect();
-        // lint:allow(wall-clock): shard wall time feeds the stderr progress
-        // report only, never a result row
-        let started = Instant::now();
-        let spec = &self.spec;
-        let cells = &self.cells;
-        let cache = &self.cache;
-        let metrics: Vec<(usize, RunMetrics)> = par_map_init(
-            &indices,
-            threads,
-            || CampaignWorkspace::with_cache(cache.clone()),
-            |ws, &idx| {
-                let cell_idx = idx / spec.reps;
-                let rep = idx % spec.reps;
-                let cell = &cells[cell_idx];
-                let config = spec.configuration(cell, rep);
-                (cell_idx, run(ws, &config, cell.model, spec.opts))
-            },
-        );
-        for (cell_idx, m) in &metrics {
-            self.aggregates[*cell_idx].fold(m);
-        }
-        Some(ShardReport {
-            shard,
-            runs: indices.len(),
             wall_s: started.elapsed().as_secs_f64(),
         })
     }
@@ -1266,29 +1121,79 @@ pub fn cell_row(phase: Phase, cell: &CellKey, agg: &CellAggregate) -> crate::row
     }
 }
 
+/// Cuts the run-index range `start..end` into contiguous slices of at
+/// most `spec.batch.size` runs that never cross a cell boundary — pure
+/// position arithmetic, so the deterministic row prefix cannot depend on
+/// it.
+fn slices(start: usize, end: usize, spec: &CampaignSpec) -> Vec<(usize, usize)> {
+    let len = spec.batch.size.max(1);
+    let mut out = Vec::new();
+    let mut i = start;
+    while i < end {
+        let cell_end = (i / spec.reps + 1) * spec.reps;
+        let stop = cell_end.min(end).min(i + len);
+        out.push((i, stop));
+        i = stop;
+    }
+    out
+}
+
+/// The spec's phase workload on one slice `lo..hi` of global run indices
+/// inside `cell` — the one unit both [`CampaignRunner::run_next_shard`]
+/// and [`run_cell`] fold through: [`election_metrics_batched`] for the
+/// elect phase, [`classify_metrics`] per run for the classify phase.
+fn run_slice(
+    workspace: &mut CampaignWorkspace,
+    spec: &CampaignSpec,
+    cell: &CellKey,
+    lo: usize,
+    hi: usize,
+) -> Vec<RunMetrics> {
+    match spec.phase {
+        Phase::Elect => election_metrics_batched(workspace, spec, cell, lo, hi),
+        Phase::Classify => each_run(workspace, spec, cell, lo, hi, &classify_metrics),
+    }
+}
+
+/// `run` on every run of the slice `lo..hi` inside `cell`, in order.
+fn each_run<F>(
+    workspace: &mut CampaignWorkspace,
+    spec: &CampaignSpec,
+    cell: &CellKey,
+    lo: usize,
+    hi: usize,
+    run: &F,
+) -> Vec<RunMetrics>
+where
+    F: Fn(&mut CampaignWorkspace, &Configuration, ModelKind, RunOpts) -> RunMetrics,
+{
+    (lo..hi)
+        .map(|idx| {
+            let config = spec.configuration(cell, idx % spec.reps);
+            run(workspace, &config, cell.model, spec.opts)
+        })
+        .collect()
+}
+
 /// Executes every repetition of one grid cell through `workspace`,
 /// folding the per-run metrics into a fresh [`CellAggregate`] — the serve
 /// layer's per-*job* unit of dispatch, where a whole [`CampaignRunner`]
 /// per request would rebuild workspaces the resident worker already keeps
-/// warm. Seeds come from [`CampaignSpec::configuration`], which is
-/// positional, so the aggregate (and therefore the deterministic prefix
-/// of [`cell_row`]) is bit-identical to a full campaign over the same
-/// single-cell spec regardless of shard/thread geometry. Runs execute
-/// one at a time ([`election_metrics`] / [`classify_metrics`]); batching
-/// only changes the measured tail.
+/// warm. It folds through the same slices as a campaign shard, and
+/// seeds come from [`CampaignSpec::configuration`], which is positional,
+/// so the aggregate (and therefore the deterministic prefix of
+/// [`cell_row`]) is bit-identical to a full campaign over the same
+/// single-cell spec regardless of shard/thread geometry.
 pub fn run_cell(
     workspace: &mut CampaignWorkspace,
     spec: &CampaignSpec,
     cell: &CellKey,
 ) -> CellAggregate {
     let mut agg = CellAggregate::default();
-    for rep in 0..spec.reps {
-        let config = spec.configuration(cell, rep);
-        let metrics = match spec.phase {
-            Phase::Elect => election_metrics(workspace, &config, cell.model, spec.opts),
-            Phase::Classify => classify_metrics(workspace, &config, cell.model, spec.opts),
-        };
-        agg.fold(&metrics);
+    for (lo, hi) in slices(0, spec.reps, spec) {
+        for m in &run_slice(workspace, spec, cell, lo, hi) {
+            agg.fold(m);
+        }
     }
     agg
 }
@@ -1775,10 +1680,10 @@ mod tests {
 
     #[test]
     fn cached_campaign_reports_hits_in_rows_and_stats() {
-        // The one-lookup-per-run accounting asserted below is the
-        // *sequential* path's contract; the batched path dedupes compiles
-        // within a batch, so its lookup count can be below total_runs
-        // (pinned by batched_dedupe_accounts_hits_without_extra_lookups).
+        // The one-lookup-per-run accounting asserted below holds with
+        // dedupe off; dedupe answers repeated draws within a slice without
+        // a lookup, so its lookup count can be below total_runs (pinned
+        // by batched_dedupe_accounts_hits_without_extra_lookups).
         let mut spec = tiny_spec();
         spec.batch = BatchConfig::disabled();
         let mut runner = CampaignRunner::new(spec, 2);
@@ -1810,10 +1715,10 @@ mod tests {
 
     #[test]
     fn batched_dedupe_accounts_hits_without_extra_lookups() {
-        // Arith tags redraw the same tag vector every rep, so every batch
-        // holds duplicate fingerprints: the batch-local memo answers them
+        // Arith tags redraw the same tag vector every rep, so every slice
+        // holds duplicate fingerprints: the slice-local memo answers them
         // without consulting the shared cache, while their metrics still
-        // record hits. Rows stay bit-identical to the unbatched campaign
+        // record hits. Rows stay bit-identical to the dedupe-off campaign
         // up to the measured tail.
         let mut spec = tiny_spec();
         spec.tags = vec![TagStrategy::Arith { stride: 1 }];
@@ -1824,7 +1729,7 @@ mod tests {
         let stats = runner.cache_stats().unwrap();
         assert!(
             stats.lookups() < spec.total_runs() as u64,
-            "batch-local dedupe must skip shared-cache lookups: {stats:?}"
+            "slice-local dedupe must skip shared-cache lookups: {stats:?}"
         );
         let folded: u64 = runner.aggregates().map(|(_, a)| a.cache_hits).sum();
         assert!(folded >= stats.hits, "{folded} vs {stats:?}");

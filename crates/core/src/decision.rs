@@ -34,7 +34,7 @@ impl LeaderDecision {
     }
 
     /// [`LeaderDecision::final_class`] over a borrowed history view — the
-    /// batch engine's metric path classifies straight out of the shared
+    /// campaign's metric path classifies straight out of the workspace's
     /// observation arena without materializing owned histories.
     pub fn final_class_view(&self, history: HistoryView<'_>) -> Option<u32> {
         let s = &self.schedule;

@@ -652,8 +652,9 @@ impl CellJob {
     }
 
     /// The single-cell [`CampaignSpec`] this job names. Runs route
-    /// through the worker's shared cache when one is attached; the cache
-    /// only ever changes the measured tail.
+    /// through the worker's shared cache when one is attached and dedupe
+    /// exactly as a one-shot campaign does; neither changes anything but
+    /// the measured tail.
     pub fn spec(&self, cached: bool) -> CampaignSpec {
         CampaignSpec {
             phase: self.phase,
@@ -670,7 +671,7 @@ impl CellJob {
             } else {
                 CacheConfig::disabled()
             },
-            batch: BatchConfig::disabled(),
+            batch: BatchConfig::default(),
         }
     }
 }
@@ -955,13 +956,14 @@ fn writer_loop<W: Write>(out: &mut W, replies: Receiver<(u64, String)>) -> (u64,
     let mut dropped = 0u64;
     for (seq, line) in replies {
         pending.insert(seq, line);
-        while let Some(line) = pending.remove(&next) {
+        while let Some(mut line) = pending.remove(&next) {
             next += 1;
             if !dead {
-                let wrote = out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush());
+                // Reply and newline go out in one write: as two writes on
+                // a TCP stream, Nagle's algorithm holds the newline back
+                // until the client's delayed ACK, ~40 ms per reply.
+                line.push('\n');
+                let wrote = out.write_all(line.as_bytes()).and_then(|()| out.flush());
                 match wrote {
                     Ok(()) => {
                         answered += 1;
@@ -1309,6 +1311,37 @@ mod tests {
         assert_eq!(String::from_utf8(out).unwrap(), "zero\none\ntwo\n");
     }
 
+    /// A sink that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_sends_each_reply_in_one_write() {
+        let (tx, rx) = mpsc::channel();
+        for seq in 0..3u64 {
+            tx.send((seq, format!("r{seq}"))).unwrap();
+        }
+        drop(tx);
+        let mut out = CountingSink::default();
+        assert_eq!(writer_loop(&mut out, rx), (3, 0));
+        assert_eq!(out.writes, 3, "payload and newline share one write");
+        assert_eq!(out.bytes, b"r0\nr1\nr2\n");
+    }
+
     /// A sink that fails after `live` writes — the gone-client stand-in.
     struct DyingSink {
         live: usize,
@@ -1334,9 +1367,9 @@ mod tests {
             tx.send((seq, format!("r{seq}"))).unwrap();
         }
         drop(tx);
-        // 2 write calls per reply (payload + newline): one full reply
-        // lands, the second reply's payload write breaks the pipe.
-        let mut out = DyingSink { live: 3 };
+        // 1 write call per reply: one reply lands, the second reply's
+        // write breaks the pipe.
+        let mut out = DyingSink { live: 1 };
         let (answered, dropped) = writer_loop(&mut out, rx);
         assert_eq!(answered, 1);
         assert_eq!(dropped, 3, "remaining replies drain as drops, no panic");

@@ -300,3 +300,56 @@ fn serve_transport_flags_are_validated() {
     assert_eq!(code, 2);
     assert!(stderr.contains("at least 1"), "{stderr}");
 }
+
+#[test]
+fn elect_family_defaults_to_a_pinned_spec_size() {
+    let out = bin()
+        .args([
+            "elect",
+            "--family",
+            "grid:10x10",
+            "--span",
+            "50",
+            "--seed",
+            "5",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("grid:10x10 n=100 "), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("leader: v"));
+    // An explicit size that contradicts the spec is still a usage error.
+    let out = bin()
+        .args(["elect", "--family", "grid:10x10", "--size", "8"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("pins the node count to 100"), "{stderr}");
+}
+
+#[test]
+fn help_on_file_subcommands_prints_usage_instead_of_reading_a_file() {
+    for sub in ["elect", "check"] {
+        let out = bin().args([sub, "--help"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{sub}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("usage"), "{sub}: {stdout}");
+        assert!(out.stderr.is_empty(), "{sub}: no `could not read --help`");
+    }
+}
+
+#[test]
+fn help_on_flag_subcommands_prints_usage_instead_of_an_unknown_argument() {
+    for sub in ["campaign", "serve"] {
+        let out = bin().args([sub, "--help"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{sub}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("anon-radio {sub} [flags]")),
+            "{sub}"
+        );
+        assert!(out.stderr.is_empty(), "{sub}: no unknown-argument error");
+    }
+}

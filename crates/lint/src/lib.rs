@@ -2,7 +2,7 @@
 //! anon-radio workspace.
 //!
 //! Every headline claim in this repository is an `≡` claim: leap ≡ step ≡
-//! reference, cached ≡ uncached, reuse ≡ fresh, batched ≡ sequential —
+//! reference, cached ≡ uncached, reuse ≡ fresh, deduped ≡ plain —
 //! all bit-for-bit. Differential tests enforce those equivalences after
 //! the fact; this crate enforces the *preconditions* statically, so a PR
 //! cannot introduce the bug classes that would rot the golden corpus

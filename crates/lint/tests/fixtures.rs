@@ -53,9 +53,9 @@ const FIRE: &[(&str, &str, &[&str])] = &[
         "crates/sim/src/lib.rs",
         &["unsafe-guard"],
     ),
-    // The fused batch engine is result-affecting code: member sweeps on
-    // hash order and worker identity steering the merged event queue are
-    // exactly the bugs that would silently break batched ≡ sequential.
+    // Any file under crates/sim/ is result-affecting code, including one
+    // no engine occupies today: hash-order sweeps and worker identity
+    // steering a scheduler must fire there.
     (
         "batch_member_order_fire.rs",
         "crates/sim/src/batch.rs",

@@ -62,40 +62,6 @@ pub fn run_election(
     run_election_model::<NoCollisionDetection>(config, algorithm, opts)
 }
 
-/// [`run_election`] under a runtime-selected channel model.
-pub fn run_election_under(
-    model: crate::model::ModelKind,
-    config: &Configuration,
-    algorithm: &LeaderAlgorithm<'_>,
-    opts: RunOpts,
-) -> Result<ElectionOutcome, SimError> {
-    run_election_in(
-        &mut crate::workspace::SimWorkspace::new(),
-        model,
-        config,
-        algorithm,
-        opts,
-    )
-}
-
-/// [`run_election_under`] through a caller-provided
-/// [`SimWorkspace`](crate::SimWorkspace) — the batch layers run thousands
-/// of elections per worker thread through one workspace, so the engine
-/// state is recycled instead of reallocated per election.
-pub fn run_election_in(
-    workspace: &mut crate::workspace::SimWorkspace,
-    model: crate::model::ModelKind,
-    config: &Configuration,
-    algorithm: &LeaderAlgorithm<'_>,
-    opts: RunOpts,
-) -> Result<ElectionOutcome, SimError> {
-    let execution = workspace.run_kind(model, config, algorithm.drip, opts)?;
-    let leaders = (0..config.size() as NodeId)
-        .filter(|&v| (algorithm.decide)(execution.history(v)))
-        .collect();
-    Ok(ElectionOutcome { leaders, execution })
-}
-
 /// The outcome of a resident election ([`run_election_resident`]): the
 /// leaders plus the run summary. Histories stay in the workspace arena —
 /// nothing per-node is materialized, which is what lets 10⁶-node
@@ -119,11 +85,13 @@ impl ResidentOutcome {
     }
 }
 
-/// [`run_election_in`] without materializing the execution: runs the DRIP
-/// resident in `workspace`, then applies the *view-based* decision
-/// function straight over the observation arena. Bit-identical leaders to
-/// the materializing path (the views read the very same entries the owned
-/// histories would be cloned from), at none of the per-node clone cost.
+/// [`run_election`] through a caller-provided
+/// [`SimWorkspace`](crate::SimWorkspace), under a runtime-selected channel
+/// model, without materializing the execution: runs the DRIP resident in
+/// `workspace`, then applies the *view-based* decision function straight
+/// over the observation arena. Bit-identical leaders to the materializing
+/// path (the views read the very same entries the owned histories would
+/// be cloned from), at none of the per-node clone cost.
 pub fn run_election_resident(
     workspace: &mut crate::workspace::SimWorkspace,
     model: crate::model::ModelKind,

@@ -104,16 +104,6 @@ pub struct RunOpts {
     /// way — only [`Execution::rounds_stepped`] /
     /// [`Execution::rounds_leapt`] and wall-clock time differ.
     pub leap: bool,
-    /// Store histories sparsely: only non-silent observations are kept,
-    /// silence exists virtually (see
-    /// [`HistoryView`](crate::history::HistoryView)). Semantically
-    /// invisible — every accessor except `HistoryView::as_slice` answers
-    /// identically and results are bit-for-bit the same — but
-    /// silence-dominated million-node histories shrink by orders of
-    /// magnitude. Off by default because DRIPs that read raw slices
-    /// (e.g. the patient transform) would panic; the canonical election
-    /// path enables it.
-    pub sparse_histories: bool,
     /// Store history *lengths* only: no observation content is retained
     /// at all. Non-silent observations are still delivered to the nodes
     /// through [`DripNode::observe`](crate::drip::DripNode::observe) as
@@ -134,7 +124,6 @@ impl Default for RunOpts {
             max_rounds: 50_000_000,
             record_trace: false,
             leap: true,
-            sparse_histories: false,
             len_only_histories: false,
         }
     }
@@ -159,13 +148,6 @@ impl RunOpts {
     /// one by one (the pre-leap engine behaviour).
     pub fn no_leap(mut self) -> RunOpts {
         self.leap = false;
-        self
-    }
-
-    /// Enables sparse (silence-virtualizing) history storage — see
-    /// [`RunOpts::sparse_histories`].
-    pub fn sparse(mut self) -> RunOpts {
-        self.sparse_histories = true;
         self
     }
 

@@ -152,17 +152,15 @@ impl<'a> IntoIterator for &'a History {
 /// accessors:
 ///
 /// * **dense** — a fat pointer into a contiguous `[Obs]` run (the owned
-///   form, the batch engine, the default workspace arena);
-/// * **sparse** — the non-silent entries only, as sorted
-///   `(local_round, obs)` events plus a virtual length; every other round
-///   reads as `(∅)`. Produced by the engine's silence-virtualizing arena
-///   ([`RunOpts::sparse_histories`](crate::RunOpts::sparse_histories)),
-///   where million-node histories dominated by silence would otherwise
-///   dwarf the configuration they came from.
+///   form, the default workspace arena);
+/// * **silent** — a length and nothing else: every entry reads as `(∅)`.
+///   The engine's length-only arena
+///   ([`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories))
+///   stores no observation content, so its views are this form.
 ///
 /// The one dense-only accessor is [`HistoryView::as_slice`], which
-/// panics on a sparse view — code meant to run under the sparse arena
-/// must read through `get`/`iter`/the query methods.
+/// panics on a silent view — code meant to run under the length-only
+/// arena must read through `get`/`iter`/the query methods.
 #[derive(Debug, Clone, Copy)]
 pub struct HistoryView<'a> {
     repr: Repr<'a>,
@@ -171,20 +169,11 @@ pub struct HistoryView<'a> {
 #[derive(Debug, Clone, Copy)]
 enum Repr<'a> {
     Dense(&'a [Obs]),
-    Sparse {
-        /// Non-silent entries as `(absolute_round, obs)`, sorted by round,
-        /// all within `[base, base + len)`.
-        events: &'a [(u64, Obs)],
-        /// Absolute round of the view's entry 0 (non-zero after
-        /// [`HistoryView::window`]).
-        base: u64,
-        /// Virtual length: rounds `0..len` exist, silence unless an event
-        /// says otherwise.
-        len: u64,
-    },
+    /// `len` rounds, every one of them `(∅)`.
+    Silent(usize),
 }
 
-/// The `&Obs` the sparse `Index` impl returns for virtual entries.
+/// The `&Obs` the silent `Index` impl returns.
 static SILENCE: Obs = Obs::Silence;
 
 impl<'a> HistoryView<'a> {
@@ -196,16 +185,12 @@ impl<'a> HistoryView<'a> {
         }
     }
 
-    /// Sparse view: `len` rounds of silence except the given sorted
-    /// `(round, obs)` events. Only the engine's arena constructs these.
+    /// All-silence view of `len` rounds. Only the engine's length-only
+    /// arena constructs these.
     #[inline]
-    pub(crate) fn sparse(events: &'a [(u64, Obs)], len: u64) -> HistoryView<'a> {
+    pub(crate) fn silent(len: usize) -> HistoryView<'a> {
         HistoryView {
-            repr: Repr::Sparse {
-                events,
-                base: 0,
-                len,
-            },
+            repr: Repr::Silent(len),
         }
     }
 
@@ -214,7 +199,7 @@ impl<'a> HistoryView<'a> {
     pub fn len(&self) -> usize {
         match self.repr {
             Repr::Dense(entries) => entries.len(),
-            Repr::Sparse { len, .. } => len as usize,
+            Repr::Silent(len) => len,
         }
     }
 
@@ -227,14 +212,14 @@ impl<'a> HistoryView<'a> {
     /// All entries as a contiguous slice.
     ///
     /// # Panics
-    /// Panics on a sparse view (silence is virtual there — no contiguous
+    /// Panics on a silent view (no entries are stored — no contiguous
     /// run exists). Use `get`/`iter` or [`HistoryView::to_history`].
     #[inline]
     pub fn as_slice(&self) -> &'a [Obs] {
         match self.repr {
             Repr::Dense(entries) => entries,
-            Repr::Sparse { .. } => {
-                panic!("HistoryView::as_slice on a sparse view; use get()/iter()/to_history()")
+            Repr::Silent(_) => {
+                panic!("HistoryView::as_slice on a silent view; use get()/iter()/to_history()")
             }
         }
     }
@@ -244,16 +229,7 @@ impl<'a> HistoryView<'a> {
     pub fn get(&self, r: usize) -> Option<Obs> {
         match self.repr {
             Repr::Dense(entries) => entries.get(r).copied(),
-            Repr::Sparse { events, base, len } => {
-                if (r as u64) >= len {
-                    return None;
-                }
-                let abs = base + r as u64;
-                match events.binary_search_by_key(&abs, |&(p, _)| p) {
-                    Ok(i) => Some(events[i].1),
-                    Err(_) => Some(Obs::Silence),
-                }
-            }
+            Repr::Silent(len) => (r < len).then_some(Obs::Silence),
         }
     }
 
@@ -267,7 +243,7 @@ impl<'a> HistoryView<'a> {
     pub fn first_nonsilent(&self) -> Option<usize> {
         match self.repr {
             Repr::Dense(entries) => entries.iter().position(|o| !o.is_silence()),
-            Repr::Sparse { events, base, .. } => events.first().map(|&(p, _)| (p - base) as usize),
+            Repr::Silent(_) => None,
         }
     }
 
@@ -276,10 +252,7 @@ impl<'a> HistoryView<'a> {
     pub fn first_message(&self) -> Option<usize> {
         match self.repr {
             Repr::Dense(entries) => entries.iter().position(|o| o.is_message()),
-            Repr::Sparse { events, base, .. } => events
-                .iter()
-                .find(|(_, o)| o.is_message())
-                .map(|&(p, _)| (p - base) as usize),
+            Repr::Silent(_) => None,
         }
     }
 
@@ -295,7 +268,7 @@ impl<'a> HistoryView<'a> {
     pub fn all_silent(&self) -> bool {
         match self.repr {
             Repr::Dense(entries) => entries.iter().all(|o| o.is_silence()),
-            Repr::Sparse { events, .. } => events.is_empty(),
+            Repr::Silent(_) => true,
         }
     }
 
@@ -303,41 +276,20 @@ impl<'a> HistoryView<'a> {
     pub fn window(&self, from: usize, len: usize) -> HistoryView<'a> {
         match self.repr {
             Repr::Dense(entries) => HistoryView::new(&entries[from..from + len]),
-            Repr::Sparse {
-                events,
-                base,
-                len: total,
-            } => {
-                assert!(from + len <= total as usize, "window out of range");
-                let lo = base + from as u64;
-                let hi = lo + len as u64;
-                let a = events.partition_point(|&(p, _)| p < lo);
-                let b = events.partition_point(|&(p, _)| p < hi);
-                HistoryView {
-                    repr: Repr::Sparse {
-                        events: &events[a..b],
-                        base: lo,
-                        len: len as u64,
-                    },
-                }
+            Repr::Silent(total) => {
+                assert!(from + len <= total, "window out of range");
+                HistoryView::silent(len)
             }
         }
     }
 
     /// Materializes an owned [`History`].
     pub fn to_history(&self) -> History {
-        match self.repr {
-            Repr::Dense(entries) => History {
-                entries: entries.to_vec(),
-            },
-            Repr::Sparse { events, base, len } => {
-                let mut entries = vec![Obs::Silence; len as usize];
-                for &(p, o) in events {
-                    entries[(p - base) as usize] = o;
-                }
-                History { entries }
-            }
-        }
+        let entries = match self.repr {
+            Repr::Dense(entries) => entries.to_vec(),
+            Repr::Silent(len) => vec![Obs::Silence; len],
+        };
+        History { entries }
     }
 
     /// Compact single-line rendering, e.g. `[∅ ∅ '1' ∗ ∅]`.
@@ -355,7 +307,7 @@ impl<'a> HistoryView<'a> {
     }
 }
 
-/// Equality is semantic — a dense view and a sparse view of the same
+/// Equality is semantic — a dense view and a silent view of the same
 /// history compare equal regardless of representation.
 impl PartialEq for HistoryView<'_> {
     fn eq(&self, other: &Self) -> bool {
@@ -388,13 +340,9 @@ impl Index<usize> for HistoryView<'_> {
     fn index(&self, r: usize) -> &Obs {
         match self.repr {
             Repr::Dense(entries) => &entries[r],
-            Repr::Sparse { events, base, len } => {
-                assert!((r as u64) < len, "index {r} out of range (len {len})");
-                let abs = base + r as u64;
-                match events.binary_search_by_key(&abs, |&(p, _)| p) {
-                    Ok(i) => &events[i].1,
-                    Err(_) => &SILENCE,
-                }
+            Repr::Silent(len) => {
+                assert!(r < len, "index {r} out of range (len {len})");
+                &SILENCE
             }
         }
     }

@@ -54,10 +54,8 @@
 //! * [`patient`] — the patient-DRIP transform of Lemma 3.12.
 //! * [`trace`] — optional round-by-round event recording.
 //! * [`workspace`] — reusable per-run engine state ([`SimWorkspace`]);
-//!   the run loop itself lives here, recycled across back-to-back runs.
-//! * [`batch`] — cross-run batched execution ([`BatchWorkspace`]): B
-//!   member runs through one fused hot loop, bit-identical to the
-//!   sequential workspace.
+//!   the run loop itself lives here — the crate's only one (the
+//!   [`engine_ref`] oracle aside) — recycled across back-to-back runs.
 //! * [`parallel`] — scoped-thread parallel batch execution with
 //!   worker-scoped state (one long-lived workspace per worker).
 //!
@@ -85,7 +83,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod drip;
 pub mod election;
 pub mod engine;
@@ -98,11 +95,10 @@ pub mod patient;
 pub mod trace;
 pub mod workspace;
 
-pub use batch::{BatchRun, BatchWorkspace, MemberView};
 pub use drip::{DripFactory, DripNode, PureDrip, PureFactory};
 pub use election::{
-    run_election, run_election_in, run_election_model, run_election_resident, run_election_under,
-    ElectionOutcome, LeaderAlgorithm, ResidentOutcome,
+    run_election, run_election_model, run_election_resident, ElectionOutcome, LeaderAlgorithm,
+    ResidentOutcome,
 };
 pub use engine::{ExecStats, Execution, Executor, RunOpts, SimError};
 pub use history::{History, HistoryView};

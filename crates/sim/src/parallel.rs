@@ -15,10 +15,8 @@
 //! into fixed-size chunks, the shared atomic cursor hands out *chunks*
 //! (not items), and the worker that claims a chunk takes its mutex exactly
 //! once and writes every slot directly. No lock is ever contended (each
-//! chunk has exactly one owner), unlike the original per-item
-//! `Mutex<Option<R>>` slots, which paid a lock round-trip per item
-//! ([`par_map_mutex_baseline`] preserves that implementation as the
-//! regression baseline for the batch Criterion bench).
+//! chunk has exactly one owner), unlike per-item `Mutex<Option<R>>`
+//! slots, which would pay a lock round-trip per item.
 //!
 //! `std::thread::scope` + `std::sync::Mutex` keep this dependency-free and
 //! data-race-free; the scope guarantees all borrows end before the
@@ -140,51 +138,6 @@ fn chunk_size(n: usize, threads: usize) -> usize {
     balanced.max(even.min(8)).clamp(1, 1024)
 }
 
-/// The pre-refactor implementation — dynamic per-item cursor with one
-/// `Mutex<Option<R>>` slot per item — retained verbatim as the baseline
-/// the batch Criterion bench (`benches/batch.rs`) compares the
-/// chunked lock-free path against. Not for new code.
-pub fn par_map_mutex_baseline<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("no poisoned slot") = Some(r);
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned slot")
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
 /// The worker count [`par_map`] uses: `available_parallelism`, or 1 if the
 /// platform cannot report it.
 pub fn default_threads() -> usize {
@@ -214,36 +167,6 @@ pub fn run_batch(
     )
 }
 
-/// [`run_batch`] through the fused batch engine: configurations are split
-/// into contiguous batches of `batch_size`, each worker thread owns one
-/// long-lived [`BatchWorkspace`](crate::BatchWorkspace), and every batch
-/// runs as one fused engine pass. Results are identical to [`run_batch`]
-/// bit for bit (the batch engine's contract); only the schedule changes.
-pub fn run_batch_fused(
-    configs: &[radio_graph::Configuration],
-    factory: &(dyn crate::drip::DripFactory + Sync),
-    model: crate::model::ModelKind,
-    opts: crate::engine::RunOpts,
-    batch_size: usize,
-) -> Vec<Result<crate::engine::Execution, crate::engine::SimError>> {
-    let batches: Vec<&[radio_graph::Configuration]> = configs.chunks(batch_size.max(1)).collect();
-    par_map_init(
-        &batches,
-        default_threads(),
-        crate::batch::BatchWorkspace::new,
-        |ws, batch| {
-            let runs: Vec<crate::batch::BatchRun<'_>> = batch
-                .iter()
-                .map(|config| crate::batch::BatchRun { config, factory })
-                .collect();
-            ws.run_kind(model, &runs, opts)
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,8 +177,6 @@ mod tests {
         let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         let parallel = par_map(&items, |x| x * x + 1);
         assert_eq!(parallel, serial);
-        let baseline = par_map_mutex_baseline(&items, 4, |x| x * x + 1);
-        assert_eq!(baseline, serial);
     }
 
     #[test]
@@ -338,38 +259,6 @@ mod tests {
             for threads in 1..16 {
                 let c = chunk_size(n, threads);
                 assert!((1..=1024).contains(&c), "n={n} threads={threads} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_batch_fused_matches_run_batch() {
-        use crate::drip::WaitThenTransmitFactory;
-        use radio_graph::{generators, Configuration};
-        let configs: Vec<Configuration> = (2..12)
-            .map(|n| {
-                let tags: Vec<u64> = (0..n as u64).map(|v| v % 5).collect();
-                Configuration::new(generators::star(n), tags).unwrap()
-            })
-            .collect();
-        let factory = WaitThenTransmitFactory {
-            wait: 1,
-            msg: crate::Msg(3),
-            lifetime: 8,
-        };
-        let opts = crate::engine::RunOpts::default();
-        for model in crate::model::ModelKind::ALL {
-            let plain = run_batch(&configs, &factory, model, opts);
-            // batch sizes straddling the item count, including a ragged tail
-            for batch_size in [1, 3, 4, 100] {
-                let fused = run_batch_fused(&configs, &factory, model, opts, batch_size);
-                assert_eq!(fused.len(), plain.len());
-                for (a, b) in plain.iter().zip(&fused) {
-                    let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                    assert_eq!(a.histories, b.histories, "{model:?} bs={batch_size}");
-                    assert_eq!(a.rounds_stepped, b.rounds_stepped);
-                    assert_eq!(a.rounds_leapt, b.rounds_leapt);
-                }
             }
         }
     }

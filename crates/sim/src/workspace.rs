@@ -3,7 +3,7 @@
 //! A single election allocates a dozen vectors (arena segments, wake/done
 //! rounds, active lists, round-stamped counters, quiescence horizons).
 //! That is irrelevant for one run and dominant for a campaign of millions:
-//! the batch layers (`parallel`, `radio_bench::campaign`) therefore run
+//! the batch layers (`parallel`, `anon_radio::campaign`) therefore run
 //! every simulation through a long-lived [`SimWorkspace`], which owns all
 //! of that state and recycles it run after run.
 //!
@@ -48,106 +48,30 @@ use crate::trace::{RoundEvent, Trace};
 /// while keeping the backing vector's capacity — how a [`SimWorkspace`]
 /// carries its warmed-up arena from run to run.
 ///
-/// # Sparse mode
+/// # Length-only mode
 ///
-/// Under [`RunOpts::sparse_histories`](crate::RunOpts::sparse_histories)
-/// the arena stores only the *non-silent* observations, as
-/// `(local_round, obs)` events in a second segmented buffer; silence —
-/// which dominates canonical-schedule histories utterly — exists only as
-/// a per-node virtual length. Views answer `get`/`iter` identically in
-/// both modes (the sparse [`HistoryView`] synthesizes `(∅)` on the fly),
-/// so results are bit-identical; only
-/// [`HistoryView::as_slice`] is unavailable. A leap's bulk silence
-/// ([`ObsArena::push_silence_n`]) becomes a counter bump — O(1) time
-/// *and* memory — which is what lets a 10⁶-node election run within a
-/// small multiple of its configuration footprint.
+/// Under [`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories)
+/// the arena stores nothing: each history is a per-node virtual length,
+/// and a leap's bulk silence ([`ObsArena::push_silence_n`]) is a counter
+/// bump — O(1) time *and* memory — which is what lets a 10⁶-node
+/// election run within a small multiple of its configuration footprint.
 #[derive(Debug, Default)]
 pub(crate) struct ObsArena {
-    /// Sparse mode: silence is virtual, only events are stored.
-    sparse: bool,
     /// Length-only mode: nothing is stored, histories exist purely as
     /// per-node virtual lengths (`vlen`). See [`RunOpts::len_only_histories`].
     len_only: bool,
-    /// Dense-mode backing buffer (one `Obs` per recorded round).
+    /// Backing buffer (one `Obs` per recorded round).
     data: Vec<Obs>,
-    /// Sparse-mode backing buffer (non-silent entries only).
-    events: Vec<(u64, Obs)>,
-    /// Per-node segment offsets into the active backing buffer.
+    /// Per-node segment offsets into `data`.
     off: Vec<usize>,
-    /// Per-node count of *stored* elements (obs or events).
+    /// Per-node count of stored observations.
     len: Vec<u32>,
     /// Per-node segment capacities.
     cap: Vec<u32>,
-    /// Sparse mode: per-node virtual history length in rounds.
+    /// Length-only mode: per-node virtual history length in rounds.
     vlen: Vec<u64>,
     /// Slots abandoned by segment relocations since the last compaction.
     dead: usize,
-}
-
-/// Relocates segment `v` of a segmented buffer to the end with capacity
-/// `max(2×cap, FIRST_CAP, need)`, compacting the whole buffer first when
-/// relocation garbage would outweigh the live data. Shared by the arena's
-/// dense (`Obs`) and sparse (`(round, Obs)`) buffers.
-#[cold]
-#[allow(clippy::too_many_arguments)]
-fn seg_grow<T: Copy>(
-    buf: &mut Vec<T>,
-    off: &mut [usize],
-    len: &[u32],
-    cap: &mut [u32],
-    dead: &mut usize,
-    v: usize,
-    need: usize,
-    fill: T,
-) {
-    // At least double (amortization), but satisfy big jumps — a
-    // time-leap can demand millions of slots at once — exactly, so a
-    // huge silent run is not over-allocated (and over-filled) by up
-    // to 2×.
-    let new_cap = (cap[v] as usize * 2)
-        .max(ObsArena::FIRST_CAP as usize)
-        .max(need);
-    // The whole abandoned segment (live prefix and unused tail alike)
-    // becomes garbage; compact once garbage would outweigh the live
-    // data, keeping the buffer within ~2× of the live elements.
-    *dead += cap[v] as usize;
-    if *dead * 2 > buf.len() {
-        seg_compact(buf, off, len, cap);
-        // Compaction shrank `v`'s segment to its live length; the
-        // relocation below abandons exactly those slots.
-        *dead = len[v] as usize;
-    }
-    let new_off = buf.len();
-    let old_off = off[v];
-    let live = len[v] as usize;
-    // Relocate by appending: the live prefix is copied once (not
-    // fill-initialized first and then overwritten), only the fresh tail
-    // is filled — establishing the all-`fill`-beyond-`len` invariant
-    // the dense `push_silence_n` relies on.
-    buf.extend_from_within(old_off..old_off + live);
-    buf.resize(new_off + new_cap, fill);
-    off[v] = new_off;
-    cap[v] = u32::try_from(new_cap).expect("history exceeds u32 capacity");
-}
-
-/// Rewrites every segment contiguously at the front of the buffer,
-/// dropping all relocation garbage. Segments keep their contents;
-/// capacities shrink to the live lengths, so the next append per segment
-/// relocates — which the doubling policy amortizes as usual.
-#[cold]
-fn seg_compact<T: Copy>(buf: &mut Vec<T>, off: &mut [usize], len: &[u32], cap: &mut [u32]) {
-    let mut order: Vec<u32> = (0..off.len() as u32).collect();
-    order.sort_unstable_by_key(|&v| off[v as usize]);
-    let mut write = 0usize;
-    for &v in &order {
-        let vi = v as usize;
-        let live = len[vi] as usize;
-        buf.copy_within(off[vi]..off[vi] + live, write);
-        off[vi] = write;
-        cap[vi] = len[vi];
-        write += live;
-    }
-    buf.truncate(write);
 }
 
 impl ObsArena {
@@ -165,7 +89,6 @@ impl ObsArena {
     /// arena never shrinks, so this is its high-water mark.
     pub(crate) fn mem_bytes(&self) -> u64 {
         (self.data.capacity() * std::mem::size_of::<Obs>()
-            + self.events.capacity() * std::mem::size_of::<(u64, Obs)>()
             + self.off.capacity() * std::mem::size_of::<usize>()
             + self.len.capacity() * std::mem::size_of::<u32>()
             + self.cap.capacity() * std::mem::size_of::<u32>()
@@ -173,17 +96,16 @@ impl ObsArena {
     }
 
     /// Selects the storage mode for the *next* [`ObsArena::reset`]. Must
-    /// not be flipped mid-run. `len_only` wins over `sparse`.
-    pub(crate) fn set_mode(&mut self, sparse: bool, len_only: bool) {
-        self.sparse = sparse;
+    /// not be flipped mid-run.
+    pub(crate) fn set_len_only(&mut self, len_only: bool) {
         self.len_only = len_only;
     }
 
     /// The virtual length of node `v`'s history — the local round index
-    /// the *next* recorded entry will land at, in any storage mode.
+    /// the *next* recorded entry will land at, in either storage mode.
     #[inline]
     pub(crate) fn pos(&self, v: usize) -> u64 {
-        if self.sparse || self.len_only {
+        if self.len_only {
             self.vlen[v]
         } else {
             u64::from(self.len[v])
@@ -193,7 +115,6 @@ impl ObsArena {
     /// Re-dimensions for `n` empty segments, retaining all buffer capacity.
     pub(crate) fn reset(&mut self, n: usize) {
         self.data.clear();
-        self.events.clear();
         self.off.clear();
         self.off.resize(n, 0);
         self.len.clear();
@@ -211,83 +132,88 @@ impl ObsArena {
             self.vlen[v] += 1;
             return;
         }
-        if self.sparse {
-            let pos = self.vlen[v];
-            self.vlen[v] = pos + 1;
-            if !obs.is_silence() {
-                self.push_event(v, (pos, obs));
-            }
-            return;
-        }
         if self.len[v] == self.cap[v] {
-            seg_grow(
-                &mut self.data,
-                &mut self.off,
-                &self.len,
-                &mut self.cap,
-                &mut self.dead,
-                v,
-                self.len[v] as usize + 1,
-                Obs::Silence,
-            );
+            self.grow(v, self.len[v] as usize + 1);
         }
         self.data[self.off[v] + self.len[v] as usize] = obs;
-        self.len[v] += 1;
-    }
-
-    /// Appends a non-silent entry to node `v`'s sparse event segment.
-    fn push_event(&mut self, v: usize, e: (u64, Obs)) {
-        if self.len[v] == self.cap[v] {
-            seg_grow(
-                &mut self.events,
-                &mut self.off,
-                &self.len,
-                &mut self.cap,
-                &mut self.dead,
-                v,
-                self.len[v] as usize + 1,
-                (0, Obs::Silence),
-            );
-        }
-        self.events[self.off[v] + self.len[v] as usize] = e;
         self.len[v] += 1;
     }
 
     /// Appends `k` `(∅)` entries to segment `v` in one go — how the
     /// time-leap scheduler delivers a skipped silent stretch.
     ///
-    /// Sparse mode: a pure counter bump, O(1) time and memory — a leap
-    /// over a million quiet rounds costs nothing per node. Dense mode:
-    /// O(1) past capacity checks, because a segment's unused tail
+    /// Length-only mode: a pure counter bump, O(1) time and memory — a
+    /// leap over a million quiet rounds costs nothing per node. Dense
+    /// mode: O(1) past capacity checks, because a segment's unused tail
     /// `[len..cap)` still holds the `Obs::Silence` the backing vector was
     /// resized with (pushes only ever write at `len`), so appending
     /// silence is just a length bump.
     pub(crate) fn push_silence_n(&mut self, v: usize, k: usize) {
-        if self.len_only || self.sparse {
+        if self.len_only {
             self.vlen[v] += k as u64;
             return;
         }
         let need = self.len[v] as usize + k;
         if need > self.cap[v] as usize {
-            seg_grow(
-                &mut self.data,
-                &mut self.off,
-                &self.len,
-                &mut self.cap,
-                &mut self.dead,
-                v,
-                need,
-                Obs::Silence,
-            );
+            self.grow(v, need);
         }
         self.len[v] += k as u32;
     }
 
-    /// Node `v`'s recorded entries as a contiguous slice (dense mode only).
-    #[inline]
-    pub(crate) fn slice(&self, v: usize) -> &[Obs] {
-        debug_assert!(!self.sparse, "slice() on a sparse arena");
-        &self.data[self.off[v]..self.off[v] + self.len[v] as usize]
+    /// Relocates segment `v` to the end with capacity
+    /// `max(2×cap, FIRST_CAP, need)`, compacting the whole buffer first
+    /// when relocation garbage would outweigh the live data.
+    #[cold]
+    fn grow(&mut self, v: usize, need: usize) {
+        // At least double (amortization), but satisfy big jumps — a
+        // time-leap can demand millions of slots at once — exactly, so a
+        // huge silent run is not over-allocated (and over-filled) by up
+        // to 2×.
+        let new_cap = (self.cap[v] as usize * 2)
+            .max(ObsArena::FIRST_CAP as usize)
+            .max(need);
+        // The whole abandoned segment (live prefix and unused tail alike)
+        // becomes garbage; compact once garbage would outweigh the live
+        // data, keeping the buffer within ~2× of the live elements.
+        self.dead += self.cap[v] as usize;
+        if self.dead * 2 > self.data.len() {
+            self.compact();
+            // Compaction shrank `v`'s segment to its live length; the
+            // relocation below abandons exactly those slots.
+            self.dead = self.len[v] as usize;
+        }
+        let new_off = self.data.len();
+        let old_off = self.off[v];
+        let live = self.len[v] as usize;
+        // Relocate by appending: the live prefix is copied once (not
+        // fill-initialized first and then overwritten), only the fresh tail
+        // is filled — establishing the all-silence-beyond-`len` invariant
+        // `push_silence_n` relies on.
+        self.data.extend_from_within(old_off..old_off + live);
+        self.data.resize(new_off + new_cap, Obs::Silence);
+        self.off[v] = new_off;
+        self.cap[v] = u32::try_from(new_cap).expect("history exceeds u32 capacity");
+    }
+
+    /// Rewrites every segment contiguously at the front of the buffer,
+    /// dropping all relocation garbage. Segments keep their contents;
+    /// capacities shrink to the live lengths, so the next append per segment
+    /// relocates — which the doubling policy amortizes as usual.
+    #[cold]
+    fn compact(&mut self) {
+        let mut order: Vec<u32> = (0..self.off.len() as u32).collect();
+        order.sort_unstable_by_key(|&v| self.off[v as usize]);
+        let mut write = 0usize;
+        for &v in &order {
+            let vi = v as usize;
+            let live = self.len[vi] as usize;
+            self.data
+                .copy_within(self.off[vi]..self.off[vi] + live, write);
+            self.off[vi] = write;
+            self.cap[vi] = self.len[vi];
+            write += live;
+        }
+        self.data.truncate(write);
     }
 
     #[inline]
@@ -296,14 +222,9 @@ impl ObsArena {
             // Length-only views have the right `len()` but report every
             // entry as silence; sound only under the `observe`-folding
             // DRIP contract of `RunOpts::len_only_histories`.
-            return HistoryView::sparse(&[], self.vlen[v]);
+            return HistoryView::silent(self.vlen[v] as usize);
         }
-        if self.sparse {
-            let events = &self.events[self.off[v]..self.off[v] + self.len[v] as usize];
-            HistoryView::sparse(events, self.vlen[v])
-        } else {
-            HistoryView::new(self.slice(v))
-        }
+        HistoryView::new(&self.data[self.off[v]..self.off[v] + self.len[v] as usize])
     }
 
     /// Materializes all segments as owned histories, leaving the arena
@@ -315,10 +236,8 @@ impl ObsArena {
     }
 }
 
-/// Sentinel for "has not happened yet" in the wake/done planes — shared
-/// with the batched engine (`crate::batch`), which must agree with the
-/// sequential loop bit for bit.
-pub(crate) const ASLEEP: u64 = u64::MAX;
+/// Sentinel for "has not happened yet" in the wake/done planes.
+const ASLEEP: u64 = u64::MAX;
 
 /// Reusable engine state for back-to-back simulations.
 ///
@@ -525,8 +444,7 @@ impl SimWorkspace {
         factory: &dyn DripFactory,
         opts: RunOpts,
     ) -> Result<ResidentRun, SimError> {
-        self.arena
-            .set_mode(opts.sparse_histories, opts.len_only_histories);
+        self.arena.set_len_only(opts.len_only_histories);
         self.reset_for(config);
         let n = config.size();
         let csr = config.csr();
@@ -844,7 +762,7 @@ mod tests {
     #[test]
     fn arena_len_only_mode_counts_without_storing() {
         let mut arena = ObsArena::default();
-        arena.set_mode(false, true);
+        arena.set_len_only(true);
         arena.reset(2);
         arena.push(0, Obs::Heard(Msg(7)));
         arena.push_silence_n(0, 1000);
@@ -860,7 +778,6 @@ mod tests {
         assert_eq!(arena.view(0).message_at(0), None);
         assert_eq!(arena.view(0).get(1001), Some(Obs::Silence));
         assert_eq!(arena.data.capacity(), 0);
-        assert_eq!(arena.events.capacity(), 0);
     }
 
     #[test]

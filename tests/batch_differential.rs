@@ -1,188 +1,18 @@
-//! Differential suite for the fused batch engine: batched ≡ sequential
-//! bit for bit, across the family zoo × all three channel models ×
-//! leap/step (and traced) × batch sizes {1, 3, 16, ragged last batch} —
-//! every output compared: leader verdicts, rounds, the stepped/leapt
-//! split, histories, wake/done rounds, stats, and traces. Plus the
-//! campaign-level pin: elect rows with batching on (the default) match
-//! `--no-batch` rows exactly after the measured tail.
+//! Campaign dedupe differential: elect rows with the slice dedupe on
+//! (the default, at several slice lengths) match `--no-batch` rows
+//! exactly after the measured tail, across the three channel models and
+//! several shard/thread geometries. A deduped run copies an earlier
+//! run's metrics instead of simulating, so this pins that equal
+//! fingerprints really do mean equal elections.
 
 use anon_radio::campaign::{
     BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
 };
-use anon_radio::CompiledElection;
-use radio_classifier::ClassifierWorkspace;
-use radio_graph::{Configuration, NodeId};
-use radio_sim::drip::WaitThenTransmitFactory;
-use radio_sim::{
-    BatchRun, BatchWorkspace, DripFactory, Execution, ModelKind, Msg, RunOpts, SimWorkspace,
-};
+use radio_sim::{ModelKind, RunOpts};
 
-/// The zoo: one member per family shape, deterministic tags (no RNG —
-/// the point is engine coverage, not draw coverage, which the campaign
-/// test below supplies).
-fn zoo() -> Vec<Configuration> {
-    let specs: [(&str, usize); 7] = [
-        ("path", 6),
-        ("star", 7),
-        ("cycle", 5),
-        ("torus:3x3", 9),
-        ("hypercube:3", 8),
-        ("barbell:3+1", 7),
-        ("binary-tree", 10),
-    ];
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, &(spec, n))| {
-            let family: FamilySpec = spec.parse().unwrap();
-            let graph = family.build(n, 0xD1FF + i as u64).unwrap();
-            let tags: Vec<u64> = (0..n as u64).map(|v| (v * 3 + i as u64) % 7).collect();
-            Configuration::new(graph, tags).unwrap()
-        })
-        .collect()
-}
-
-fn assert_identical(a: &Execution, b: &Execution, ctx: &str) {
-    assert_eq!(a.histories, b.histories, "{ctx}: histories");
-    assert_eq!(a.wake_round, b.wake_round, "{ctx}: wake rounds");
-    assert_eq!(a.done_round, b.done_round, "{ctx}: done rounds");
-    assert_eq!(a.rounds, b.rounds, "{ctx}: rounds");
-    assert_eq!(a.rounds_stepped, b.rounds_stepped, "{ctx}: stepped split");
-    assert_eq!(a.rounds_leapt, b.rounds_leapt, "{ctx}: leapt split");
-    assert_eq!(a.stats, b.stats, "{ctx}: stats");
-    assert_eq!(a.trace, b.trace, "{ctx}: traces");
-}
-
-/// The full matrix with a simple transmitting DRIP: every batched
-/// execution must be bit-identical to the sequential workspace's,
-/// whatever the batch composition.
-#[test]
-fn batched_executions_match_sequential_across_the_matrix() {
-    let zoo = zoo();
-    let factory = WaitThenTransmitFactory {
-        wait: 1,
-        msg: Msg(5),
-        lifetime: 12,
-    };
-    let mut seq = SimWorkspace::new();
-    let mut batch = BatchWorkspace::new();
-    for model in ModelKind::ALL {
-        for opts in [
-            RunOpts::default(),
-            RunOpts::default().no_leap(),
-            RunOpts::default().traced(),
-            RunOpts::default().no_leap().traced(),
-        ] {
-            let want: Vec<Execution> = zoo
-                .iter()
-                .map(|config| seq.run_kind(model, config, &factory, opts).unwrap())
-                .collect();
-            // 1 = degenerate batches, 3 and 16 split the 7-member zoo
-            // raggedly (16 > zoo, one undersized batch; 3 leaves a
-            // 1-member last batch), 7 = one full batch.
-            for batch_size in [1usize, 3, 7, 16] {
-                let mut got: Vec<Execution> = Vec::new();
-                for chunk in zoo.chunks(batch_size) {
-                    let runs: Vec<BatchRun<'_>> = chunk
-                        .iter()
-                        .map(|config| BatchRun {
-                            config,
-                            factory: &factory as &dyn DripFactory,
-                        })
-                        .collect();
-                    got.extend(
-                        batch
-                            .run_kind(model, &runs, opts)
-                            .into_iter()
-                            .map(|r| r.unwrap()),
-                    );
-                }
-                for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-                    assert_identical(
-                        a,
-                        b,
-                        &format!("{model:?} leap={} member {i} bs={batch_size}", opts.leap),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The same matrix through the *real* election pipeline: compiled
-/// canonical DRIPs, leader verdicts included. Feasible zoo members run
-/// under every model and batch size; the elected leader set must match
-/// the sequential path's exactly.
-#[test]
-fn batched_elections_agree_on_leaders_and_shape() {
-    let zoo = zoo();
-    let mut cls = ClassifierWorkspace::new();
-    let compiled: Vec<CompiledElection> = zoo
-        .iter()
-        .map(|c| CompiledElection::compile_in(&mut cls, c))
-        .collect();
-    let members: Vec<(usize, &Configuration, &CompiledElection)> = zoo
-        .iter()
-        .zip(&compiled)
-        .enumerate()
-        .filter(|(_, (_, c))| c.feasible())
-        .map(|(i, (config, c))| (i, config, c))
-        .collect();
-    assert!(
-        members.len() >= 2,
-        "zoo must keep multiple feasible members"
-    );
-    let mut seq = SimWorkspace::new();
-    let mut batch = BatchWorkspace::new();
-    for model in ModelKind::ALL {
-        for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
-            let factories: Vec<_> = members.iter().map(|(_, _, c)| c.factory()).collect();
-            let want: Vec<Execution> = members
-                .iter()
-                .zip(&factories)
-                .map(|((_, config, _), f)| seq.run_kind(model, config, f, opts).unwrap())
-                .collect();
-            for batch_size in [1usize, 3, 16] {
-                let mut got: Vec<Execution> = Vec::new();
-                for (chunk, fchunk) in members.chunks(batch_size).zip(factories.chunks(batch_size))
-                {
-                    let runs: Vec<BatchRun<'_>> = chunk
-                        .iter()
-                        .zip(fchunk)
-                        .map(|((_, config, _), f)| BatchRun {
-                            config,
-                            factory: f as &dyn DripFactory,
-                        })
-                        .collect();
-                    got.extend(
-                        batch
-                            .run_kind(model, &runs, opts)
-                            .into_iter()
-                            .map(|r| r.unwrap()),
-                    );
-                }
-                for (k, ((i, config, c), (a, b))) in
-                    members.iter().zip(want.iter().zip(&got)).enumerate()
-                {
-                    let ctx = format!("member {i} {model:?} bs={batch_size} (#{k})");
-                    assert_identical(a, b, &ctx);
-                    let decision = c.decision();
-                    let leaders_seq: Vec<NodeId> = (0..config.size() as NodeId)
-                        .filter(|&v| decision.is_leader(a.history(v)))
-                        .collect();
-                    let leaders_batch: Vec<NodeId> = (0..config.size() as NodeId)
-                        .filter(|&v| decision.is_leader(b.history(v)))
-                        .collect();
-                    assert_eq!(leaders_seq, leaders_batch, "{ctx}: leader sets");
-                }
-            }
-        }
-    }
-}
-
-/// Campaign-level pin: elect-phase JSONL rows with batching on (default
-/// size and ragged sizes) are identical to `--no-batch` rows after the
-/// measured tail, across shard/thread geometries.
+/// Elect-phase JSONL rows with dedupe on (default slice length and ragged
+/// ones) are identical to `--no-batch` rows after the measured tail,
+/// across shard/thread geometries.
 #[test]
 fn campaign_rows_unchanged_batch_on_vs_off() {
     let spec = |batch: BatchConfig| CampaignSpec {
@@ -214,12 +44,17 @@ fn campaign_rows_unchanged_batch_on_vs_off() {
         strip(runner.jsonl_rows())
     };
     let unbatched = run(BatchConfig::disabled(), 4, 2);
+    assert_eq!(
+        run(BatchConfig::disabled(), 1, 1),
+        unbatched,
+        "off, 1 shard"
+    );
     assert_eq!(run(BatchConfig::default(), 4, 2), unbatched, "default size");
     // ragged: 3 does not divide reps = 5, so every cell ends with a
-    // 2-member last batch; 1 is the degenerate one-run-per-batch case
+    // 2-run last slice; 1 is the degenerate slice that dedupes nothing
     assert_eq!(run(BatchConfig::with_size(3), 4, 2), unbatched, "size 3");
     assert_eq!(run(BatchConfig::with_size(1), 4, 2), unbatched, "size 1");
-    // geometry invariance holds on the batched path too
+    // geometry invariance holds with dedupe on too
     assert_eq!(run(BatchConfig::default(), 1, 1), unbatched, "1 shard");
     assert_eq!(run(BatchConfig::with_size(3), 7, 3), unbatched, "7 shards");
 }

@@ -49,8 +49,8 @@ fn golden_elect_spec() -> CampaignSpec {
         seed: 0x60_1DE4,
         opts: RunOpts::default(),
         cache: anon_radio::cache::CacheConfig::default(),
-        // The default (batched) path: the golden corpus itself pins that
-        // batching is invisible in the deterministic row prefix.
+        // The default (deduped) path: the golden corpus itself pins that
+        // the slice dedupe is invisible in the deterministic row prefix.
         batch: anon_radio::campaign::BatchConfig::default(),
     }
 }
