@@ -12,7 +12,7 @@ fn bench_classifier(c: &mut Criterion) {
         .measurement_time(std::time::Duration::from_millis(1500));
     for family in scaling_families() {
         for n in [32usize, 128] {
-            let graph = (family.make)(n, 42);
+            let graph = family.make(n, 42);
             let config = with_random_tags(graph, 4, 42 ^ n as u64);
             group.bench_with_input(BenchmarkId::new(family.name, n), &config, |b, config| {
                 b.iter(|| classify_with(config, Engine::Fast).iterations)

@@ -11,8 +11,8 @@
 pub use anon_radio::cache::{CacheConfig, CacheStats, ScheduleCache};
 pub use anon_radio::campaign::{
     classify_metrics, election_metrics, election_metrics_batched, BatchConfig, CampaignRunner,
-    CampaignSpec, CampaignWorkspace, CellAggregate, CellKey, FamilyKind, FamilySpec, Phase,
-    RunMetrics, ShardReport, TagStrategy,
+    CampaignSpec, CampaignWorkspace, CellAggregate, CellKey, FamilySpec, Phase, RunMetrics,
+    ShardReport, TagStrategy,
 };
 
 use radio_sim::{ModelKind, RunOpts};

@@ -40,7 +40,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     );
     for family in scaling_families().into_iter().take(3) {
         for &n in &sizes {
-            let graph = (family.make)(n, seed);
+            let graph = family.make(n, seed);
             let real_n = graph.node_count();
             let config = feasible_with_span(graph, 4, seed ^ n as u64);
             let dedicated = match anon_radio::solve(&config) {

@@ -75,7 +75,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
                     break;
                 }
                 let cell_seed = derive(seed, &format!("e13/{}/{regime}/{b}", family.name));
-                let graph = (family.make)(n, cell_seed);
+                let graph = family.make(n, cell_seed);
                 let mut rng = rng_from(cell_seed);
                 let base = match regime {
                     "distinct" => tags::distinct_shuffled(graph, &mut rng),

@@ -23,7 +23,7 @@ use radio_sim::{Execution, PatientFactory, RunOpts};
 use radio_util::rng::derive;
 use radio_util::table::{fmt_f64, Table};
 
-use crate::campaign::{CampaignRunner, CampaignSpec, FamilyKind};
+use crate::campaign::{CampaignRunner, CampaignSpec, FamilySpec};
 use crate::workloads::with_random_tags;
 use crate::Effort;
 
@@ -182,7 +182,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     };
     let spec = CampaignSpec {
         phase: crate::campaign::Phase::Elect,
-        families: vec![FamilyKind::Path.spec()],
+        families: vec![FamilySpec::Path],
         tags: vec![crate::campaign::TagStrategy::Uniform],
         sizes: vec![4],
         spans: campaign_spans,

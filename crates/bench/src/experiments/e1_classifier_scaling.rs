@@ -47,7 +47,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for &n in &sizes {
-            let graph = (family.make)(n, seed);
+            let graph = family.make(n, seed);
             let real_n = graph.node_count();
             let config = with_random_tags(graph, span, seed ^ n as u64);
             let delta = config.max_degree();
@@ -124,7 +124,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
         .into_iter()
         .flat_map(|family| {
             (0..4u64).map(move |i| {
-                let graph = (family.make)(batch_n, seed ^ i);
+                let graph = family.make(batch_n, seed ^ i);
                 with_random_tags(graph, 8, seed ^ (i << 8) ^ batch_n as u64)
             })
         })

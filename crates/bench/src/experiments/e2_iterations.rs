@@ -34,7 +34,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
 
     for family in scaling_families() {
         for &n in &sizes {
-            let graph = (family.make)(n, seed);
+            let graph = family.make(n, seed);
             let real_n = graph.node_count();
             // Coin-flip tags with span 1: the least informative non-uniform
             // regime, which is what actually induces multi-iteration

@@ -40,7 +40,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     for family in scaling_families() {
         for &n in &sizes {
             for &span in &spans {
-                let graph = (family.make)(n, seed);
+                let graph = family.make(n, seed);
                 let real_n = graph.node_count() as u64;
                 let config = feasible_with_span(graph, span, seed ^ (n as u64) ^ (span << 32));
                 let sigma = config.span();

@@ -6,26 +6,20 @@
 //! almost everything feasible. Trials are distributed over worker threads
 //! with `radio-sim`'s parallel batch map.
 
-use radio_graph::{tags, Configuration, Graph};
+use radio_graph::{tags, Configuration};
 use radio_sim::parallel::par_map;
 use radio_util::rng::{derive, rng_from};
 use radio_util::table::{fmt_f64, Table};
 
-use crate::workloads::scaling_families;
+use crate::workloads::{scaling_families, Family};
 use crate::Effort;
 
-fn feasible_fraction(
-    make: fn(usize, u64) -> Graph,
-    n: usize,
-    strategy: &str,
-    trials: usize,
-    seed: u64,
-) -> f64 {
+fn feasible_fraction(family: &Family, n: usize, strategy: &str, trials: usize, seed: u64) -> f64 {
     let jobs: Vec<u64> = (0..trials as u64).collect();
     let outcomes = par_map(&jobs, |&trial| {
         let s = derive(seed, &format!("atlas/{n}/{strategy}/{trial}"));
         let mut rng = rng_from(s);
-        let graph = make(n, s);
+        let graph = family.make(n, s);
         let config: Configuration = match strategy {
             "uniform" => tags::uniform(graph, 0),
             "coin σ=1" => tags::coin_flip(graph, 1, &mut rng),
@@ -68,7 +62,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     for family in scaling_families() {
         let mut row = vec![family.name.to_string()];
         for strategy in &strategies {
-            let frac = feasible_fraction(family.make, n, strategy, trials, seed);
+            let frac = feasible_fraction(&family, n, strategy, trials, seed);
             row.push(fmt_f64(frac, 2));
         }
         table.push_row(row);

@@ -39,7 +39,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
 
     for family in scaling_families().into_iter().filter(|f| f.name != "star") {
         for &n in &sizes {
-            let graph = (family.make)(n, seed);
+            let graph = family.make(n, seed);
             let real_n = graph.node_count();
             let config = with_random_tags(graph, 4, seed ^ n as u64);
             let r = classify_with(&config, Engine::Reference);

@@ -2,14 +2,11 @@
 //! controlled `n`, tagging regimes, and channel-model crossings, all
 //! seed-deterministic.
 //!
-//! The family constructors are the campaign layer's
-//! [`FamilyKind`](anon_radio::campaign::FamilyKind) axis — this module
-//! wraps them in the experiment harness's table-friendly [`Family`] shape
-//! (same graphs, same seed-derivation streams, so pre-campaign experiment
-//! outputs are unchanged).
+//! The families are [`FamilySpec`]s under the experiment harness's table
+//! names (same graphs, same seed-derivation streams as the campaign axis,
+//! so pre-campaign experiment outputs are unchanged).
 
-use anon_radio::campaign::FamilyKind;
-use radio_graph::{tags, Configuration, Graph};
+use radio_graph::{tags, Configuration, FamilySpec, Graph};
 use radio_sim::ModelKind;
 use radio_util::rng::{derive, rng_from};
 
@@ -17,62 +14,39 @@ use radio_util::rng::{derive, rng_from};
 pub struct Family {
     /// Display name.
     pub name: &'static str,
-    /// Constructor (deterministic families ignore the seed).
-    pub make: fn(usize, u64) -> Graph,
+    /// The scenario-grammar spec that builds it.
+    pub spec: FamilySpec,
+}
+
+impl Family {
+    /// The member on `n` nodes (deterministic families ignore the seed).
+    ///
+    /// # Panics
+    /// Panics if the family cannot be built on `n` nodes — the scaling
+    /// experiments sweep sizes ≥ 4, which every family here accepts, so
+    /// an unrealizable size is a programming error.
+    pub fn make(&self, n: usize, seed: u64) -> Graph {
+        self.spec
+            .build(n, seed)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name))
+    }
 }
 
 /// Families used by the scaling experiments. Degrees range from constant
 /// (path/cycle) through log (hypercube-ish tree) to `n−1` (star), which is
-/// what the `O(n³Δ)` bound needs exercised. One entry per
-/// [`FamilyKind`], in the campaign axis order.
+/// what the `O(n³Δ)` bound needs exercised.
 pub fn scaling_families() -> Vec<Family> {
-    // The scaling experiments sweep sizes ≥ 4, which every legacy family
-    // accepts; an unrealizable size is a programming error here, so the
-    // `FamilyError` surfaces as a panic with the spec's message.
-    fn path(n: usize, s: u64) -> Graph {
-        FamilyKind::Path.build(n, s).unwrap()
-    }
-    fn cycle(n: usize, s: u64) -> Graph {
-        FamilyKind::Cycle.build(n, s).unwrap()
-    }
-    fn star(n: usize, s: u64) -> Graph {
-        FamilyKind::Star.build(n, s).unwrap()
-    }
-    fn btree(n: usize, s: u64) -> Graph {
-        FamilyKind::BalancedTree.build(n, s).unwrap()
-    }
-    fn rtree(n: usize, s: u64) -> Graph {
-        FamilyKind::RandomTree.build(n, s).unwrap()
-    }
-    fn gnp(n: usize, s: u64) -> Graph {
-        FamilyKind::Gnp.build(n, s).unwrap()
-    }
-    vec![
-        Family {
-            name: "path",
-            make: path,
-        },
-        Family {
-            name: "cycle",
-            make: cycle,
-        },
-        Family {
-            name: "star",
-            make: star,
-        },
-        Family {
-            name: "binary-tree",
-            make: btree,
-        },
-        Family {
-            name: "random-tree",
-            make: rtree,
-        },
-        Family {
-            name: "gnp(8/n)",
-            make: gnp,
-        },
+    [
+        ("path", FamilySpec::Path),
+        ("cycle", FamilySpec::Cycle),
+        ("star", FamilySpec::Star),
+        ("binary-tree", FamilySpec::Tree { arity: 2 }),
+        ("random-tree", FamilySpec::RandomTree),
+        ("gnp(8/n)", FamilySpec::Gnp { ppm: None }),
     ]
+    .into_iter()
+    .map(|(name, spec)| Family { name, spec })
+    .collect()
 }
 
 /// Builds a configuration with random tags in `0..=span`, seeded.
@@ -133,7 +107,7 @@ impl ModelCell {
 pub fn model_crossed_cells(n: usize, span: u64, seed: u64) -> Vec<ModelCell> {
     let mut cells = Vec::new();
     for fam in scaling_families() {
-        let graph = (fam.make)(n, derive(seed, fam.name));
+        let graph = fam.make(n, derive(seed, fam.name));
         let config = with_random_tags(graph, span, derive(seed, fam.name));
         for model in ModelKind::ALL {
             cells.push(ModelCell {
@@ -156,7 +130,7 @@ mod tests {
     fn families_build_connected_graphs() {
         for fam in scaling_families() {
             for n in [4usize, 9, 17] {
-                let g = (fam.make)(n, 1);
+                let g = fam.make(n, 1);
                 assert!(is_connected(&g), "{} n={n}", fam.name);
                 assert!(g.node_count() >= n.min(3), "{} n={n}", fam.name);
             }

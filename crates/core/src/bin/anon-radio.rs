@@ -785,7 +785,7 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
     }
     let family = family.expect("dispatched on --family");
     // A size-pinned spec (`grid:10x10`) names its own node count.
-    let n = n.or(family.node_count()).unwrap_or(8);
+    let n = n.unwrap_or_else(|| family.default_size());
     let csr = match family.build_csr(n, derive(seed, "graph")) {
         Ok(csr) => csr,
         Err(e) => {

@@ -30,16 +30,15 @@
 //! * [`CampaignRunner::jsonl_rows`] renders one JSON object per grid cell
 //!   — the `anon-radio campaign` subcommand's output format.
 //!
-//! The default per-run workload is the full election pipeline (classify →
-//! compile → simulate → validate, via [`election_metrics`]); the bench
-//! harness supplies custom runners for engine-comparison campaigns
-//! through [`CampaignRunner::run_next_shard_with`].
+//! The per-run workload is the spec's phase: the full election pipeline
+//! (classify → compile → simulate → validate, via [`election_metrics`]) or
+//! the classifier alone ([`classify_metrics`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use radio_classifier::ClassifierWorkspace;
-use radio_graph::{Configuration, Graph};
+use radio_graph::Configuration;
 use radio_sim::parallel::par_map_init;
 use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::fxhash::FxHashMap;
@@ -187,111 +186,6 @@ impl BatchConfig {
     }
 }
 
-/// The six legacy grid families, kept as a thin alias layer over
-/// [`FamilySpec`] so pre-scenario-grammar JSONL rows,
-/// `radio_bench::workloads::scaling_families`, and the E-experiment
-/// tables keep their names, their seed-derivation streams, and therefore
-/// their exact draws.
-///
-/// New code should use [`FamilySpec`] directly — it reaches the whole
-/// generator zoo (`grid:16x4`, `torus:8x8`, `hypercube:6`, …), not just
-/// these six shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FamilyKind {
-    /// Path `P_n` (degree ≤ 2).
-    Path,
-    /// Cycle `C_n` (requires `n ≥ 3`).
-    Cycle,
-    /// Star `K_{1,n-1}` (centre degree `n − 1`).
-    Star,
-    /// Balanced binary tree.
-    BalancedTree,
-    /// Uniform random tree (seed-deterministic).
-    RandomTree,
-    /// Connected `G(n, 8/n)` (seed-deterministic).
-    Gnp,
-}
-
-impl FamilyKind {
-    /// All families, in declaration order.
-    pub const ALL: [FamilyKind; 6] = [
-        FamilyKind::Path,
-        FamilyKind::Cycle,
-        FamilyKind::Star,
-        FamilyKind::BalancedTree,
-        FamilyKind::RandomTree,
-        FamilyKind::Gnp,
-    ];
-
-    /// Canonical name (JSONL rows, CLI values, table labels). Always
-    /// equal to `self.spec().to_string()`.
-    pub fn name(self) -> &'static str {
-        match self {
-            FamilyKind::Path => "path",
-            FamilyKind::Cycle => "cycle",
-            FamilyKind::Star => "star",
-            FamilyKind::BalancedTree => "binary-tree",
-            FamilyKind::RandomTree => "random-tree",
-            FamilyKind::Gnp => "gnp",
-        }
-    }
-
-    /// The [`FamilySpec`] this legacy name aliases.
-    pub fn spec(self) -> FamilySpec {
-        match self {
-            FamilyKind::Path => FamilySpec::Path,
-            FamilyKind::Cycle => FamilySpec::Cycle,
-            FamilyKind::Star => FamilySpec::Star,
-            FamilyKind::BalancedTree => FamilySpec::Tree { arity: 2 },
-            FamilyKind::RandomTree => FamilySpec::RandomTree,
-            FamilyKind::Gnp => FamilySpec::Gnp { ppm: None },
-        }
-    }
-
-    /// Builds the family member on exactly `n` nodes, delegating to
-    /// [`FamilySpec::build`]. Deterministic families ignore the seed; the
-    /// randomized ones derive their RNG from it with the same stream
-    /// labels the bench workloads use.
-    ///
-    /// Unrealizable sizes are an `Err`, never a clamp: a `Cycle` at
-    /// `n < 3` used to be silently built on 3 nodes, which let library
-    /// callers label a cell `n=2` while simulating a triangle.
-    pub fn build(self, n: usize, seed: u64) -> Result<Graph, FamilyError> {
-        self.spec().build(n, seed)
-    }
-}
-
-impl From<FamilyKind> for FamilySpec {
-    fn from(kind: FamilyKind) -> FamilySpec {
-        kind.spec()
-    }
-}
-
-impl std::str::FromStr for FamilyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FamilyKind, String> {
-        match s {
-            "path" => Ok(FamilyKind::Path),
-            "cycle" => Ok(FamilyKind::Cycle),
-            "star" => Ok(FamilyKind::Star),
-            "binary-tree" | "btree" => Ok(FamilyKind::BalancedTree),
-            "random-tree" | "rtree" => Ok(FamilyKind::RandomTree),
-            "gnp" => Ok(FamilyKind::Gnp),
-            other => Err(format!(
-                "unknown graph family `{other}` (expected path, cycle, star, binary-tree, \
-                 random-tree, or gnp)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for FamilyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
 /// A declarative campaign: the full cross product of the axes, `reps`
 /// runs per cell, deterministic per-run seeds derived from `seed`.
 #[derive(Debug, Clone)]
@@ -299,8 +193,7 @@ pub struct CampaignSpec {
     /// Which pipeline stage each run executes.
     pub phase: Phase,
     /// Graph families to cross — any [`FamilySpec`] the scenario grammar
-    /// can name (legacy [`FamilyKind`] values convert via
-    /// [`FamilyKind::spec`]).
+    /// can name.
     pub families: Vec<FamilySpec>,
     /// Tag-placement strategies to cross (see [`TagStrategy`]).
     pub tags: Vec<TagStrategy>,
@@ -430,19 +323,6 @@ impl CampaignSpec {
         for &family in &self.families {
             for n in family.sizes_for(&self.sizes) {
                 family.check_size(n).map_err(|e| e.to_string())?;
-                // CSR offsets are u32: a cell whose directed-edge count
-                // (2m) cannot fit would only fail deep inside a shard
-                // worker's builder. Reject it here with the arithmetic.
-                let edges = family.edge_count_hint(n);
-                if 2 * edges > u128::from(u32::MAX) {
-                    return Err(format!(
-                        "cell {family}/n={n} needs {edges} edges ≈ {} CSR target slots, \
-                         which overflows the u32 offset space ({} max); shrink the size \
-                         axis or the family's density",
-                        2 * edges,
-                        u32::MAX
-                    ));
-                }
             }
         }
         Ok(())
@@ -465,11 +345,9 @@ impl CampaignSpec {
             derive_index(derive(self.seed, &cell.family.to_string()), cell.n as u64),
             cell.span,
         );
-        // CSR-direct: the family streams straight into CSR form (identical
-        // bytes to the legacy Graph route — pinned by the csr_direct
-        // property suite) and the tag strategy draws from the same
-        // positional stream it always did, so rows are bit-for-bit
-        // unchanged while no adjacency-list Graph is ever materialized.
+        // CSR-direct: the family streams straight into CSR form and the
+        // tag strategy draws from the same positional stream it always
+        // did, so no adjacency-list Graph is ever materialized.
         let csr = cell
             .family
             .build_csr(cell.n, derive_index(derive(base, "graph"), rep as u64))
@@ -486,33 +364,6 @@ impl CampaignSpec {
             &mut rng_from(derive_index(tag_stream, rep as u64)),
         );
         Configuration::from_csr(csr, tags).expect("families build connected graphs")
-    }
-
-    /// [`CampaignSpec::configuration`] through the legacy
-    /// `Graph`→`Csr::from_graph` route — same derivation streams, same
-    /// tags, an adjacency-list `Graph` in the middle. The campaign never
-    /// runs this; it exists so the differential suites and `benches/scale`
-    /// can pin that the CSR-direct route produces byte-identical
-    /// configurations (and therefore bit-identical campaign rows).
-    pub fn configuration_via_graph(&self, cell: &CellKey, rep: usize) -> Configuration {
-        let base = derive_index(
-            derive_index(derive(self.seed, &cell.family.to_string()), cell.n as u64),
-            cell.span,
-        );
-        let graph = cell
-            .family
-            .build(cell.n, derive_index(derive(base, "graph"), rep as u64))
-            .expect("validated spec");
-        let tag_stream = match cell.tags {
-            TagStrategy::Uniform => derive(base, "tags"),
-            other => derive(base, &format!("tags/{other}")),
-        };
-        let tags = cell.tags.draw(
-            cell.n,
-            cell.span,
-            &mut rng_from(derive_index(tag_stream, rep as u64)),
-        );
-        Configuration::new(graph, tags).expect("families build connected graphs")
     }
 }
 
@@ -973,34 +824,13 @@ impl CampaignRunner {
     /// phase workload ([`election_metrics_batched`] /
     /// [`classify_metrics`]). Returns `None` when the campaign is
     /// complete.
-    pub fn run_next_shard(&mut self, threads: usize) -> Option<ShardReport> {
-        self.run_next_slices(threads, &run_slice)
-    }
-
-    /// [`CampaignRunner::run_next_shard`] with a custom per-run workload
-    /// (the bench harness passes engine-comparison runners).
-    pub fn run_next_shard_with<F>(&mut self, threads: usize, run: &F) -> Option<ShardReport>
-    where
-        F: Fn(&mut CampaignWorkspace, &Configuration, ModelKind, RunOpts) -> RunMetrics + Sync,
-    {
-        self.run_next_slices(threads, &|ws, spec, cell, lo, hi| {
-            each_run(ws, spec, cell, lo, hi, run)
-        })
-    }
-
-    /// Executes the next shard slice by slice: the shard's run range is
-    /// cut into `slices`, workers claim whole slices, and `run_slice`
-    /// returns each slice's metrics in run order.
     ///
-    /// Each worker thread owns one [`CampaignWorkspace`] — a simulation
-    /// workspace *and* a classifier workspace — for the whole shard; only
-    /// the shard's `RunMetrics` are materialized, never its executions or
-    /// records.
-    fn run_next_slices<F>(&mut self, threads: usize, run_slice: &F) -> Option<ShardReport>
-    where
-        F: Fn(&mut CampaignWorkspace, &CampaignSpec, &CellKey, usize, usize) -> Vec<RunMetrics>
-            + Sync,
-    {
+    /// The shard's run range is cut into slices, workers claim whole
+    /// slices, and each worker thread owns one [`CampaignWorkspace`] — a
+    /// simulation workspace *and* a classifier workspace — for the whole
+    /// shard; only the shard's `RunMetrics` are materialized, never its
+    /// executions or records.
+    pub fn run_next_shard(&mut self, threads: usize) -> Option<ShardReport> {
         if self.is_done() {
             return None;
         }
@@ -1151,28 +981,13 @@ fn run_slice(
 ) -> Vec<RunMetrics> {
     match spec.phase {
         Phase::Elect => election_metrics_batched(workspace, spec, cell, lo, hi),
-        Phase::Classify => each_run(workspace, spec, cell, lo, hi, &classify_metrics),
+        Phase::Classify => (lo..hi)
+            .map(|idx| {
+                let config = spec.configuration(cell, idx % spec.reps);
+                classify_metrics(workspace, &config, cell.model, spec.opts)
+            })
+            .collect(),
     }
-}
-
-/// `run` on every run of the slice `lo..hi` inside `cell`, in order.
-fn each_run<F>(
-    workspace: &mut CampaignWorkspace,
-    spec: &CampaignSpec,
-    cell: &CellKey,
-    lo: usize,
-    hi: usize,
-    run: &F,
-) -> Vec<RunMetrics>
-where
-    F: Fn(&mut CampaignWorkspace, &Configuration, ModelKind, RunOpts) -> RunMetrics,
-{
-    (lo..hi)
-        .map(|idx| {
-            let config = spec.configuration(cell, idx % spec.reps);
-            run(workspace, &config, cell.model, spec.opts)
-        })
-        .collect()
 }
 
 /// Executes every repetition of one grid cell through `workspace`,
@@ -1346,30 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn family_kind_is_a_faithful_spec_alias() {
-        for kind in FamilyKind::ALL {
-            assert_eq!(kind.name(), kind.spec().to_string(), "{kind}");
-            let parsed: FamilySpec = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind.spec());
-            // the alias draws the same graphs as the spec
-            let a = kind.build(7, 3).unwrap();
-            let b = kind.spec().build(7, 3).unwrap();
-            assert_eq!(a.edges(), b.edges());
-        }
-    }
-
-    #[test]
-    fn family_kind_build_rejects_small_cycles() {
-        // the pre-grammar axis silently clamped Cycle to n=3; library
-        // callers must get an Err so a cell label can't disagree with the
-        // simulated graph
-        let err = FamilyKind::Cycle.build(2, 0).unwrap_err();
-        assert_eq!(err.n, 2);
-        assert!(err.to_string().contains("cycle"), "{err}");
-        assert!(FamilyKind::Cycle.build(3, 0).is_ok());
-    }
-
-    #[test]
     fn configurations_are_positional_and_model_independent() {
         let spec = tiny_spec();
         let cells = spec.cells();
@@ -1386,13 +1177,28 @@ mod tests {
 
     #[test]
     fn family_kind_round_trips_names() {
-        for kind in FamilyKind::ALL {
-            let parsed: FamilyKind = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind);
+        // the six names of the campaign's original family axis, aliases
+        // included, still parse and render through the FamilySpec grammar
+        let kinds = [
+            FamilySpec::Path,
+            FamilySpec::Cycle,
+            FamilySpec::Star,
+            FamilySpec::Tree { arity: 2 },
+            FamilySpec::RandomTree,
+            FamilySpec::Gnp { ppm: None },
+        ];
+        let names = ["path", "cycle", "star", "binary-tree", "random-tree", "gnp"];
+        for (kind, name) in kinds.iter().zip(names) {
+            assert_eq!(kind.to_string(), name);
+            assert_eq!(name.parse::<FamilySpec>().as_ref(), Ok(kind));
         }
-        assert_eq!("btree".parse::<FamilyKind>(), Ok(FamilyKind::BalancedTree));
-        assert!("kagome-lattice".parse::<FamilyKind>().is_err());
-        for kind in FamilyKind::ALL {
+        assert_eq!(
+            "btree".parse::<FamilySpec>(),
+            Ok(FamilySpec::Tree { arity: 2 })
+        );
+        assert_eq!("rtree".parse::<FamilySpec>(), Ok(FamilySpec::RandomTree));
+        assert!("kagome-lattice".parse::<FamilySpec>().is_err());
+        for kind in kinds {
             let g = kind.build(7, 3).unwrap();
             assert!(radio_graph::algo::is_connected(&g), "{kind}");
         }
@@ -1788,48 +1594,5 @@ mod tests {
         let one = rows_with(1, 1);
         assert_eq!(one, rows_with(4, 3));
         assert_eq!(one, rows_with(16, 2));
-    }
-
-    /// The scale-path row contract: the CSR-direct configuration route
-    /// (what the campaign runs) and the legacy `Graph` route draw
-    /// identical configurations and produce identical deterministic row
-    /// fields — so switching the campaign to CSR-direct changed no row.
-    #[test]
-    fn csr_direct_rows_are_bit_for_bit_with_the_graph_route() {
-        let spec = tiny_spec();
-        let mut ws_direct = CampaignWorkspace::new();
-        let mut ws_legacy = CampaignWorkspace::new();
-        for cell in spec.cells() {
-            for rep in 0..spec.reps {
-                let direct = spec.configuration(&cell, rep);
-                let legacy = spec.configuration_via_graph(&cell, rep);
-                assert_eq!(direct, legacy, "{cell} rep {rep}: configurations diverge");
-                let a = election_metrics(&mut ws_direct, &direct, cell.model, spec.opts);
-                let b = election_metrics(&mut ws_legacy, &legacy, cell.model, spec.opts);
-                // Everything except the measured tail (wall_ns, mem_hw).
-                assert_eq!(
-                    (a.feasible, a.elected, a.simulated, a.aborted, a.rounds),
-                    (b.feasible, b.elected, b.simulated, b.aborted, b.rounds),
-                    "{cell} rep {rep}: outcome fields diverge"
-                );
-                assert_eq!(
-                    (
-                        a.transmissions,
-                        a.rounds_stepped,
-                        a.rounds_leapt,
-                        a.cache_hit,
-                        a.cache_miss
-                    ),
-                    (
-                        b.transmissions,
-                        b.rounds_stepped,
-                        b.rounds_leapt,
-                        b.cache_hit,
-                        b.cache_miss
-                    ),
-                    "{cell} rep {rep}: shape fields diverge"
-                );
-            }
-        }
     }
 }

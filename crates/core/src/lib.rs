@@ -60,8 +60,8 @@ pub use api::{
 };
 pub use cache::{CacheConfig, CacheLookup, CacheStats, ScheduleCache};
 pub use campaign::{
-    CampaignRunner, CampaignSpec, CampaignWorkspace, CellKey, FamilyError, FamilyKind, FamilySpec,
-    Phase, TagStrategy,
+    CampaignRunner, CampaignSpec, CampaignWorkspace, CellKey, FamilyError, FamilySpec, Phase,
+    TagStrategy,
 };
 pub use canonical::CanonicalFactory;
 pub use dedicated::{CompiledElection, DedicatedElection};

@@ -25,13 +25,15 @@
 //! * `id` (optional, unsigned): echoed verbatim in the reply; defaults to
 //!   the connection-local sequence number.
 //! * `elect`/`classify` name a configuration either **drawn** — `family`
-//!   (a [`FamilySpec`] string) with optional `n` (default 8), `span`
-//!   (default 4), `tags` (a [`TagStrategy`], default `uniform`), `seed`
-//!   (default the root seed) — or **inline** via `config` holding a
-//!   `radio-graph` text-format document. The drawn route uses exactly the
-//!   `elect --family` derivation streams (`derive(seed, "graph")` /
-//!   `derive(seed, "tags")`), so a served reply is bit-identical to the
-//!   one-shot CLI on the same spec.
+//!   (a [`FamilySpec`] string) with optional `n` (default
+//!   [`FamilySpec::default_size`]: a size-pinned spec's own node count,
+//!   else 8), `span` (default 4), `tags` (a [`TagStrategy`], default
+//!   `uniform`), `seed` (default the root seed) — or **inline** via
+//!   `config` holding a `radio-graph` text-format document. The drawn
+//!   route uses exactly the `elect --family` derivation streams
+//!   (`derive(seed, "graph")` / `derive(seed, "tags")`) and size default,
+//!   so a served reply is bit-identical to the one-shot CLI on the same
+//!   spec.
 //! * `elect` additionally takes `model` (default `no-cd`), and the
 //!   per-job deadline knobs `max_rounds` (unsigned; the existing
 //!   [`RunOpts::max_rounds`] plumbing) and `no_leap` (bool).
@@ -607,7 +609,11 @@ impl ConfigSource {
             .parse::<FamilySpec>()?;
         Ok(ConfigSource::Drawn {
             family,
-            n: fields.take_u64("n")?.unwrap_or(8) as usize,
+            n: match fields.take_u64("n")? {
+                Some(n) => n as usize,
+                // A size-pinned spec (`grid:10x10`) names its own node count.
+                None => family.default_size(),
+            },
             span: fields.take_u64("span")?.unwrap_or(4),
             tags: parse_tags(fields.take_str("tags")?)?,
             seed: fields.take_u64("seed")?.unwrap_or(DEFAULT_ROOT_SEED),
@@ -1244,6 +1250,18 @@ mod tests {
         let req = parse_ok(r#"{"op":"classify","family":"star"}"#);
         assert_eq!(req.id, None);
         assert!(matches!(req.kind, JobKind::Classify(_)));
+
+        // Without "n", a size-pinned spec builds at its own node count.
+        for (family, n) in [("star", 8), ("grid:10x10", 100)] {
+            let line = format!(r#"{{"op":"elect","family":"{family}"}}"#);
+            let JobKind::Elect(job) = parse_ok(&line).kind else {
+                panic!("not elect")
+            };
+            assert!(
+                matches!(job.source, ConfigSource::Drawn { n: drawn, .. } if drawn == n),
+                "{line}"
+            );
+        }
 
         let req = parse_ok(r#"{"op":"campaign-cell","family":"path","reps":3,"phase":"classify"}"#);
         let JobKind::CampaignCell(cell) = req.kind else {

@@ -329,6 +329,21 @@ fn elect_family_defaults_to_a_pinned_spec_size() {
     assert!(stderr.contains("pins the node count to 100"), "{stderr}");
 }
 
+/// Specs whose CSR cannot fit `u32` offsets are usage errors, caught
+/// before anything is allocated — a pinned spec with no `--size` too.
+#[test]
+fn elect_family_rejects_specs_too_large_for_the_csr() {
+    for args in [
+        &["elect", "--family", "complete", "--size", "100000"][..],
+        &["elect", "--family", "grid:100000x100000"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("u32 offset space"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn help_on_file_subcommands_prints_usage_instead_of_reading_a_file() {
     for sub in ["elect", "check"] {

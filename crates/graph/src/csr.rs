@@ -106,18 +106,39 @@ impl Csr {
         self.neighbors(v).binary_search(&w).is_ok()
     }
 
+    /// Builds a CSR from an edge stream in two passes: a counting pass
+    /// sizes every row exactly, then a fill pass writes the targets and
+    /// each row is sorted in place — the same bytes as
+    /// [`Csr::from_graph`] over the same edges, with no adjacency-list
+    /// [`Graph`] in between. `stream` must emit the same edges, each
+    /// once, on both calls.
+    ///
+    /// # Panics
+    /// Panics if the degree sum overflows the `u32` offset space, or if
+    /// the two passes disagree.
+    pub(crate) fn from_stream(n: usize, stream: impl Fn(&mut dyn FnMut(NodeId, NodeId))) -> Csr {
+        let mut degrees = vec![0u32; n];
+        stream(&mut |u, v| {
+            degrees[u as usize] += 1;
+            degrees[v as usize] += 1;
+        });
+        let mut b = CsrBuilder::from_degrees(&degrees);
+        stream(&mut |u, v| b.push_edge(u, v));
+        b.finish()
+    }
+
     /// Thaws back into a mutable [`Graph`] (used by IO round-trips).
     pub fn to_graph(&self) -> Graph {
         let n = self.node_count();
-        let mut g = Graph::new(n);
-        for v in 0..n as NodeId {
-            for &w in self.neighbors(v) {
-                if v < w {
-                    g.add_edge(v, w).expect("CSR edges are valid");
+        Graph::from_stream(n, |emit| {
+            for v in 0..n as NodeId {
+                for &w in self.neighbors(v) {
+                    if v < w {
+                        emit(v, w);
+                    }
                 }
             }
-        }
-        g
+        })
     }
 }
 
@@ -127,25 +148,22 @@ impl From<&Graph> for Csr {
     }
 }
 
-/// Incremental CSR assembly from a pre-counted degree sequence: the core of
-/// the million-node scale path. Generators stream their edges straight into
-/// the frozen layout — no intermediate adjacency-list [`Graph`], no per-node
-/// scratch vectors.
+/// Incremental CSR assembly from a pre-counted degree sequence — the fill
+/// side of [`Csr::from_stream`].
 ///
 /// Contract: [`CsrBuilder::from_degrees`] fixes the exact per-node slot
-/// counts up front (deterministic families know them closed-form; random
-/// families count with a dry pass over the same positional RNG stream);
-/// every subsequent [`CsrBuilder::push_edge`] fills two slots; and
-/// [`CsrBuilder::finish`] sorts each neighbour row in place, yielding a
-/// [`Csr`] byte-identical to `Csr::from_graph` over the same edge set.
+/// counts up front; every subsequent [`CsrBuilder::push_edge`] fills two
+/// slots; and [`CsrBuilder::finish`] sorts each neighbour row in place,
+/// yielding a [`Csr`] byte-identical to `Csr::from_graph` over the same
+/// edge set.
 ///
 /// # Panics
 /// `from_degrees` panics if the implied `targets` length overflows the
 /// `u32` offset space; `push_edge` panics (via the indexing) on more edges
 /// at a node than its declared degree; `finish` panics if any slot was
 /// left unfilled.
-#[derive(Debug, Clone)]
-pub struct CsrBuilder {
+#[derive(Debug)]
+struct CsrBuilder {
     offsets: Vec<u32>,
     cursor: Vec<u32>,
     targets: Vec<NodeId>,
@@ -153,7 +171,7 @@ pub struct CsrBuilder {
 
 impl CsrBuilder {
     /// Allocates the exact CSR layout for the given degree sequence.
-    pub fn from_degrees(degrees: &[u32]) -> CsrBuilder {
+    fn from_degrees(degrees: &[u32]) -> CsrBuilder {
         let n = degrees.len();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
@@ -176,7 +194,7 @@ impl CsrBuilder {
 
     /// Records the undirected edge `u`–`v` (fills one slot on each side).
     #[inline]
-    pub fn push_edge(&mut self, u: NodeId, v: NodeId) {
+    fn push_edge(&mut self, u: NodeId, v: NodeId) {
         debug_assert_ne!(u, v, "self-loops are not simple edges");
         let cu = self.cursor[u as usize];
         debug_assert!(cu < self.offsets[u as usize + 1], "degree overflow at {u}");
@@ -189,7 +207,7 @@ impl CsrBuilder {
     }
 
     /// Sorts every neighbour row in place and freezes the [`Csr`].
-    pub fn finish(mut self) -> Csr {
+    fn finish(mut self) -> Csr {
         let n = self.offsets.len() - 1;
         for v in 0..n {
             let lo = self.offsets[v] as usize;

@@ -46,7 +46,7 @@ use std::fmt;
 use radio_util::rng::{derive, rng_from};
 
 use crate::csr::Csr;
-use crate::generators;
+use crate::generators::{self, Emit};
 use crate::graph::Graph;
 
 /// Errors from [`FamilySpec::build`] / [`FamilySpec::check_size`]: the
@@ -222,7 +222,9 @@ impl FamilySpec {
     }
 
     /// Checks that the family is buildable on exactly `n` nodes — `Err`,
-    /// never a clamp, when it isn't.
+    /// never a clamp, when it isn't. That includes fitting the CSR form:
+    /// its offsets are `u32`, so a member whose `2m` target slots cannot
+    /// fit is rejected here, before anything is allocated.
     pub fn check_size(&self, n: usize) -> Result<(), FamilyError> {
         let fail = |reason: String| {
             Err(FamilyError {
@@ -235,29 +237,41 @@ impl FamilySpec {
             if n != pinned {
                 return fail(format!("the spec pins the node count to {pinned}"));
             }
-            return Ok(());
-        }
-        match *self {
-            FamilySpec::Cycle if n < 3 => fail("no cycle has fewer than 3 nodes".to_string()),
-            FamilySpec::Wheel if n < 4 => fail("a wheel needs a hub and a 3-cycle rim".to_string()),
-            FamilySpec::Ladder if n < 2 || !n.is_multiple_of(2) => {
-                fail("a ladder has two equal rails, so n must be even and ≥ 2".to_string())
-            }
-            FamilySpec::RandomConnected { extra } => {
-                let max_extra = n * n.saturating_sub(1) / 2 - n.saturating_sub(1);
-                if n == 0 {
-                    fail("a graph needs at least one node".to_string())
-                } else if extra as usize > max_extra {
-                    fail(format!(
-                        "only {max_extra} non-tree edge slots exist at this size"
-                    ))
-                } else {
-                    Ok(())
+        } else {
+            match *self {
+                FamilySpec::Cycle if n < 3 => fail("no cycle has fewer than 3 nodes".to_string()),
+                FamilySpec::Wheel if n < 4 => {
+                    fail("a wheel needs a hub and a 3-cycle rim".to_string())
                 }
-            }
-            _ if n == 0 => fail("a graph needs at least one node".to_string()),
-            _ => Ok(()),
+                FamilySpec::Ladder if n < 2 || !n.is_multiple_of(2) => {
+                    fail("a ladder has two equal rails, so n must be even and ≥ 2".to_string())
+                }
+                _ if n == 0 => fail("a graph needs at least one node".to_string()),
+                FamilySpec::RandomConnected { extra } => {
+                    let n = n as u128;
+                    let max_extra = n * (n - 1) / 2 - (n - 1);
+                    if u128::from(extra) > max_extra {
+                        fail(format!(
+                            "only {max_extra} non-tree edge slots exist at this size"
+                        ))
+                    } else {
+                        Ok(())
+                    }
+                }
+                _ => Ok(()),
+            }?;
         }
+        // Only now is `n` known to be a valid size for the family, which
+        // the edge-count arithmetic relies on.
+        let slots = self.edge_count_hint(n).saturating_mul(2);
+        if slots > u128::from(u32::MAX) {
+            return fail(format!(
+                "its edges need {slots} CSR target slots, more than the u32 offset space \
+                 holds ({})",
+                u32::MAX
+            ));
+        }
+        Ok(())
     }
 
     /// Builds the family member on exactly `n` nodes. Deterministic
@@ -266,110 +280,65 @@ impl FamilySpec {
     /// pre-existing draws are unchanged.
     pub fn build(&self, n: usize, seed: u64) -> Result<Graph, FamilyError> {
         self.check_size(n)?;
-        Ok(match *self {
-            FamilySpec::Path => generators::path(n),
-            FamilySpec::Cycle => generators::cycle(n),
-            FamilySpec::Star => generators::star(n),
-            FamilySpec::Complete => generators::complete(n),
-            FamilySpec::Wheel => generators::wheel(n),
-            FamilySpec::Ladder => generators::ladder(n / 2),
-            FamilySpec::Tree { arity } => generators::balanced_tree(n, arity as usize),
-            FamilySpec::RandomTree => {
-                generators::random_tree(n, &mut rng_from(derive(seed, "rtree")))
-            }
-            FamilySpec::Gnp { ppm } => {
-                let p = match ppm {
-                    Some(ppm) => f64::from(ppm) / 1e6,
-                    None => (8.0 / n as f64).min(1.0),
-                };
-                generators::gnp_connected(n, p, &mut rng_from(derive(seed, "gnp")))
-            }
-            FamilySpec::RandomConnected { extra } => generators::random_connected(
-                n,
-                extra as usize,
-                &mut rng_from(derive(seed, "rconn")),
-            ),
-            FamilySpec::Grid { rows, cols } => generators::grid(rows as usize, cols as usize),
-            FamilySpec::Torus { rows, cols } => generators::torus(rows as usize, cols as usize),
-            FamilySpec::Hypercube { dim } => generators::hypercube(dim),
-            FamilySpec::Caterpillar { spine, legs } => {
-                generators::caterpillar(spine as usize, legs as usize)
-            }
-            FamilySpec::RandomCaterpillar { spine, leaves } => generators::random_caterpillar(
-                spine as usize,
-                leaves as usize,
-                &mut rng_from(derive(seed, "rcat")),
-            ),
-            FamilySpec::Spider { legs, len } => generators::spider(legs as usize, len as usize),
-            FamilySpec::Barbell { clique, bridge } => {
-                generators::barbell(clique as usize, bridge as usize)
-            }
-            FamilySpec::Lollipop { clique, tail } => {
-                generators::lollipop(clique as usize, tail as usize)
-            }
-            FamilySpec::DoubleStar { left, right } => {
-                generators::double_star(left as usize, right as usize)
-            }
-            FamilySpec::Bipartite { left, right } => {
-                generators::complete_bipartite(left as usize, right as usize)
-            }
-        })
+        Ok(Graph::from_stream(n, |emit| self.edges(n, seed, emit)))
     }
 
     /// Builds the family member on exactly `n` nodes **directly in CSR
     /// form** — the million-node scale path. No intermediate adjacency-list
-    /// [`Graph`] is materialized: deterministic families stream their edges
-    /// into a degree-pre-counted [`CsrBuilder`](crate::csr::CsrBuilder),
-    /// and seed-derived families run the identical positional RNG stream
-    /// twice (count, then fill), so the result is byte-identical to
-    /// `build(n, seed)` followed by [`Csr::from_graph`].
+    /// [`Graph`] is materialized: the family's edge stream runs twice,
+    /// once to count degrees and once to fill the rows, so the result is
+    /// byte-identical to `build(n, seed)` followed by [`Csr::from_graph`].
     pub fn build_csr(&self, n: usize, seed: u64) -> Result<Csr, FamilyError> {
-        use crate::generators::stream;
         self.check_size(n)?;
-        Ok(match *self {
-            FamilySpec::Path => stream::path_csr(n),
-            FamilySpec::Cycle => stream::cycle_csr(n),
-            FamilySpec::Star => stream::star_csr(n),
-            FamilySpec::Complete => stream::complete_csr(n),
-            FamilySpec::Wheel => stream::wheel_csr(n),
-            FamilySpec::Ladder => stream::ladder_csr(n / 2),
-            FamilySpec::Tree { arity } => stream::balanced_tree_csr(n, arity as usize),
-            FamilySpec::RandomTree => stream::random_tree_csr(n, derive(seed, "rtree")),
+        Ok(Csr::from_stream(n, |emit| self.edges(n, seed, emit)))
+    }
+
+    /// Streams the edges of the member on `n` nodes (a size
+    /// [`FamilySpec::check_size`] accepted) — the one dispatch behind
+    /// [`FamilySpec::build`] and [`FamilySpec::build_csr`]. Seeded
+    /// families draw from an RNG created here from `seed`, so every call
+    /// replays the same stream.
+    fn edges(&self, n: usize, seed: u64, emit: Emit) {
+        use generators::*;
+        let rng = |stream: &str| rng_from(derive(seed, stream));
+        match *self {
+            FamilySpec::Path => path_edges(n, emit),
+            FamilySpec::Cycle => cycle_edges(n, emit),
+            FamilySpec::Star => star_edges(n, emit),
+            FamilySpec::Complete => complete_edges(n, emit),
+            FamilySpec::Wheel => wheel_edges(n, emit),
+            FamilySpec::Ladder => ladder_edges(n / 2, emit),
+            FamilySpec::Tree { arity } => balanced_tree_edges(n, arity as usize, emit),
+            FamilySpec::RandomTree => random_tree_edges(n, &mut rng("rtree"), emit),
             FamilySpec::Gnp { ppm } => {
-                let p = match ppm {
-                    Some(ppm) => f64::from(ppm) / 1e6,
-                    None => (8.0 / n as f64).min(1.0),
-                };
-                stream::gnp_connected_csr(n, p, derive(seed, "gnp"))
+                gnp_connected_edges(n, edge_probability(ppm, n), &mut rng("gnp"), emit)
             }
             FamilySpec::RandomConnected { extra } => {
-                stream::random_connected_csr(n, extra as usize, derive(seed, "rconn"))
+                random_connected_edges(n, extra as usize, &mut rng("rconn"), emit)
             }
-            FamilySpec::Grid { rows, cols } => stream::grid_csr(rows as usize, cols as usize),
-            FamilySpec::Torus { rows, cols } => stream::torus_csr(rows as usize, cols as usize),
-            FamilySpec::Hypercube { dim } => stream::hypercube_csr(dim),
+            FamilySpec::Grid { rows, cols } => grid_edges(rows as usize, cols as usize, emit),
+            FamilySpec::Torus { rows, cols } => torus_edges(rows as usize, cols as usize, emit),
+            FamilySpec::Hypercube { dim } => hypercube_edges(dim, emit),
             FamilySpec::Caterpillar { spine, legs } => {
-                stream::caterpillar_csr(spine as usize, legs as usize)
+                caterpillar_edges(spine as usize, legs as usize, emit)
             }
-            FamilySpec::RandomCaterpillar { spine, leaves } => stream::random_caterpillar_csr(
-                spine as usize,
-                leaves as usize,
-                derive(seed, "rcat"),
-            ),
-            FamilySpec::Spider { legs, len } => stream::spider_csr(legs as usize, len as usize),
+            FamilySpec::RandomCaterpillar { spine, leaves } => {
+                random_caterpillar_edges(spine as usize, leaves as usize, &mut rng("rcat"), emit)
+            }
+            FamilySpec::Spider { legs, len } => spider_edges(legs as usize, len as usize, emit),
             FamilySpec::Barbell { clique, bridge } => {
-                stream::barbell_csr(clique as usize, bridge as usize)
+                barbell_edges(clique as usize, bridge as usize, emit)
             }
             FamilySpec::Lollipop { clique, tail } => {
-                stream::lollipop_csr(clique as usize, tail as usize)
+                lollipop_edges(clique as usize, tail as usize, emit)
             }
             FamilySpec::DoubleStar { left, right } => {
-                stream::double_star_csr(left as usize, right as usize)
+                double_star_edges(left as usize, right as usize, emit)
             }
             FamilySpec::Bipartite { left, right } => {
-                stream::complete_bipartite_csr(left as usize, right as usize)
+                complete_bipartite_edges(left as usize, right as usize, emit)
             }
-        })
+        }
     }
 
     /// Edge count of the family member on `n` nodes, as a `u128` safe for
@@ -389,10 +358,7 @@ impl FamilySpec {
             FamilySpec::Wheel => 2 * tree,
             FamilySpec::Ladder => 3 * (n / 2) - 2,
             FamilySpec::Gnp { ppm } => {
-                let p = match ppm {
-                    Some(ppm) => f64::from(ppm) / 1e6,
-                    None => (8.0 / n.max(1) as f64).min(1.0),
-                };
+                let p = edge_probability(ppm, n as usize);
                 tree + ((pairs - tree) as f64 * p).ceil() as u128
             }
             FamilySpec::RandomConnected { extra } => tree + extra as u128,
@@ -486,6 +452,15 @@ impl FamilySpec {
     /// cycles, ≥ 4 for wheels, even for ladders).
     pub fn default_size(&self) -> usize {
         self.node_count().unwrap_or(8)
+    }
+}
+
+/// The `G(n, p)` edge probability: `ppm` parts per million, or the
+/// size-adaptive `min(8/n, 1)` when unset.
+fn edge_probability(ppm: Option<u32>, n: usize) -> f64 {
+    match ppm {
+        Some(ppm) => f64::from(ppm) / 1e6,
+        None => (8.0 / n.max(1) as f64).min(1.0),
     }
 }
 
@@ -732,6 +707,15 @@ mod tests {
         let gnp = "gnp:0.05".parse::<FamilySpec>().unwrap();
         assert_eq!(gnp, FamilySpec::Gnp { ppm: Some(50_000) });
         assert_eq!(gnp.to_string(), "gnp:0.05");
+        // short aliases of the pre-grammar campaign names
+        assert_eq!(
+            "btree".parse::<FamilySpec>().unwrap(),
+            FamilySpec::Tree { arity: 2 }
+        );
+        assert_eq!(
+            "rtree".parse::<FamilySpec>().unwrap(),
+            FamilySpec::RandomTree
+        );
     }
 
     #[test]
@@ -783,8 +767,8 @@ mod tests {
 
     #[test]
     fn legacy_streams_are_preserved() {
-        // FamilySpec must draw exactly the graphs the old FamilyKind axis
-        // drew, so pre-existing campaign rows stay reproducible.
+        // FamilySpec must draw exactly the graphs the pre-grammar campaign
+        // axis drew, so pre-existing campaign rows stay reproducible.
         let a = FamilySpec::RandomTree.build(9, 77).unwrap();
         let b = generators::random_tree(9, &mut rng_from(derive(77, "rtree")));
         assert_eq!(a.edges(), b.edges());
@@ -796,11 +780,15 @@ mod tests {
     #[test]
     fn build_csr_is_byte_identical_to_graph_route() {
         for spec in FamilySpec::zoo() {
-            let n = spec.default_size();
-            for seed in [0u64, 42, 0xFEED] {
-                let direct = spec.build_csr(n, seed).unwrap_or_else(|e| panic!("{e}"));
-                let via_graph = Csr::from_graph(&spec.build(n, seed).unwrap());
-                assert_eq!(direct, via_graph, "{spec} seed={seed}");
+            // Scalable specs also build off their default size, which
+            // varies the degree sequences (odd ladders must fail on both).
+            let d = spec.default_size();
+            for n in spec.sizes_for(&[d, d + 3, d + 7]) {
+                for seed in [0u64, 42, 0xFEED] {
+                    let direct = spec.build_csr(n, seed);
+                    let via_graph = spec.build(n, seed).map(|g| Csr::from_graph(&g));
+                    assert_eq!(direct, via_graph, "{spec} n={n} seed={seed}");
+                }
             }
         }
     }
@@ -814,6 +802,30 @@ mod tests {
         assert!(FamilySpec::Ladder.build_csr(7, 0).is_err());
         let grid = FamilySpec::Grid { rows: 4, cols: 3 };
         assert!(grid.build_csr(11, 0).is_err());
+    }
+
+    #[test]
+    fn oversize_specs_are_rejected_before_building() {
+        // 2m CSR target slots must fit the u32 offsets, pinned specs too.
+        for (spec, n) in [
+            ("complete", 100_000),
+            ("grid:100000x100000", 10_000_000_000),
+            ("barbell:70000+0", 140_000),
+        ] {
+            let spec: FamilySpec = spec.parse().unwrap();
+            let err = spec.build_csr(n, 0).unwrap_err();
+            assert!(err.reason.contains("u32 offset space"), "{err}");
+        }
+        // A star's 2(n-1) slots fit exactly up to n = 2^31.
+        let largest = u32::MAX as usize / 2 + 1;
+        assert!(FamilySpec::Star.check_size(largest).is_ok());
+        assert!(FamilySpec::Star.check_size(largest + 1).is_err());
+        // The size rules run first: the slot arithmetic never sees a size
+        // they reject, and no size overflows it.
+        assert!(FamilySpec::Ladder.check_size(1).is_err());
+        assert!(FamilySpec::RandomConnected { extra: 5 }
+            .check_size(usize::MAX)
+            .is_err());
     }
 
     #[test]

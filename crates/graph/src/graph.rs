@@ -116,27 +116,29 @@ impl Graph {
         Ok(true)
     }
 
-    /// Appends the undirected edge `{u, v}` without the duplicate scan.
+    /// Builds a graph from an edge stream: `stream` calls its argument once
+    /// per undirected edge, and each node's neighbour list keeps the
+    /// emission order.
     ///
-    /// Reserved for deterministic generators whose construction provably
-    /// never repeats an edge: `add_edge`'s O(deg) dedup scan makes dense
-    /// builders like `complete(n)` cost O(n³) overall, which dominates
-    /// per-rep configuration derivation in campaign grids. Bounds,
-    /// self-loop, and no-duplicate are still checked in debug builds.
-    #[inline]
-    pub(crate) fn push_edge_unchecked(&mut self, u: NodeId, v: NodeId) {
-        debug_assert!(u != v, "self-loop at {u}");
-        debug_assert!((u as usize) < self.n && (v as usize) < self.n);
-        debug_assert!(!self.has_edge(u, v), "duplicate edge {u}-{v}");
-        self.adj[u as usize].push(v);
-        self.adj[v as usize].push(u);
-        self.m += 1;
-    }
-
-    /// Pre-sizes the neighbour list of `v` for `extra` further insertions.
-    #[inline]
-    pub(crate) fn reserve_neighbors(&mut self, v: NodeId, extra: usize) {
-        self.adj[v as usize].reserve(extra);
+    /// Reserved for streams that provably never repeat an edge (the
+    /// [`generators`](crate::generators), a frozen [`Csr`](crate::Csr)):
+    /// there is no [`Graph::add_edge`] duplicate scan, whose O(deg) cost
+    /// per edge makes dense builders like `complete(n)` O(n³) overall.
+    /// Bounds, self-loops and duplicates are still checked in debug builds.
+    pub(crate) fn from_stream(
+        n: usize,
+        stream: impl FnOnce(&mut dyn FnMut(NodeId, NodeId)),
+    ) -> Graph {
+        let mut g = Graph::new(n);
+        stream(&mut |u, v| {
+            debug_assert!(u != v, "self-loop at {u}");
+            debug_assert!((u as usize) < n && (v as usize) < n);
+            debug_assert!(!g.has_edge(u, v), "duplicate edge {u}-{v}");
+            g.adj[u as usize].push(v);
+            g.adj[v as usize].push(u);
+            g.m += 1;
+        });
+        g
     }
 
     /// True if `{u, v}` is an edge.

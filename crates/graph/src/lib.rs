@@ -10,7 +10,8 @@
 //!   loop.
 //! * [`generators`] — deterministic constructors for paths, cycles, trees,
 //!   grids, hypercubes, complete/bipartite graphs, and seeded random
-//!   families (connected G(n,p), random trees, caterpillars).
+//!   families (connected G(n,p), random trees, caterpillars), each written
+//!   once as an edge stream that builds either graph form.
 //! * [`family`] — the [`FamilySpec`] scenario grammar: every generator
 //!   reachable by a parseable name (`grid:16x4`, `hypercube:6`, `gnp:0.05`)
 //!   for campaign axes and CLIs.

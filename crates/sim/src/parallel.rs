@@ -38,19 +38,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_with_threads(items, default_threads(), f)
-}
-
-/// [`par_map`] with an explicit worker count (≥ 1). Used by the scaling
-/// experiment (E10) to measure speedup curves. A shim over
-/// [`par_map_init`] with unit worker state.
-pub fn par_map_with_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_init(items, threads, || (), move |_, item| f(item))
+    par_map_init(items, default_threads(), || (), move |_, item| f(item))
 }
 
 /// Worker-scoped parallel map: every worker thread builds one `state` via
@@ -207,7 +195,7 @@ mod tests {
     fn single_item_and_single_thread() {
         assert_eq!(par_map(&[41], |x| x + 1), vec![42]);
         assert_eq!(
-            par_map_with_threads(&[1, 2, 3], 1, |x| x * 2),
+            par_map_init(&[1, 2, 3], 1, || (), |_, x| x * 2),
             vec![2, 4, 6]
         );
     }
@@ -217,7 +205,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let expect: Vec<u32> = items.iter().map(|x| x + 7).collect();
         for threads in [1, 2, 3, 8, 200] {
-            assert_eq!(par_map_with_threads(&items, threads, |x| x + 7), expect);
+            assert_eq!(par_map_init(&items, threads, || (), |_, x| x + 7), expect);
         }
     }
 
@@ -231,14 +219,9 @@ mod tests {
             let items: Vec<usize> = (0..n).collect();
             let expect: Vec<usize> = items.iter().map(|x| x * 3).collect();
             assert_eq!(
-                par_map_with_threads(&items, threads, |x| x * 3),
-                expect,
-                "n={n} threads={threads}"
-            );
-            assert_eq!(
                 par_map_init(&items, threads, || (), |_, x| x * 3),
                 expect,
-                "init path n={n} threads={threads}"
+                "n={n} threads={threads}"
             );
         }
     }
@@ -322,11 +305,16 @@ mod tests {
     #[should_panic]
     fn worker_panics_propagate() {
         let items = vec![1, 2, 3];
-        let _ = par_map_with_threads(&items, 2, |&x| {
-            if x == 2 {
-                panic!("boom");
-            }
-            x
-        });
+        let _ = par_map_init(
+            &items,
+            2,
+            || (),
+            |_, &x| {
+                if x == 2 {
+                    panic!("boom");
+                }
+                x
+            },
+        );
     }
 }

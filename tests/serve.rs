@@ -33,43 +33,60 @@ fn field_u64(reply: &str, name: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{name} is not a uint in {reply}"))
 }
 
-/// The exact configuration the serve layer draws for
-/// `family=path n=6 span=3 seed=42` — the `elect --family` derivation.
-fn drawn_path_config() -> Configuration {
-    let csr = FamilySpec::Path.build_csr(6, derive(42, "graph")).unwrap();
-    let tags = TagStrategy::Uniform.draw(6, 3, &mut rng_from(derive(42, "tags")));
+/// The exact configuration the serve layer draws for `family` on `n`
+/// nodes with uniform tags — the `elect --family` derivation.
+fn drawn_config(family: FamilySpec, n: usize, span: u64, seed: u64) -> Configuration {
+    let csr = family.build_csr(n, derive(seed, "graph")).unwrap();
+    let tags = TagStrategy::Uniform.draw(n, span, &mut rng_from(derive(seed, "tags")));
     Configuration::from_csr(csr, tags).unwrap()
+}
+
+/// `family=path n=6 span=3 seed=42`, the spec most tests here serve.
+fn drawn_path_config() -> Configuration {
+    drawn_config(FamilySpec::Path, 6, 3, 42)
 }
 
 #[test]
 fn elect_replies_are_bit_identical_to_the_one_shot_path() {
-    let (lines, summary) = serve(
-        "{\"op\":\"elect\",\"id\":1,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n",
-        &ServeOptions::default(),
-    );
-    assert_eq!(summary.answered, 1);
-    let reply = &lines[0];
-    assert!(reply.starts_with("{\"ok\":true,\"id\":1,\"op\":\"elect\",\"feasible\":true"));
+    // A size-pinned spec sent without "n" builds at its own node count.
+    for (job, config) in [
+        (
+            "{\"op\":\"elect\",\"id\":1,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n",
+            drawn_path_config(),
+        ),
+        (
+            "{\"op\":\"elect\",\"id\":1,\"family\":\"grid:10x10\",\"span\":3,\"seed\":42}\n",
+            drawn_config("grid:10x10".parse().unwrap(), 100, 3, 42),
+        ),
+    ] {
+        let (lines, summary) = serve(job, &ServeOptions::default());
+        assert_eq!(summary.answered, 1);
+        let reply = &lines[0];
+        assert!(
+            reply.starts_with("{\"ok\":true,\"id\":1,\"op\":\"elect\",\"feasible\":true"),
+            "{reply}"
+        );
 
-    // One-shot reference: same derivation, same resident run path.
-    let report = anon_radio::solve(&drawn_path_config())
-        .expect("feasible")
-        .run_in(
-            &mut radio_sim::SimWorkspace::new(),
-            ModelKind::default(),
-            RunOpts::default(),
-        )
-        .expect("elects");
-    assert_eq!(field_u64(reply, "leader"), u64::from(report.leader));
-    assert_eq!(field_u64(reply, "phases"), report.phases as u64);
-    assert_eq!(field_u64(reply, "rounds_local"), report.rounds_local);
-    assert_eq!(
-        field_u64(reply, "completion_round"),
-        report.completion_round
-    );
-    assert_eq!(field_u64(reply, "transmissions"), report.transmissions);
-    assert_eq!(field_u64(reply, "rounds_stepped"), report.rounds_stepped);
-    assert_eq!(field_u64(reply, "rounds_leapt"), report.rounds_leapt);
+        // One-shot reference: same derivation, same resident run path.
+        let report = anon_radio::solve(&config)
+            .expect("feasible")
+            .run_in(
+                &mut radio_sim::SimWorkspace::new(),
+                ModelKind::default(),
+                RunOpts::default(),
+            )
+            .expect("elects");
+        assert_eq!(field_u64(reply, "leader"), u64::from(report.leader));
+        assert_eq!(field_u64(reply, "phases"), report.phases as u64);
+        assert_eq!(field_u64(reply, "rounds_local"), report.rounds_local);
+        assert_eq!(
+            field_u64(reply, "completion_round"),
+            report.completion_round
+        );
+        assert_eq!(field_u64(reply, "transmissions"), report.transmissions);
+        assert_eq!(field_u64(reply, "rounds_stepped"), report.rounds_stepped);
+        assert_eq!(field_u64(reply, "rounds_leapt"), report.rounds_leapt);
+    }
 }
 
 #[test]
@@ -195,18 +212,25 @@ fn deadline_expiry_is_a_structured_per_job_error() {
 
 #[test]
 fn malformed_jobs_get_structured_errors_and_the_session_continues() {
+    // The two oversize specs cannot fit a u32-offset CSR: rejected before
+    // anything is allocated, so the daemon lives to answer the next job.
     let input = "this is not json\n\
                  {\"op\":\"frobnicate\",\"id\":70}\n\
                  {\"op\":\"elect\",\"id\":71,\"family\":\"path\",\"bogus\":true}\n\
                  {\"op\":\"elect\",\"id\":72,\"family\":\"no-such-family\"}\n\
+                 {\"op\":\"elect\",\"id\":74,\"family\":\"grid:100000x100000\",\
+                  \"n\":10000000000}\n\
+                 {\"op\":\"elect\",\"id\":75,\"family\":\"barbell:70000+0\",\"n\":140000}\n\
                  {\"op\":\"classify\",\"id\":73,\"family\":\"path\",\"n\":6,\"span\":3}\n";
     let (lines, summary) = serve(input, &ServeOptions::default());
-    assert_eq!(summary.answered, 5, "every line is answered, none fatal");
+    assert_eq!(summary.answered, 7, "every line is answered, none fatal");
     for (line, needle) in lines.iter().zip([
         "expected `{`",
         "unknown op",
         "bogus",
         "no-such-family",
+        "u32 offset space",
+        "u32 offset space",
         "\"ok\":true",
     ]) {
         assert!(line.contains(needle), "wanted {needle} in {line}");
@@ -214,6 +238,9 @@ fn malformed_jobs_get_structured_errors_and_the_session_continues() {
     // Parsed ids survive into the error replies.
     assert!(lines[1].contains("\"id\":70"), "{}", lines[1]);
     assert!(lines[2].contains("\"id\":71"), "{}", lines[2]);
+    for line in &lines[4..6] {
+        assert!(line.contains("\"error\":\"bad-request\""), "{line}");
+    }
 }
 
 #[test]
