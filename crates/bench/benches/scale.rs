@@ -105,14 +105,16 @@ fn bench_streaming_elect(c: &mut Criterion) {
     group.bench_function("star/len_only/100000", |b| {
         let mut sim = SimWorkspace::new();
         b.iter(|| {
-            let d = anon_radio::solve(&config).unwrap();
-            d.run_in(
-                &mut sim,
-                ModelKind::NoCollisionDetection,
-                RunOpts::default(),
-            )
-            .unwrap()
-            .leader
+            let compiled = anon_radio::solve(&config).unwrap();
+            compiled
+                .run_in(
+                    &mut sim,
+                    &config,
+                    ModelKind::NoCollisionDetection,
+                    RunOpts::default(),
+                )
+                .unwrap()
+                .leader
         })
     });
     group.finish();

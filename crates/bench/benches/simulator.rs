@@ -44,9 +44,13 @@ fn bench_simulator(c: &mut Criterion) {
 
     // canonical DRIP on a mid-size feasible configuration
     let config = radio_graph::families::g_m(6);
-    let dedicated = anon_radio::solve(&config).unwrap();
+    let factory = anon_radio::solve(&config).unwrap().factory();
     group.bench_function("canonical_G6", |b| {
-        b.iter(|| dedicated.execute(RunOpts::default()).unwrap().rounds)
+        b.iter(|| {
+            Executor::run(&config, &factory, RunOpts::default())
+                .unwrap()
+                .rounds
+        })
     });
     group.finish();
 }

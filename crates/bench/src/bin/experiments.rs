@@ -189,10 +189,11 @@ fn bench_scale(path: &std::path::Path, seed: u64) {
         let config = Configuration::from_csr(csr, tags).expect("star configuration");
         let mut sim = SimWorkspace::new();
         let elect_started = std::time::Instant::now();
-        let dedicated = anon_radio::solve(&config).expect("star elects");
-        let outcome = dedicated
+        let compiled = anon_radio::solve(&config).expect("star elects");
+        let outcome = compiled
             .run_in(
                 &mut sim,
+                &config,
                 ModelKind::NoCollisionDetection,
                 RunOpts::default(),
             )

@@ -48,7 +48,12 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
                 Err(_) => continue,
             };
             let start = Instant::now();
-            let ex = dedicated.execute(radio_sim::RunOpts::default()).unwrap();
+            let ex = radio_sim::Executor::run(
+                &config,
+                &dedicated.factory(),
+                radio_sim::RunOpts::default(),
+            )
+            .unwrap();
             let wall = start.elapsed().as_secs_f64();
             let node_rounds = ex.rounds as f64 * real_n as f64;
             throughput.push_row(vec![
@@ -76,13 +81,15 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     let run_batch = |threads: usize| -> f64 {
         let start = Instant::now();
         let reports = par_map_init(&configs, threads, SimWorkspace::new, |ws, config| {
-            anon_radio::elect_leader_in(
-                ws,
-                config,
-                radio_sim::ModelKind::default(),
-                radio_sim::RunOpts::default(),
-            )
-            .expect("G_m feasible")
+            anon_radio::solve(config)
+                .expect("G_m feasible")
+                .run_in(
+                    ws,
+                    config,
+                    radio_sim::ModelKind::default(),
+                    radio_sim::RunOpts::default(),
+                )
+                .expect("G_m elects")
         });
         std::hint::black_box(reports.len());
         start.elapsed().as_secs_f64() * 1e3

@@ -7,6 +7,7 @@
 //! which must never exceed 1 and in practice sits far below (few phases,
 //! few classes).
 
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::table::{fmt_f64, Table};
 
 use crate::workloads::{feasible_with_span, scaling_families};
@@ -37,6 +38,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
         ],
     );
 
+    let mut sim = SimWorkspace::new();
     for family in scaling_families() {
         for &n in &sizes {
             for &span in &spans {
@@ -44,11 +46,12 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
                 let real_n = graph.node_count() as u64;
                 let config = feasible_with_span(graph, span, seed ^ (n as u64) ^ (span << 32));
                 let sigma = config.span();
-                let dedicated = match anon_radio::solve(&config) {
-                    Ok(d) => d,
-                    Err(_) => continue, // extremely unlikely after retries
+                let Ok(compiled) = anon_radio::solve(&config) else {
+                    continue; // extremely unlikely after retries
                 };
-                let report = dedicated.run().expect("dedicated elections succeed");
+                let report = compiled
+                    .run_in(&mut sim, &config, ModelKind::default(), RunOpts::default())
+                    .expect("dedicated elections succeed");
                 let budget = lemma_3_10_bound(real_n, sigma);
                 assert!(
                     report.rounds_local <= budget,

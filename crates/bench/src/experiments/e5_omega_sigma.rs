@@ -37,8 +37,7 @@ pub fn run(effort: Effort, _seed: u64) -> Vec<Table> {
     for &m in &ms {
         let config = families::h_m(m);
         let sigma = config.span();
-        let dedicated = anon_radio::solve(&config).expect("H_m feasible");
-        let report = dedicated.run().expect("elects");
+        let report = anon_radio::elect_leader(&config).expect("H_m elects");
         assert!(report.completion_round >= m, "Lemma 4.2 violated at m={m}");
         let (_, divs) = anon_radio::lower_bounds::canonical_divergences(&config, &[(1, 2)]);
         let div = divs[0].expect("feasible");

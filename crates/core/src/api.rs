@@ -1,8 +1,9 @@
 //! Top-level convenience API: feasibility, solving, and one-call election.
 
 use radio_graph::{Configuration, NodeId};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 
-use crate::dedicated::DedicatedElection;
+use crate::dedicated::CompiledElection;
 
 /// The configuration admits no deterministic leader-election algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +86,12 @@ impl std::fmt::Display for ElectError {
 
 impl std::error::Error for ElectError {}
 
+impl From<Infeasible> for ElectError {
+    fn from(e: Infeasible) -> ElectError {
+        ElectError::Simulation(e.to_string())
+    }
+}
+
 /// Summary of a successful dedicated election run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElectionReport {
@@ -144,54 +151,30 @@ pub fn is_feasible_cached(
 }
 
 /// Compiles the dedicated leader-election algorithm `(D_G, f_G)` for a
-/// feasible configuration (Theorem 3.15).
-pub fn solve(config: &Configuration) -> Result<DedicatedElection, Infeasible> {
-    DedicatedElection::solve(config)
+/// feasible configuration (Theorem 3.15); [`Infeasible`] otherwise.
+/// Run the result with [`CompiledElection::run_in`].
+pub fn solve(config: &Configuration) -> Result<CompiledElection, Infeasible> {
+    let compiled =
+        CompiledElection::compile_in(&mut radio_classifier::ClassifierWorkspace::new(), config);
+    if !compiled.feasible() {
+        return Err(Infeasible {
+            iterations: compiled.summary().iterations,
+        });
+    }
+    Ok(compiled)
 }
 
-/// One call: classify, compile, simulate, validate — returns the elected
-/// leader and run metrics.
+/// One call: classify, compile, simulate, validate under the paper's
+/// model — returns the elected leader and run metrics. Callers choosing a
+/// model, executor options or a recycled workspace hold the
+/// [`CompiledElection`] and call [`CompiledElection::run_in`].
 pub fn elect_leader(config: &Configuration) -> Result<ElectionReport, ElectError> {
-    elect_leader_under(config, radio_sim::ModelKind::default())
-}
-
-/// [`elect_leader`] under an explicit channel model.
-///
-/// The compiled algorithm is proved correct only for the default (paper)
-/// model; foreign models run deterministically but may break the
-/// exactly-one-leader contract, which surfaces as an error.
-pub fn elect_leader_under(
-    config: &Configuration,
-    model: radio_sim::ModelKind,
-) -> Result<ElectionReport, ElectError> {
-    elect_leader_with(config, model, radio_sim::RunOpts::default())
-}
-
-/// [`elect_leader_under`] with explicit executor options — e.g.
-/// `RunOpts::default().no_leap()` for the CLI's `--no-leap` escape hatch,
-/// or a custom round limit.
-pub fn elect_leader_with(
-    config: &Configuration,
-    model: radio_sim::ModelKind,
-    opts: radio_sim::RunOpts,
-) -> Result<ElectionReport, ElectError> {
-    let dedicated = solve(config).map_err(|e| ElectError::Simulation(e.to_string()))?;
-    dedicated.run_under(model, opts)
-}
-
-/// [`elect_leader_with`] through a caller-provided
-/// [`SimWorkspace`](radio_sim::SimWorkspace): classify, compile, simulate
-/// — with the simulation recycling the workspace's engine state. The
-/// batch/campaign layers hold one workspace per worker thread and route
-/// every election through it.
-pub fn elect_leader_in(
-    workspace: &mut radio_sim::SimWorkspace,
-    config: &Configuration,
-    model: radio_sim::ModelKind,
-    opts: radio_sim::RunOpts,
-) -> Result<ElectionReport, ElectError> {
-    let dedicated = solve(config).map_err(|e| ElectError::Simulation(e.to_string()))?;
-    dedicated.run_in(workspace, model, opts)
+    solve(config)?.run_in(
+        &mut SimWorkspace::new(),
+        config,
+        ModelKind::default(),
+        RunOpts::default(),
+    )
 }
 
 #[cfg(test)]

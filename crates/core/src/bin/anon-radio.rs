@@ -27,8 +27,9 @@
 
 use std::io::Read;
 
+use anon_radio::{ElectError, ElectionReport};
 use radio_graph::{families, io, Configuration};
-use radio_sim::ModelKind;
+use radio_sim::{ModelKind, SimWorkspace};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -105,28 +106,15 @@ fn main() {
             elect_family_command(&args[1..], model, opts)
         }
         Some("elect") => with_config(&args, |config| {
-            match anon_radio::elect_leader_with(config, model, opts) {
-                Ok(report) => {
-                    println!("{config}");
-                    println!(
-                        "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
-                         done by global round {} | transmissions: {} | \
-                         engine: {} stepped + {} leapt",
-                        report.leader,
-                        report.phases,
-                        report.rounds_local,
-                        report.completion_round,
-                        report.transmissions,
-                        report.rounds_stepped,
-                        report.rounds_leapt
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("election failed under model {model}: {e}");
-                    1
-                }
+            let outcome = anon_radio::solve(config)
+                .map_err(ElectError::from)
+                .and_then(|compiled| {
+                    compiled.run_in(&mut SimWorkspace::new(), config, model, opts)
+                });
+            if outcome.is_ok() {
+                println!("{config}");
             }
+            report_election(model, outcome)
         }),
         Some("dot") => with_config(&args, |config| {
             print!("{}", io::to_dot(config, "configuration"));
@@ -739,7 +727,7 @@ fn rows_command(args: &[String]) -> i32 {
 /// the CSR with no intermediate adjacency-list graph.
 fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunOpts) -> i32 {
     use anon_radio::campaign::{FamilySpec, TagStrategy};
-    use radio_util::rng::{derive, rng_from};
+    use anon_radio::serve::ConfigSource;
 
     let mut family: Option<FamilySpec> = None;
     let mut n: Option<usize> = None;
@@ -784,33 +772,32 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
         return 2;
     }
     let family = family.expect("dispatched on --family");
-    // A size-pinned spec (`grid:10x10`) names its own node count.
-    let n = n.unwrap_or_else(|| family.default_size());
-    let csr = match family.build_csr(n, derive(seed, "graph")) {
-        Ok(csr) => csr,
-        Err(e) => {
-            eprintln!("error: {e}");
+    let source = ConfigSource::Drawn {
+        family,
+        // A size-pinned spec (`grid:10x10`) names its own node count.
+        n: n.unwrap_or_else(|| family.default_size()),
+        span,
+        tags,
+        seed,
+    };
+    let config = match source.configuration() {
+        Ok(config) => config,
+        Err(msg) => {
+            eprintln!("error: {msg}");
             return 2;
         }
     };
     // Raw data footprint: u32 offsets (n+1) + u32 target slots (2m) +
     // u64 tags (n). The acceptance bar for the scale path is peak RSS
     // within a small constant of this number.
+    let csr = config.csr();
     let footprint = 4 * (csr.node_count() as u64 + 1)
         + 8 * csr.edge_count() as u64
         + 8 * csr.node_count() as u64;
-    let tag_values = tags.draw(n, span, &mut rng_from(derive(seed, "tags")));
-    let config = match Configuration::from_csr(csr, tag_values) {
-        Ok(config) => config,
-        Err(e) => {
-            eprintln!("error: {family} with {tags} tags is not a valid configuration: {e}");
-            return 2;
-        }
-    };
     eprintln!(
         "{family} n={} m={} span={span} tags={tags} | csr+tags footprint: {:.1} MiB",
         config.size(),
-        config.csr().edge_count(),
+        csr.edge_count(),
         footprint as f64 / (1 << 20) as f64
     );
     // Staged peak-RSS probes: peak RSS is monotonic, so the deltas
@@ -824,21 +811,35 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
         }
     };
     stage_peak("graph build");
-    let dedicated = match anon_radio::solve(&config) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("election failed under model {model}: {e}");
-            return 1;
-        }
+    let compiled = match anon_radio::solve(&config) {
+        Ok(compiled) => compiled,
+        Err(e) => return report_election(model, Err(e)),
     };
     stage_peak("classify+compile");
-    let mut sim = radio_sim::SimWorkspace::new();
-    let outcome = dedicated.run_in(&mut sim, model, opts);
+    let mut sim = SimWorkspace::new();
+    let outcome = compiled.run_in(&mut sim, &config, model, opts);
     eprintln!(
         "sim workspace high-water: {:.1} MiB",
         sim.mem_bytes() as f64 / (1 << 20) as f64
     );
-    let code = match outcome {
+    let code = report_election(model, outcome);
+    if let Some(peak) = radio_util::mem::peak_rss_bytes() {
+        eprintln!(
+            "peak rss: {:.1} MiB ({:.2}× the csr+tags footprint)",
+            peak as f64 / (1 << 20) as f64,
+            peak as f64 / footprint as f64
+        );
+    }
+    code
+}
+
+/// Prints an `elect` outcome — the one-line report on stdout, or the
+/// failure on stderr — and returns the exit code.
+fn report_election<E: std::fmt::Display>(
+    model: ModelKind,
+    outcome: Result<ElectionReport, E>,
+) -> i32 {
+    match outcome {
         Ok(report) => {
             println!(
                 "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
@@ -858,15 +859,7 @@ fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunO
             eprintln!("election failed under model {model}: {e}");
             1
         }
-    };
-    if let Some(peak) = radio_util::mem::peak_rss_bytes() {
-        eprintln!(
-            "peak rss: {:.1} MiB ({:.2}× the csr+tags footprint)",
-            peak as f64 / (1 << 20) as f64,
-            peak as f64 / footprint as f64
-        );
     }
-    code
 }
 
 /// Writes the JSONL rows to `path` (whole-file rewrite — rows are

@@ -48,7 +48,7 @@ use radio_util::stats::StreamingStats;
 pub use radio_graph::family::{FamilyError, FamilySpec};
 pub use radio_graph::tags::TagStrategy;
 
-use crate::cache::{config_fingerprint, CacheConfig, CacheStats, ScheduleCache};
+use crate::cache::{config_fingerprint, CacheConfig, CacheLookup, CacheStats, ScheduleCache};
 use crate::dedicated::CompiledElection;
 
 /// Which pipeline stage a campaign sweeps.
@@ -134,6 +134,26 @@ impl CampaignWorkspace {
         CampaignWorkspace {
             cache,
             ..CampaignWorkspace::default()
+        }
+    }
+
+    /// Classifies and compiles `config` through the shared schedule cache
+    /// when one is attached (returning its lookup outcome), else directly
+    /// through the classifier workspace (returning `None`). Both routes
+    /// compile bit-identical elections; neither clones the configuration.
+    pub(crate) fn compile(
+        &mut self,
+        config: &Configuration,
+    ) -> (CompiledElection, Option<CacheLookup>) {
+        match &self.cache {
+            Some(cache) => {
+                let (compiled, lookup) = cache.compile_in(&mut self.classifier, config);
+                (compiled, Some(lookup))
+            }
+            None => (
+                CompiledElection::compile_in(&mut self.classifier, config),
+                None,
+            ),
         }
     }
 }
@@ -557,11 +577,11 @@ impl CellAggregate {
 }
 
 /// The elect-phase per-run workload: the full election pipeline on the
-/// drawn configuration — classify through the worker's recycled
-/// [`ClassifierWorkspace`], compile, simulate resident in its
-/// [`SimWorkspace`] (no [`Execution`](radio_sim::Execution) is built: the
-/// decision function reads each final history in place), validate the
-/// exactly-one-leader contract against the classifier's prediction.
+/// drawn configuration — compile through [`CampaignWorkspace::compile`],
+/// then the one simulate step every election takes (the streaming DRIP
+/// over length-only histories, resident in the worker's [`SimWorkspace`];
+/// each node reports its own verdict), and check the exactly-one-leader
+/// contract against the classifier's prediction.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
@@ -578,36 +598,18 @@ pub fn election_metrics(
     // deterministic prefix
     let start = Instant::now();
     let mut metrics = RunMetrics::default();
-    // Compile through the shared schedule cache when one is attached —
-    // bit-identical to the uncached compile; only wall time and the cache
-    // counters differ. Neither path clones the configuration.
-    let compiled = match &workspace.cache {
-        Some(cache) => {
-            let (compiled, lookup) = cache.compile_in(&mut workspace.classifier, config);
-            metrics.cache_hit = lookup.is_hit();
-            metrics.cache_miss = !lookup.is_hit();
-            compiled
-        }
-        None => CompiledElection::compile_in(&mut workspace.classifier, config),
-    };
+    let (compiled, lookup) = workspace.compile(config);
+    metrics.cache_hit = lookup.is_some_and(CacheLookup::is_hit);
+    metrics.cache_miss = lookup.is_some_and(|l| !l.is_hit());
     if !compiled.feasible() {
         metrics.wall_ns = start.elapsed().as_nanos() as u64;
         metrics.mem_hw = workspace.classifier.mem_bytes();
         return metrics;
     }
     metrics.feasible = true;
-    let factory = compiled.factory();
-    match workspace
-        .sim
-        .run_kind_resident(model, config, &factory, opts)
-    {
-        Ok(run) => {
-            let decision = compiled.decision();
-            let sim = &workspace.sim;
-            let mut leaders = (0..config.size() as radio_graph::NodeId)
-                .filter(|&v| decision.is_leader_view(sim.history_view(v)));
-            metrics.elected =
-                leaders.next() == Some(compiled.predicted_leader()) && leaders.next().is_none();
+    match compiled.simulate_in(&mut workspace.sim, config, model, opts) {
+        Ok((leaders, run)) => {
+            metrics.elected = leaders == [compiled.predicted_leader()];
             metrics.simulated = true;
             metrics.rounds = run.rounds;
             metrics.transmissions = run.stats.transmissions;

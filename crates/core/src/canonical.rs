@@ -177,8 +177,8 @@ impl DripNode for CanonicalNode {
             return;
         }
         let off = t - start;
-        let width = 2 * s.sigma + 1;
-        if off > s.blocks(self.phase) * width {
+        let width = s.block_width();
+        if off > s.blocks(self.phase).saturating_mul(width) {
             return;
         }
         let c = match obs {
@@ -278,7 +278,7 @@ mod tests {
         let (out, schedule) = CanonicalSchedule::build(&c);
         let ex = run_canonical(&c);
         let trace = ex.trace.as_ref().unwrap();
-        let width = 2 * schedule.sigma + 1;
+        let width = schedule.block_width();
 
         // expected: class of v at phase j = v_CLASS,j = partition after
         // iteration j-1 (phase 1: class 1 for all).
@@ -363,14 +363,46 @@ mod tests {
         );
     }
 
+    /// Runs `compiled` on `config` both ways under every channel model,
+    /// leaping and stepping: the history-reading DRIP judged node by node
+    /// by `f_G` (the oracle), and the streaming simulate step every
+    /// election takes. Leaders and run shape must agree exactly.
+    fn assert_streaming_matches_the_oracle(
+        compiled: &crate::CompiledElection,
+        config: &Configuration,
+        sim: &mut radio_sim::SimWorkspace,
+    ) {
+        let decision = compiled.decision();
+        for model in radio_sim::ModelKind::ALL {
+            for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
+                let what = format!("{config} model={model} leap={}", opts.leap);
+                let ex = sim
+                    .run_kind(model, config, &compiled.factory(), opts)
+                    .unwrap();
+                let oracle: Vec<_> = (0..config.size() as radio_graph::NodeId)
+                    .filter(|&v| decision.is_leader(ex.history(v)))
+                    .collect();
+                let done = ex.done_round.iter().copied().max().unwrap_or(0);
+                let (leaders, run) = compiled.simulate_in(sim, config, model, opts).unwrap();
+                assert_eq!(leaders, oracle, "{what}");
+                assert_eq!(
+                    (run.stats, run.rounds, run.rounds_stepped, run.rounds_leapt),
+                    (ex.stats, ex.rounds, ex.rounds_stepped, ex.rounds_leapt),
+                    "{what}"
+                );
+                assert_eq!(run.completion_round, done, "{what}");
+            }
+        }
+    }
+
     #[test]
     fn streaming_len_only_elects_exactly_like_the_dense_path() {
         // The streaming factory under length-only histories must produce
         // the same leaders and run shape as the dense factory judged by
-        // the view-reading decision function — across feasible,
-        // infeasible, and random configurations, with and without leaps.
-        use crate::decision::LeaderDecision;
-        use radio_sim::{run_election_resident, ModelKind, SimWorkspace};
+        // the decision function — across feasible, infeasible, and random
+        // configurations, under every channel model, with and without
+        // leaps. Campaign `elected` counts under cd and beep come from
+        // these claims, so this is their guard.
         let mut rng = radio_util::rng::rng_from(29);
         let mut configs = vec![
             families::h_m(3),
@@ -382,40 +414,11 @@ mod tests {
             let g = generators::gnp_connected(9, 0.35, &mut rng);
             configs.push(radio_graph::tags::random_in_span(g, 5, &mut rng));
         }
-        let mut sim = SimWorkspace::new();
+        let mut cls = radio_classifier::ClassifierWorkspace::new();
+        let mut sim = radio_sim::SimWorkspace::new();
         for config in configs {
-            let (_, schedule) = CanonicalSchedule::build(&config);
-            let shared = Arc::new(schedule);
-            let decision = LeaderDecision::new(shared.clone());
-            let decide = |h: radio_sim::HistoryView<'_>| decision.is_leader_view(h);
-            for base in [RunOpts::default(), RunOpts::default().no_leap()] {
-                let dense = run_election_resident(
-                    &mut sim,
-                    ModelKind::NoCollisionDetection,
-                    &config,
-                    &CanonicalFactory::new(shared.clone()),
-                    &decide,
-                    base,
-                )
-                .unwrap();
-                let (dense_leaders, dense_run) = (dense.leaders, dense.run);
-                let streaming = run_election_resident(
-                    &mut sim,
-                    ModelKind::NoCollisionDetection,
-                    &config,
-                    &CanonicalFactory::streaming(shared.clone()),
-                    &decide,
-                    base.len_only(),
-                )
-                .unwrap();
-                assert_eq!(streaming.leaders, dense_leaders, "{config}");
-                assert_eq!(streaming.run.stats, dense_run.stats, "{config}");
-                assert_eq!(
-                    streaming.run.completion_round, dense_run.completion_round,
-                    "{config}"
-                );
-                assert_eq!(streaming.run.rounds, dense_run.rounds, "{config}");
-            }
+            let compiled = crate::CompiledElection::compile_in(&mut cls, &config);
+            assert_streaming_matches_the_oracle(&compiled, &config, &mut sim);
         }
     }
 
@@ -424,33 +427,12 @@ mod tests {
         // Off-schedule nodes must go silent and claim non-leadership —
         // never panic, never claim — when the dedicated DRIP runs on a
         // configuration it was not compiled for.
-        use radio_sim::{run_election_resident, ModelKind, SimWorkspace};
-        let h2 = families::h_m(2);
-        let (_, schedule) = CanonicalSchedule::build(&h2);
-        let shared = Arc::new(schedule);
-        let decision = crate::decision::LeaderDecision::new(shared.clone());
-        let decide = |h: radio_sim::HistoryView<'_>| decision.is_leader_view(h);
-        let s2 = families::s_m(2);
-        let mut sim = SimWorkspace::new();
-        let outcome = run_election_resident(
-            &mut sim,
-            ModelKind::NoCollisionDetection,
-            &s2,
-            &CanonicalFactory::streaming(shared.clone()),
-            &decide,
-            RunOpts::default().len_only(),
-        )
-        .unwrap();
-        let dense = run_election_resident(
-            &mut sim,
-            ModelKind::NoCollisionDetection,
-            &s2,
-            &CanonicalFactory::new(shared),
-            &decide,
-            RunOpts::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome.leaders, dense.leaders);
+        let mut cls = radio_classifier::ClassifierWorkspace::new();
+        let compiled = crate::CompiledElection::compile_in(&mut cls, &families::h_m(2));
+        let mut sim = radio_sim::SimWorkspace::new();
+        for foreign in [families::s_m(2), families::h_m(5), families::g_m(2)] {
+            assert_streaming_matches_the_oracle(&compiled, &foreign, &mut sim);
+        }
     }
 
     #[test]

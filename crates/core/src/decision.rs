@@ -10,7 +10,7 @@
 //! definition, and it is manifestly a pure function of the history, so
 //! anonymity is preserved.
 
-use radio_sim::{History, HistoryView};
+use radio_sim::History;
 
 use crate::schedule::{MatchResult, SharedSchedule};
 use radio_classifier::Level;
@@ -30,13 +30,7 @@ impl LeaderDecision {
     /// Replays the matching over `history` and returns the final class it
     /// lands in, or `None` if the history is off-schedule.
     pub fn final_class(&self, history: &History) -> Option<u32> {
-        self.final_class_view(history.view())
-    }
-
-    /// [`LeaderDecision::final_class`] over a borrowed history view — the
-    /// campaign's metric path classifies straight out of the workspace's
-    /// observation arena without materializing owned histories.
-    pub fn final_class_view(&self, history: HistoryView<'_>) -> Option<u32> {
+        let history = history.view();
         let s = &self.schedule;
         let mut t_block = 1u32; // phase 1: everyone in block 1 (L_1 = [(1, null)])
         for j in 2..=s.phases() {
@@ -57,13 +51,8 @@ impl LeaderDecision {
 
     /// `f_G(history)`: 1 iff the history is the leader's.
     pub fn is_leader(&self, history: &History) -> bool {
-        self.is_leader_view(history.view())
-    }
-
-    /// [`LeaderDecision::is_leader`] over a borrowed history view.
-    pub fn is_leader_view(&self, history: HistoryView<'_>) -> bool {
         match self.schedule.lists.leader_class {
-            Some(m_hat) => self.final_class_view(history) == Some(m_hat),
+            Some(m_hat) => self.final_class(history) == Some(m_hat),
             None => false, // infeasible configuration: nobody is leader
         }
     }

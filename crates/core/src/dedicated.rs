@@ -1,33 +1,38 @@
-//! The dedicated leader-election algorithm `(D_G, f_G)` for a feasible
-//! configuration, bundled.
+//! The dedicated leader-election algorithm `(D_G, f_G)` of one
+//! configuration, compiled, and its one run path.
 
 use std::sync::Arc;
 
 use radio_graph::{Configuration, NodeId};
-use radio_sim::{run_election_resident, ModelKind, RunOpts, SimError, SimWorkspace};
+use radio_sim::{ModelKind, ResidentRun, RunOpts, SimError, SimWorkspace};
 
-use crate::api::{ElectError, ElectionReport, Infeasible};
-use crate::cache::ScheduleCache;
+use crate::api::{ElectError, ElectionReport};
 use crate::canonical::CanonicalFactory;
 use crate::decision::LeaderDecision;
 use crate::schedule::{CanonicalSchedule, SharedSchedule};
 use radio_classifier::{ClassifierWorkspace, ClassifySummary};
 
-/// The configuration-free half of a dedicated election: the classifier's
-/// lean summary plus the compiled schedule behind its shared [`Arc`].
+/// The dedicated leader-election algorithm compiled for one configuration:
+/// the canonical DRIP `D_G` and its decision function `f_G`
+/// (Theorem 3.15), held as the classifier's lean summary plus the compiled
+/// schedule behind its shared [`Arc`].
 ///
 /// This is what the classify + compile pipeline actually *produces* — and
-/// therefore what the [`ScheduleCache`] stores and shares: cloning a
-/// `CompiledElection` copies a `Copy` summary and bumps one `Arc` count,
-/// never the canonical lists. The campaign's per-run path works entirely
-/// on this type against a borrowed configuration, so even uncached solves
-/// shed the per-run deep `Configuration` clone the old
-/// [`DedicatedElection::solve_in`] paid just to store an owned copy.
+/// therefore what the [`ScheduleCache`](crate::ScheduleCache) stores and
+/// shares: cloning a `CompiledElection` copies a `Copy` summary and bumps
+/// one `Arc` count, never the canonical lists. It borrows the
+/// configuration it runs on instead of storing a copy.
 ///
-/// Unlike [`DedicatedElection`], a `CompiledElection` exists for
-/// infeasible configurations too (the canonical DRIP is well-defined
-/// there; only the leader is absent) — check [`CompiledElection::feasible`]
-/// before asking for the leader.
+/// A `CompiledElection` exists for infeasible configurations too (the
+/// canonical DRIP is well-defined there; only the leader is absent) —
+/// check [`CompiledElection::feasible`] before asking for the leader, or
+/// compile through [`solve`](crate::solve), which rejects them.
+///
+/// Every election runs through one simulate step: [`CompiledElection::run_in`]
+/// for one-shot and served elections, the campaign's
+/// [`election_metrics`](crate::campaign::election_metrics) for campaign
+/// runs. Callers that want the full [`Execution`](radio_sim::Execution)
+/// run [`CompiledElection::factory`] through the executor themselves.
 #[derive(Debug, Clone)]
 pub struct CompiledElection {
     summary: ClassifySummary,
@@ -75,12 +80,15 @@ impl CompiledElection {
         self.schedule.clone()
     }
 
-    /// The DRIP factory (`D_G`) — install at every node.
+    /// The DRIP factory (`D_G`) in the mode that re-reads each node's
+    /// stored history — install at every node of an executor run that
+    /// materializes an [`Execution`](radio_sim::Execution).
     pub fn factory(&self) -> CanonicalFactory {
         CanonicalFactory::new(self.schedule.clone())
     }
 
-    /// The decision function (`f_G`).
+    /// The decision function (`f_G`), the oracle the streaming verdicts
+    /// are tested against.
     pub fn decision(&self) -> LeaderDecision {
         LeaderDecision::new(self.schedule.clone())
     }
@@ -100,9 +108,45 @@ impl CompiledElection {
         self.schedule.done_local()
     }
 
+    /// The simulate step: runs `D_G` on `config` resident in `workspace`
+    /// under `model`, over *length-only* histories, and returns the nodes
+    /// that claimed leadership with the run summary.
+    ///
+    /// The streaming canonical DRIP folds every observation into a
+    /// per-node match cursor as it lands and resolves its leader verdict
+    /// itself at termination (`DripNode::leader_claim`), so the arena
+    /// stores no observation content at all — only per-node lengths. This
+    /// removes the dominant memory term of dense-neighbourhood elections
+    /// (each stored heard-event costs 24 B; a 10⁶-node bipartite run
+    /// stores ~10⁸ of them). The claims are exactly `f_G`'s verdicts: the
+    /// cursor walks the same trie of list entries the decision replay
+    /// compares against, under every channel model.
+    pub(crate) fn simulate_in(
+        &self,
+        workspace: &mut SimWorkspace,
+        config: &Configuration,
+        model: ModelKind,
+        opts: RunOpts,
+    ) -> Result<(Vec<NodeId>, ResidentRun), SimError> {
+        let factory = CanonicalFactory::streaming(self.schedule.clone());
+        let run = workspace.run_kind_resident(model, config, &factory, opts.len_only())?;
+        let leaders = (0..config.size() as NodeId)
+            .filter(|&v| workspace.leader_claim(v) == Some(true))
+            .collect();
+        Ok((leaders, run))
+    }
+
     /// Simulates `(D_G, f_G)` on `config` — which must be the
     /// configuration this algorithm was compiled for — through a
     /// caller-provided [`SimWorkspace`], and returns a validated report.
+    ///
+    /// The canonical DRIP's correctness proof (Theorem 3.15) only covers
+    /// the paper's model — the default [`ModelKind::NoCollisionDetection`].
+    /// Under a foreign channel the run is still deterministic and total,
+    /// but the exactly-one-leader contract may fail, surfacing as
+    /// [`ElectError::Contract`] or [`ElectError::PredictionMismatch`].
+    /// By default the engine time-leaps the schedule's silent stretches;
+    /// pass `opts.no_leap()` to force round-by-round execution.
     pub fn run_in(
         &self,
         workspace: &mut SimWorkspace,
@@ -110,34 +154,20 @@ impl CompiledElection {
         model: ModelKind,
         opts: RunOpts,
     ) -> Result<ElectionReport, ElectError> {
-        // Resident run over *length-only* histories: the streaming
-        // canonical DRIP folds every observation into a per-node match
-        // cursor as it lands and resolves the leader verdict itself at
-        // termination, so the arena stores no observation content at all —
-        // only per-node virtual lengths. This removes the dominant memory
-        // term of dense-neighbourhood elections (each stored heard-event
-        // costs 24 B; a 10⁶-node bipartite run stores ~10⁸ of them) and
-        // keeps peak RSS within a small multiple of the configuration
-        // footprint. Leaders are bit-identical to the view-reading
-        // decision function (`LeaderDecision`): the cursor walks the same
-        // trie of list entries the decision replay compares against.
-        let factory = CanonicalFactory::streaming(self.shared_schedule());
-        let decision = self.decision();
-        let decide = move |h: radio_sim::HistoryView<'_>| decision.is_leader_view(h);
-        let opts = opts.len_only();
-        let outcome = run_election_resident(workspace, model, config, &factory, &decide, opts)
-            .map_err(|e: SimError| match e {
-                SimError::RoundLimit {
-                    max_rounds,
-                    still_running,
-                } => ElectError::RoundLimit {
-                    max_rounds,
-                    still_running,
-                },
-            })?;
-        let leader = outcome.elected().ok_or_else(|| ElectError::Contract {
-            leaders: outcome.leaders.clone(),
-        })?;
+        let (leaders, run) =
+            self.simulate_in(workspace, config, model, opts)
+                .map_err(|e| match e {
+                    SimError::RoundLimit {
+                        max_rounds,
+                        still_running,
+                    } => ElectError::RoundLimit {
+                        max_rounds,
+                        still_running,
+                    },
+                })?;
+        let &[leader] = leaders.as_slice() else {
+            return Err(ElectError::Contract { leaders });
+        };
         let predicted = self.predicted_leader();
         if leader != predicted {
             return Err(ElectError::PredictionMismatch {
@@ -151,184 +181,11 @@ impl CompiledElection {
             sigma: config.span(),
             phases: self.schedule.phases(),
             rounds_local: self.schedule.done_local(),
-            completion_round: outcome.run.completion_round,
-            transmissions: outcome.run.stats.transmissions,
-            rounds_stepped: outcome.run.rounds_stepped,
-            rounds_leapt: outcome.run.rounds_leapt,
+            completion_round: run.completion_round,
+            transmissions: run.stats.transmissions,
+            rounds_stepped: run.rounds_stepped,
+            rounds_leapt: run.rounds_leapt,
         })
-    }
-}
-
-/// The dedicated leader-election algorithm compiled for one feasible
-/// configuration: the canonical DRIP `D_G` plus the decision function
-/// `f_G` (Theorem 3.15).
-///
-/// The classifier's by-products are kept in compiled form only — the
-/// canonical lists inside the schedule plus the lean [`ClassifySummary`]
-/// — never as eager per-iteration records; compiling through
-/// [`DedicatedElection::solve_in`] recycles a caller-held
-/// [`ClassifierWorkspace`]. This owned convenience type stores one
-/// `Configuration` clone so `run()` is a single call; the campaign layers
-/// instead work on the borrowing [`CompiledElection`] (optionally through
-/// a [`ScheduleCache`]) and never pay that clone per run.
-#[derive(Debug)]
-pub struct DedicatedElection {
-    config: Configuration,
-    compiled: CompiledElection,
-}
-
-impl DedicatedElection {
-    /// Runs `Classifier` on `config`; returns the dedicated algorithm when
-    /// feasible, [`Infeasible`] otherwise.
-    pub fn solve(config: &Configuration) -> Result<DedicatedElection, Infeasible> {
-        DedicatedElection::solve_in(&mut ClassifierWorkspace::new(), config)
-    }
-
-    /// [`DedicatedElection::solve`] through a caller-provided
-    /// [`ClassifierWorkspace`] — classification runs incrementally on
-    /// recycled buffers and the canonical lists stream out of the run
-    /// (see [`CanonicalSchedule::build_in`]).
-    pub fn solve_in(
-        workspace: &mut ClassifierWorkspace,
-        config: &Configuration,
-    ) -> Result<DedicatedElection, Infeasible> {
-        DedicatedElection::from_compiled(config, CompiledElection::compile_in(workspace, config))
-    }
-
-    /// [`DedicatedElection::solve_in`] through a [`ScheduleCache`]: a key
-    /// hit returns the cached summary + schedule (sharing the schedule
-    /// `Arc`, skipping classification entirely on an exact hit); a miss
-    /// classifies once and populates the cache. Results are bit-identical
-    /// to the uncached path.
-    pub fn solve_cached(
-        workspace: &mut ClassifierWorkspace,
-        config: &Configuration,
-        cache: &ScheduleCache,
-    ) -> Result<DedicatedElection, Infeasible> {
-        let (compiled, _) = cache.compile_in(workspace, config);
-        DedicatedElection::from_compiled(config, compiled)
-    }
-
-    fn from_compiled(
-        config: &Configuration,
-        compiled: CompiledElection,
-    ) -> Result<DedicatedElection, Infeasible> {
-        if !compiled.feasible() {
-            return Err(Infeasible {
-                iterations: compiled.summary().iterations,
-            });
-        }
-        Ok(DedicatedElection {
-            config: config.clone(),
-            compiled,
-        })
-    }
-
-    /// The configuration-free compiled half (summary + shared schedule).
-    pub fn compiled(&self) -> &CompiledElection {
-        &self.compiled
-    }
-
-    /// The classifier summary backing this algorithm (feasibility,
-    /// iterations, class count, leader class).
-    pub fn summary(&self) -> ClassifySummary {
-        self.compiled.summary()
-    }
-
-    /// The compiled schedule (σ, lists, phase geometry).
-    pub fn schedule(&self) -> &CanonicalSchedule {
-        self.compiled.schedule()
-    }
-
-    /// The DRIP factory (`D_G`) — install at every node.
-    pub fn factory(&self) -> CanonicalFactory {
-        self.compiled.factory()
-    }
-
-    /// The decision function (`f_G`).
-    pub fn decision(&self) -> LeaderDecision {
-        self.compiled.decision()
-    }
-
-    /// The leader `Classifier` predicts: the representative of the
-    /// singleton leader class. The simulation must elect exactly this node.
-    pub fn predicted_leader(&self) -> NodeId {
-        self.compiled.predicted_leader()
-    }
-
-    /// The number of local rounds until every node terminates
-    /// (`r_T + 1` — the `O(n²σ)` bound of Lemma 3.10 applies).
-    pub fn rounds_bound(&self) -> u64 {
-        self.compiled.rounds_bound()
-    }
-
-    /// Simulates `(D_G, f_G)` on the configuration and returns a validated
-    /// report.
-    pub fn run(&self) -> Result<ElectionReport, ElectError> {
-        self.run_with(RunOpts::default())
-    }
-
-    /// [`DedicatedElection::run`] with explicit executor options.
-    pub fn run_with(&self, opts: RunOpts) -> Result<ElectionReport, ElectError> {
-        self.run_under(ModelKind::default(), opts)
-    }
-
-    /// [`DedicatedElection::run`] under an explicit channel model.
-    ///
-    /// The canonical DRIP's correctness proof (Theorem 3.15) only covers
-    /// the paper's model — the default [`ModelKind::NoCollisionDetection`].
-    /// Under a foreign channel the run is still deterministic and total,
-    /// but the exactly-one-leader contract may fail, surfacing as
-    /// [`ElectError::Contract`] or [`ElectError::PredictionMismatch`].
-    ///
-    /// By default the engine time-leaps the schedule's silent stretches
-    /// (the canonical DRIP advertises its transmission timetable via
-    /// `quiet_until`), which makes high-σ elections run in time
-    /// proportional to their *events* rather than their rounds. The
-    /// report's `rounds_stepped` / `rounds_leapt` break this down; pass
-    /// `opts.no_leap()` to force round-by-round execution.
-    pub fn run_under(&self, model: ModelKind, opts: RunOpts) -> Result<ElectionReport, ElectError> {
-        self.run_in(&mut SimWorkspace::new(), model, opts)
-    }
-
-    /// [`DedicatedElection::run_under`] through a caller-provided
-    /// [`SimWorkspace`] — the campaign runner's per-worker path, which
-    /// recycles all engine state across back-to-back elections.
-    pub fn run_in(
-        &self,
-        workspace: &mut SimWorkspace,
-        model: ModelKind,
-        opts: RunOpts,
-    ) -> Result<ElectionReport, ElectError> {
-        self.compiled.run_in(workspace, &self.config, model, opts)
-    }
-
-    /// Convenience: run the canonical DRIP and return the raw execution
-    /// (used by validators and experiments).
-    pub fn execute(&self, opts: RunOpts) -> Result<radio_sim::Execution, SimError> {
-        self.execute_under(ModelKind::default(), opts)
-    }
-
-    /// [`DedicatedElection::execute`] under an explicit channel model.
-    pub fn execute_under(
-        &self,
-        model: ModelKind,
-        opts: RunOpts,
-    ) -> Result<radio_sim::Execution, SimError> {
-        let factory = self.factory();
-        model.run(&self.config, &factory, opts)
-    }
-
-    /// [`DedicatedElection::execute_under`] through a caller-provided
-    /// [`SimWorkspace`].
-    pub fn execute_in(
-        &self,
-        workspace: &mut SimWorkspace,
-        model: ModelKind,
-        opts: RunOpts,
-    ) -> Result<radio_sim::Execution, SimError> {
-        let factory = self.factory();
-        workspace.run_kind(model, &self.config, &factory, opts)
     }
 }
 
@@ -337,18 +194,22 @@ mod tests {
     use super::*;
     use radio_graph::{families, generators, tags, Configuration};
 
+    fn elect(config: &Configuration) -> (CompiledElection, ElectionReport) {
+        let compiled = crate::solve(config).expect("feasible");
+        (compiled, crate::elect_leader(config).expect("elects"))
+    }
+
     #[test]
     fn solve_rejects_infeasible() {
-        let err = DedicatedElection::solve(&families::s_m(2)).unwrap_err();
+        let err = crate::solve(&families::s_m(2)).unwrap_err();
         assert_eq!(err.iterations, 2);
     }
 
     #[test]
     fn h_m_elects_node_a() {
         for m in [1u64, 3, 10] {
-            let d = DedicatedElection::solve(&families::h_m(m)).unwrap();
+            let (d, report) = elect(&families::h_m(m));
             assert_eq!(d.predicted_leader(), 0);
-            let report = d.run().unwrap();
             assert_eq!(report.leader, 0, "H_{m}");
             assert_eq!(report.n, 4);
             assert_eq!(report.phases, 1);
@@ -358,8 +219,7 @@ mod tests {
     #[test]
     fn g_m_elects_some_unique_node() {
         for m in [2usize, 3] {
-            let d = DedicatedElection::solve(&families::g_m(m)).unwrap();
-            let report = d.run().unwrap();
+            let (d, report) = elect(&families::g_m(m));
             // Classifier's singleton class contains the centre... the
             // smallest singleton may be another separated node; what the
             // contract guarantees is *uniqueness* and prediction agreement.
@@ -374,8 +234,7 @@ mod tests {
         for _ in 0..10 {
             let g = generators::gnp_connected(8, 0.3, &mut rng);
             let c = tags::distinct_shuffled(g, &mut rng);
-            let d = DedicatedElection::solve(&c).expect("distinct tags are feasible");
-            let report = d.run().unwrap();
+            let (_, report) = elect(&c);
             let n = report.n as u64;
             let sigma = report.sigma.max(1);
             // Lemma 3.10: ⌈n/2⌉ phases × (n blocks × (2σ+1) + σ) rounds.
@@ -389,25 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_in_matches_solve_across_reuse() {
-        let mut ws = radio_classifier::ClassifierWorkspace::new();
-        for config in [families::h_m(3), families::g_m(3), families::h_m(1)] {
-            let fresh = DedicatedElection::solve(&config).unwrap();
-            let reused = DedicatedElection::solve_in(&mut ws, &config).unwrap();
-            assert_eq!(reused.summary(), fresh.summary());
-            assert_eq!(reused.predicted_leader(), fresh.predicted_leader());
-            assert_eq!(reused.schedule().lists, fresh.schedule().lists);
-            assert_eq!(reused.schedule().phase_end, fresh.schedule().phase_end);
-            let a = reused.run().unwrap();
-            let b = fresh.run().unwrap();
-            assert_eq!(a, b);
-        }
-        // infeasible through the workspace too
-        let err = DedicatedElection::solve_in(&mut ws, &families::s_m(2)).unwrap_err();
-        assert_eq!(err.iterations, 2);
-    }
-
-    #[test]
     fn compiled_election_exists_for_infeasible_configurations() {
         let mut ws = radio_classifier::ClassifierWorkspace::new();
         let compiled = CompiledElection::compile_in(&mut ws, &families::s_m(2));
@@ -416,25 +256,6 @@ mod tests {
         // the schedule is well-defined; only the leader class is absent
         assert!(compiled.schedule().lists.leader_class.is_none());
         assert!(compiled.rounds_bound() >= 1);
-    }
-
-    #[test]
-    fn compiled_run_in_matches_the_owned_path() {
-        let mut ws = radio_classifier::ClassifierWorkspace::new();
-        let mut sim = SimWorkspace::new();
-        for config in [families::h_m(2), families::g_m(3)] {
-            let compiled = CompiledElection::compile_in(&mut ws, &config);
-            let borrowed = compiled
-                .run_in(
-                    &mut sim,
-                    &config,
-                    ModelKind::NoCollisionDetection,
-                    RunOpts::default(),
-                )
-                .unwrap();
-            let owned = DedicatedElection::solve(&config).unwrap().run().unwrap();
-            assert_eq!(borrowed, owned, "{config}");
-        }
     }
 
     #[test]
@@ -450,8 +271,7 @@ mod tests {
     #[test]
     fn singleton_graph_elects_its_node() {
         let c = Configuration::new(generators::path(1), vec![0]).unwrap();
-        let d = DedicatedElection::solve(&c).unwrap();
-        let report = d.run().unwrap();
+        let (_, report) = elect(&c);
         assert_eq!(report.leader, 0);
         assert_eq!(report.n, 1);
     }

@@ -118,7 +118,7 @@ mod tests {
     fn canonical_drip_of_h1_is_refuted() {
         // Even the paper's own dedicated DRIP cannot power a distributed
         // feasibility decision.
-        let dedicated = crate::dedicated::DedicatedElection::solve(&families::h_m(1)).unwrap();
+        let dedicated = crate::solve(&families::h_m(1)).unwrap();
         let factory = dedicated.factory();
         let r = refute_distributed_decision(&factory, 1_000).unwrap();
         assert!(r.is_conclusive(), "{r:?}");

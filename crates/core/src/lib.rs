@@ -8,8 +8,9 @@
 //!   centralized `Classifier` (Theorem 3.17).
 //! * **Dedicated election** — [`solve`] compiles, for any feasible
 //!   configuration `G`, the canonical DRIP `D_G` and its decision function
-//!   `f_G` (Theorem 3.15, `O(n²σ)` rounds); [`elect_leader`] additionally
-//!   simulates the algorithm and returns a validated [`ElectionReport`].
+//!   `f_G` (Theorem 3.15, `O(n²σ)` rounds) into a [`CompiledElection`],
+//!   whose [`run_in`](CompiledElection::run_in) simulates it and returns a
+//!   validated [`ElectionReport`]; [`elect_leader`] does both in one call.
 //! * **Impossibility machinery** — [`universal`] refutes any candidate
 //!   *universal* election algorithm by constructing the failing
 //!   configuration `H_{t+1}` (Proposition 4.4), and [`distributed`] shows
@@ -55,8 +56,8 @@ pub mod universal;
 pub mod verify;
 
 pub use api::{
-    elect_leader, elect_leader_in, elect_leader_under, elect_leader_with, is_feasible,
-    is_feasible_cached, is_feasible_in, solve, ElectError, ElectionReport, Infeasible,
+    elect_leader, is_feasible, is_feasible_cached, is_feasible_in, solve, ElectError,
+    ElectionReport, Infeasible,
 };
 pub use cache::{CacheConfig, CacheLookup, CacheStats, ScheduleCache};
 pub use campaign::{
@@ -64,7 +65,7 @@ pub use campaign::{
     TagStrategy,
 };
 pub use canonical::CanonicalFactory;
-pub use dedicated::{CompiledElection, DedicatedElection};
+pub use dedicated::CompiledElection;
 pub use row::{CampaignRow, RowError, RowStats};
 pub use schedule::CanonicalSchedule;
 pub use serve::{serve_session, serve_tcp, JobRequest, ServeOptions, SessionSummary};

@@ -86,14 +86,22 @@ impl CanonicalSchedule {
 
     /// Derives the phase geometry from compiled lists — the single home of
     /// the `r_j = r_{j-1} + numClasses_j·(2σ+1) + σ` arithmetic.
+    ///
+    /// Round arithmetic saturates at `u64::MAX`: a span σ ≥ 2⁶³ has
+    /// rounds past any representable one, and no round budget reaches
+    /// them. Every schedule whose rounds fit in `u64` is exact.
     pub fn from_lists(lists: CanonicalLists) -> CanonicalSchedule {
         let sigma = lists.sigma;
+        let width = block_width(sigma);
         let mut phase_end = Vec::with_capacity(lists.phases() + 1);
         phase_end.push(0u64);
         for j in 1..=lists.phases() {
             let blocks = lists.level(j).num_blocks() as u64;
             let prev = *phase_end.last().expect("non-empty");
-            phase_end.push(prev + blocks * (2 * sigma + 1) + sigma);
+            phase_end.push(
+                prev.saturating_add(blocks.saturating_mul(width))
+                    .saturating_add(sigma),
+            );
         }
         let mut phase_matchers = Vec::with_capacity(lists.phases().saturating_sub(1));
         for j in 2..=lists.phases() {
@@ -125,7 +133,12 @@ impl CanonicalSchedule {
 
     /// The local round in which every node terminates: `r_T + 1`.
     pub fn done_local(&self) -> u64 {
-        self.phase_end[self.phases()] + 1
+        self.phase_end[self.phases()].saturating_add(1)
+    }
+
+    /// Rounds per transmission block, `2σ + 1` (saturating).
+    pub fn block_width(&self) -> u64 {
+        block_width(self.sigma)
     }
 
     /// Number of transmission blocks of phase `j`.
@@ -136,7 +149,10 @@ impl CanonicalSchedule {
     /// The local round within phase `j` at which a node assigned block
     /// `t_block` transmits: `r_{j-1} + (t_block−1)(2σ+1) + σ + 1`.
     pub fn transmit_round(&self, j: usize, t_block: u32) -> u64 {
-        self.phase_end(j - 1) + (t_block as u64 - 1) * (2 * self.sigma + 1) + self.sigma + 1
+        self.phase_end(j - 1)
+            .saturating_add((t_block as u64 - 1).saturating_mul(self.block_width()))
+            .saturating_add(self.sigma)
+            .saturating_add(1)
     }
 
     /// Quiescence horizon of an on-schedule node (the
@@ -161,7 +177,7 @@ impl CanonicalSchedule {
         let next_act = if transmit_at >= i {
             transmit_at
         } else {
-            self.phase_end(phase) + 1
+            self.phase_end(phase).saturating_add(1)
         };
         (next_act > i).then_some(next_act)
     }
@@ -173,11 +189,11 @@ impl CanonicalSchedule {
     /// (the trailing `σ` listening rounds) are ignored, as in the paper.
     pub fn observed_triples(&self, history: radio_sim::HistoryView<'_>, j: usize) -> Vec<Triple> {
         let start = self.phase_end(j - 1); // r_{j-1}; phase rounds start at +1
-        let width = 2 * self.sigma + 1;
-        let block_region = self.blocks(j) * width;
+        let width = self.block_width();
+        let block_region = self.blocks(j).saturating_mul(width);
         let mut triples = Vec::new();
         for off in 1..=block_region {
-            let t = (start + off) as usize;
+            let t = start.saturating_add(off) as usize;
             let obs = match history.get(t) {
                 Some(o) => o,
                 None => break,
@@ -420,10 +436,10 @@ impl CanonicalSchedule {
             let _ = writeln!(
                 out,
                 "phase P_{j}: local rounds {}..={} ({} block(s) of {} rounds + {} trailing)",
-                self.phase_end(j - 1) + 1,
+                self.phase_end(j - 1).saturating_add(1),
                 self.phase_end(j),
                 blocks,
-                2 * self.sigma + 1,
+                self.block_width(),
                 self.sigma
             );
             match self.lists.level(j) {
@@ -464,6 +480,11 @@ impl CanonicalSchedule {
 
 /// Shared handle used by the factory and the decision function.
 pub type SharedSchedule = Arc<CanonicalSchedule>;
+
+/// `2σ + 1`, saturating at `u64::MAX` for σ ≥ 2⁶³.
+fn block_width(sigma: u64) -> u64 {
+    sigma.saturating_mul(2).saturating_add(1)
+}
 
 #[cfg(test)]
 mod tests {
@@ -669,6 +690,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn maximal_span_geometry_saturates() {
+        // σ = u64::MAX: 2σ+1 and every phase end lie past u64. They
+        // saturate instead of overflowing, so no round budget reaches them
+        // (`cli.rs::maximal_span_stops_at_the_round_limit` runs it).
+        let c =
+            radio_graph::Configuration::new(radio_graph::generators::path(2), vec![0, u64::MAX])
+                .unwrap();
+        let (out, s) = CanonicalSchedule::build(&c);
+        assert!(out.feasible);
+        assert_eq!(s.sigma, u64::MAX);
+        assert_eq!(s.block_width(), u64::MAX);
+        assert_eq!(s.phase_end(1), u64::MAX);
+        assert_eq!(s.done_local(), u64::MAX);
+        assert_eq!(s.transmit_round(1, 1), u64::MAX);
+        assert_eq!(
+            s.quiet_horizon(1, 1, s.transmit_round(1, 1)),
+            Some(u64::MAX)
+        );
+        assert!(s.render().contains("σ = 18446744073709551615"));
     }
 
     #[test]

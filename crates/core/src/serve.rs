@@ -93,7 +93,6 @@ use crate::campaign::{
     cell_row, run_cell, BatchConfig, CampaignSpec, CampaignWorkspace, FamilySpec, Phase,
     TagStrategy,
 };
-use crate::dedicated::CompiledElection;
 
 /// Supervisor knobs for a serve session or daemon.
 #[derive(Debug, Clone)]
@@ -568,7 +567,17 @@ impl OneShotJob {
     /// Builds the configuration — inline text or the `elect --family`
     /// derivation streams.
     pub fn configuration(&self) -> Result<Configuration, String> {
-        match &self.source {
+        self.source.configuration()
+    }
+}
+
+impl ConfigSource {
+    /// Builds the configuration: parses inline text, or draws the graph
+    /// and tags from the `derive(seed, "graph")` / `derive(seed, "tags")`
+    /// streams — the one builder behind both served jobs and
+    /// `anon-radio elect --family`.
+    pub fn configuration(&self) -> Result<Configuration, String> {
+        match self {
             ConfigSource::Inline(text) => {
                 radio_graph::io::from_text(text).map_err(|e| format!("invalid inline config: {e}"))
             }
@@ -589,9 +598,7 @@ impl OneShotJob {
             }
         }
     }
-}
 
-impl ConfigSource {
     fn from_fields(fields: &mut Fields) -> Result<ConfigSource, String> {
         if let Some(text) = fields.take_str("config")? {
             for drawn in ["family", "n", "span", "tags", "seed"] {
@@ -784,22 +791,6 @@ fn lookup_name(lookup: Option<CacheLookup>) -> &'static str {
 // Job execution (worker side)
 // ---------------------------------------------------------------------------
 
-fn compile_with_cache(
-    ws: &mut CampaignWorkspace,
-    config: &Configuration,
-) -> (CompiledElection, Option<CacheLookup>) {
-    match &ws.cache {
-        Some(cache) => {
-            let (compiled, lookup) = cache.compile_in(&mut ws.classifier, config);
-            (compiled, Some(lookup))
-        }
-        None => (
-            CompiledElection::compile_in(&mut ws.classifier, config),
-            None,
-        ),
-    }
-}
-
 /// Appends the per-job cache verdict and the shared cache's cumulative
 /// counters — the reply-visible form of the campaign rows' cache columns.
 fn with_cache_fields(
@@ -822,7 +813,7 @@ fn run_elect_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> Strin
         Ok(config) => config,
         Err(msg) => return error_reply(id, "bad-request", &msg),
     };
-    let (compiled, lookup) = compile_with_cache(ws, &config);
+    let (compiled, lookup) = ws.compile(&config);
     if !compiled.feasible() {
         let reply = Reply::ok(id, "elect")
             .bool("feasible", false)

@@ -239,7 +239,7 @@ pub fn gallery() -> Vec<UniversalCandidate> {
     // 5. The paper's own dedicated algorithm for H_1, misused as if it
     //    were universal: dedicated ≠ universal.
     let h1 = families::h_m(1);
-    let dedicated = crate::dedicated::DedicatedElection::solve(&h1).expect("H_1 is feasible");
+    let dedicated = crate::solve(&h1).expect("H_1 is feasible");
     let decision = dedicated.decision();
     candidates.push(UniversalCandidate {
         name: "dedicated-H1-misused".into(),

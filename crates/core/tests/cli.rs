@@ -329,6 +329,29 @@ fn elect_family_defaults_to_a_pinned_spec_size() {
     assert!(stderr.contains("pins the node count to 100"), "{stderr}");
 }
 
+/// The widest span a `u64` can name draws full-range tags; the schedule
+/// saturates instead of overflowing, so the run stops at its round limit
+/// with a clean election failure, not a panic, and a campaign counts it
+/// as aborted.
+#[test]
+fn maximal_span_stops_at_the_round_limit() {
+    let span = u64::MAX;
+    let elect = format!("elect --family path --size 8 --span {span}");
+    let elect: Vec<&str> = elect.split(' ').collect();
+    let (_, stderr, code) = run_with_stdin(&elect, "");
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("round limit"), "{stderr}");
+    let campaign =
+        format!("campaign --families path --sizes 8 --spans {span} --reps 1 --models no-cd");
+    let campaign: Vec<&str> = campaign.split(' ').collect();
+    let (rows, stderr, code) = run_with_stdin(&campaign, "");
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        rows.contains("\"feasible\":1,\"elected\":0,\"aborted\":1"),
+        "{rows}"
+    );
+}
+
 /// Specs whose CSR cannot fit `u32` offsets are usage errors, caught
 /// before anything is allocated — a pinned spec with no `--size` too.
 #[test]

@@ -62,61 +62,6 @@ pub fn run_election(
     run_election_model::<NoCollisionDetection>(config, algorithm, opts)
 }
 
-/// The outcome of a resident election ([`run_election_resident`]): the
-/// leaders plus the run summary. Histories stay in the workspace arena —
-/// nothing per-node is materialized, which is what lets 10⁶-node
-/// elections run within a small multiple of the configuration footprint.
-#[derive(Debug)]
-pub struct ResidentOutcome {
-    /// Nodes whose decision function returned 1.
-    pub leaders: Vec<NodeId>,
-    /// The run summary (rounds, completion, stats).
-    pub run: crate::workspace::ResidentRun,
-}
-
-impl ResidentOutcome {
-    /// The elected leader, if the algorithm satisfied the exactly-one
-    /// contract.
-    pub fn elected(&self) -> Option<NodeId> {
-        match self.leaders.as_slice() {
-            [v] => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// [`run_election`] through a caller-provided
-/// [`SimWorkspace`](crate::SimWorkspace), under a runtime-selected channel
-/// model, without materializing the execution: runs the DRIP resident in
-/// `workspace`, then applies the *view-based* decision function straight
-/// over the observation arena. Bit-identical leaders to the materializing
-/// path (the views read the very same entries the owned histories would
-/// be cloned from), at none of the per-node clone cost.
-pub fn run_election_resident(
-    workspace: &mut crate::workspace::SimWorkspace,
-    model: crate::model::ModelKind,
-    config: &Configuration,
-    drip: &dyn DripFactory,
-    decide: &(dyn Fn(crate::history::HistoryView<'_>) -> bool + Sync),
-    opts: RunOpts,
-) -> Result<ResidentOutcome, SimError> {
-    let run = workspace.run_kind_resident(model, config, drip, opts)?;
-    let leaders = if opts.len_only_histories {
-        // Length-only run: history content was never stored, so the
-        // decision must come from the DRIPs themselves — each node folded
-        // its observations as they landed and resolved a leader verdict at
-        // termination (see `DripNode::leader_claim`).
-        (0..config.size() as NodeId)
-            .filter(|&v| workspace.leader_claim(v) == Some(true))
-            .collect()
-    } else {
-        (0..config.size() as NodeId)
-            .filter(|&v| decide(workspace.history_view(v)))
-            .collect()
-    };
-    Ok(ResidentOutcome { leaders, run })
-}
-
 /// [`run_election`] under an explicit channel model `M`.
 pub fn run_election_model<M: RadioModel>(
     config: &Configuration,

@@ -96,10 +96,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use drip::{DripFactory, DripNode, PureDrip, PureFactory};
-pub use election::{
-    run_election, run_election_model, run_election_resident, ElectionOutcome, LeaderAlgorithm,
-    ResidentOutcome,
-};
+pub use election::{run_election, run_election_model, ElectionOutcome, LeaderAlgorithm};
 pub use engine::{ExecStats, Execution, Executor, RunOpts, SimError};
 pub use history::{History, HistoryView};
 pub use model::{Beeping, CollisionDetection, ModelKind, NoCollisionDetection, RadioModel};

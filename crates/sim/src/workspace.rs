@@ -389,16 +389,17 @@ impl SimWorkspace {
     }
 
     /// [`SimWorkspace::run_kind`] without materializing an [`Execution`]:
-    /// the run's histories stay resident in the workspace arena, readable
-    /// through [`SimWorkspace::history_view`] until the next run resets it.
+    /// the run's state stays resident in the workspace until the next run
+    /// resets it, and the returned summary carries everything else an
+    /// [`Execution`] would.
     ///
     /// This is the engine's million-node path. Materializing a 10⁶-node
     /// execution clones every observation into per-node vectors — for
     /// history-heavy runs that clone alone can exceed the configuration
-    /// footprint by an order of magnitude. Callers that only *read* final
-    /// histories (a decision function, a metrics pass) should run resident
-    /// and view the arena in place; the summary carries everything else an
-    /// [`Execution`] would.
+    /// footprint by an order of magnitude. A DRIP that decides as it goes
+    /// runs resident over length-only histories
+    /// ([`RunOpts::len_only_histories`]) and reports its verdict through
+    /// [`SimWorkspace::leader_claim`].
     pub fn run_kind_resident(
         &mut self,
         model: ModelKind,
@@ -415,14 +416,6 @@ impl SimWorkspace {
             }
             ModelKind::Beeping => self.run_model_resident::<Beeping>(config, factory, opts),
         }
-    }
-
-    /// Final history of node `v` from the last run, viewed in place (no
-    /// copy). Valid after [`SimWorkspace::run_kind_resident`] until the
-    /// next run or reset re-dimensions the arena.
-    #[inline]
-    pub fn history_view(&self, v: NodeId) -> crate::history::HistoryView<'_> {
-        self.arena.view(v as usize)
     }
 
     /// Leader verdict of node `v`'s DRIP from the last run, if the

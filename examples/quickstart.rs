@@ -34,9 +34,15 @@ fn main() {
         dedicated.predicted_leader()
     );
 
-    // 3. …and run it in the radio-model simulator.
+    // 3. …and run it in the radio-model simulator, under the paper's
+    //    channel model.
     let report = dedicated
-        .run()
+        .run_in(
+            &mut SimWorkspace::new(),
+            &config,
+            ModelKind::default(),
+            RunOpts::default(),
+        )
         .expect("dedicated algorithms elect exactly one leader");
     println!(
         "elected leader: v{} (n = {}, σ = {}, {} transmissions, all nodes done by global round {})",

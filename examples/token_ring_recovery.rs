@@ -14,7 +14,6 @@
 //! ```
 
 use anon_radio_repro::prelude::*;
-use radio_sim::Executor;
 
 fn main() {
     let n = 8;
@@ -59,7 +58,12 @@ fn main() {
             }
 
             let report = dedicated
-                .run()
+                .run_in(
+                    &mut SimWorkspace::new(),
+                    &config,
+                    ModelKind::default(),
+                    RunOpts::default(),
+                )
                 .expect("feasible rings elect exactly one owner");
             println!();
             println!(

@@ -23,7 +23,7 @@ pub use radio_util as util;
 
 /// Commonly used items, for `use anon_radio_repro::prelude::*`.
 pub mod prelude {
-    pub use anon_radio::{elect_leader, is_feasible, solve, DedicatedElection, ElectionReport};
+    pub use anon_radio::{elect_leader, is_feasible, solve, CompiledElection, ElectionReport};
     pub use radio_graph::{families, generators, Configuration, Graph, NodeId};
-    pub use radio_sim::{Action, Executor, Msg, Obs, RunOpts};
+    pub use radio_sim::{Action, Executor, ModelKind, Msg, Obs, RunOpts, SimWorkspace};
 }

@@ -12,10 +12,10 @@ use anon_radio::cache::{CacheConfig, CacheLookup, ScheduleCache};
 use anon_radio::campaign::{
     BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
 };
-use anon_radio::{CompiledElection, DedicatedElection};
+use anon_radio::CompiledElection;
 use radio_classifier::ClassifierWorkspace;
 use radio_graph::{families, Configuration};
-use radio_sim::{ModelKind, RunOpts};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 
 /// A zoo-mix elect grid with repeated shapes: `arith` tags redraw the
 /// same tag vector every rep, so cache hits are guaranteed, while
@@ -125,21 +125,28 @@ fn cache_hits_equal_fresh_compiles_across_workspace_reuse_and_shuffles() {
 fn solve_cached_matches_solve_in_for_elections_and_infeasibility() {
     let cache = ScheduleCache::default();
     let mut ws = ClassifierWorkspace::new();
+    let mut sim = SimWorkspace::new();
+    let mut run = |compiled: &CompiledElection, config: &Configuration| {
+        compiled
+            .run_in(&mut sim, config, ModelKind::default(), RunOpts::default())
+            .unwrap()
+    };
     for m in [1u64, 2, 5] {
         let config = families::h_m(m);
         // twice, so both the miss and the hit path are compared
         for _ in 0..2 {
-            let cached = DedicatedElection::solve_cached(&mut ws, &config, &cache).unwrap();
-            let plain = DedicatedElection::solve_in(&mut ws, &config).unwrap();
+            let (cached, _) = cache.compile_in(&mut ws, &config);
+            let plain = CompiledElection::compile_in(&mut ws, &config);
             assert_eq!(cached.summary(), plain.summary());
             assert_eq!(cached.predicted_leader(), plain.predicted_leader());
-            assert_eq!(cached.run().unwrap(), plain.run().unwrap(), "H_{m}");
+            assert_eq!(run(&cached, &config), run(&plain, &config), "H_{m}");
         }
     }
     // infeasible configurations cache their verdict too
     for _ in 0..2 {
-        let err = DedicatedElection::solve_cached(&mut ws, &families::s_m(2), &cache).unwrap_err();
-        assert_eq!(err.iterations, 2);
+        let (cached, _) = cache.compile_in(&mut ws, &families::s_m(2));
+        assert!(!cached.feasible());
+        assert_eq!(cached.summary().iterations, 2);
     }
     assert!(cache.stats().hits >= 4);
 }

@@ -139,8 +139,9 @@ fn summaries_through_one_workspace_match_fresh_summaries() {
 #[test]
 fn solve_in_through_one_workspace_matches_fresh_elections() {
     // End to end: the dedicated algorithm compiled through a reused
-    // classifier workspace elects the same leader with the same report as
-    // the fresh path, across a mix of feasible configurations.
+    // classifier workspace is the fresh compile — same summary, leader,
+    // lists and phase geometry — and elects the same leader with the same
+    // report as the fresh path, across a mix of feasible configurations.
     let mut cls = ClassifierWorkspace::new();
     let mut sim = radio_sim::SimWorkspace::new();
     let mut rng = rng_from(99);
@@ -151,10 +152,16 @@ fn solve_in_through_one_workspace_matches_fresh_elections() {
         configs.push(tags::distinct_shuffled(g, &mut rng));
     }
     for config in configs {
-        let reused = anon_radio::DedicatedElection::solve_in(&mut cls, &config)
-            .expect("feasible")
+        let compiled = anon_radio::CompiledElection::compile_in(&mut cls, &config);
+        let fresh = anon_radio::solve(&config).expect("feasible");
+        assert_eq!(compiled.summary(), fresh.summary(), "{config}");
+        assert_eq!(compiled.predicted_leader(), fresh.predicted_leader());
+        assert_eq!(compiled.schedule().lists, fresh.schedule().lists);
+        assert_eq!(compiled.schedule().phase_end, fresh.schedule().phase_end);
+        let reused = compiled
             .run_in(
                 &mut sim,
+                &config,
                 radio_sim::ModelKind::default(),
                 radio_sim::RunOpts::default(),
             )
@@ -162,4 +169,8 @@ fn solve_in_through_one_workspace_matches_fresh_elections() {
         let fresh = anon_radio::elect_leader(&config).expect("elects");
         assert_eq!(reused, fresh, "{config}");
     }
+    // an infeasible verdict through the reused workspace too
+    let infeasible = anon_radio::CompiledElection::compile_in(&mut cls, &families::s_m(2));
+    assert!(!infeasible.feasible());
+    assert_eq!(infeasible.summary().iterations, 2);
 }

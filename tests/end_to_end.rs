@@ -120,7 +120,7 @@ fn solve_and_elect_agree() {
         match solve(&config) {
             Ok(dedicated) => {
                 assert!(expected, "{name}: solve succeeded on infeasible config");
-                let report = dedicated.run().unwrap();
+                let report = elect_leader(&config).unwrap();
                 assert_eq!(report.leader, dedicated.predicted_leader(), "{name}");
             }
             Err(_) => assert!(!expected, "{name}: solve failed on feasible config"),
@@ -136,7 +136,7 @@ fn election_transmission_budget_is_exactly_n_times_phases() {
             continue;
         }
         let dedicated = solve(&config).unwrap();
-        let report = dedicated.run().unwrap();
+        let report = elect_leader(&config).unwrap();
         assert_eq!(
             report.transmissions,
             (config.size() * dedicated.schedule().phases()) as u64,

@@ -12,7 +12,6 @@
 //! symmetries are precisely what the classifier and the schedules have to
 //! break.
 
-use anon_radio::DedicatedElection;
 use radio_classifier::{classify_with, ClassifierWorkspace, Engine};
 use radio_graph::{Configuration, FamilySpec, TagStrategy};
 use radio_sim::drip::WaitThenTransmitFactory;
@@ -86,7 +85,7 @@ fn feasible_scenarios_elect_the_same_leader_on_every_engine() {
     for spec in FamilySpec::zoo() {
         for strategy in TagStrategy::ALL {
             let config = scenario(spec, strategy);
-            let Ok(dedicated) = DedicatedElection::solve(&config) else {
+            let Ok(dedicated) = anon_radio::solve(&config) else {
                 continue;
             };
             feasible_cells += 1;

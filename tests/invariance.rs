@@ -84,7 +84,12 @@ proptest! {
     fn feasible_elects_exactly_one(config in config_strategy()) {
         match anon_radio::solve(&config) {
             Ok(dedicated) => {
-                let report = dedicated.run();
+                let report = dedicated.run_in(
+                    &mut radio_sim::SimWorkspace::new(),
+                    &config,
+                    radio_sim::ModelKind::default(),
+                    radio_sim::RunOpts::default(),
+                );
                 prop_assert!(report.is_ok(), "{}: {:?}", config, report.err());
             }
             Err(_) => {

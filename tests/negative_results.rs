@@ -4,7 +4,7 @@
 use anon_radio::distributed::refute_distributed_decision;
 use anon_radio::lower_bounds::{canonical_divergences, divergence_round, g_m_central_pairs};
 use anon_radio::universal::{gallery, refute_universal, Refutation};
-use anon_radio::{is_feasible, solve};
+use anon_radio::{elect_leader, is_feasible, solve};
 use radio_graph::families;
 use radio_sim::drip::WaitThenTransmitFactory;
 use radio_sim::Msg;
@@ -39,8 +39,7 @@ fn prop_4_3_h_m_needs_at_least_m_rounds() {
     for m in [1u64, 2, 8, 32, 128] {
         let config = families::h_m(m);
         assert!(is_feasible(&config), "H_{m} is feasible (Lemma 4.2)");
-        let dedicated = solve(&config).unwrap();
-        let report = dedicated.run().unwrap();
+        let report = elect_leader(&config).unwrap();
         // Lemma 4.2: any election algorithm takes ≥ m rounds.
         assert!(
             report.completion_round >= m,
@@ -140,8 +139,7 @@ fn h_m_mega_span_stress() {
     // arithmetic far beyond the usual sweeps.
     let m = 300_000u64;
     let config = families::h_m(m);
-    let dedicated = solve(&config).expect("H_m feasible");
-    let report = dedicated.run().expect("elects");
+    let report = elect_leader(&config).expect("H_m elects");
     assert_eq!(report.leader, 0);
     assert!(report.completion_round >= m);
     assert_eq!(report.phases, 1);
@@ -152,7 +150,7 @@ fn h_m_large_span_smoke() {
     // The affordable version of the stress test, always on.
     let m = 20_000u64;
     let config = families::h_m(m);
-    let report = solve(&config).unwrap().run().unwrap();
+    let report = elect_leader(&config).unwrap();
     assert_eq!(report.leader, 0);
     assert!(report.completion_round >= m);
 }

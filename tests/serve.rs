@@ -72,6 +72,7 @@ fn elect_replies_are_bit_identical_to_the_one_shot_path() {
             .expect("feasible")
             .run_in(
                 &mut radio_sim::SimWorkspace::new(),
+                &config,
                 ModelKind::default(),
                 RunOpts::default(),
             )
@@ -214,6 +215,8 @@ fn deadline_expiry_is_a_structured_per_job_error() {
 fn malformed_jobs_get_structured_errors_and_the_session_continues() {
     // The two oversize specs cannot fit a u32-offset CSR: rejected before
     // anything is allocated, so the daemon lives to answer the next job.
+    // The maximal span runs into its round budget: a deadline, not a
+    // panic.
     let input = "this is not json\n\
                  {\"op\":\"frobnicate\",\"id\":70}\n\
                  {\"op\":\"elect\",\"id\":71,\"family\":\"path\",\"bogus\":true}\n\
@@ -221,9 +224,11 @@ fn malformed_jobs_get_structured_errors_and_the_session_continues() {
                  {\"op\":\"elect\",\"id\":74,\"family\":\"grid:100000x100000\",\
                   \"n\":10000000000}\n\
                  {\"op\":\"elect\",\"id\":75,\"family\":\"barbell:70000+0\",\"n\":140000}\n\
+                 {\"op\":\"elect\",\"id\":76,\"family\":\"path\",\"n\":8,\
+                  \"span\":18446744073709551615}\n\
                  {\"op\":\"classify\",\"id\":73,\"family\":\"path\",\"n\":6,\"span\":3}\n";
     let (lines, summary) = serve(input, &ServeOptions::default());
-    assert_eq!(summary.answered, 7, "every line is answered, none fatal");
+    assert_eq!(summary.answered, 8, "every line is answered, none fatal");
     for (line, needle) in lines.iter().zip([
         "expected `{`",
         "unknown op",
@@ -231,6 +236,7 @@ fn malformed_jobs_get_structured_errors_and_the_session_continues() {
         "no-such-family",
         "u32 offset space",
         "u32 offset space",
+        "\"error\":\"deadline\"",
         "\"ok\":true",
     ]) {
         assert!(line.contains(needle), "wanted {needle} in {line}");

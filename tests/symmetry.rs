@@ -56,7 +56,7 @@ fn g_m_mirror_pairs_stay_identical_under_any_drip() {
         let center = families::g_m_center(m);
         assert_eq!(mirror[center as usize], center);
         assert_eq!(
-            dedicated.run().unwrap().leader,
+            anon_radio::elect_leader(&config).unwrap().leader,
             center,
             "G_{m} must elect its centre"
         );

@@ -117,17 +117,17 @@ fn one_workspace_matches_fresh_canonical_elections() {
     let mut ws = SimWorkspace::new();
     for m in [1u64, 4, 9] {
         let config = radio_graph::families::h_m(m);
-        let dedicated = anon_radio::solve(&config).expect("H_m feasible");
-        let factory = dedicated.factory();
+        let compiled = anon_radio::solve(&config).expect("H_m feasible");
+        let factory = compiled.factory();
         for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
             let reused = ws.run(&config, &factory, opts).expect("terminates");
             let fresh = radio_sim::Executor::run(&config, &factory, opts).expect("terminates");
             assert_bit_identical(&reused, &fresh, &format!("H_{m} leap={}", opts.leap));
         }
         // and the full election pipeline through the workspace API
-        let report =
-            anon_radio::elect_leader_in(&mut ws, &config, ModelKind::default(), RunOpts::default())
-                .expect("elects");
+        let report = compiled
+            .run_in(&mut ws, &config, ModelKind::default(), RunOpts::default())
+            .expect("elects");
         assert_eq!(
             report.leader,
             anon_radio::elect_leader(&config).unwrap().leader
