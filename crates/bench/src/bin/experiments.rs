@@ -12,6 +12,7 @@
 use std::path::PathBuf;
 
 use radio_bench::{registry, Effort};
+use radio_util::json::Writer;
 use radio_util::rng::DEFAULT_ROOT_SEED;
 
 fn main() {
@@ -138,22 +139,22 @@ fn bench_batch(path: &std::path::Path, seed: u64) {
     };
     let sequential = time(BatchConfig::disabled());
     let deduped = time(BatchConfig::default());
-    let row = format!(
-        "{{\"bench\":\"batch_engine\",\"runs\":{runs},\"threads\":{threads},\
-         \"slice\":{},\"sequential_ns_per_run\":{:.0},\"deduped_ns_per_run\":{:.0},\
-         \"speedup\":{:.3}}}\n",
-        BatchConfig::DEFAULT_SIZE,
-        sequential,
-        deduped,
-        sequential / deduped,
-    );
+    let row = Writer::default()
+        .str("bench", "batch_engine")
+        .u64("runs", runs as u64)
+        .u64("threads", threads as u64)
+        .u64("slice", BatchConfig::DEFAULT_SIZE as u64)
+        .raw("sequential_ns_per_run", &format!("{sequential:.0}"))
+        .raw("deduped_ns_per_run", &format!("{deduped:.0}"))
+        .raw("speedup", &format!("{:.3}", sequential / deduped))
+        .finish();
     use std::io::Write;
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .expect("open --bench-json path");
-    file.write_all(row.as_bytes()).expect("append bench row");
+    writeln!(file, "{row}").expect("append bench row");
     eprintln!(
         "campaign dedupe: off {:.0} ns/run, on {:.0} ns/run — {:.2}× \
          ({} runs, {} threads; row appended to {})",
@@ -201,12 +202,15 @@ fn bench_scale(path: &std::path::Path, seed: u64) {
         assert!((outcome.leader as usize) < n, "star must elect a leader");
         let elect_ns = elect_started.elapsed().as_nanos() as f64 / n as f64;
         let peak = radio_util::mem::peak_rss_bytes().unwrap_or(0);
-        let row = format!(
-            "{{\"bench\":\"scale_path\",\"family\":\"star\",\"n\":{n},\
-             \"gen_ns_per_node\":{gen_ns:.1},\"elect_ns_per_node\":{elect_ns:.1},\
-             \"peak_rss_bytes\":{peak}}}\n",
-        );
-        file.write_all(row.as_bytes()).expect("append bench row");
+        let row = Writer::default()
+            .str("bench", "scale_path")
+            .str("family", "star")
+            .u64("n", n as u64)
+            .raw("gen_ns_per_node", &format!("{gen_ns:.1}"))
+            .raw("elect_ns_per_node", &format!("{elect_ns:.1}"))
+            .u64("peak_rss_bytes", peak)
+            .finish();
+        writeln!(file, "{row}").expect("append bench row");
         eprintln!(
             "scale path: star n={n}: csr-direct {gen_ns:.1} ns/node, streaming elect \
              {elect_ns:.1} ns/node, peak rss {:.1} MiB (row appended to {})",

@@ -1,5 +1,6 @@
 //! Property-based tests of the canonical schedule, the decision function,
-//! and off-schedule robustness (failure injection).
+//! off-schedule robustness (failure injection), and the row and request
+//! parsers under hostile input.
 
 use proptest::prelude::*;
 
@@ -8,7 +9,9 @@ use radio_sim::{Executor, RunOpts};
 
 use crate::canonical::CanonicalFactory;
 use crate::decision::LeaderDecision;
+use crate::row::{binary_to_jsonl, jsonl_to_binary, CampaignRow};
 use crate::schedule::CanonicalSchedule;
+use crate::serve::JobRequest;
 
 fn build_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
     let mut rng = radio_util::rng::rng_from(seed);
@@ -20,6 +23,84 @@ fn build_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
 fn config_strategy() -> impl Strategy<Value = Configuration> {
     (1usize..10, 0usize..6, 0u64..5, any::<u64>())
         .prop_map(|(n, extra, span, seed)| build_config(n, extra, span, seed))
+}
+
+/// The golden row corpus: every line is a canonical row.
+const GOLDEN: [&str; 2] = [
+    include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/campaign_elect.jsonl"
+    )),
+    include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/campaign_classify.jsonl"
+    )),
+];
+
+/// Valid request lines: every op, the drawn and inline config routes, and
+/// the escapes (`\n`, `\u00e9`, a surrogate pair) a client may send.
+const REQUESTS: [&str; 4] = [
+    r#"{"op":"elect","id":7,"family":"path","n":6,"span":3,"tags":"arith:2","seed":9,"model":"beep","max_rounds":100,"no_leap":true}"#,
+    r##"{"op":"classify","id":1,"config":"# \u00e9 \ud83d\ude00\nconfig 2 1\ntags 0 5\nedge 0 1\n"}"##,
+    r#"{"op":"campaign-cell","id":3,"phase":"classify","family":"grid:3x2","span":4,"reps":3}"#,
+    r#"{"op":"shutdown","id":9}"#,
+];
+
+/// What a hostile edit writes: JSON structure, escapes, number spellings,
+/// a NUL and multi-byte characters.
+const EDIT_CHARS: [char; 19] = [
+    '{', '}', '[', ']', ':', ',', '"', '\\', 'u', '0', '1', '9', '-', 'e', '.', 'n', '\0', 'é',
+    '😀',
+];
+
+/// Applies `(kind, position, character)` edits at char boundaries: kind 0
+/// inserts, 1 deletes, 2 replaces.
+fn mutate(text: &str, edits: &[(u8, u32, usize)]) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for &(kind, at, c) in edits {
+        let at = at as usize;
+        match kind {
+            0 => chars.insert(at % (chars.len() + 1), EDIT_CHARS[c]),
+            _ if chars.is_empty() => {}
+            1 => {
+                chars.remove(at % chars.len());
+            }
+            _ => {
+                let i = at % chars.len();
+                chars[i] = EDIT_CHARS[c];
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn hostile_rows_and_requests_never_panic(
+        pick in 0usize..4096,
+        edits in proptest::collection::vec((0u8..3, any::<u32>(), 0usize..EDIT_CHARS.len()), 1..6),
+    ) {
+        let inputs: Vec<&str> = GOLDEN.iter().flat_map(|c| c.lines()).chain(REQUESTS).collect();
+        let original = inputs[pick % inputs.len()];
+        if REQUESTS.contains(&original) {
+            prop_assert!(JobRequest::parse(original).is_ok(), "{}", original);
+        } else {
+            prop_assert!(CampaignRow::parse_jsonl(original).is_ok(), "{}", original);
+        }
+        let text = mutate(original, &edits);
+        // A panic in any of these fails the test.
+        let _ = JobRequest::parse(&text);
+        let parsed = CampaignRow::parse_jsonl(&text);
+        let binary = jsonl_to_binary(&text);
+        prop_assert_eq!(parsed.is_ok(), binary.is_ok(), "{}", text);
+        if let (Ok(row), Ok(binary)) = (parsed, binary) {
+            // An accepted row is canonical: it re-renders to its own bytes.
+            prop_assert_eq!(row.to_jsonl(), text.clone());
+            prop_assert_eq!(binary_to_jsonl(&binary).expect("own encoding decodes"), text + "\n");
+        }
+    }
 }
 
 proptest! {

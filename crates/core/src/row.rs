@@ -8,9 +8,8 @@
 //!
 //! * **JSONL** — the canonical, human-greppable format. [`CampaignRow::
 //!   to_jsonl`] reproduces the pinned field order byte for byte, and
-//!   [`CampaignRow::parse_jsonl`] inverts it exactly (floats round-trip
-//!   because Rust renders the shortest representation that re-parses to
-//!   the same bits).
+//!   [`CampaignRow::parse_jsonl`] inverts it exactly and rejects every
+//!   other spelling (both through [`radio_util::json`]).
 //! * **Binary** — a length-prefixed little-endian encoding for
 //!   million-node campaigns, where JSONL rendering and disk volume start
 //!   to matter. `anon-radio rows convert` maps between the two formats
@@ -40,6 +39,7 @@
 //! measured tail is a length byte (0–4 for elect, 0–2 for classify)
 //! followed by that many tail fields in order.
 
+use radio_util::json::{Object, Value, Writer};
 use radio_util::stats::StreamingStats;
 use std::fmt;
 
@@ -67,11 +67,18 @@ impl fmt::Display for RowError {
 
 impl std::error::Error for RowError {}
 
+impl From<String> for RowError {
+    fn from(msg: String) -> Self {
+        RowError(msg)
+    }
+}
+
 /// A `{count, mean, min, max, p50, p95}` summary, or `null` when the
 /// metric folded no samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RowStats {
     /// No samples were folded — rendered as JSON `null`.
+    #[default]
     Null,
     /// A non-empty summary. Non-finite floats render as JSON `null` and
     /// are stored as NaN in memory and in the binary encoding.
@@ -108,9 +115,10 @@ impl From<&StreamingStats> for RowStats {
 }
 
 impl RowStats {
-    fn render(&self, out: &mut String) {
+    /// The stats block as a JSON value: `null` or a six-field object.
+    fn to_json(self) -> String {
         match self {
-            RowStats::Null => out.push_str("null"),
+            RowStats::Null => "null".to_string(),
             RowStats::Present {
                 count,
                 mean,
@@ -118,28 +126,32 @@ impl RowStats {
                 max,
                 p50,
                 p95,
-            } => {
-                out.push_str(&format!(
-                    "{{\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{}}}",
-                    count,
-                    json_f64(*mean),
-                    json_f64(*min),
-                    json_f64(*max),
-                    json_f64(*p50),
-                    json_f64(*p95),
-                ));
-            }
+            } => Writer::default()
+                .u64("count", count)
+                .f64("mean", mean)
+                .f64("min", min)
+                .f64("max", max)
+                .f64("p50", p50)
+                .f64("p95", p95)
+                .finish(),
         }
     }
-}
 
-/// JSON-safe float rendering (JSON has no NaN/∞; a whole-valued f64 is
-/// emitted without a fraction, which every JSON parser reads as a number).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+    /// Takes the stats field `key` of a parsed row, if present. A missing
+    /// summary field reads as zero and a value other than an object as
+    /// `null`; the caller's re-render check rejects either row.
+    fn take(row: &mut Object, key: &str) -> Result<Option<RowStats>, RowError> {
+        Ok(match row.take(key) {
+            Some(Value::Object(mut s)) => Some(RowStats::Present {
+                count: s.take_u64("count")?.unwrap_or_default(),
+                mean: s.take_f64("mean")?.unwrap_or_default(),
+                min: s.take_f64("min")?.unwrap_or_default(),
+                max: s.take_f64("max")?.unwrap_or_default(),
+                p50: s.take_f64("p50")?.unwrap_or_default(),
+                p95: s.take_f64("p95")?.unwrap_or_default(),
+            }),
+            other => other.map(|_| RowStats::Null),
+        })
     }
 }
 
@@ -224,316 +236,126 @@ pub enum CampaignRow {
 impl CampaignRow {
     /// Renders the pinned JSONL form, byte for byte.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(512);
         match self {
             CampaignRow::Elect(r) => {
-                out.push_str(&format!(
-                    "{{\"phase\":\"elect\",\
-                     \"family\":\"{}\",\"tags\":\"{}\",\"n\":{},\"span\":{},\"model\":\"{}\",\
-                     \"runs\":{},\"feasible\":{},\"elected\":{},\"aborted\":{}",
-                    r.family,
-                    r.tags,
-                    r.n,
-                    r.span,
-                    r.model,
-                    r.runs,
-                    r.feasible,
-                    r.elected,
-                    r.aborted,
-                ));
-                for (key, stats) in [
-                    ("rounds", &r.rounds),
-                    ("transmissions", &r.transmissions),
-                    ("stepped", &r.stepped),
-                    ("leapt", &r.leapt),
-                ] {
-                    out.push_str(&format!(",\"{key}\":"));
-                    stats.render(&mut out);
-                }
+                let mut w = Writer::default()
+                    .str("phase", "elect")
+                    .str("family", &r.family)
+                    .str("tags", &r.tags)
+                    .u64("n", r.n)
+                    .u64("span", r.span)
+                    .str("model", &r.model)
+                    .u64("runs", r.runs)
+                    .u64("feasible", r.feasible)
+                    .u64("elected", r.elected)
+                    .u64("aborted", r.aborted)
+                    .raw("rounds", &r.rounds.to_json())
+                    .raw("transmissions", &r.transmissions.to_json())
+                    .raw("stepped", &r.stepped.to_json())
+                    .raw("leapt", &r.leapt.to_json());
                 if let Some(wall) = &r.wall_ns {
-                    out.push_str(",\"wall_ns\":");
-                    wall.render(&mut out);
+                    w = w.raw("wall_ns", &wall.to_json());
                     if let Some(hits) = r.cache_hits {
-                        out.push_str(&format!(",\"cache_hits\":{hits}"));
+                        w = w.u64("cache_hits", hits);
                         if let Some(misses) = r.cache_misses {
-                            out.push_str(&format!(",\"cache_misses\":{misses}"));
+                            w = w.u64("cache_misses", misses);
                             if let Some(mem) = &r.mem_hw {
-                                out.push_str(",\"mem_hw\":");
-                                mem.render(&mut out);
+                                w = w.raw("mem_hw", &mem.to_json());
                             }
                         }
                     }
                 }
+                w.finish()
             }
             CampaignRow::Classify(r) => {
-                out.push_str(&format!(
-                    "{{\"phase\":\"classify\",\
-                     \"family\":\"{}\",\"tags\":\"{}\",\"n\":{},\"span\":{},\
-                     \"runs\":{},\"feasible\":{}",
-                    r.family, r.tags, r.n, r.span, r.runs, r.feasible,
-                ));
-                for (key, stats) in [
-                    ("iterations", &r.iterations),
-                    ("classes", &r.classes),
-                    ("relabels", &r.relabels),
-                ] {
-                    out.push_str(&format!(",\"{key}\":"));
-                    stats.render(&mut out);
-                }
+                let mut w = Writer::default()
+                    .str("phase", "classify")
+                    .str("family", &r.family)
+                    .str("tags", &r.tags)
+                    .u64("n", r.n)
+                    .u64("span", r.span)
+                    .u64("runs", r.runs)
+                    .u64("feasible", r.feasible)
+                    .raw("iterations", &r.iterations.to_json())
+                    .raw("classes", &r.classes.to_json())
+                    .raw("relabels", &r.relabels.to_json());
                 if let Some(wall) = &r.wall_ns {
-                    out.push_str(",\"wall_ns\":");
-                    wall.render(&mut out);
+                    w = w.raw("wall_ns", &wall.to_json());
                     if let Some(mem) = &r.mem_hw {
-                        out.push_str(",\"mem_hw\":");
-                        mem.render(&mut out);
+                        w = w.raw("mem_hw", &mem.to_json());
                     }
                 }
+                w.finish()
             }
         }
-        out.push('}');
-        out
     }
 
     /// Parses one JSONL row produced by [`to_jsonl`](Self::to_jsonl) (or
     /// any prior schema version — the measured tail may be any prefix).
-    /// The parser is exact, not lenient: field order, spelling, and the
-    /// absence of whitespace are all enforced, matching the contract
-    /// `radio-lint schema` checks.
+    /// The parser is exact, not lenient: a row is accepted only if it
+    /// re-renders to the same bytes, which enforces field order, spelling,
+    /// the absence of whitespace, number form and the tail prefix rule —
+    /// the contract `radio-lint schema` checks.
     pub fn parse_jsonl(line: &str) -> Result<CampaignRow, RowError> {
-        let mut c = Cursor::new(line);
-        c.expect("{\"phase\":\"")?;
-        let phase = c.string_until_quote()?;
+        let mut obj = Object::parse(line)?;
+        // A missing field reads as a default; the re-render check rejects it.
+        let phase = obj.take_str("phase")?.unwrap_or_default();
         let row = match phase.as_str() {
-            "elect" => {
-                c.expect(",\"family\":\"")?;
-                let family = c.string_until_quote()?;
-                c.expect(",\"tags\":\"")?;
-                let tags = c.string_until_quote()?;
-                c.expect(",\"n\":")?;
-                let n = c.u64()?;
-                c.expect(",\"span\":")?;
-                let span = c.u64()?;
-                c.expect(",\"model\":\"")?;
-                let model = c.string_until_quote()?;
-                c.expect(",\"runs\":")?;
-                let runs = c.u64()?;
-                c.expect(",\"feasible\":")?;
-                let feasible = c.u64()?;
-                c.expect(",\"elected\":")?;
-                let elected = c.u64()?;
-                c.expect(",\"aborted\":")?;
-                let aborted = c.u64()?;
-                c.expect(",\"rounds\":")?;
-                let rounds = c.stats()?;
-                c.expect(",\"transmissions\":")?;
-                let transmissions = c.stats()?;
-                c.expect(",\"stepped\":")?;
-                let stepped = c.stats()?;
-                c.expect(",\"leapt\":")?;
-                let leapt = c.stats()?;
-                let mut row = ElectRow {
-                    family,
-                    tags,
-                    n,
-                    span,
-                    model,
-                    runs,
-                    feasible,
-                    elected,
-                    aborted,
-                    rounds,
-                    transmissions,
-                    stepped,
-                    leapt,
-                    wall_ns: None,
-                    cache_hits: None,
-                    cache_misses: None,
-                    mem_hw: None,
-                };
-                if c.eat(",\"wall_ns\":") {
-                    row.wall_ns = Some(c.stats()?);
-                    if c.eat(",\"cache_hits\":") {
-                        row.cache_hits = Some(c.u64()?);
-                        if c.eat(",\"cache_misses\":") {
-                            row.cache_misses = Some(c.u64()?);
-                            if c.eat(",\"mem_hw\":") {
-                                row.mem_hw = Some(c.stats()?);
-                            }
-                        }
-                    }
-                }
-                CampaignRow::Elect(row)
-            }
-            "classify" => {
-                c.expect(",\"family\":\"")?;
-                let family = c.string_until_quote()?;
-                c.expect(",\"tags\":\"")?;
-                let tags = c.string_until_quote()?;
-                c.expect(",\"n\":")?;
-                let n = c.u64()?;
-                c.expect(",\"span\":")?;
-                let span = c.u64()?;
-                c.expect(",\"runs\":")?;
-                let runs = c.u64()?;
-                c.expect(",\"feasible\":")?;
-                let feasible = c.u64()?;
-                c.expect(",\"iterations\":")?;
-                let iterations = c.stats()?;
-                c.expect(",\"classes\":")?;
-                let classes = c.stats()?;
-                c.expect(",\"relabels\":")?;
-                let relabels = c.stats()?;
-                let mut row = ClassifyRow {
-                    family,
-                    tags,
-                    n,
-                    span,
-                    runs,
-                    feasible,
-                    iterations,
-                    classes,
-                    relabels,
-                    wall_ns: None,
-                    mem_hw: None,
-                };
-                if c.eat(",\"wall_ns\":") {
-                    row.wall_ns = Some(c.stats()?);
-                    if c.eat(",\"mem_hw\":") {
-                        row.mem_hw = Some(c.stats()?);
-                    }
-                }
-                CampaignRow::Classify(row)
-            }
+            "elect" => CampaignRow::Elect(ElectRow {
+                family: take_label(&mut obj, "family")?,
+                tags: take_label(&mut obj, "tags")?,
+                n: obj.take_u64("n")?.unwrap_or_default(),
+                span: obj.take_u64("span")?.unwrap_or_default(),
+                model: take_label(&mut obj, "model")?,
+                runs: obj.take_u64("runs")?.unwrap_or_default(),
+                feasible: obj.take_u64("feasible")?.unwrap_or_default(),
+                elected: obj.take_u64("elected")?.unwrap_or_default(),
+                aborted: obj.take_u64("aborted")?.unwrap_or_default(),
+                rounds: RowStats::take(&mut obj, "rounds")?.unwrap_or_default(),
+                transmissions: RowStats::take(&mut obj, "transmissions")?.unwrap_or_default(),
+                stepped: RowStats::take(&mut obj, "stepped")?.unwrap_or_default(),
+                leapt: RowStats::take(&mut obj, "leapt")?.unwrap_or_default(),
+                wall_ns: RowStats::take(&mut obj, "wall_ns")?,
+                cache_hits: obj.take_u64("cache_hits")?,
+                cache_misses: obj.take_u64("cache_misses")?,
+                mem_hw: RowStats::take(&mut obj, "mem_hw")?,
+            }),
+            "classify" => CampaignRow::Classify(ClassifyRow {
+                family: take_label(&mut obj, "family")?,
+                tags: take_label(&mut obj, "tags")?,
+                n: obj.take_u64("n")?.unwrap_or_default(),
+                span: obj.take_u64("span")?.unwrap_or_default(),
+                runs: obj.take_u64("runs")?.unwrap_or_default(),
+                feasible: obj.take_u64("feasible")?.unwrap_or_default(),
+                iterations: RowStats::take(&mut obj, "iterations")?.unwrap_or_default(),
+                classes: RowStats::take(&mut obj, "classes")?.unwrap_or_default(),
+                relabels: RowStats::take(&mut obj, "relabels")?.unwrap_or_default(),
+                wall_ns: RowStats::take(&mut obj, "wall_ns")?,
+                mem_hw: RowStats::take(&mut obj, "mem_hw")?,
+            }),
             other => return Err(RowError::new(format!("unknown phase {other:?}"))),
         };
-        c.expect("}")?;
-        c.end()?;
+        if let Some(key) = obj.leftover() {
+            return Err(RowError::new(format!("unknown field \"{key}\"")));
+        }
+        let canonical = row.to_jsonl();
+        if canonical != line {
+            return Err(RowError::new(format!(
+                "not in canonical form (field order, spacing or number spelling); \
+                 expected {canonical}"
+            )));
+        }
         Ok(row)
     }
 }
 
-/// Exact-match cursor over a JSONL row. No whitespace skipping: the
-/// producer never emits any, and the schema contract forbids drift.
-struct Cursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor { rest: s }
-    }
-
-    fn expect(&mut self, lit: &str) -> Result<(), RowError> {
-        if let Some(rest) = self.rest.strip_prefix(lit) {
-            self.rest = rest;
-            Ok(())
-        } else {
-            let got: String = self.rest.chars().take(lit.len().max(12)).collect();
-            Err(RowError::new(format!("expected {lit:?}, found {got:?}")))
-        }
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        if let Some(rest) = self.rest.strip_prefix(lit) {
-            self.rest = rest;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn end(&self) -> Result<(), RowError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(RowError::new(format!(
-                "trailing content after row: {:?}",
-                &self.rest[..self.rest.len().min(24)]
-            )))
-        }
-    }
-
-    /// Reads up to (and consumes) the closing quote. Axis labels never
-    /// contain escapes, so a backslash is rejected rather than decoded.
-    fn string_until_quote(&mut self) -> Result<String, RowError> {
-        let close = self
-            .rest
-            .find('"')
-            .ok_or_else(|| RowError::new("unterminated string"))?;
-        let s = &self.rest[..close];
-        if s.contains('\\') {
-            return Err(RowError::new("escape sequences are not part of the schema"));
-        }
-        self.rest = &self.rest[close + 1..];
-        Ok(s.to_string())
-    }
-
-    fn u64(&mut self) -> Result<u64, RowError> {
-        let digits = self.rest.len()
-            - self
-                .rest
-                .trim_start_matches(|c: char| c.is_ascii_digit())
-                .len();
-        if digits == 0 {
-            return Err(RowError::new(format!(
-                "expected an integer, found {:?}",
-                &self.rest[..self.rest.len().min(12)]
-            )));
-        }
-        let (num, rest) = self.rest.split_at(digits);
-        self.rest = rest;
-        num.parse()
-            .map_err(|e| RowError::new(format!("integer {num:?}: {e}")))
-    }
-
-    /// A JSON number or `null` (rendered for non-finite floats). `null`
-    /// parses to NaN, which renders back to `null` — exact round-trip.
-    fn f64(&mut self) -> Result<f64, RowError> {
-        if self.eat("null") {
-            return Ok(f64::NAN);
-        }
-        let len = self.rest.len()
-            - self
-                .rest
-                .trim_start_matches(|c: char| c.is_ascii_digit() || "+-.eE".contains(c))
-                .len();
-        if len == 0 {
-            return Err(RowError::new(format!(
-                "expected a number, found {:?}",
-                &self.rest[..self.rest.len().min(12)]
-            )));
-        }
-        let (num, rest) = self.rest.split_at(len);
-        self.rest = rest;
-        num.parse()
-            .map_err(|e| RowError::new(format!("number {num:?}: {e}")))
-    }
-
-    fn stats(&mut self) -> Result<RowStats, RowError> {
-        if self.eat("null") {
-            return Ok(RowStats::Null);
-        }
-        self.expect("{\"count\":")?;
-        let count = self.u64()?;
-        self.expect(",\"mean\":")?;
-        let mean = self.f64()?;
-        self.expect(",\"min\":")?;
-        let min = self.f64()?;
-        self.expect(",\"max\":")?;
-        let max = self.f64()?;
-        self.expect(",\"p50\":")?;
-        let p50 = self.f64()?;
-        self.expect(",\"p95\":")?;
-        let p95 = self.f64()?;
-        self.expect("}")?;
-        Ok(RowStats::Present {
-            count,
-            mean,
-            min,
-            max,
-            p50,
-            p95,
-        })
+/// Takes an axis label. The binary format stores a label's length as a
+/// `u16`, so a longer one is rejected here rather than in the encoder.
+fn take_label(row: &mut Object, key: &str) -> Result<String, RowError> {
+    let label = row.take_str(key)?.unwrap_or_default();
+    match label.len() > usize::from(u16::MAX) {
+        true => Err(RowError::new(format!("\"{key}\" is over 65535 bytes"))),
+        false => Ok(label),
     }
 }
 
@@ -1004,6 +826,16 @@ mod tests {
         assert!(CampaignRow::parse_jsonl(&line[..line.len() - 2]).is_err());
         // unknown phase
         assert!(CampaignRow::parse_jsonl("{\"phase\":\"audit\"}").is_err());
+        // number spelling (`1e0` reads as 1, `.5` is not JSON); a tail
+        // field without its predecessors
+        let (line, elect) = (sample_classify().to_jsonl(), sample_elect(false).to_jsonl());
+        for drifted in [
+            line.replacen("\"mean\":1,", "\"mean\":1e0,", 1),
+            line.replacen("\"mean\":1,", "\"mean\":.5,", 1),
+            format!("{},\"cache_hits\":1}}", &elect[..elect.len() - 1]),
+        ] {
+            assert!(CampaignRow::parse_jsonl(&drifted).is_err(), "{drifted}");
+        }
     }
 
     #[test]

@@ -85,6 +85,7 @@ use std::sync::{mpsc, Arc, Mutex};
 
 use radio_graph::Configuration;
 use radio_sim::{ModelKind, RunOpts};
+use radio_util::json::{Object, Writer};
 use radio_util::rng::{derive, rng_from, DEFAULT_ROOT_SEED};
 
 use crate::api::ElectError;
@@ -244,270 +245,13 @@ pub struct JobParseError {
     pub message: String,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    UInt(u64),
-    Bool(bool),
-    Null,
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::UInt(_) => "unsigned integer",
-            Value::Bool(_) => "boolean",
-            Value::Null => "null",
-        }
-    }
-}
-
-/// Byte scanner for the flat-object request grammar (strings, unsigned
-/// integers, booleans, null — nothing nested, nothing signed or
-/// fractional).
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(line: &'a str) -> Scanner<'a> {
-        Scanner {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(b) => Err(format!(
-                "expected `{}` at byte {}, found `{}`",
-                want as char, self.pos, b as char
-            )),
-            None => Err(format!("expected `{}` but the line ended", want as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".to_string());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("\\u{hex} is not a scalar value"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Continuation bytes of multi-byte characters ride
-                    // along: the line is valid UTF-8 (it came in as &str)
-                    // and escapes are ASCII, so byte-wise copying is safe.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while self.bytes.get(end).is_some_and(|&b| b >= 0x80) {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid UTF-8 in string")?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b) if b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                match self.bytes.get(self.pos) {
-                    Some(b'.') | Some(b'e') | Some(b'E') => {
-                        Err("numbers must be unsigned integers".to_string())
-                    }
-                    _ => std::str::from_utf8(&self.bytes[start..self.pos])
-                        .expect("digits are ASCII")
-                        .parse::<u64>()
-                        .map(Value::UInt)
-                        .map_err(|e| format!("bad integer: {e}")),
-                }
-            }
-            Some(b'-') => Err("numbers must be unsigned integers".to_string()),
-            Some(b'{') | Some(b'[') => {
-                Err("nested objects/arrays are not part of the job grammar".to_string())
-            }
-            Some(b) => Err(format!("unexpected `{}` where a value belongs", b as char)),
-            None => Err("line ended where a value belongs".to_string()),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected `{word}`"))
-        }
-    }
-
-    fn done(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "trailing content after the object at byte {}",
-                self.pos
-            ))
-        }
-    }
-}
-
-/// `{"k":v,…}` → ordered `(key, value)` pairs.
-fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut s = Scanner::new(line);
-    s.eat(b'{')?;
-    let mut fields = Vec::new();
-    if s.peek() == Some(b'}') {
-        s.pos += 1;
-        s.done()?;
-        return Ok(fields);
-    }
-    loop {
-        let key = s.string()?;
-        s.eat(b':')?;
-        let value = s.value()?;
-        if fields.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate field \"{key}\""));
-        }
-        fields.push((key, value));
-        match s.peek() {
-            Some(b',') => s.pos += 1,
-            Some(b'}') => {
-                s.pos += 1;
-                s.done()?;
-                return Ok(fields);
-            }
-            _ => return Err("expected `,` or `}` after a field".to_string()),
-        }
-    }
-}
-
-struct Fields(Vec<(String, Value)>);
-
-impl Fields {
-    fn take(&mut self, name: &str) -> Option<Value> {
-        let idx = self.0.iter().position(|(k, _)| k == name)?;
-        Some(self.0.remove(idx).1)
-    }
-
-    fn take_u64(&mut self, name: &str) -> Result<Option<u64>, String> {
-        match self.take(name) {
-            None => Ok(None),
-            Some(Value::UInt(v)) => Ok(Some(v)),
-            Some(other) => Err(format!(
-                "\"{name}\" must be an unsigned integer, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn take_str(&mut self, name: &str) -> Result<Option<String>, String> {
-        match self.take(name) {
-            None => Ok(None),
-            Some(Value::Str(v)) => Ok(Some(v)),
-            Some(other) => Err(format!(
-                "\"{name}\" must be a string, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn take_bool(&mut self, name: &str) -> Result<bool, String> {
-        match self.take(name) {
-            None => Ok(false),
-            Some(Value::Bool(v)) => Ok(v),
-            Some(other) => Err(format!(
-                "\"{name}\" must be a boolean, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn reject_leftovers(&self, op: &str) -> Result<(), String> {
-        match self.0.first() {
-            None => Ok(()),
-            Some((name, _)) => Err(format!("\"{name}\" is not a field of \"{op}\" jobs")),
-        }
-    }
-}
-
 impl JobRequest {
     /// Parses one request line. Errors carry the request's `id` whenever
     /// the line parsed far enough to expose one, so the error reply still
     /// correlates.
     pub fn parse(line: &str) -> Result<JobRequest, JobParseError> {
         let mut fields =
-            Fields(parse_object(line).map_err(|message| JobParseError { id: None, message })?);
+            Object::parse(line).map_err(|message| JobParseError { id: None, message })?;
         let id = fields
             .take_u64("id")
             .map_err(|message| JobParseError { id: None, message })?;
@@ -532,19 +276,21 @@ impl JobRequest {
                 )))
             }
         };
-        fields.reject_leftovers(&op).map_err(&fail)?;
+        if let Some(name) = fields.leftover() {
+            return Err(fail(format!("\"{name}\" is not a field of \"{op}\" jobs")));
+        }
         Ok(JobRequest { id, kind })
     }
 }
 
 impl OneShotJob {
-    fn from_fields(fields: &mut Fields, is_elect: bool) -> Result<OneShotJob, String> {
+    fn from_fields(fields: &mut Object, is_elect: bool) -> Result<OneShotJob, String> {
         let source = ConfigSource::from_fields(fields)?;
         let (model, max_rounds, no_leap) = if is_elect {
             (
                 parse_model(fields.take_str("model")?)?,
                 fields.take_u64("max_rounds")?,
-                fields.take_bool("no_leap")?,
+                fields.take_bool("no_leap")?.unwrap_or(false),
             )
         } else {
             for knob in ["model", "max_rounds", "no_leap"] {
@@ -599,7 +345,7 @@ impl ConfigSource {
         }
     }
 
-    fn from_fields(fields: &mut Fields) -> Result<ConfigSource, String> {
+    fn from_fields(fields: &mut Object) -> Result<ConfigSource, String> {
         if let Some(text) = fields.take_str("config")? {
             for drawn in ["family", "n", "span", "tags", "seed"] {
                 if fields.take(drawn).is_some() {
@@ -629,7 +375,7 @@ impl ConfigSource {
 }
 
 impl CellJob {
-    fn from_fields(fields: &mut Fields) -> Result<CellJob, String> {
+    fn from_fields(fields: &mut Object) -> Result<CellJob, String> {
         if fields.take("config").is_some() {
             return Err(
                 "\"campaign-cell\" draws its configurations positionally from the spec — \
@@ -660,7 +406,7 @@ impl CellJob {
             reps: fields.take_u64("reps")?.unwrap_or(1) as usize,
             seed: fields.take_u64("seed")?.unwrap_or(DEFAULT_ROOT_SEED),
             max_rounds: fields.take_u64("max_rounds")?,
-            no_leap: fields.take_bool("no_leap")?,
+            no_leap: fields.take_bool("no_leap")?.unwrap_or(false),
         })
     }
 
@@ -707,75 +453,16 @@ fn parse_tags(value: Option<String>) -> Result<TagStrategy, String> {
 // Reply rendering
 // ---------------------------------------------------------------------------
 
-fn push_json_escaped(buf: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                buf.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => buf.push(c),
-        }
-    }
-}
-
-struct Reply {
-    buf: String,
-}
-
-impl Reply {
-    fn ok(id: u64, op: &str) -> Reply {
-        Reply {
-            buf: format!("{{\"ok\":true,\"id\":{id},\"op\":\"{op}\""),
-        }
-    }
-
-    fn u64(mut self, name: &str, value: u64) -> Reply {
-        self.buf.push_str(&format!(",\"{name}\":{value}"));
-        self
-    }
-
-    fn bool(mut self, name: &str, value: bool) -> Reply {
-        self.buf.push_str(&format!(",\"{name}\":{value}"));
-        self
-    }
-
-    fn str(mut self, name: &str, value: &str) -> Reply {
-        self.buf.push_str(&format!(",\"{name}\":\""));
-        push_json_escaped(&mut self.buf, value);
-        self.buf.push('"');
-        self
-    }
-
-    /// Raw pre-rendered JSON (the embedded campaign row).
-    fn raw(mut self, name: &str, json: &str) -> Reply {
-        self.buf.push_str(&format!(",\"{name}\":{json}"));
-        self
-    }
-
-    fn opt_u64(mut self, name: &str, value: Option<u64>) -> Reply {
-        match value {
-            Some(v) => self.buf.push_str(&format!(",\"{name}\":{v}")),
-            None => self.buf.push_str(&format!(",\"{name}\":null")),
-        }
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
+fn ok_reply(id: u64, op: &str) -> Writer {
+    Writer::default()
+        .bool("ok", true)
+        .u64("id", id)
+        .str("op", op)
 }
 
 fn error_reply(id: u64, code: &str, message: &str) -> String {
-    let mut buf = format!("{{\"ok\":false,\"id\":{id},\"error\":\"{code}\",\"message\":\"");
-    push_json_escaped(&mut buf, message);
-    buf.push_str("\"}");
-    buf
+    let head = Writer::default().bool("ok", false).u64("id", id);
+    head.str("error", code).str("message", message).finish()
 }
 
 fn lookup_name(lookup: Option<CacheLookup>) -> &'static str {
@@ -794,10 +481,10 @@ fn lookup_name(lookup: Option<CacheLookup>) -> &'static str {
 /// Appends the per-job cache verdict and the shared cache's cumulative
 /// counters — the reply-visible form of the campaign rows' cache columns.
 fn with_cache_fields(
-    mut reply: Reply,
+    mut reply: Writer,
     ws: &CampaignWorkspace,
     lookup: Option<CacheLookup>,
-) -> Reply {
+) -> Writer {
     reply = reply.str("cache", lookup_name(lookup));
     if let Some(cache) = &ws.cache {
         let stats = cache.stats();
@@ -815,7 +502,7 @@ fn run_elect_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> Strin
     };
     let (compiled, lookup) = ws.compile(&config);
     if !compiled.feasible() {
-        let reply = Reply::ok(id, "elect")
+        let reply = ok_reply(id, "elect")
             .bool("feasible", false)
             .u64("iterations", compiled.summary().iterations as u64);
         return with_cache_fields(reply, ws, lookup).finish();
@@ -827,7 +514,7 @@ fn run_elect_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> Strin
         run_opts(job.max_rounds, job.no_leap),
     ) {
         Ok(report) => {
-            let reply = Reply::ok(id, "elect")
+            let reply = ok_reply(id, "elect")
                 .bool("feasible", true)
                 .str("model", &job.model.to_string())
                 .u64("leader", u64::from(report.leader))
@@ -850,11 +537,12 @@ fn run_classify_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> St
         Err(msg) => return error_reply(id, "bad-request", &msg),
     };
     let summary = ws.classifier.summarize_in(&config);
-    Reply::ok(id, "classify")
+    let leader = summary.leader.map_or("null".to_string(), |l| l.to_string());
+    ok_reply(id, "classify")
         .bool("feasible", summary.feasible)
         .u64("iterations", summary.iterations as u64)
         .u64("classes", u64::from(summary.num_classes))
-        .opt_u64("leader", summary.leader.map(u64::from))
+        .raw("leader", &leader)
         .u64("relabels", summary.relabels)
         .finish()
 }
@@ -868,7 +556,7 @@ fn run_cell_job(ws: &mut CampaignWorkspace, job: &CellJob, id: u64) -> String {
     debug_assert_eq!(cells.len(), 1, "single-value axes name one cell");
     let agg = run_cell(ws, &spec, &cells[0]);
     let row = cell_row(spec.phase, &cells[0], &agg);
-    Reply::ok(id, "campaign-cell")
+    ok_reply(id, "campaign-cell")
         .u64("reps", spec.reps as u64)
         .raw("row", &row.to_jsonl())
         .finish()
@@ -1012,7 +700,7 @@ fn reader_loop<R: BufRead>(
                     // The ack takes the highest sequence number, so the
                     // in-order writer emits it only after every earlier
                     // job has drained through the queue and workers.
-                    let ack = Reply::ok(id, "shutdown").u64("jobs", seq).finish();
+                    let ack = ok_reply(id, "shutdown").u64("jobs", seq).finish();
                     let _ = replies.send((seq, ack));
                     seq += 1;
                     break;
@@ -1269,12 +957,18 @@ mod tests {
 
     #[test]
     fn inline_configs_parse_with_escapes() {
-        let req = parse_ok(r#"{"op":"classify","config":"config 2 1\ntags 0 5\nedge 0 1\n"}"#);
-        let JobKind::Classify(job) = req.kind else {
-            panic!("not classify")
-        };
-        let config = job.configuration().expect("valid inline config");
-        assert_eq!(config.size(), 2);
+        // `json.dumps` writes a character outside the BMP as a surrogate pair.
+        for emoji in ["", r#"# \ud83d\ude00 sensor field\n"#] {
+            let line = format!(
+                r#"{{"op":"classify","config":"{emoji}config 2 1\ntags 0 5\nedge 0 1\n"}}"#
+            );
+            let req = parse_ok(&line);
+            let JobKind::Classify(job) = req.kind else {
+                panic!("not classify")
+            };
+            let config = job.configuration().expect("valid inline config");
+            assert_eq!(config.size(), 2);
+        }
     }
 
     #[test]
@@ -1290,6 +984,17 @@ mod tests {
         assert!(parse_err(r#"{"op":"elect","family":"path","n":-3}"#)
             .message
             .contains("unsigned"));
+        // A type error keeps the request's id; a lone surrogate and `\u+06f` are malformed.
+        let e = parse_err(r#"{"op":"elect","id":6,"family":"path","n":1.5}"#);
+        assert_eq!(e.id, Some(6));
+        assert_eq!(e.message, "\"n\" must be an unsigned integer, got number");
+        for (config, needle) in [
+            (r#"\ud83d"#, "not a scalar value"),
+            (r#"\u+06f"#, "bad \\u"),
+        ] {
+            let line = format!(r#"{{"op":"classify","config":"{config}"}}"#);
+            assert!(parse_err(&line).message.contains(needle), "{line}");
+        }
         assert!(parse_err(r#"{"op":"elect"}"#)
             .message
             .contains("\"family\""));

@@ -391,3 +391,49 @@ fn help_on_flag_subcommands_prints_usage_instead_of_an_unknown_argument() {
         assert!(out.stderr.is_empty(), "{sub}: no unknown-argument error");
     }
 }
+
+/// `rows convert` on hostile or non-canonical JSONL fails cleanly: exit 1,
+/// a `malformed campaign row` message, no panic and no output file. The
+/// cases are an error snippet cut inside a multi-byte character, a label
+/// too long for the binary format's `u16` length, and a number spelled
+/// other than the canonical renderer spells it.
+#[test]
+fn rows_convert_rejects_hostile_and_non_canonical_rows() {
+    let golden = |name: &str| {
+        let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("golden corpus");
+        text.lines().next().expect("a golden row").to_string()
+    };
+    let (elect, classify) = (
+        golden("campaign_elect.jsonl"),
+        golden("campaign_classify.jsonl"),
+    );
+    let long_label = format!("\"family\":\"{}\"", "a".repeat(70_000));
+    let rows = [
+        r#"{"phase":"elect","family":"a","tags":"b","n":xéééééééé}"#.to_string(),
+        format!("{elect}xéééééééééééééé"),
+        classify.replacen("\"family\":\"star\"", &long_label, 1),
+        classify.replacen("\"mean\":1,", "\"mean\":1e0,", 1),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (i, row) in rows.iter().enumerate() {
+        assert!(row != &elect && row != &classify, "case {i} edits its row");
+        let input = dir.join(format!("hostile_row_{i}.jsonl"));
+        let output = dir.join(format!("hostile_row_{i}.bin"));
+        std::fs::write(&input, format!("{row}\n")).expect("write input");
+        let _ = std::fs::remove_file(&output);
+        let out = bin()
+            .args(["rows", "convert"])
+            .arg(&input)
+            .arg(&output)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i}: {stderr}");
+        assert!(
+            stderr.contains("malformed campaign row"),
+            "case {i}: {stderr}"
+        );
+        assert!(!output.exists(), "case {i} wrote {}", output.display());
+    }
+}

@@ -17,11 +17,14 @@
 //!   repository is reproducible bit-for-bit from a single root seed.
 //! * [`mem`] — best-effort process memory probes (Linux peak RSS) backing
 //!   the campaign `mem_hw` observability column and the scale benches.
+//! * [`json`] — the one JSON object codec: campaign rows, serve requests
+//!   and replies, and bench trajectory rows all read and write through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fxhash;
+pub mod json;
 pub mod mem;
 pub mod rng;
 pub mod stats;
