@@ -115,6 +115,13 @@ pub struct ElectionReport {
     /// Global rounds the time-leap scheduler skipped as provably quiet
     /// (0 when leaping is disabled).
     pub rounds_leapt: u64,
+    /// Node visits that decided an action (see
+    /// [`radio_sim::ResidentRun::decides`]).
+    pub decides: u64,
+    /// Horizon queries the engine made (see
+    /// [`radio_sim::ResidentRun::horizon_queries`]; 0 when leaping is
+    /// disabled).
+    pub horizon_queries: u64,
 }
 
 /// Decides feasibility of leader election on `config` (Theorem 3.17).

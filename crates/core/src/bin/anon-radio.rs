@@ -844,14 +844,17 @@ fn report_election<E: std::fmt::Display>(
             println!(
                 "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
                  done by global round {} | transmissions: {} | \
-                 engine: {} stepped + {} leapt",
+                 engine: {} stepped + {} leapt | \
+                 visits: {} decides + {} horizon queries",
                 report.leader,
                 report.phases,
                 report.rounds_local,
                 report.completion_round,
                 report.transmissions,
                 report.rounds_stepped,
-                report.rounds_leapt
+                report.rounds_leapt,
+                report.decides,
+                report.horizon_queries
             );
             0
         }

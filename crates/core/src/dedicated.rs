@@ -185,6 +185,8 @@ impl CompiledElection {
             transmissions: run.stats.transmissions,
             rounds_stepped: run.rounds_stepped,
             rounds_leapt: run.rounds_leapt,
+            decides: run.decides,
+            horizon_queries: run.horizon_queries,
         })
     }
 }

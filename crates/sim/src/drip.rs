@@ -9,10 +9,12 @@
 //!   for
 //!   tests and adversary candidates.
 //! * [`DripNode`] / [`DripFactory`] — a per-node state machine spawned from
-//!   a shared factory. The engine calls [`DripNode::decide`] exactly once
-//!   per local round in order, so implementations may cache derived state
-//!   instead of re-scanning their history; the contract is that the decision
-//!   must remain a function of the history alone (anonymity/uniformity).
+//!   a shared factory. The engine calls [`DripNode::decide`] in local-round
+//!   order — once per round, except the rounds a
+//!   [`DripNode::quiet_until`] horizon covers — so implementations may
+//!   cache derived state instead of re-scanning their history; the
+//!   contract is that the decision must remain a function of the history
+//!   alone (anonymity/uniformity).
 //!
 //! The factory receives no node identity — the only per-configuration
 //! knowledge a *dedicated* algorithm may embed is whatever the factory
@@ -34,30 +36,37 @@ pub trait DripNode {
     /// [`History::view`] to drive a node from an owned history.
     ///
     /// The engine guarantees calls happen in increasing local-round order
-    /// and never again after `Action::Terminate` is returned. Calls are
-    /// once per local round, **except** that the time-leap scheduler may
-    /// skip the calls a [`DripNode::quiet_until`] claim covers: when the
-    /// node has committed to listening through local round `q − 1` and
-    /// only silence was observed meanwhile, the next `decide` may arrive
-    /// with `history` extended by the skipped `(∅)` entries. A node that
-    /// returns `Some(q)` must therefore behave identically whether or not
-    /// those covered calls happen.
+    /// and never again after `Action::Terminate` is returned. Without
+    /// time-leap ([`RunOpts::leap`](crate::RunOpts::leap) off) the call
+    /// comes once per local round. With it, the engine skips `decide` in
+    /// every round the node's last [`DripNode::quiet_until`] horizon
+    /// covers — including a round in which the node hears something: the
+    /// node listens there by its claim, and a round's decision cannot
+    /// depend on that round's own observation. The engine re-asks for a
+    /// horizon after every round in which the node decided, woke, or
+    /// observed anything but silence, and the next `decide` sees every
+    /// observation made in between (skipped silent rounds as `(∅)`
+    /// entries). A node that returns `Some(q)` must therefore behave
+    /// identically whether or not the covered calls happen.
     fn decide(&mut self, history: HistoryView<'_>) -> Action;
 
-    /// Quiescence hint for the time-leap scheduler.
+    /// Quiescence horizon for the time-leap scheduler.
     ///
     /// Called with the same history the next [`DripNode::decide`] would
     /// receive (`history.len()` = the next local round `i`). Returning
-    /// `Some(q)` commits the node to `Action::Listen` for every local
-    /// round `j` with `i ≤ j < q`, **provided** all observations it makes
-    /// in those rounds are `(∅)` — the engine only relies on the claim
-    /// while the channel stays silent, and re-asks once anything else is
-    /// heard. Returning `None` (the default) makes no claim; the engine
-    /// then executes the round normally.
+    /// `Some(q)` with `q > i` commits the node to `Action::Listen` for
+    /// every local round `j` with `i ≤ j < q`, **provided** all
+    /// observations it makes in those rounds are `(∅)`; the engine then
+    /// visits it next at local round `q` and calls `decide` there. Anything
+    /// else it hears before `q` is recorded (and streamed to
+    /// [`DripNode::observe`]) without a `decide`, and the engine re-asks
+    /// at the end of that round. Returning `None` (the default), or a
+    /// `q ≤ i`, makes no claim: the node decides in round `i`.
     ///
-    /// The claim licenses the engine to skip the covered `decide` calls
-    /// entirely, appending the silent observations in bulk (see
-    /// `decide`'s contract). Implementations must not mutate state here.
+    /// An exact horizon (the node's next transmission, phase entry or
+    /// termination, as the canonical DRIP gives) is what makes a run cost
+    /// in proportion to its traffic; a shorter claim is sound but buys
+    /// extra `decide` calls. Implementations must not mutate state here.
     fn quiet_until(&self, history: HistoryView<'_>) -> Option<u64> {
         let _ = history;
         None
@@ -65,10 +74,11 @@ pub trait DripNode {
 
     /// Streaming-observation hook: the engine calls this whenever a
     /// *non-silent* observation is recorded for this node, with `t` the
-    /// local round the entry lands at (`H[t] = obs`). Silence — including
-    /// the bulk `(∅)` stretches a time-leap appends — is never reported;
-    /// a node that cares about silent rounds reads them off the growing
-    /// `history.len()` in [`DripNode::decide`].
+    /// local round the entry lands at (`H[t] = obs`), including rounds a
+    /// horizon let the engine skip `decide` in. Silence — including the
+    /// bulk `(∅)` stretches appended for skipped rounds — is never
+    /// reported; a node that cares about silent rounds reads them off the
+    /// growing `history.len()` in [`DripNode::decide`].
     ///
     /// The default is a no-op. Implementations that fold their history
     /// incrementally (e.g. the canonical DRIP's streaming mode) use this

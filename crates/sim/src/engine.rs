@@ -13,15 +13,16 @@
 //!
 //! # Round anatomy (global round `r`)
 //!
-//! 1. **Decide** — every awake, non-terminated node whose wake round is
-//!    `< r` computes its action from its history (its local round is
-//!    `r − wake`).
+//! 1. **Decide** — every node *due* in round `r` (see below) computes its
+//!    action from its history (its local round is `r − wake`).
 //! 2. **Transmit** — transmitters are collected; for every neighbour of a
 //!    transmitter the engine counts transmitting neighbours (round-stamped
 //!    counters, no per-round clearing).
 //! 3. **Deliver** — transmitters record silence (they hear nothing);
-//!    listeners record what [`RadioModel::listener_obs`] dictates;
-//!    terminators are retired.
+//!    listeners record what [`RadioModel::listener_obs`] dictates — the
+//!    deciders that chose to listen, and every other awake neighbour of a
+//!    transmitter, which listens under its quiet claim; terminators are
+//!    retired.
 //! 4. **Forced wake-ups** — sleeping neighbours of transmitters wake
 //!    exactly when [`RadioModel::wake_obs`] says so, with the entry it
 //!    returns as `H[0]`. Under the default model that is "exactly one
@@ -29,34 +30,48 @@
 //!    (noise is not a message).
 //! 5. **Spontaneous wake-ups** — sleeping nodes whose tag equals `r` wake
 //!    with `H[0] = (∅)`.
+//! 6. **Reschedule** — every node that decided, heard something, or woke
+//!    in round `r` is re-asked for its horizon with its end-of-round
+//!    history, which sets the next round it is due in.
 //!
 //! Step 4 runs before step 5 so a message arriving exactly in a node's tag
 //! round yields the forced-style `H[0] = (M)` — in every model.
 //!
-//! # Time-leap scheduling
+//! # Activity-proportional scheduling
 //!
 //! Real workloads are dominated by silence (the patient transform listens
-//! for σ rounds, the canonical schedule is almost entirely transmission-
-//! free), so the engine is event-driven: before executing a round it
-//! checks whether a stretch of rounds is provably uneventful and, if so,
-//! jumps straight over it ([`RunOpts::leap`], on by default):
+//! for σ rounds; the canonical schedule transmits once per node per phase
+//! and listens through σ-wide gaps), so the engine visits a node only when
+//! it acts or hears ([`RunOpts::leap`], on by default). A round-bucketed
+//! calendar keys every awake node by its next due round:
 //!
-//! * **Everyone asleep** — nothing can happen before the next pending
-//!   wake-up tag: jump there directly.
-//! * **Everyone a committed listener** — every active node advertises a
-//!   quiescence horizon via
-//!   [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until); if all
-//!   do, no transmissions (hence no deliveries, forced wake-ups, or
-//!   terminations) can occur before the earliest of {min horizon, next
-//!   tag}: jump there, appending the skipped `(∅)` observations in bulk
-//!   (the arena's `push_silence_n`).
+//! * after a visit the node is asked
+//!   [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until); a
+//!   claim `q` files it under its local round `q` — its transmit slot,
+//!   phase entry or termination — and no claim files it under the next
+//!   round;
+//! * in between it is not visited at all, unless a neighbour's
+//!   transmission reaches it: it records what it hears (without deciding:
+//!   it listens by its claim) and is re-asked at the end of that round;
+//! * the silent rounds a node spends unvisited are appended to its history
+//!   in bulk on its next visit (the arena's `pad_to`, a counter bump for
+//!   length-only histories).
+//!
+//! The engine executes only rounds in which some node is due or a wake-up
+//! tag falls, and skips straight from one to the next. A round counts as
+//! *stepped* iff some node decides in it or some node's tag equals it
+//! (including the tag of a node a message already woke); every other
+//! round is *leapt*. Work is therefore O(visits) — for the canonical DRIP
+//! O(n + (n + m)·T) over T phases — instead of O(stepped rounds × n).
 //!
 //! Leaping is a pure wall-clock optimization: the resulting [`Execution`]
-//! (histories, wake/done rounds, stats, trace round numbers) is
-//! bit-identical to a step-by-step run — the differential suite enforces
-//! this against both the non-leaping mode and the naive reference engine
-//! ([`crate::engine_ref`], which never leaps). Only
-//! [`Execution::rounds_stepped`] / [`Execution::rounds_leapt`] reveal the
+//! (histories, wake/done rounds, stats, trace round numbers and event
+//! lists) is bit-identical to a run with [`RunOpts::no_leap`], which files
+//! every awake node under the next round and so decides every node in
+//! every round — the differential suite enforces this against both that
+//! mode and the naive reference engine ([`crate::engine_ref`], which never
+//! leaps). Only [`Execution::rounds_stepped`] / [`Execution::rounds_leapt`]
+//! and the work counters of [`ResidentRun`](crate::ResidentRun) reveal the
 //! difference.
 //!
 //! # Hot-loop memory layout
@@ -65,8 +80,9 @@
 //! live in one shared observation arena: per node an
 //! `(offset, len, capacity)` segment into a single flat `Vec<Obs>`,
 //! relocated with geometric growth when full. Steady-state rounds
-//! therefore allocate nothing — no per-node `Vec<Obs>` ever exists during
-//! the run — and a node's history reaches its DRIP as a borrowed
+//! therefore allocate nothing but the calendar's occasional map node — no
+//! per-node `Vec<Obs>` ever exists during the run — and a node's history
+//! reaches its DRIP as a borrowed
 //! [`HistoryView`](crate::HistoryView) straight into the arena. Owned
 //! [`History`] values are materialized once, when the [`Execution`] is
 //! assembled.
@@ -97,12 +113,15 @@ pub struct RunOpts {
     pub max_rounds: u64,
     /// Record a [`Trace`] of eventful rounds.
     pub record_trace: bool,
-    /// Enable the time-leap scheduler: fast-forward over stretches that
-    /// are provably free of transmissions, wake-ups, and terminations
-    /// (see [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until)).
-    /// On by default; the produced [`Execution`] is bit-identical either
-    /// way — only [`Execution::rounds_stepped`] /
-    /// [`Execution::rounds_leapt`] and wall-clock time differ.
+    /// Enable the time-leap scheduler: visit a node only at wake-up, when
+    /// its quiet horizon runs out, and when a neighbour's transmission
+    /// reaches it, skipping every round in which no node decides and no
+    /// tag falls (see
+    /// [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until) and
+    /// the module docs). On by default; the produced [`Execution`] is
+    /// bit-identical either way — only [`Execution::rounds_stepped`] /
+    /// [`Execution::rounds_leapt`], the work counters and wall-clock time
+    /// differ.
     pub leap: bool,
     /// Store history *lengths* only: no observation content is retained
     /// at all. Non-silent observations are still delivered to the nodes
@@ -145,7 +164,7 @@ impl RunOpts {
     }
 
     /// Disables the time-leap scheduler: every global round is executed
-    /// one by one (the pre-leap engine behaviour).
+    /// one by one, and every awake node decides in every round.
     pub fn no_leap(mut self) -> RunOpts {
         self.leap = false;
         self
@@ -216,9 +235,9 @@ pub struct Execution {
     /// Number of global rounds simulated (index of the last eventful round
     /// plus one). Identical whether or not the engine leapt.
     pub rounds: u64,
-    /// Global rounds the engine actually executed one by one. Always
-    /// `rounds_stepped + rounds_leapt == rounds`; without time-leap the
-    /// whole run is stepped.
+    /// Global rounds in which some node decided or a wake-up tag fell.
+    /// Always `rounds_stepped + rounds_leapt == rounds`; without time-leap
+    /// the whole run is stepped.
     pub rounds_stepped: u64,
     /// Global rounds the time-leap scheduler skipped as provably quiet.
     pub rounds_leapt: u64,

@@ -3,7 +3,7 @@
 //! [`run_reference`] implements the radio model with no optimizations at
 //! all: every global round it scans *every* node, recomputes its state
 //! from first principles, and counts transmitting neighbours by walking
-//! the adjacency list of every node. No active lists, no round-stamped
+//! the adjacency list of every node. No visit calendar, no round-stamped
 //! counters, no tag-sorted wake sweep, no observation arena — just the
 //! model's definition, transcribed over plain per-node `Vec`s.
 //!

@@ -50,6 +50,9 @@ pub trait RadioModel: Copy + Clone + Default + Send + Sync + 'static {
     /// perceives. `msg` is the message of the unique transmitter when
     /// `count == 1` and `Msg(0)` otherwise — both engines pin this, so a
     /// model can never decode content out of silence or a collision.
+    /// `count == 0` must perceive `(∅)`: the optimized engine never asks,
+    /// and records the rounds in which no neighbour transmitted as
+    /// silence in bulk.
     fn listener_obs(count: u32, msg: Msg) -> Obs;
 
     /// Whether a sleeping node with `count ≥ 1` transmitting neighbours

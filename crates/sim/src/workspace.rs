@@ -1,19 +1,19 @@
 //! Reusable per-run engine state — the batch-execution substrate.
 //!
 //! A single election allocates a dozen vectors (arena segments, wake/done
-//! rounds, active lists, round-stamped counters, quiescence horizons).
-//! That is irrelevant for one run and dominant for a campaign of millions:
-//! the batch layers (`parallel`, `anon_radio::campaign`) therefore run
-//! every simulation through a long-lived [`SimWorkspace`], which owns all
-//! of that state and recycles it run after run.
+//! rounds, the visit calendar, round-stamped counters). That is
+//! irrelevant for one run and dominant for a campaign of millions: the
+//! batch layers (`parallel`, `anon_radio::campaign`) therefore run every
+//! simulation through a long-lived [`SimWorkspace`], which owns all of
+//! that state and recycles it run after run.
 //!
 //! [`SimWorkspace::reset_for`] re-dimensions the buffers for the next
 //! configuration *without freeing them*: once a workspace has warmed up to
 //! the largest configuration in a batch, back-to-back runs allocate
-//! nothing in the hot loop (the only steady-state allocations left are the
-//! per-node DRIP boxes the factory spawns and the owned histories of the
-//! returned [`Execution`] — both part of the run's inputs/outputs, not the
-//! engine).
+//! almost nothing in the hot loop (what is left is the per-node DRIP
+//! boxes the factory spawns, the owned histories of the returned
+//! [`Execution`] — both part of the run's inputs/outputs, not the engine —
+//! and the index nodes of the calendar's far-future buckets).
 //!
 //! The one-shot entry points ([`Executor::run`](crate::Executor::run),
 //! [`ModelKind::run`](crate::ModelKind::run)) are thin wrappers that build
@@ -21,6 +21,8 @@
 //! and the differential suite (`tests/workspace_reuse.rs`) pins that a
 //! workspace reused across a shuffled mix of configurations, channel
 //! models, and leap modes produces bit-identical executions to fresh runs.
+
+use std::collections::BTreeMap;
 
 use radio_graph::{Configuration, NodeId};
 
@@ -52,9 +54,10 @@ use crate::trace::{RoundEvent, Trace};
 ///
 /// Under [`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories)
 /// the arena stores nothing: each history is a per-node virtual length,
-/// and a leap's bulk silence ([`ObsArena::push_silence_n`]) is a counter
-/// bump — O(1) time *and* memory — which is what lets a 10⁶-node
-/// election run within a small multiple of its configuration footprint.
+/// and the bulk silence of the rounds a node spent unvisited
+/// ([`ObsArena::pad_to`]) is a counter bump — O(1) time *and* memory —
+/// which is what lets a 10⁶-node election run within a small multiple of
+/// its configuration footprint.
 #[derive(Debug, Default)]
 pub(crate) struct ObsArena {
     /// Length-only mode: nothing is stored, histories exist purely as
@@ -139,8 +142,9 @@ impl ObsArena {
         self.len[v] += 1;
     }
 
-    /// Appends `k` `(∅)` entries to segment `v` in one go — how the
-    /// time-leap scheduler delivers a skipped silent stretch.
+    /// Appends `k` `(∅)` entries to segment `v` in one go — how
+    /// [`ObsArena::pad_to`] delivers the silent rounds a node spent
+    /// unvisited.
     ///
     /// Length-only mode: a pure counter bump, O(1) time and memory — a
     /// leap over a million quiet rounds costs nothing per node. Dense
@@ -160,15 +164,27 @@ impl ObsArena {
         self.len[v] += k as u32;
     }
 
+    /// Pads segment `v` with `(∅)` entries up to length `len` (a no-op
+    /// when it is already that long) — one branch on the storage mode,
+    /// since the engine pads on every visit.
+    #[inline]
+    pub(crate) fn pad_to(&mut self, v: usize, len: u64) {
+        if self.len_only {
+            self.vlen[v] = self.vlen[v].max(len);
+        } else if len > u64::from(self.len[v]) {
+            self.push_silence_n(v, (len - u64::from(self.len[v])) as usize);
+        }
+    }
+
     /// Relocates segment `v` to the end with capacity
     /// `max(2×cap, FIRST_CAP, need)`, compacting the whole buffer first
     /// when relocation garbage would outweigh the live data.
     #[cold]
     fn grow(&mut self, v: usize, need: usize) {
         // At least double (amortization), but satisfy big jumps — a
-        // time-leap can demand millions of slots at once — exactly, so a
-        // huge silent run is not over-allocated (and over-filled) by up
-        // to 2×.
+        // node unvisited for a long stretch can demand millions of slots
+        // at once — exactly, so a huge silent run is not over-allocated
+        // (and over-filled) by up to 2×.
         let new_cap = (self.cap[v] as usize * 2)
             .max(ObsArena::FIRST_CAP as usize)
             .max(need);
@@ -236,8 +252,104 @@ impl ObsArena {
     }
 }
 
-/// Sentinel for "has not happened yet" in the wake/done planes.
+/// Sentinel for "has not happened yet" in the wake/done planes, and for
+/// "no calendar entry" in the due plane.
 const ASLEEP: u64 = u64::MAX;
+
+/// The round-bucketed visit calendar: which nodes the engine must visit
+/// in which global round.
+///
+/// Under time-leap every awake, unterminated node has exactly one live
+/// entry, at the round recorded in the workspace's due plane.
+/// Rescheduling a node pushes a new entry and leaves the old one behind;
+/// [`SimWorkspace`] skips an entry whose round no longer matches the
+/// node's due round, so stale entries cost one check each and never a
+/// visit. Without time-leap every awake node acts every round, and the
+/// round's bucket simply carries over to the next.
+///
+/// The bucket of the round right after the current one is a plain `Vec`,
+/// so a run without time-leap is a flat sweep over it and a node that
+/// acts again next round is one push. Later rounds sit in an ordered map
+/// of buckets, so a push costs a lookup among the distinct pending
+/// rounds, never among the pending nodes (a heap would pay log n per
+/// visit). Emptied buckets are kept for reuse.
+#[derive(Debug, Default)]
+struct Calendar {
+    /// The round `next` holds.
+    next_round: u64,
+    /// Entries due in `next_round`.
+    next: Vec<NodeId>,
+    /// Entries due after `next_round` (and entries for `next_round` pushed
+    /// while it was still further ahead).
+    later: BTreeMap<u64, Vec<NodeId>>,
+    /// Emptied buckets, kept for their capacity.
+    spare: Vec<Vec<NodeId>>,
+}
+
+impl Calendar {
+    fn reset(&mut self) {
+        self.next_round = 0;
+        self.next.clear();
+        while let Some((_, mut bucket)) = self.later.pop_first() {
+            bucket.clear();
+            self.spare.push(bucket);
+        }
+    }
+
+    fn push(&mut self, round: u64, v: NodeId) {
+        if round == self.next_round {
+            self.next.push(v);
+        } else {
+            let spare = &mut self.spare;
+            self.later
+                .entry(round)
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+                .push(v);
+        }
+    }
+
+    /// Makes `bucket` the next round's bucket, handing back the emptied
+    /// one in its place (without time-leap nothing else is ever filed).
+    fn carry_over(&mut self, bucket: &mut Vec<NodeId>) {
+        debug_assert!(self.next.is_empty(), "a flat sweep files nothing");
+        std::mem::swap(bucket, &mut self.next);
+    }
+
+    /// The earliest round holding an entry (stale or live).
+    fn first_round(&self) -> Option<u64> {
+        if self.next.is_empty() {
+            self.later.keys().next().copied()
+        } else {
+            Some(self.next_round)
+        }
+    }
+
+    /// Moves every entry of round `r` into `out` (cleared first), and makes
+    /// `r + 1` the next round. `r` is never before [`Calendar::first_round`].
+    fn take(&mut self, r: u64, out: &mut Vec<NodeId>) {
+        out.clear();
+        if r == self.next_round {
+            std::mem::swap(out, &mut self.next);
+        }
+        if let Some(mut bucket) = self.later.remove(&r) {
+            if out.is_empty() {
+                std::mem::swap(out, &mut bucket);
+            } else {
+                out.append(&mut bucket);
+            }
+            self.spare.push(bucket);
+        }
+        debug_assert!(self.next.is_empty(), "entries left behind round {r}");
+        self.next_round = r + 1;
+    }
+
+    fn mem_bytes(&self) -> u64 {
+        let ids = |v: &Vec<NodeId>| (v.capacity() * std::mem::size_of::<NodeId>()) as u64;
+        ids(&self.next)
+            + self.later.values().map(ids).sum::<u64>()
+            + self.spare.iter().map(ids).sum::<u64>()
+    }
+}
 
 /// Reusable engine state for back-to-back simulations.
 ///
@@ -254,14 +366,23 @@ pub struct SimWorkspace {
     wake: Vec<u64>,
     done: Vec<u64>,
     by_tag: Vec<NodeId>,
-    active: Vec<NodeId>,
+    calendar: Calendar,
+    /// Per node, under time-leap: the round of its live calendar entry
+    /// (`ASLEEP` while it has none — asleep, terminated, or being visited
+    /// this round). Without time-leap every calendar entry is live and
+    /// the plane stays `ASLEEP`.
+    due: Vec<u64>,
+    /// The entries of the round being executed.
+    bucket: Vec<NodeId>,
+    /// Nodes to reschedule at the end of the round: every node visited
+    /// under time-leap, the nodes that woke without it.
+    visited: Vec<NodeId>,
     actions: Vec<(NodeId, Action)>,
     transmitters: Vec<(NodeId, Msg)>,
     touched: Vec<NodeId>,
     cnt: Vec<u32>,
     cnt_stamp: Vec<u64>,
     heard_msg: Vec<Msg>,
-    quiet_horizon: Vec<u64>,
 }
 
 impl std::fmt::Debug for SimWorkspace {
@@ -282,20 +403,23 @@ impl SimWorkspace {
     /// Approximate footprint of the workspace's backing buffers in bytes.
     /// Counts plane *capacities* — capacities never shrink across runs, so
     /// this is the high-water mark of everything the workspace ever held
-    /// (boxed node internals excluded). Feeds the campaign `mem_hw` column.
+    /// (boxed node internals and the calendar's map nodes excluded). Feeds
+    /// the campaign `mem_hw` column.
     pub fn mem_bytes(&self) -> u64 {
         fn plane<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * std::mem::size_of::<T>()) as u64
         }
         self.arena.mem_bytes()
+            + self.calendar.mem_bytes()
             + plane(&self.nodes)
             + plane(&self.wake)
             + plane(&self.done)
             + plane(&self.by_tag)
-            + plane(&self.active)
+            + plane(&self.due)
+            + plane(&self.bucket)
+            + plane(&self.visited)
             + plane(&self.cnt)
             + plane(&self.cnt_stamp)
-            + plane(&self.quiet_horizon)
             + plane(&self.actions)
             + plane(&self.transmitters)
             + plane(&self.touched)
@@ -303,9 +427,9 @@ impl SimWorkspace {
     }
 
     /// Re-dimensions every buffer for `config` without freeing capacity:
-    /// the per-run state (arena segments, wake/done/counter/horizon
-    /// vectors, active lists) is cleared in place. Called automatically at
-    /// the start of every run.
+    /// the per-run state (arena segments, wake/done/due/counter planes,
+    /// the calendar) is cleared in place. Called automatically at the
+    /// start of every run.
     pub fn reset_for(&mut self, config: &Configuration) {
         let n = config.size();
         self.nodes.clear();
@@ -317,7 +441,11 @@ impl SimWorkspace {
         self.by_tag.clear();
         self.by_tag.extend(0..n as NodeId);
         self.by_tag.sort_by_key(|&v| config.tag(v));
-        self.active.clear();
+        self.calendar.reset();
+        self.due.clear();
+        self.due.resize(n, ASLEEP);
+        self.bucket.clear();
+        self.visited.clear();
         self.actions.clear();
         self.transmitters.clear();
         self.touched.clear();
@@ -330,8 +458,6 @@ impl SimWorkspace {
         self.cnt_stamp.resize(n, u64::MAX);
         self.heard_msg.clear();
         self.heard_msg.resize(n, Msg(0));
-        self.quiet_horizon.clear();
-        self.quiet_horizon.resize(n, 0);
     }
 
     /// Runs `factory`'s DRIP on `config` under the paper's channel model
@@ -428,6 +554,25 @@ impl SimWorkspace {
         self.nodes[v as usize].leader_claim()
     }
 
+    /// Appends the silent rounds node `v` spent unvisited, so that its
+    /// history covers every local round before global round `r`.
+    #[inline]
+    fn catch_up(&mut self, v: usize, r: u64) {
+        self.arena.pad_to(v, r - self.wake[v]);
+    }
+
+    /// Records observation `obs` as node `v`'s entry for global round `r`,
+    /// streaming it to the node when it is not silence.
+    #[inline]
+    fn record(&mut self, v: usize, r: u64, obs: Obs) {
+        self.catch_up(v, r);
+        let t = self.arena.pos(v);
+        self.arena.push(v, obs);
+        if !matches!(obs, Obs::Silence) {
+            self.nodes[v].observe(t, obs);
+        }
+    }
+
     /// [`SimWorkspace::run_kind_resident`] under an explicit channel model
     /// `M`. This is the run loop itself; [`SimWorkspace::run_model`] wraps
     /// it and materializes the [`Execution`].
@@ -451,12 +596,26 @@ impl SimWorkspace {
         } else {
             None
         };
-        let mut rounds_executed = 0u64;
+        let mut rounds = 0u64;
         let mut rounds_stepped = 0u64;
-        let mut rounds_leapt = 0u64;
+        let mut decides = 0u64;
+        let mut horizon_queries = 0u64;
 
         let mut r: u64 = 0;
         while done_count < n {
+            let next_tag = if tag_ptr < n {
+                config.tag(self.by_tag[tag_ptr])
+            } else {
+                u64::MAX
+            };
+            if opts.leap {
+                // Skip straight to the next round in which some node is
+                // due or wakes spontaneously: nothing happens in between.
+                r = self
+                    .calendar
+                    .first_round()
+                    .map_or(next_tag, |d| d.min(next_tag));
+            }
             if r >= opts.max_rounds {
                 return Err(SimError::RoundLimit {
                     max_rounds: opts.max_rounds,
@@ -464,77 +623,32 @@ impl SimWorkspace {
                 });
             }
 
-            // Time-leap scheduler: fast-forward over provably quiet
-            // stretches. Sound because every active node at this point
-            // woke in an earlier round (this round's wake-ups have not
-            // happened yet), so all of them decide in every skipped round
-            // — and all have committed those decisions to `Listen`, which
-            // means no transmissions, hence no deliveries other than
-            // `(∅)`, no forced wake-ups, and no cache invalidations
-            // during the skipped stretch.
-            if opts.leap {
-                if self.active.is_empty() {
-                    // Nothing is awake: the next possible event is the
-                    // next spontaneous wake-up (the loop condition
-                    // guarantees one exists).
-                    let next_tag = config.tag(self.by_tag[tag_ptr]).min(opts.max_rounds);
-                    if next_tag > r {
-                        rounds_leapt += next_tag - r;
-                        r = next_tag;
-                        continue;
-                    }
-                } else {
-                    let mut target = u64::MAX;
-                    let mut all_quiet = true;
-                    for &v in &self.active {
-                        let vi = v as usize;
-                        if self.quiet_horizon[vi] <= r {
-                            match self.nodes[vi].quiet_until(self.arena.view(vi)) {
-                                Some(q) => self.quiet_horizon[vi] = self.wake[vi].saturating_add(q),
-                                None => {
-                                    all_quiet = false;
-                                    break;
-                                }
-                            }
-                            if self.quiet_horizon[vi] <= r {
-                                all_quiet = false;
-                                break;
-                            }
-                        }
-                        target = target.min(self.quiet_horizon[vi]);
-                    }
-                    if tag_ptr < n {
-                        target = target.min(config.tag(self.by_tag[tag_ptr]));
-                    }
-                    target = target.min(opts.max_rounds);
-                    if all_quiet && target > r {
-                        // Every active node would have decided (and
-                        // listened) in each skipped round: deliver the
-                        // silent observations in bulk.
-                        let skipped = (target - r) as usize;
-                        for &v in &self.active {
-                            self.arena.push_silence_n(v as usize, skipped);
-                        }
-                        rounds_leapt += skipped as u64;
-                        r = target;
-                        continue;
-                    }
-                }
-            }
-
             let mut event = RoundEvent {
                 round: r,
                 ..Default::default()
             };
 
-            // 1. Decide.
+            // 1. Decide: every node due this round. Under time-leap a node
+            //    whose entry was superseded (rescheduled since) is skipped,
+            //    and a consumed entry is marked so a duplicate cannot
+            //    decide twice; without it every entry is live.
             self.actions.clear();
-            for &v in &self.active {
-                if self.wake[v as usize] < r {
-                    let action = self.nodes[v as usize].decide(self.arena.view(v as usize));
-                    self.actions.push((v, action));
+            self.visited.clear();
+            let mut bucket = std::mem::take(&mut self.bucket);
+            self.calendar.take(r, &mut bucket);
+            for &v in &bucket {
+                let vi = v as usize;
+                if opts.leap {
+                    if self.due[vi] != r {
+                        continue;
+                    }
+                    self.due[vi] = ASLEEP;
                 }
+                self.catch_up(vi, r);
+                let action = self.nodes[vi].decide(self.arena.view(vi));
+                self.actions.push((v, action));
             }
+            decides += self.actions.len() as u64;
 
             // 2. Collect transmitters and stamp neighbour counters.
             self.transmitters.clear();
@@ -558,49 +672,28 @@ impl SimWorkspace {
             }
             stats.transmissions += self.transmitters.len() as u64;
 
-            // 3. Deliver to acting nodes.
+            // 3. Deliver to the deciders. A transmitter hears nothing and
+            //    an unreached listener hears silence: both `(∅)` entries
+            //    are appended lazily, by the node's next visit. Under
+            //    time-leap every surviving decider is re-asked below.
             let mut retired = false;
-            for &(v, action) in &self.actions {
+            for i in 0..self.actions.len() {
+                let (v, action) = self.actions[i];
                 let vi = v as usize;
                 match action {
                     Action::Transmit(_) => {
-                        // A transmitter hears nothing: (∅). It was no
-                        // committed listener, whatever it once claimed.
-                        self.quiet_horizon[vi] = 0;
-                        self.arena.push(vi, Obs::Silence);
+                        if opts.leap {
+                            self.visited.push(v);
+                        }
                     }
                     Action::Listen => {
-                        let heard = if self.cnt_stamp[vi] == r {
-                            self.cnt[vi]
-                        } else {
-                            0
-                        };
-                        let msg = if heard == 1 {
-                            self.heard_msg[vi]
-                        } else {
-                            Msg(0)
-                        };
-                        let obs = M::listener_obs(heard, msg);
-                        record_listener_obs(obs, &mut stats);
-                        if !matches!(obs, Obs::Silence) {
-                            // Quiet claims hold only while the channel
-                            // stays silent for the node: re-ask later.
-                            self.quiet_horizon[vi] = 0;
+                        if self.cnt_stamp[vi] == r {
+                            let obs = M::listener_obs(self.cnt[vi], self.listened_msg(vi));
+                            let traced = trace.is_some().then_some(&mut event);
+                            self.listen(vi, r, obs, &mut stats, traced);
                         }
-                        if trace.is_some() {
-                            match obs {
-                                Obs::Heard(m) => event.received.push((v, m)),
-                                Obs::Collision | Obs::Noise => event.collisions.push(v),
-                                Obs::Silence => {}
-                            }
-                        }
-                        let t = self.arena.pos(vi);
-                        self.arena.push(vi, obs);
-                        if !matches!(obs, Obs::Silence) {
-                            // Streaming hook: non-silent entries are fed
-                            // to the node as they land (see
-                            // `DripNode::observe`).
-                            self.nodes[vi].observe(t, obs);
+                        if opts.leap {
+                            self.visited.push(v);
                         }
                     }
                     Action::Terminate => {
@@ -613,30 +706,29 @@ impl SimWorkspace {
                     }
                 }
             }
-            if retired {
-                let done = &self.done;
-                self.active.retain(|&v| done[v as usize] == ASLEEP);
-            }
 
-            // 4. Forced wake-ups: sleeping neighbours of transmitters, as
-            //    the model dictates. Under the default model a collision
-            //    leaves them asleep; other models may wake them with (~).
-            for &w in &self.touched {
+            // 4. Reach the other neighbours of transmitters: a node with a
+            //    calendar entry is awake and covered by its horizon — it
+            //    listens without deciding (without time-leap every awake
+            //    node decided above); a sleeping node wakes exactly when
+            //    the model says so (under the default model a collision
+            //    leaves it asleep).
+            for i in 0..self.touched.len() {
+                let w = self.touched[i];
                 let wi = w as usize;
-                if self.wake[wi] == ASLEEP {
-                    let msg = if self.cnt[wi] == 1 {
-                        self.heard_msg[wi]
-                    } else {
-                        Msg(0)
-                    };
+                let msg = self.listened_msg(wi);
+                if self.due[wi] != ASLEEP {
+                    let obs = M::listener_obs(self.cnt[wi], msg);
+                    if !matches!(obs, Obs::Silence) {
+                        let traced = trace.is_some().then_some(&mut event);
+                        self.listen(wi, r, obs, &mut stats, traced);
+                        self.visited.push(w);
+                    }
+                } else if self.wake[wi] == ASLEEP {
                     if let Some(obs) = M::wake_obs(self.cnt[wi], msg) {
                         self.wake[wi] = r;
-                        let t = self.arena.pos(wi);
-                        self.arena.push(wi, obs);
-                        if !matches!(obs, Obs::Silence) {
-                            self.nodes[wi].observe(t, obs);
-                        }
-                        self.active.push(w);
+                        self.record(wi, r, obs);
+                        self.visited.push(w);
                         stats.forced_wakeups += 1;
                         if trace.is_some() {
                             event.woke.push((w, obs));
@@ -646,6 +738,7 @@ impl SimWorkspace {
             }
 
             // 5. Spontaneous wake-ups at tag == r.
+            let tag_fires = next_tag == r;
             while tag_ptr < n && config.tag(self.by_tag[tag_ptr]) == r {
                 let w = self.by_tag[tag_ptr];
                 tag_ptr += 1;
@@ -653,37 +746,120 @@ impl SimWorkspace {
                 if self.wake[wi] == ASLEEP {
                     self.wake[wi] = r;
                     self.arena.push(wi, Obs::Silence);
-                    self.active.push(w);
+                    self.visited.push(w);
                     if trace.is_some() {
                         event.woke.push((w, Obs::Silence));
                     }
                 }
             }
 
+            // 6. Reschedule. Under time-leap every node visited this
+            //    round is re-asked for its horizon with its end-of-round
+            //    history. Without it every awake node acts again next
+            //    round: the round's bucket carries over as a flat sweep,
+            //    less the nodes that terminated, ahead of those that woke.
+            if opts.leap {
+                for i in 0..self.visited.len() {
+                    let v = self.visited[i];
+                    let vi = v as usize;
+                    self.catch_up(vi, r + 1);
+                    horizon_queries += 1;
+                    // A horizon past the round limit only has to reach the
+                    // limit. (Only with `max_rounds == u64::MAX` can that be
+                    // the `ASLEEP` sentinel: the node is then never due
+                    // again, and the run ends at the limit.)
+                    let due = match self.nodes[vi].quiet_until(self.arena.view(vi)) {
+                        Some(q) => self.wake[vi]
+                            .saturating_add(q)
+                            .clamp(r + 1, opts.max_rounds),
+                        None => r + 1,
+                    };
+                    if self.due[vi] != due {
+                        self.due[vi] = due;
+                        self.calendar.push(due, v);
+                    }
+                }
+            } else {
+                if retired {
+                    let done = &self.done;
+                    bucket.retain(|&v| done[v as usize] == ASLEEP);
+                }
+                bucket.extend_from_slice(&self.visited);
+                self.calendar.carry_over(&mut bucket);
+            }
+            self.bucket = bucket;
+
             if let Some(t) = trace.as_mut() {
-                // An eventful round hands its transmitter buffer to the
-                // trace outright (no clone); the next round starts from
-                // the empty vector the take leaves behind. A quiet round
-                // has nothing to hand over.
+                // The calendar visits nodes in an order that depends on
+                // the leap mode; sorting by node makes each round's event
+                // lists mode-independent. An eventful round hands its
+                // transmitter buffer to the trace outright (no clone); the
+                // next round starts from the empty vector the take leaves
+                // behind.
                 if !self.transmitters.is_empty() || !event.is_quiet() {
                     event.transmitters = std::mem::take(&mut self.transmitters);
+                    event.transmitters.sort_unstable_by_key(|&(v, _)| v);
+                    event.woke.sort_unstable_by_key(|&(v, _)| v);
+                    event.received.sort_unstable_by_key(|&(v, _)| v);
+                    event.collisions.sort_unstable();
+                    event.terminated.sort_unstable();
                     t.events.push(event);
                 }
             }
 
-            rounds_executed = r + 1;
-            rounds_stepped += 1;
+            // Under time-leap a round counts as stepped iff some node
+            // decided in it or a wake-up tag equals it; every other round
+            // was leapt. Without time-leap every round is stepped.
+            if !opts.leap || !self.actions.is_empty() || tag_fires {
+                rounds_stepped += 1;
+            }
+            rounds = r + 1;
             r += 1;
         }
 
         Ok(ResidentRun {
-            rounds: rounds_executed,
+            rounds,
             rounds_stepped,
-            rounds_leapt,
+            rounds_leapt: rounds - rounds_stepped,
             completion_round: self.done.iter().copied().max().unwrap_or(0),
+            decides,
+            horizon_queries,
             stats,
             trace,
         })
+    }
+
+    /// The message a reached node heard this round: the transmitter's
+    /// when exactly one neighbour transmitted, `Msg(0)` otherwise.
+    #[inline]
+    fn listened_msg(&self, v: usize) -> Msg {
+        if self.cnt[v] == 1 {
+            self.heard_msg[v]
+        } else {
+            Msg(0)
+        }
+    }
+
+    /// Delivers listener observation `obs` to awake node `v` in round `r`,
+    /// noting it in `event` when the run is traced.
+    #[inline]
+    fn listen(
+        &mut self,
+        v: usize,
+        r: u64,
+        obs: Obs,
+        stats: &mut ExecStats,
+        event: Option<&mut RoundEvent>,
+    ) {
+        record_listener_obs(obs, stats);
+        self.record(v, r, obs);
+        if let Some(event) = event {
+            match obs {
+                Obs::Heard(m) => event.received.push((v as NodeId, m)),
+                Obs::Collision | Obs::Noise => event.collisions.push(v as NodeId),
+                Obs::Silence => {}
+            }
+        }
     }
 }
 
@@ -695,13 +871,19 @@ pub struct ResidentRun {
     /// Number of global rounds simulated (identical to
     /// [`Execution::rounds`], leap or no leap).
     pub rounds: u64,
-    /// Global rounds executed one by one.
+    /// Global rounds in which some node decided or a wake-up tag fell
+    /// (every round without time-leap).
     pub rounds_stepped: u64,
     /// Global rounds the time-leap scheduler skipped as provably quiet.
     pub rounds_leapt: u64,
     /// Global round by which every node had terminated (`max` over the
     /// done plane; 0 for an empty configuration).
     pub completion_round: u64,
+    /// Node visits that called [`DripNode::decide`](crate::drip::DripNode::decide).
+    pub decides: u64,
+    /// Calls to [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until)
+    /// (0 without time-leap).
+    pub horizon_queries: u64,
     /// Aggregate counters.
     pub stats: ExecStats,
     /// Recorded trace, when requested via [`RunOpts::record_trace`].
@@ -852,6 +1034,31 @@ mod tests {
                 .unwrap();
         assert_eq!(ok.histories, fresh.histories);
         assert_eq!(ok.rounds, fresh.rounds);
+    }
+
+    #[test]
+    fn horizons_at_the_end_of_time_stop_at_the_round_limit() {
+        use crate::drip::SilentFactory;
+        use radio_graph::{generators, Configuration};
+
+        // The late node wakes one round before the largest round number;
+        // its horizon saturates, and the run must end at the limit — no
+        // overflow, no panic, no spin.
+        let config = Configuration::new(generators::path(2), vec![0, u64::MAX - 1]).unwrap();
+        let err = SimWorkspace::new()
+            .run(
+                &config,
+                &SilentFactory { lifetime: 3 },
+                RunOpts::with_max_rounds(u64::MAX),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::RoundLimit {
+                max_rounds: u64::MAX,
+                still_running: 1
+            }
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! recursing once per `{` overflows its stack on a 100 000-deep line, and
 //! a stack overflow aborts the process — `catch_unwind` cannot stop it.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Renders one object: fields in call order, no whitespace.
@@ -232,6 +233,11 @@ impl Parser<'_> {
 
     /// `{…}`. A `nested` object holds no objects, so the recursion is at
     /// most two deep whatever the input.
+    ///
+    /// Keys seen so far sit in an ordered set, so a line of `k` fields
+    /// costs O(k log k) key comparisons: a hostile request line cannot
+    /// make the duplicate check quadratic, and no hash of network input
+    /// decides the cost.
     fn object(&mut self, nested: bool) -> Result<Object, String> {
         self.eat(b'{')?;
         let mut fields: Vec<(String, Value)> = Vec::new();
@@ -239,11 +245,12 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(Object { fields });
         }
+        let mut seen: BTreeSet<String> = BTreeSet::new();
         loop {
             let key = self.string()?;
             self.eat(b':')?;
             let value = self.value(nested)?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 return Err(format!("duplicate field \"{key}\""));
             }
             fields.push((key, value));
@@ -444,6 +451,17 @@ mod tests {
             let err = Object::parse(bad).expect_err(bad);
             assert!(err.contains(needle), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn wide_lines_report_the_first_repeated_key() {
+        let mut line: String = (0..100_000).map(|i| format!("\"k{i}\":{i},")).collect();
+        line.insert(0, '{');
+        // the repeat comes before a syntax error later in the line
+        line.push_str("\"k0\":1,\"k1\":[2]}");
+        assert_eq!(Object::parse(&line).unwrap_err(), "duplicate field \"k0\"");
+        let distinct = line.replace("\"k0\":1,\"k1\":[2]}", "\"end\":1}");
+        assert_eq!(Object::parse(&distinct).unwrap().fields.len(), 100_001);
     }
 
     #[test]

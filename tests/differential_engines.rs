@@ -206,3 +206,84 @@ fn million_span_silent_config_is_event_bound() {
     assert_eq!(ex.stats, step.stats);
     assert_eq!(step.rounds_stepped, step.rounds);
 }
+
+/// Leap and step runs record the same trace, round for round, under every
+/// model: the calendar visits nodes in a mode-dependent order, so this pins
+/// that each round's event lists come out in a mode-independent one, and
+/// that no eventful round is skipped or invented by the leap.
+fn assert_traces_identical(
+    config: &Configuration,
+    factory: &dyn DripFactory,
+) -> Result<(), TestCaseError> {
+    for kind in ModelKind::ALL {
+        let leap = kind
+            .run(config, factory, RunOpts::default().traced())
+            .unwrap();
+        let step = kind
+            .run(config, factory, RunOpts::default().no_leap().traced())
+            .unwrap();
+        let (leap, step) = (leap.trace.unwrap(), step.trace.unwrap());
+        prop_assert_eq!(&leap.events, &step.events, "{} [{}]", config, kind);
+    }
+    Ok(())
+}
+
+/// The DRIPs the traced differential draws from: every elementary DRIP,
+/// the patient transform over one, and the canonical DRIP of the
+/// configuration itself.
+fn traced_drip(config: &Configuration, which: usize, wait: u64) -> Box<dyn DripFactory> {
+    match which {
+        0 => Box::new(radio_sim::drip::SilentFactory { lifetime: wait + 3 }),
+        1 => Box::new(WaitThenTransmitFactory {
+            wait,
+            msg: Msg(9),
+            lifetime: wait + 12,
+        }),
+        2 => Box::new(BeaconFactory {
+            start: wait + 1,
+            lifetime: wait + 4,
+            msg: Msg(2),
+        }),
+        3 => Box::new(EchoFactory { lifetime: 18 }),
+        4 => Box::new(PatientFactory::new(
+            WaitThenTransmitFactory {
+                wait,
+                msg: Msg(5),
+                lifetime: wait + 10,
+            },
+            config.span(),
+        )),
+        _ => {
+            let (_, schedule) = anon_radio::CanonicalSchedule::build(config);
+            Box::new(anon_radio::CanonicalFactory::new(std::sync::Arc::new(
+                schedule,
+            )))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn traced_leap_matches_traced_step(
+        config in config_strategy(),
+        which in 0usize..6,
+        wait in 0u64..5,
+    ) {
+        assert_traces_identical(&config, traced_drip(&config, which, wait).as_ref())?;
+    }
+
+    #[test]
+    fn traced_leap_matches_traced_step_at_wide_spans(
+        n in 2usize..9,
+        extra in 0usize..6,
+        span in 10u64..300,
+        seed in any::<u64>(),
+        which in 0usize..6,
+        wait in 0u64..5,
+    ) {
+        let config = build_config(n, extra, span, seed);
+        assert_traces_identical(&config, traced_drip(&config, which, wait).as_ref())?;
+    }
+}

@@ -26,6 +26,10 @@ const CLASSIFY_CORPUS: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/campaign_classify.jsonl"
 );
+const ELECT_MODELS_CORPUS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/campaign_elect_models.jsonl"
+);
 
 /// The pinned elect-phase grid: seven families across the grammar (three
 /// size-pinned) × all four tag strategies, one model, two reps.
@@ -52,6 +56,28 @@ fn golden_elect_spec() -> CampaignSpec {
         // The default (deduped) path: the golden corpus itself pins that
         // the slice dedupe is invisible in the deterministic row prefix.
         batch: anon_radio::campaign::BatchConfig::default(),
+    }
+}
+
+/// The pinned all-model elect grid: run shapes (`rounds`, `transmissions`
+/// and the engine split `stepped`/`leapt`) under every channel model, at
+/// a narrow and a wide span, on four drawn families at n = 24 plus two
+/// size-pinned ones.
+fn golden_elect_models_spec() -> CampaignSpec {
+    CampaignSpec {
+        families: vec![
+            "path".parse().unwrap(),
+            "star".parse().unwrap(),
+            "random-tree".parse().unwrap(),
+            "gnp".parse().unwrap(),
+            "grid:4x8".parse().unwrap(),
+            "hypercube:4".parse().unwrap(),
+        ],
+        sizes: vec![24],
+        spans: vec![1, 40],
+        models: ModelKind::ALL.to_vec(),
+        seed: 0x60_1DE5,
+        ..golden_elect_spec()
     }
 }
 
@@ -152,6 +178,39 @@ fn assert_matches_corpus(rows: &[String], corpus_path: &str) {
 #[test]
 fn elect_rows_match_the_checked_in_corpus() {
     assert_matches_corpus(&stable_rows(golden_elect_spec()), ELECT_CORPUS);
+}
+
+#[test]
+fn elect_rows_under_every_model_match_the_checked_in_corpus() {
+    assert_matches_corpus(
+        &stable_rows(golden_elect_models_spec()),
+        ELECT_MODELS_CORPUS,
+    );
+}
+
+#[test]
+fn all_model_grid_has_the_expected_shape() {
+    let rows = stable_rows(golden_elect_models_spec());
+    assert_eq!(
+        rows.len(),
+        144,
+        "6 families × 4 strategies × 2 spans × 3 models"
+    );
+    for model in ModelKind::ALL {
+        let tag = format!("\"model\":\"{}\"", model.name());
+        assert_eq!(
+            rows.iter().filter(|r| r.contains(&tag)).count(),
+            48,
+            "{model}"
+        );
+    }
+    for span in ["\"span\":1,", "\"span\":40,"] {
+        assert_eq!(
+            rows.iter().filter(|r| r.contains(span)).count(),
+            72,
+            "{span}"
+        );
+    }
 }
 
 #[test]
