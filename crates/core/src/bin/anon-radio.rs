@@ -9,6 +9,14 @@
 //! anon-radio family s 2 | anon-radio dot -       # Graphviz export
 //! ```
 //!
+//! Every subcommand parses its arguments against one flag table
+//! ([`FLAGS`]): a flag takes its value as `--flag VALUE` or
+//! `--flag=VALUE`, and a subcommand rejects (exit 2) any flag or
+//! positional argument it does not use. `elect` and `check` build the
+//! same [`OneShotJob`] a served `elect`/`classify` request parses into and
+//! run serve's executor on it, so a one-shot result is a served result
+//! rendered as text.
+//!
 //! `--model <no-cd|cd|beep>` selects the channel semantics for `elect`
 //! (default: `no-cd`, the paper's model). `--no-leap` disables the
 //! engine's time-leap scheduler and executes every global round one by
@@ -26,102 +34,272 @@
 #![forbid(unsafe_code)]
 
 use std::io::Read;
+use std::str::FromStr;
 
-use anon_radio::{ElectError, ElectionReport};
-use radio_graph::{families, io, Configuration};
-use radio_sim::{ModelKind, SimWorkspace};
+use anon_radio::cache::CacheConfig;
+use anon_radio::campaign::{
+    BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
+};
+use anon_radio::serve::{run_opts, ConfigSource, JobError, OneShotJob, ServeOptions, Stage};
+use anon_radio::CampaignWorkspace;
+use radio_classifier::ClassifierWorkspace;
+use radio_graph::{families, io};
+use radio_sim::ModelKind;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     // `--help` anywhere is a request, not a file name or an unknown flag.
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         std::process::exit(0);
     }
-    // `campaign` owns its flag grammar (grid lists, shard/thread counts):
-    // hand it the raw arguments before the shared --model/--no-leap
-    // extraction below can reject them.
-    if args.first().map(String::as_str) == Some("campaign") {
-        std::process::exit(campaign_command(&args[1..]));
-    }
-    // `rows` is the offline row-format toolbox (JSONL ↔ binary).
-    if args.first().map(String::as_str) == Some("rows") {
-        std::process::exit(rows_command(&args[1..]));
-    }
-    // `serve` owns its flag grammar too (transport, pool sizing).
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(serve_command(&args[1..]));
-    }
-    let model = match extract_model(&mut args) {
-        Ok(model) => model,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
+    let known = |sub: &String| SUBCOMMANDS.iter().any(|&(name, _)| name == sub);
+    let Some((subcommand, rest)) = args.split_first().filter(|(sub, _)| known(sub)) else {
+        std::process::exit(usage());
     };
-    let no_leap = extract_flag(&mut args, "--no-leap");
-    // Only `elect` runs a simulation; silently ignoring --model or
-    // --no-leap elsewhere would let a sweep produce identical results
-    // without warning.
-    if (model.is_some() || no_leap) && args.first().map(String::as_str) != Some("elect") {
-        eprintln!("error: --model/--no-leap only apply to the `elect` subcommand");
-        std::process::exit(2);
+    let code = Args::parse(subcommand, rest).and_then(|args| match subcommand.as_str() {
+        "check" => check_command(&args),
+        "elect" => elect_command(&args),
+        "family" => Ok(family_command(&args)),
+        "campaign" => campaign_command(&args),
+        "rows" => rows_command(&args),
+        "serve" => serve_command(&args),
+        "trace" | "compile" | "explain" | "dot" => inspect_command(subcommand, &args),
+        _ => Ok(usage()),
+    });
+    std::process::exit(code.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        2
+    }));
+}
+
+/// Each subcommand and the most positional arguments it takes.
+/// `elect --family` is the drawn form of `elect`: it reads no file.
+const SUBCOMMANDS: &[(&str, usize)] = &[
+    ("check", 1),
+    ("trace", 1),
+    ("elect", 1),
+    ("elect --family", 0),
+    ("compile", 1),
+    ("explain", 1),
+    ("dot", 1),
+    ("family", 2),
+    ("campaign", 0),
+    ("rows", 3),
+    ("serve", 0),
+];
+
+/// A row of the flag table: the flag, whether it takes a value (`--flag
+/// VALUE` or `--flag=VALUE`), and the subcommands that accept it.
+type Flag = (&'static str, bool, &'static [&'static str]);
+
+/// The flag table.
+const FLAGS: &[Flag] = &[
+    ("--model", true, &["elect", "elect --family"]),
+    ("--no-leap", false, &["elect", "elect --family", "campaign"]),
+    ("--family", true, &["elect --family"]),
+    ("--size", true, &["elect --family"]),
+    ("--span", true, &["elect --family"]),
+    ("--tags", true, &["elect --family", "campaign"]),
+    ("--seed", true, &["elect --family", "campaign"]),
+    ("--phase", true, &["campaign"]),
+    ("--families", true, &["campaign"]),
+    ("--sizes", true, &["campaign"]),
+    ("--spans", true, &["campaign"]),
+    ("--models", true, &["campaign"]),
+    ("--reps", true, &["campaign"]),
+    ("--shards", true, &["campaign"]),
+    ("--threads", true, &["campaign", "serve"]),
+    ("--resume-from", true, &["campaign"]),
+    ("--out", true, &["campaign"]),
+    ("--row-format", true, &["campaign"]),
+    ("--no-cache", false, &["campaign", "serve"]),
+    ("--cache-capacity", true, &["campaign", "serve"]),
+    ("--no-batch", false, &["campaign"]),
+    ("--batch-size", true, &["campaign"]),
+    ("--stdin-stdout", false, &["serve"]),
+    ("--tcp", true, &["serve"]),
+    ("--unix", true, &["serve"]),
+    ("--queue", true, &["serve"]),
+];
+
+/// One subcommand's arguments, checked against [`SUBCOMMANDS`] and
+/// [`FLAGS`]: positionals in order, and flags in order with their values
+/// (a repeated flag's last value wins).
+struct Args {
+    positionals: Vec<String>,
+    flags: Vec<(&'static Flag, Option<String>)>,
+}
+
+impl Args {
+    fn parse(subcommand: &str, args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                parsed.positionals.push(arg.clone());
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let Some(flag) = FLAGS.iter().find(|flag| flag.0 == name) else {
+                return Err(format!("unknown {subcommand} argument `{arg}`"));
+            };
+            let value = match (flag.1, inline) {
+                (true, None) => Some(it.next().ok_or(format!("{name} needs a value"))?.clone()),
+                (false, Some(_)) => return Err(format!("{name} takes no value")),
+                (_, inline) => inline,
+            };
+            parsed.flags.push((flag, value));
+        }
+        let form = if subcommand == "elect" && parsed.switch("--family") {
+            "elect --family"
+        } else {
+            subcommand
+        };
+        for &(&(name, _, accepted), _) in &parsed.flags {
+            if !accepted.contains(&form) {
+                return Err(format!(
+                    "{name} does not apply to `{form}` (it applies to: {})",
+                    accepted.join(", ")
+                ));
+            }
+        }
+        let (_, most) = SUBCOMMANDS
+            .iter()
+            .find(|&&(name, _)| name == form)
+            .expect("the subcommand was checked against the table");
+        if let Some(extra) = parsed.positionals.get(*most) {
+            return Err(format!("unexpected argument `{extra}` for `{form}`"));
+        }
+        Ok(parsed)
     }
-    let model = model.unwrap_or_default();
-    let opts = if no_leap {
-        radio_sim::RunOpts::default().no_leap()
+
+    /// Whether flag `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| flag.0 == name)
+    }
+
+    /// The text of flag `name`'s last value, when given.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(flag, _)| flag.0 == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Flag `name`'s value, parsed.
+    fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.text(name)
+            .map(|value| value.parse().map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+
+    /// Flag `name`'s value as a count, which must be at least 1.
+    fn count(&self, name: &str) -> Result<Option<usize>, String> {
+        match self.value(name)? {
+            Some(0) => Err(format!("{name} must be at least 1")),
+            count => Ok(count),
+        }
+    }
+
+    /// Flag `name`'s value as a comma-separated list of `what`s.
+    fn list<T: FromStr>(&self, name: &str, what: &str) -> Result<Option<Vec<T>>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.text(name)
+            .map(|value| {
+                let items: Result<Vec<T>, _> = value.split(',').map(str::parse::<T>).collect();
+                items.map_err(|e| format!("bad {what} list `{value}`: {e}"))
+            })
+            .transpose()
+    }
+}
+
+/// The schedule-cache policy `--no-cache` and `--cache-capacity` name.
+fn cache_policy(args: &Args) -> Result<CacheConfig, String> {
+    match (args.switch("--no-cache"), args.value("--cache-capacity")?) {
+        (true, Some(_)) => Err("--cache-capacity conflicts with --no-cache".to_string()),
+        (true, None) => Ok(CacheConfig::disabled()),
+        (false, Some(0)) => {
+            Err("--cache-capacity must be at least 1 (or pass --no-cache)".to_string())
+        }
+        (false, Some(capacity)) => Ok(CacheConfig::with_capacity(capacity)),
+        (false, None) => Ok(CacheConfig::default()),
+    }
+}
+
+/// Reads the configuration file named by the first positional argument
+/// (`-` = stdin).
+fn config_text(args: &Args) -> Result<String, String> {
+    let path = args
+        .positionals
+        .first()
+        .ok_or("missing <config-file> (use `-` for stdin)")?;
+    if path == "-" {
+        let mut buf = String::new();
+        std::io::stdin()
+            .read_to_string(&mut buf)
+            .map_err(|_| "could not read stdin")?;
+        return Ok(buf);
+    }
+    std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))
+}
+
+/// Bytes as MiB, for the memory reports.
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1 << 20) as f64
+}
+
+/// `anon-radio check` — the decision (Thm 3.17) through serve's
+/// `classify` executor.
+fn check_command(args: &Args) -> Result<i32, String> {
+    let job = OneShotJob {
+        source: ConfigSource::Inline(config_text(args)?),
+        model: ModelKind::default(),
+        max_rounds: None,
+        no_leap: false,
+    };
+    let (config, summary) = anon_radio::serve::classify(&mut CampaignWorkspace::new(), &job)
+        .map_err(|e| e.to_string())?;
+    println!("{config}");
+    if summary.feasible {
+        println!(
+            "FEASIBLE — leader class {} after {} iteration(s)",
+            summary.leader_class.expect("feasible"),
+            summary.iterations
+        );
     } else {
-        radio_sim::RunOpts::default()
-    };
-    let code = match args.first().map(String::as_str) {
-        Some("check") => with_config(&args, |config| {
-            // Pure decision: the record-free classifier path — nothing but
-            // the summary is materialized.
-            let summary = radio_classifier::summarize(config);
-            println!("{config}");
-            if summary.feasible {
-                println!(
-                    "FEASIBLE — leader class {} after {} iteration(s)",
-                    summary.leader_class.expect("feasible"),
-                    summary.iterations
-                );
-            } else {
-                println!(
-                    "INFEASIBLE — partition stabilized after {} iteration(s)",
-                    summary.iterations
-                );
-            }
-            0
-        }),
-        Some("trace") => with_config(&args, |config| {
-            let outcome = radio_classifier::classify(config);
-            print!("{}", radio_classifier::trace::render(config, &outcome));
-            0
-        }),
-        // `elect --family …` builds the configuration CSR-direct from a
-        // scenario spec instead of parsing a text file — the only route
-        // that scales to millions of nodes (a config file for n = 10⁶
-        // would be tens of MB of edge lines).
-        Some("elect") if args.iter().any(|a| a == "--family") => {
-            elect_family_command(&args[1..], model, opts)
+        println!(
+            "INFEASIBLE — partition stabilized after {} iteration(s)",
+            summary.iterations
+        );
+    }
+    Ok(0)
+}
+
+/// `anon-radio trace|compile|explain|dot` — print what the library
+/// derives from one configuration file.
+fn inspect_command(subcommand: &str, args: &Args) -> Result<i32, String> {
+    let config = ConfigSource::Inline(config_text(args)?).configuration()?;
+    match subcommand {
+        "trace" => {
+            let outcome = radio_classifier::classify(&config);
+            print!("{}", radio_classifier::trace::render(&config, &outcome));
         }
-        Some("elect") => with_config(&args, |config| {
-            let outcome = anon_radio::solve(config)
-                .map_err(ElectError::from)
-                .and_then(|compiled| {
-                    compiled.run_in(&mut SimWorkspace::new(), config, model, opts)
-                });
-            if outcome.is_ok() {
-                println!("{config}");
-            }
-            report_election(model, outcome)
-        }),
-        Some("dot") => with_config(&args, |config| {
-            print!("{}", io::to_dot(config, "configuration"));
-            0
-        }),
-        Some("compile") => with_config(&args, |config| {
-            let (outcome, schedule) = anon_radio::CanonicalSchedule::build(config);
+        "dot" => print!("{}", io::to_dot(&config, "configuration")),
+        "compile" => {
+            let (outcome, schedule) = anon_radio::CanonicalSchedule::build(&config);
             println!("{config}");
             println!(
                 "classifier: {} after {} iteration(s)",
@@ -133,270 +311,232 @@ fn main() {
                 outcome.iterations
             );
             print!("{}", schedule.render());
-            0
-        }),
-        Some("explain") => {
-            with_config(
-                &args,
-                |config| match anon_radio::explain::explain_infeasibility(config) {
-                    Ok(report) => {
-                        println!("{config}");
-                        print!("{}", report.render());
-                        0
-                    }
-                    Err(e) => {
-                        println!("{config}");
-                        println!("{e}");
-                        0
-                    }
-                },
-            )
         }
-        Some("family") => family_command(&args),
-        _ => usage(),
-    };
-    std::process::exit(code);
-}
-
-/// Strips a `--model <name>` (or `--model=<name>`) flag from `args`,
-/// returning the selected channel model (`None` when the flag is absent).
-fn extract_model(args: &mut Vec<String>) -> Result<Option<ModelKind>, String> {
-    let mut model = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(value) = args[i].strip_prefix("--model=") {
-            model = Some(value.parse()?);
-            args.remove(i);
-        } else if args[i] == "--model" {
-            let value = args
-                .get(i + 1)
-                .cloned()
-                .ok_or_else(|| "--model needs a value (no-cd, cd, or beep)".to_string())?;
-            model = Some(value.parse()?);
-            args.drain(i..=i + 1);
-        } else {
-            i += 1;
+        _ => {
+            // `explain`
+            println!("{config}");
+            match anon_radio::explain::explain_infeasibility(&config) {
+                Ok(report) => print!("{}", report.render()),
+                Err(e) => println!("{e}"),
+            }
         }
     }
-    Ok(model)
+    Ok(0)
 }
 
-/// Strips a boolean `flag` from `args`, returning whether it was present.
-fn extract_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
+/// `anon-radio elect` — the dedicated election through serve's `elect`
+/// executor, on a configuration file or (`--family`) on a configuration
+/// drawn CSR-direct from a scenario spec. The drawn form is the
+/// million-node route (a config file for n = 10⁶ would be tens of MB of
+/// edge lines) and reports its memory on stderr stage by stage.
+fn elect_command(args: &Args) -> Result<i32, String> {
+    let model: ModelKind = args.value("--model")?.unwrap_or_default();
+    let no_leap = args.switch("--no-leap");
+    let source = match args.value::<FamilySpec>("--family")? {
+        Some(family) => ConfigSource::Drawn {
+            family,
+            // A size-pinned spec (`grid:10x10`) names its own node count.
+            n: args
+                .value("--size")?
+                .unwrap_or_else(|| family.default_size()),
+            span: args.value("--span")?.unwrap_or(4),
+            tags: args.value("--tags")?.unwrap_or(TagStrategy::Uniform),
+            seed: args
+                .value("--seed")?
+                .unwrap_or(radio_util::rng::DEFAULT_ROOT_SEED),
+        },
+        None => ConfigSource::Inline(config_text(args)?),
+    };
+    let drawn = matches!(source, ConfigSource::Drawn { .. });
+    let job = OneShotJob {
+        source,
+        model,
+        max_rounds: None,
+        no_leap,
+    };
+    // The drawn form's raw data footprint: u32 offsets (n+1) + u32 target
+    // slots (2m) + u64 tags (n). The acceptance bar for the scale path is
+    // peak RSS within a small constant of this number. Peak RSS is
+    // monotonic, so the staged probes attribute memory to each stage.
+    let mut footprint = None;
+    let stage_peak = |stage: &str| {
+        if let Some(peak) = radio_util::mem::peak_rss_bytes() {
+            eprintln!("peak rss after {stage}: {:.1} MiB", mib(peak));
+        }
+    };
+    let elected = anon_radio::serve::elect(
+        &mut CampaignWorkspace::new(),
+        &job,
+        &mut |stage| match (stage, &job.source) {
+            (
+                Stage::Built(config),
+                ConfigSource::Drawn {
+                    family, span, tags, ..
+                },
+            ) => {
+                let csr = config.csr();
+                let bytes = 4 * (csr.node_count() as u64 + 1)
+                    + 8 * csr.edge_count() as u64
+                    + 8 * csr.node_count() as u64;
+                eprintln!(
+                    "{family} n={} m={} span={span} tags={tags} | csr+tags footprint: {:.1} MiB",
+                    config.size(),
+                    csr.edge_count(),
+                    mib(bytes)
+                );
+                footprint = Some(bytes);
+                stage_peak("graph build");
+            }
+            (Stage::Compiled(classifier), _) => {
+                if drawn {
+                    stage_peak("classify+compile");
+                }
+                // A one-shot run never classifies again: free the
+                // classifier's buffers before the simulation allocates.
+                *classifier = ClassifierWorkspace::new();
+            }
+            (Stage::Simulated(sim), _) if drawn => {
+                eprintln!("sim workspace high-water: {:.1} MiB", mib(sim.mem_bytes()));
+            }
+            _ => {}
+        },
+    );
+    let code = match elected.map(|elected| (elected.config, elected.outcome)) {
+        Ok((config, Ok(report))) => {
+            if !drawn {
+                println!("{config}");
+            }
+            println!(
+                "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
+                 done by global round {} | transmissions: {} | \
+                 engine: {} stepped + {} leapt | \
+                 visits: {} decides + {} horizon queries",
+                report.leader,
+                report.phases,
+                report.rounds_local,
+                report.completion_round,
+                report.transmissions,
+                report.rounds_stepped,
+                report.rounds_leapt,
+                report.decides,
+                report.horizon_queries
+            );
+            0
+        }
+        Ok((_, Err(infeasible))) => {
+            eprintln!("election failed under model {model}: {infeasible}");
+            return Ok(1);
+        }
+        Err(JobError::BadRequest(msg)) => return Err(msg),
+        Err(e) => {
+            eprintln!("election failed under model {model}: {e}");
+            1
+        }
+    };
+    if let (Some(footprint), Some(peak)) = (footprint, radio_util::mem::peak_rss_bytes()) {
+        eprintln!(
+            "peak rss: {:.1} MiB ({:.2}× the csr+tags footprint)",
+            mib(peak),
+            peak as f64 / footprint as f64
+        );
+    }
+    Ok(code)
 }
 
 /// `anon-radio campaign` — execute a declarative election campaign grid
 /// shard by shard and emit one JSONL aggregate row per cell.
-fn campaign_command(args: &[String]) -> i32 {
-    use anon_radio::campaign::{CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy};
-
-    fn parse_list<T: std::str::FromStr>(value: &str, what: &str) -> Result<Vec<T>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let items: Result<Vec<T>, _> = value.split(',').map(str::parse::<T>).collect();
-        items.map_err(|e| format!("bad {what} list `{value}`: {e}"))
-    }
-
-    let mut phase = Phase::Elect;
-    let mut families: Vec<FamilySpec> = vec![FamilySpec::Path, FamilySpec::Star];
-    let mut tag_strategies: Vec<TagStrategy> = vec![TagStrategy::Uniform];
-    let mut sizes: Vec<usize> = vec![8];
-    let mut spans: Vec<u64> = vec![4];
-    let mut models: Option<Vec<ModelKind>> = None;
-    let mut reps = 3usize;
-    let mut shards = 8usize;
-    let mut threads = radio_sim::parallel::default_threads();
-    let mut seed = radio_util::rng::DEFAULT_ROOT_SEED;
-    let mut resume_from = 0usize;
-    let mut no_leap = false;
-    let mut no_cache = false;
-    let mut cache_capacity: Option<usize> = None;
-    let mut no_batch = false;
-    let mut batch_size: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut binary_rows = false;
-
-    let parsed: Result<(), String> = (|| {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--phase" => phase = value("--phase")?.parse()?,
-                "--families" => families = parse_list(&value("--families")?, "family")?,
-                "--tags" => tag_strategies = parse_list(&value("--tags")?, "tag strategy")?,
-                "--sizes" => sizes = parse_list(&value("--sizes")?, "size")?,
-                "--spans" => spans = parse_list(&value("--spans")?, "span")?,
-                "--models" => models = Some(parse_list(&value("--models")?, "model")?),
-                "--reps" => {
-                    reps = value("--reps")?
-                        .parse()
-                        .map_err(|e| format!("--reps: {e}"))?
-                }
-                "--shards" => {
-                    shards = value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?
-                }
-                "--threads" => {
-                    threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--resume-from" => {
-                    resume_from = value("--resume-from")?
-                        .parse()
-                        .map_err(|e| format!("--resume-from: {e}"))?
-                }
-                "--no-leap" => no_leap = true,
-                "--no-cache" => no_cache = true,
-                "--cache-capacity" => {
-                    cache_capacity = Some(
-                        value("--cache-capacity")?
-                            .parse()
-                            .map_err(|e| format!("--cache-capacity: {e}"))?,
-                    )
-                }
-                "--no-batch" => no_batch = true,
-                "--batch-size" => {
-                    batch_size = Some(
-                        value("--batch-size")?
-                            .parse()
-                            .map_err(|e| format!("--batch-size: {e}"))?,
-                    )
-                }
-                "--out" => out = Some(value("--out")?),
-                "--row-format" => {
-                    binary_rows = match value("--row-format")?.as_str() {
-                        "binary" => true,
-                        "jsonl" => false,
-                        other => {
-                            return Err(format!(
-                                "--row-format must be `jsonl` or `binary`, got `{other}`"
-                            ))
-                        }
-                    }
-                }
-                other => return Err(format!("unknown campaign argument `{other}`")),
-            }
-        }
-        Ok(())
-    })();
-    if let Err(msg) = parsed {
-        eprintln!("error: {msg}");
-        return 2;
-    }
+fn campaign_command(args: &Args) -> Result<i32, String> {
+    let phase = args.value("--phase")?.unwrap_or(Phase::Elect);
     // The classify phase runs no simulation: its grid is family × n ×
     // span, and a model axis would silently multiply identical rows.
-    let models = match (phase, models) {
+    let models = match (phase, args.list("--models", "model")?) {
         (Phase::Classify, Some(_)) => {
-            eprintln!(
-                "error: --models does not apply to --phase classify (no simulation runs; \
+            return Err(
+                "--models does not apply to --phase classify (no simulation runs; \
                  the grid is family × n × span)"
-            );
-            return 2;
+                    .to_string(),
+            )
         }
         (Phase::Classify, None) => vec![ModelKind::NoCollisionDetection],
         (Phase::Elect, models) => models.unwrap_or_else(|| ModelKind::ALL.to_vec()),
     };
+    let binary_rows = match args.text("--row-format") {
+        None | Some("jsonl") => false,
+        Some("binary") => true,
+        Some(other) => {
+            return Err(format!(
+                "--row-format must be `jsonl` or `binary`, got `{other}`"
+            ))
+        }
+    };
+    let out = args.text("--out");
     // Binary output is a file format, not a stream format: stdout would
     // interleave raw bytes with a terminal.
     if binary_rows && out.is_none() {
-        eprintln!("error: --row-format binary requires --out FILE");
-        return 2;
+        return Err("--row-format binary requires --out FILE".to_string());
     }
-    if resume_from > 0 {
-        if let Some(path) = &out {
-            if std::path::Path::new(path).exists() {
-                eprintln!(
-                    "error: {path} already exists — a resumed campaign emits rows for the \
-                     remaining shards only, and writing them here would destroy the \
-                     interrupted run's checkpoint; pass a fresh --out path and combine \
-                     the two files afterwards"
-                );
-                return 2;
-            }
+    let resume_from = args.value("--resume-from")?.unwrap_or(0usize);
+    if let Some(path) = out.filter(|_| resume_from > 0) {
+        if std::path::Path::new(path).exists() {
+            return Err(format!(
+                "{path} already exists — a resumed campaign emits rows for the \
+                 remaining shards only, and writing them here would destroy the \
+                 interrupted run's checkpoint; pass a fresh --out path and combine \
+                 the two files afterwards"
+            ));
         }
     }
-
-    let opts = if no_leap {
-        radio_sim::RunOpts::default().no_leap()
-    } else {
-        radio_sim::RunOpts::default()
-    };
-    let cache = match (no_cache, cache_capacity) {
-        (true, Some(_)) => {
-            eprintln!("error: --cache-capacity conflicts with --no-cache");
-            return 2;
-        }
-        (true, None) => anon_radio::cache::CacheConfig::disabled(),
+    let batch = match (args.switch("--no-batch"), args.value("--batch-size")?) {
+        (true, Some(_)) => return Err("--batch-size conflicts with --no-batch".to_string()),
+        (true, None) => BatchConfig::disabled(),
         (false, Some(0)) => {
-            eprintln!("error: --cache-capacity must be at least 1 (or pass --no-cache)");
-            return 2;
+            return Err("--batch-size must be at least 1 (or pass --no-batch)".to_string())
         }
-        (false, Some(capacity)) => anon_radio::cache::CacheConfig::with_capacity(capacity),
-        (false, None) => anon_radio::cache::CacheConfig::default(),
-    };
-    let batch = match (no_batch, batch_size) {
-        (true, Some(_)) => {
-            eprintln!("error: --batch-size conflicts with --no-batch");
-            return 2;
-        }
-        (true, None) => anon_radio::campaign::BatchConfig::disabled(),
-        (false, Some(0)) => {
-            eprintln!("error: --batch-size must be at least 1 (or pass --no-batch)");
-            return 2;
-        }
-        (false, Some(size)) => anon_radio::campaign::BatchConfig::with_size(size),
-        (false, None) => anon_radio::campaign::BatchConfig::default(),
+        (false, Some(size)) => BatchConfig::with_size(size),
+        (false, None) => BatchConfig::default(),
     };
     let spec = CampaignSpec {
         phase,
-        families,
-        tags: tag_strategies,
-        sizes,
-        spans,
+        families: args
+            .list("--families", "family")?
+            .unwrap_or_else(|| vec![FamilySpec::Path, FamilySpec::Star]),
+        tags: args
+            .list("--tags", "tag strategy")?
+            .unwrap_or_else(|| vec![TagStrategy::Uniform]),
+        sizes: args.list("--sizes", "size")?.unwrap_or_else(|| vec![8]),
+        spans: args.list("--spans", "span")?.unwrap_or_else(|| vec![4]),
         models,
-        reps,
-        seed,
-        opts,
-        cache,
+        reps: args.count("--reps")?.unwrap_or(3),
+        seed: args
+            .value("--seed")?
+            .unwrap_or(radio_util::rng::DEFAULT_ROOT_SEED),
+        opts: run_opts(None, args.switch("--no-leap")),
+        cache: cache_policy(args)?,
         batch,
     };
+    let shards = args.count("--shards")?.unwrap_or(8);
+    let threads = args
+        .count("--threads")?
+        .unwrap_or_else(radio_sim::parallel::default_threads);
     // Whole-grid validation: every family × size cell must be realizable
     // as-is — unrealizable combinations (cycle below 3 nodes, a pinned
     // grid:16x4 crossed with a foreign size) are an error, never a clamp,
     // so no row's "n" can disagree with its simulated graph.
-    if let Err(msg) = spec.validate() {
-        eprintln!("error: {msg}");
-        return 2;
-    }
+    spec.validate()?;
     let total = spec.total_runs();
+    let reps = spec.reps;
     let mut runner = CampaignRunner::new(spec, shards);
     // An out-of-range cursor is a usage error, not a no-op: silently
     // clamping used to exit 0 with a garbled resume note and an all-null
     // `runs:0` row per cell — rows that poison a merged checkpoint.
     if resume_from >= runner.shard_count() {
-        eprintln!(
-            "error: --resume-from {resume_from} is out of range — this campaign has {} \
+        return Err(format!(
+            "--resume-from {resume_from} is out of range — this campaign has {} \
              shard(s), so valid resume cursors are 0..{} (the cursor is the shard number \
              printed by the interrupted run's last checkpoint line)",
             runner.shard_count(),
             runner.shard_count()
-        );
-        return 2;
+        ));
     }
     runner.skip_to(resume_from);
     eprintln!(
@@ -421,7 +561,7 @@ fn campaign_command(args: &[String]) -> i32 {
         if let Some(path) = &out {
             if let Err(e) = write_rows_as(path, &runner, binary_rows) {
                 eprintln!("error: could not checkpoint {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         }
     }
@@ -458,7 +598,7 @@ fn campaign_command(args: &[String]) -> i32 {
     // high-water lives in the rows' mem_hw column); it lands on stderr so
     // the scale-smoke CI job and humans can eyeball regressions.
     if let Some(peak) = radio_util::mem::peak_rss_bytes() {
-        eprintln!("peak rss: {:.1} MiB", peak as f64 / (1 << 20) as f64);
+        eprintln!("peak rss: {:.1} MiB", mib(peak));
     }
     match &out {
         Some(path) => {
@@ -466,7 +606,7 @@ fn campaign_command(args: &[String]) -> i32 {
             // more to cover the zero-shard (fully skipped) case.
             if let Err(e) = write_rows_as(path, &runner, binary_rows) {
                 eprintln!("error: could not write {path}: {e}");
-                return 1;
+                return Ok(1);
             }
             eprintln!(
                 "wrote {} {} row(s) to {path}",
@@ -479,94 +619,36 @@ fn campaign_command(args: &[String]) -> i32 {
             let mut stdout = std::io::stdout().lock();
             for row in &runner.jsonl_rows() {
                 if writeln!(stdout, "{row}").is_err() {
-                    return 0; // closed pipe: clean stop, like `family`
+                    return Ok(0); // closed pipe: clean stop, like `family`
                 }
             }
         }
     }
-    0
+    Ok(0)
 }
 
 /// `anon-radio serve` — the resident election service: long-lived workers
 /// with warm workspaces and a shared schedule cache answering
 /// `elect`/`classify`/`campaign-cell` jobs over line-delimited JSON.
 /// Protocol and supervision semantics live in [`anon_radio::serve`].
-fn serve_command(args: &[String]) -> i32 {
-    use anon_radio::serve::{serve_session, serve_tcp, ServeOptions};
+fn serve_command(args: &Args) -> Result<i32, String> {
+    use anon_radio::serve::{serve_session, serve_tcp};
 
-    let mut stdin_stdout = false;
-    let mut tcp: Option<String> = None;
-    let mut unix_path: Option<String> = None;
-    let mut threads = radio_sim::parallel::default_threads();
-    let mut queue = 16usize;
-    let mut no_cache = false;
-    let mut cache_capacity: Option<usize> = None;
-    let parsed: Result<(), String> = (|| {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--stdin-stdout" => stdin_stdout = true,
-                "--tcp" => tcp = Some(value("--tcp")?),
-                "--unix" => unix_path = Some(value("--unix")?),
-                "--threads" => {
-                    threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--queue" => {
-                    queue = value("--queue")?
-                        .parse()
-                        .map_err(|e| format!("--queue: {e}"))?
-                }
-                "--no-cache" => no_cache = true,
-                "--cache-capacity" => {
-                    cache_capacity = Some(
-                        value("--cache-capacity")?
-                            .parse()
-                            .map_err(|e| format!("--cache-capacity: {e}"))?,
-                    )
-                }
-                other => return Err(format!("unknown serve argument `{other}`")),
-            }
-        }
-        Ok(())
-    })();
-    if let Err(msg) = parsed {
-        eprintln!("error: {msg}");
-        return 2;
-    }
+    let (tcp, unix_path) = (args.text("--tcp"), args.text("--unix"));
+    let stdin_stdout = args.switch("--stdin-stdout");
     let transports =
         usize::from(stdin_stdout) + usize::from(tcp.is_some()) + usize::from(unix_path.is_some());
     if transports != 1 {
-        eprintln!("error: pass exactly one transport: --stdin-stdout, --tcp ADDR, or --unix PATH");
-        return 2;
+        return Err(
+            "pass exactly one transport: --stdin-stdout, --tcp ADDR, or --unix PATH".to_string(),
+        );
     }
-    if threads == 0 || queue == 0 {
-        eprintln!("error: --threads and --queue must be at least 1");
-        return 2;
-    }
-    let cache = match (no_cache, cache_capacity) {
-        (true, Some(_)) => {
-            eprintln!("error: --cache-capacity conflicts with --no-cache");
-            return 2;
-        }
-        (true, None) => anon_radio::cache::CacheConfig::disabled(),
-        (false, Some(0)) => {
-            eprintln!("error: --cache-capacity must be at least 1 (or pass --no-cache)");
-            return 2;
-        }
-        (false, Some(capacity)) => anon_radio::cache::CacheConfig::with_capacity(capacity),
-        (false, None) => anon_radio::cache::CacheConfig::default(),
-    };
     let opts = ServeOptions {
-        threads,
-        queue,
-        cache,
+        threads: args
+            .count("--threads")?
+            .unwrap_or_else(radio_sim::parallel::default_threads),
+        queue: args.count("--queue")?.unwrap_or(16),
+        cache: cache_policy(args)?,
     };
     if stdin_stdout {
         // `Stdout` (not the lock) goes to the writer thread: the handle is
@@ -584,60 +666,24 @@ fn serve_command(args: &[String]) -> i32 {
                 "input closed"
             }
         );
-        return 0;
+        return Ok(0);
     }
     if let Some(addr) = tcp {
-        let listener = match std::net::TcpListener::bind(&addr) {
-            Ok(listener) => listener,
-            Err(e) => {
-                eprintln!("error: cannot bind tcp {addr}: {e}");
-                return 2;
-            }
-        };
+        let listener = std::net::TcpListener::bind(addr)
+            .map_err(|e| format!("cannot bind tcp {addr}: {e}"))?;
         if let Ok(local) = listener.local_addr() {
-            eprintln!("serve: listening on tcp {local} ({threads} worker(s), queue {queue})");
+            eprintln!(
+                "serve: listening on tcp {local} ({} worker(s), queue {})",
+                opts.threads, opts.queue
+            );
         }
-        return match serve_tcp(listener, &opts) {
-            Ok(()) => {
-                eprintln!("serve: shut down");
-                0
-            }
-            Err(e) => {
-                eprintln!("error: serve failed: {e}");
-                1
-            }
-        };
+        return Ok(shut_down(serve_tcp(listener, &opts)));
     }
-    let path = unix_path.expect("transport count was checked");
-    serve_unix_at(&path, &opts)
+    serve_unix_at(unix_path.expect("transport count was checked"), &opts)
 }
 
-#[cfg(unix)]
-fn serve_unix_at(path: &str, opts: &anon_radio::serve::ServeOptions) -> i32 {
-    // A stale socket file from a previous run would make bind fail; a
-    // *live* one should. Only remove paths that are sockets.
-    if let Ok(meta) = std::fs::symlink_metadata(path) {
-        use std::os::unix::fs::FileTypeExt as _;
-        if !meta.file_type().is_socket() {
-            eprintln!("error: {path} exists and is not a socket");
-            return 2;
-        }
-    }
-    let listener = match std::os::unix::net::UnixListener::bind(path) {
-        Ok(listener) => listener,
-        Err(e) => {
-            eprintln!(
-                "error: cannot bind unix socket {path}: {e} (remove the file if it is stale)"
-            );
-            return 2;
-        }
-    };
-    eprintln!(
-        "serve: listening on unix {path} ({} worker(s), queue {})",
-        opts.threads, opts.queue
-    );
-    let result = anon_radio::serve::serve_unix(listener, opts);
-    let _ = std::fs::remove_file(path);
+/// Reports how a socket daemon ended and returns the exit code.
+fn shut_down(result: std::io::Result<()>) -> i32 {
     match result {
         Ok(()) => {
             eprintln!("serve: shut down");
@@ -650,231 +696,83 @@ fn serve_unix_at(path: &str, opts: &anon_radio::serve::ServeOptions) -> i32 {
     }
 }
 
+#[cfg(unix)]
+fn serve_unix_at(path: &str, opts: &ServeOptions) -> Result<i32, String> {
+    // A stale socket file from a previous run would make bind fail; a
+    // *live* one should. Only remove paths that are sockets.
+    if let Ok(meta) = std::fs::symlink_metadata(path) {
+        use std::os::unix::fs::FileTypeExt as _;
+        if !meta.file_type().is_socket() {
+            return Err(format!("{path} exists and is not a socket"));
+        }
+    }
+    let listener = std::os::unix::net::UnixListener::bind(path).map_err(|e| {
+        format!("cannot bind unix socket {path}: {e} (remove the file if it is stale)")
+    })?;
+    eprintln!(
+        "serve: listening on unix {path} ({} worker(s), queue {})",
+        opts.threads, opts.queue
+    );
+    let result = anon_radio::serve::serve_unix(listener, opts);
+    let _ = std::fs::remove_file(path);
+    Ok(shut_down(result))
+}
+
 #[cfg(not(unix))]
-fn serve_unix_at(_path: &str, _opts: &anon_radio::serve::ServeOptions) -> i32 {
-    eprintln!("error: --unix sockets are only available on unix platforms (use --tcp)");
-    2
+fn serve_unix_at(_path: &str, _opts: &ServeOptions) -> Result<i32, String> {
+    Err("--unix sockets are only available on unix platforms (use --tcp)".to_string())
 }
 
 /// Writes the campaign's rows to `path` in the selected format (whole-file
 /// rewrite — rows are running aggregates, so each checkpoint supersedes
 /// the previous one).
-fn write_rows_as(
-    path: &str,
-    runner: &anon_radio::campaign::CampaignRunner,
-    binary: bool,
-) -> std::io::Result<()> {
+fn write_rows_as(path: &str, runner: &CampaignRunner, binary: bool) -> std::io::Result<()> {
     if binary {
         std::fs::write(path, anon_radio::row::write_binary(&runner.rows()))
     } else {
-        write_rows(path, &runner.jsonl_rows())
+        let mut body = runner.jsonl_rows().join("\n");
+        body.push('\n');
+        std::fs::write(path, body)
     }
 }
 
 /// `anon-radio rows convert <in> <out>` — flip a row file between the
 /// JSONL and compact binary encodings (the direction is sniffed from the
 /// input's magic bytes). The conversion is lossless in both directions.
-fn rows_command(args: &[String]) -> i32 {
-    let (input, output) = match (
-        args.first().map(String::as_str),
-        args.get(1),
-        args.get(2),
-        args.len(),
-    ) {
-        (Some("convert"), Some(input), Some(output), 3) => (input, output),
+fn rows_command(args: &Args) -> Result<i32, String> {
+    let (input, output) = match args.positionals.as_slice() {
+        [convert, input, output] if convert == "convert" => (input, output),
         _ => {
             eprintln!("usage: anon-radio rows convert <in> <out>");
-            return 2;
+            return Ok(2);
         }
     };
-    let bytes = match std::fs::read(input) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("error: could not read {input}: {e}");
-            return 2;
-        }
+    let bytes = std::fs::read(input).map_err(|e| format!("could not read {input}: {e}"))?;
+    let converted = if anon_radio::row::is_binary(&bytes) {
+        anon_radio::row::binary_to_jsonl(&bytes).map(String::into_bytes)
+    } else {
+        let text = String::from_utf8(bytes)
+            .map_err(|e| format!("{input} is neither binary rows nor UTF-8 JSONL: {e}"))?;
+        anon_radio::row::jsonl_to_binary(&text)
     };
-    let converted: Result<Vec<u8>, anon_radio::row::RowError> =
-        if anon_radio::row::is_binary(&bytes) {
-            anon_radio::row::binary_to_jsonl(&bytes).map(String::into_bytes)
-        } else {
-            match String::from_utf8(bytes) {
-                Ok(text) => anon_radio::row::jsonl_to_binary(&text),
-                Err(e) => {
-                    eprintln!("error: {input} is neither binary rows nor UTF-8 JSONL: {e}");
-                    return 2;
-                }
-            }
-        };
-    match converted {
-        Ok(data) => {
-            if let Err(e) = std::fs::write(output, data) {
-                eprintln!("error: could not write {output}: {e}");
-                return 1;
-            }
-            0
+    match converted.map(|data| std::fs::write(output, data)) {
+        Ok(Ok(())) => Ok(0),
+        Ok(Err(e)) => {
+            eprintln!("error: could not write {output}: {e}");
+            Ok(1)
         }
         Err(e) => {
             eprintln!("error: {input}: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-/// `anon-radio elect --family <spec> --size N --span S [--tags STRAT]
-/// [--seed N]` — build one configuration CSR-direct and run the election
-/// on it. This is the million-node entry point: generation streams into
-/// the CSR with no intermediate adjacency-list graph.
-fn elect_family_command(args: &[String], model: ModelKind, opts: radio_sim::RunOpts) -> i32 {
-    use anon_radio::campaign::{FamilySpec, TagStrategy};
-    use anon_radio::serve::ConfigSource;
-
-    let mut family: Option<FamilySpec> = None;
-    let mut n: Option<usize> = None;
-    let mut span = 4u64;
-    let mut tags = TagStrategy::Uniform;
-    let mut seed = radio_util::rng::DEFAULT_ROOT_SEED;
-    let parsed: Result<(), String> = (|| {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--family" => family = Some(value("--family")?.parse()?),
-                "--size" => {
-                    n = Some(
-                        value("--size")?
-                            .parse()
-                            .map_err(|e| format!("--size: {e}"))?,
-                    )
-                }
-                "--span" => {
-                    span = value("--span")?
-                        .parse()
-                        .map_err(|e| format!("--span: {e}"))?
-                }
-                "--tags" => tags = value("--tags")?.parse()?,
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                other => return Err(format!("unknown elect --family argument `{other}`")),
-            }
-        }
-        Ok(())
-    })();
-    if let Err(msg) = parsed {
-        eprintln!("error: {msg}");
-        return 2;
-    }
-    let family = family.expect("dispatched on --family");
-    let source = ConfigSource::Drawn {
-        family,
-        // A size-pinned spec (`grid:10x10`) names its own node count.
-        n: n.unwrap_or_else(|| family.default_size()),
-        span,
-        tags,
-        seed,
-    };
-    let config = match source.configuration() {
-        Ok(config) => config,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return 2;
-        }
-    };
-    // Raw data footprint: u32 offsets (n+1) + u32 target slots (2m) +
-    // u64 tags (n). The acceptance bar for the scale path is peak RSS
-    // within a small constant of this number.
-    let csr = config.csr();
-    let footprint = 4 * (csr.node_count() as u64 + 1)
-        + 8 * csr.edge_count() as u64
-        + 8 * csr.node_count() as u64;
-    eprintln!(
-        "{family} n={} m={} span={span} tags={tags} | csr+tags footprint: {:.1} MiB",
-        config.size(),
-        csr.edge_count(),
-        footprint as f64 / (1 << 20) as f64
-    );
-    // Staged peak-RSS probes: peak RSS is monotonic, so the deltas
-    // attribute memory to build/classify/simulate phases.
-    let stage_peak = |stage: &str| {
-        if let Some(peak) = radio_util::mem::peak_rss_bytes() {
-            eprintln!(
-                "peak rss after {stage}: {:.1} MiB",
-                peak as f64 / (1 << 20) as f64
-            );
-        }
-    };
-    stage_peak("graph build");
-    let compiled = match anon_radio::solve(&config) {
-        Ok(compiled) => compiled,
-        Err(e) => return report_election(model, Err(e)),
-    };
-    stage_peak("classify+compile");
-    let mut sim = SimWorkspace::new();
-    let outcome = compiled.run_in(&mut sim, &config, model, opts);
-    eprintln!(
-        "sim workspace high-water: {:.1} MiB",
-        sim.mem_bytes() as f64 / (1 << 20) as f64
-    );
-    let code = report_election(model, outcome);
-    if let Some(peak) = radio_util::mem::peak_rss_bytes() {
-        eprintln!(
-            "peak rss: {:.1} MiB ({:.2}× the csr+tags footprint)",
-            peak as f64 / (1 << 20) as f64,
-            peak as f64 / footprint as f64
-        );
-    }
-    code
-}
-
-/// Prints an `elect` outcome — the one-line report on stdout, or the
-/// failure on stderr — and returns the exit code.
-fn report_election<E: std::fmt::Display>(
-    model: ModelKind,
-    outcome: Result<ElectionReport, E>,
-) -> i32 {
-    match outcome {
-        Ok(report) => {
-            println!(
-                "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
-                 done by global round {} | transmissions: {} | \
-                 engine: {} stepped + {} leapt | \
-                 visits: {} decides + {} horizon queries",
-                report.leader,
-                report.phases,
-                report.rounds_local,
-                report.completion_round,
-                report.transmissions,
-                report.rounds_stepped,
-                report.rounds_leapt,
-                report.decides,
-                report.horizon_queries
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("election failed under model {model}: {e}");
-            1
-        }
-    }
-}
-
-/// Writes the JSONL rows to `path` (whole-file rewrite — rows are
-/// running aggregates, so each checkpoint supersedes the previous one).
-fn write_rows(path: &str, rows: &[String]) -> std::io::Result<()> {
-    let mut body = rows.join("\n");
-    body.push('\n');
-    std::fs::write(path, body)
-}
-
-fn family_command(args: &[String]) -> i32 {
-    let (kind, m) = match (args.get(1), args.get(2).and_then(|s| s.parse::<u64>().ok())) {
+fn family_command(args: &Args) -> i32 {
+    let (kind, m) = match (
+        args.positionals.first(),
+        args.positionals.get(1).and_then(|s| s.parse::<u64>().ok()),
+    ) {
         (Some(kind), Some(m)) => (kind.as_str(), m),
         _ => return usage(),
     };
@@ -899,38 +797,6 @@ fn family_command(args: &[String]) -> i32 {
     }
 }
 
-/// Loads the configuration named by `args[1]` (`-` = stdin) and applies
-/// `f`.
-fn with_config(args: &[String], f: impl FnOnce(&Configuration) -> i32) -> i32 {
-    let Some(path) = args.get(1) else {
-        eprintln!("error: missing <config-file> (use `-` for stdin)");
-        return 2;
-    };
-    let text = if path == "-" {
-        let mut buf = String::new();
-        if std::io::stdin().read_to_string(&mut buf).is_err() {
-            eprintln!("error: could not read stdin");
-            return 2;
-        }
-        buf
-    } else {
-        match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: could not read {path}: {e}");
-                return 2;
-            }
-        }
-    };
-    match io::from_text(&text) {
-        Ok(config) => f(&config),
-        Err(e) => {
-            eprintln!("error: invalid configuration: {e}");
-            2
-        }
-    }
-}
-
 fn usage() -> i32 {
     eprintln!("{USAGE}");
     2
@@ -944,7 +810,8 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}  anon-radio elect   <file|->    compile and run the dedicated election\n\
          \u{20}                                 (--model no-cd|cd|beep selects the channel;\n\
          \u{20}                                 --no-leap executes every round one by one\n\
-         \u{20}                                 instead of time-leaping quiet stretches)\n\
+         \u{20}                                 instead of time-leaping quiet stretches;\n\
+         \u{20}                                 both also apply to elect --family)\n\
          \u{20}  anon-radio elect --family SPEC [--size N] --span S [--tags STRAT] [--seed K]\n\
          \u{20}                                 (--size defaults to a size-pinned spec's own\n\
          \u{20}                                 node count, else 8)\n\
@@ -996,4 +863,29 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}      --threads T --queue Q  worker pool size and bounded job-queue depth\n\
          \u{20}      --no-cache / --cache-capacity N  shared schedule-cache policy\n\
          \n\
+         a flag takes its value as `--seed 5` or `--seed=5`; a subcommand rejects\n\
+         (exit 2) any flag or argument it does not use, and counts (--reps,\n\
+         --shards, --threads, --queue) must be at least 1\n\
+         \n\
          configuration file format: see `radio-graph::io` docs";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_flag_table_and_usage_name_the_same_flags() {
+        let mut in_usage: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|word| word.starts_with("--") && *word != "--help")
+            .collect();
+        in_usage.sort_unstable();
+        in_usage.dedup();
+        let mut in_table: Vec<&str> = FLAGS.iter().map(|flag| flag.0).collect();
+        in_table.sort_unstable();
+        assert_eq!(in_usage, in_table);
+        // …and every subcommand a row names exists.
+        let mut forms = FLAGS.iter().flat_map(|flag| flag.2);
+        assert!(forms.all(|form| SUBCOMMANDS.iter().any(|sub| sub.0 == *form)));
+    }
+}

@@ -340,6 +340,14 @@ impl CampaignSpec {
                     .to_string(),
             );
         }
+        // Run indices are `usize`: the runner's shard ranges and slices
+        // count up to `cells × reps`.
+        if self.cells().len().checked_mul(self.reps).is_none() {
+            let reps = self.reps;
+            return Err(format!(
+                "{reps} rep(s) per cell overflow the grid's run count"
+            ));
+        }
         for &family in &self.families {
             for n in family.sizes_for(&self.sizes) {
                 family.check_size(n).map_err(|e| e.to_string())?;
@@ -1121,6 +1129,11 @@ mod tests {
         assert!(err.contains("cycle"), "{err}");
         spec.sizes = vec![3];
         assert!(spec.validate().is_ok());
+        // cells × reps overflows the run index
+        spec.families = vec![FamilySpec::Path, FamilySpec::Star];
+        spec.reps = usize::MAX;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
         spec.tags = vec![];
         assert!(spec.validate().is_err(), "empty axis");
     }

@@ -29,11 +29,10 @@
 //!   [`FamilySpec::default_size`]: a size-pinned spec's own node count,
 //!   else 8), `span` (default 4), `tags` (a [`TagStrategy`], default
 //!   `uniform`), `seed` (default the root seed) — or **inline** via
-//!   `config` holding a `radio-graph` text-format document. The drawn
-//!   route uses exactly the `elect --family` derivation streams
-//!   (`derive(seed, "graph")` / `derive(seed, "tags")`) and size default,
-//!   so a served reply is bit-identical to the one-shot CLI on the same
-//!   spec.
+//!   `config` holding a `radio-graph` text-format document. The CLI's
+//!   `elect` (from a file or `--family`) and `check` build the same
+//!   [`OneShotJob`] and run the same executor ([`elect`], [`classify`]),
+//!   so a served reply and the one-shot text carry the same result.
 //! * `elect` additionally takes `model` (default `no-cd`), and the
 //!   per-job deadline knobs `max_rounds` (unsigned; the existing
 //!   [`RunOpts::max_rounds`] plumbing) and `no_leap` (bool).
@@ -83,17 +82,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 
+use radio_classifier::{ClassifierWorkspace, ClassifySummary};
 use radio_graph::Configuration;
-use radio_sim::{ModelKind, RunOpts};
+use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::json::{Object, Writer};
 use radio_util::rng::{derive, rng_from, DEFAULT_ROOT_SEED};
 
-use crate::api::ElectError;
+use crate::api::{ElectError, ElectionReport, Infeasible};
 use crate::cache::{CacheConfig, CacheLookup, ScheduleCache};
 use crate::campaign::{
     cell_row, run_cell, BatchConfig, CampaignSpec, CampaignWorkspace, FamilySpec, Phase,
     TagStrategy,
 };
+use crate::row::CampaignRow;
 
 /// Supervisor knobs for a serve session or daemon.
 #[derive(Debug, Clone)]
@@ -168,8 +169,7 @@ pub enum JobKind {
 pub enum ConfigSource {
     /// A `radio-graph` text-format document sent inline.
     Inline(String),
-    /// Drawn from a scenario spec with the `elect --family` derivation
-    /// streams.
+    /// Drawn from a scenario spec (the CLI's `elect --family`).
     Drawn {
         /// Graph family.
         family: FamilySpec,
@@ -222,7 +222,10 @@ pub struct CellJob {
     pub no_leap: bool,
 }
 
-fn run_opts(max_rounds: Option<u64>, no_leap: bool) -> RunOpts {
+/// The run options a job's `max_rounds` and `no_leap` name: the one
+/// `no_leap` → [`RunOpts`] mapping, shared by served jobs and the CLI's
+/// `--no-leap`.
+pub fn run_opts(max_rounds: Option<u64>, no_leap: bool) -> RunOpts {
     let mut opts = if no_leap {
         RunOpts::default().no_leap()
     } else {
@@ -320,12 +323,12 @@ impl OneShotJob {
 impl ConfigSource {
     /// Builds the configuration: parses inline text, or draws the graph
     /// and tags from the `derive(seed, "graph")` / `derive(seed, "tags")`
-    /// streams — the one builder behind both served jobs and
-    /// `anon-radio elect --family`.
+    /// streams — the one builder behind served jobs and every CLI
+    /// subcommand that reads a configuration.
     pub fn configuration(&self) -> Result<Configuration, String> {
         match self {
             ConfigSource::Inline(text) => {
-                radio_graph::io::from_text(text).map_err(|e| format!("invalid inline config: {e}"))
+                radio_graph::io::from_text(text).map_err(|e| format!("invalid configuration: {e}"))
             }
             ConfigSource::Drawn {
                 family,
@@ -495,81 +498,156 @@ fn with_cache_fields(
     reply
 }
 
-fn run_elect_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> String {
-    let config = match job.configuration() {
-        Ok(config) => config,
-        Err(msg) => return error_reply(id, "bad-request", &msg),
+/// Renders one job's result as its reply line.
+fn execute_job(ws: &mut CampaignWorkspace, id: u64, job: &JobKind) -> String {
+    let reply = match job {
+        JobKind::Elect(job) => elect(ws, job, &mut |_| {}).map(|elected| {
+            let reply = match elected.outcome {
+                Ok(report) => ok_reply(id, "elect")
+                    .bool("feasible", true)
+                    .str("model", &job.model.to_string())
+                    .u64("leader", u64::from(report.leader))
+                    .u64("phases", report.phases as u64)
+                    .u64("rounds_local", report.rounds_local)
+                    .u64("completion_round", report.completion_round)
+                    .u64("transmissions", report.transmissions)
+                    .u64("rounds_stepped", report.rounds_stepped)
+                    .u64("rounds_leapt", report.rounds_leapt),
+                Err(infeasible) => ok_reply(id, "elect")
+                    .bool("feasible", false)
+                    .u64("iterations", infeasible.iterations as u64),
+            };
+            with_cache_fields(reply, ws, elected.lookup)
+        }),
+        JobKind::Classify(job) => classify(ws, job).map(|(_, summary)| {
+            let leader = summary.leader.map_or("null".to_string(), |l| l.to_string());
+            ok_reply(id, "classify")
+                .bool("feasible", summary.feasible)
+                .u64("iterations", summary.iterations as u64)
+                .u64("classes", u64::from(summary.num_classes))
+                .raw("leader", &leader)
+                .u64("relabels", summary.relabels)
+        }),
+        JobKind::CampaignCell(job) => campaign_cell(ws, job).map(|row| {
+            ok_reply(id, "campaign-cell")
+                .u64("reps", job.reps as u64)
+                .raw("row", &row.to_jsonl())
+        }),
+        // Shutdown is intercepted by the reader; a worker never sees it.
+        JobKind::Shutdown => return error_reply(id, "internal", "shutdown reached a worker"),
     };
-    let (compiled, lookup) = ws.compile(&config);
-    if !compiled.feasible() {
-        let reply = ok_reply(id, "elect")
-            .bool("feasible", false)
-            .u64("iterations", compiled.summary().iterations as u64);
-        return with_cache_fields(reply, ws, lookup).finish();
+    match reply {
+        Ok(reply) => reply.finish(),
+        Err(e) => error_reply(id, e.code(), &e.to_string()),
     }
-    match compiled.run_in(
-        &mut ws.sim,
-        &config,
-        job.model,
-        run_opts(job.max_rounds, job.no_leap),
-    ) {
-        Ok(report) => {
-            let reply = ok_reply(id, "elect")
-                .bool("feasible", true)
-                .str("model", &job.model.to_string())
-                .u64("leader", u64::from(report.leader))
-                .u64("phases", report.phases as u64)
-                .u64("rounds_local", report.rounds_local)
-                .u64("completion_round", report.completion_round)
-                .u64("transmissions", report.transmissions)
-                .u64("rounds_stepped", report.rounds_stepped)
-                .u64("rounds_leapt", report.rounds_leapt);
-            with_cache_fields(reply, ws, lookup).finish()
+}
+
+// ---------------------------------------------------------------------------
+// Executors: one per action, shared by the workers and the one-shot CLI
+// ---------------------------------------------------------------------------
+
+/// Why a job produced no result: served as [`JobError::code`], and the
+/// CLI's exit 2 (bad request) or 1 (failed election).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobError {
+    /// The configuration does not build, or the grid does not validate.
+    BadRequest(String),
+    /// The election ran and failed.
+    Election(ElectError),
+}
+
+impl JobError {
+    /// The reply's `error` code: `bad-request`, `deadline` (the round
+    /// budget ran out) or `election` (a contract or prediction violation).
+    pub fn code(&self) -> &'static str {
+        match self {
+            JobError::BadRequest(_) => "bad-request",
+            JobError::Election(ElectError::RoundLimit { .. }) => "deadline",
+            JobError::Election(_) => "election",
         }
-        Err(e @ ElectError::RoundLimit { .. }) => error_reply(id, "deadline", &e.to_string()),
-        Err(e) => error_reply(id, "election", &e.to_string()),
     }
 }
 
-fn run_classify_job(ws: &mut CampaignWorkspace, job: &OneShotJob, id: u64) -> String {
-    let config = match job.configuration() {
-        Ok(config) => config,
-        Err(msg) => return error_reply(id, "bad-request", &msg),
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::BadRequest(msg) => f.write_str(msg),
+            JobError::Election(e) => e.fmt(f),
+        }
+    }
+}
+
+/// A stage boundary of an [`elect`] job, handed to the caller's probe in
+/// order. Workers ignore them; the one-shot CLI reports memory at each.
+pub enum Stage<'a> {
+    /// The configuration is built.
+    Built(&'a Configuration),
+    /// A feasible election is compiled and simulates next; the job is done
+    /// with the classifier workspace (the CLI frees its buffers here).
+    Compiled(&'a mut ClassifierWorkspace),
+    /// The simulation has run, whatever its outcome.
+    Simulated(&'a SimWorkspace),
+}
+
+/// What an [`elect`] job produced.
+#[derive(Debug)]
+pub struct Elected {
+    /// The configuration the job ran on.
+    pub config: Configuration,
+    /// The validated report, or why the configuration admits no election.
+    pub outcome: Result<ElectionReport, Infeasible>,
+    /// This job's schedule-cache outcome (`None` when `ws` has no cache).
+    pub lookup: Option<CacheLookup>,
+}
+
+/// Runs an `elect` job: builds its configuration, compiles it through `ws`
+/// (and its cache, when attached) and simulates a feasible one, calling
+/// `probe` at each [`Stage`]. An infeasible configuration is a result.
+pub fn elect(
+    ws: &mut CampaignWorkspace,
+    job: &OneShotJob,
+    probe: &mut dyn FnMut(Stage<'_>),
+) -> Result<Elected, JobError> {
+    let config = job.configuration().map_err(JobError::BadRequest)?;
+    probe(Stage::Built(&config));
+    let (compiled, lookup) = ws.compile(&config);
+    let outcome = if compiled.feasible() {
+        probe(Stage::Compiled(&mut ws.classifier));
+        let opts = run_opts(job.max_rounds, job.no_leap);
+        let run = compiled.run_in(&mut ws.sim, &config, job.model, opts);
+        probe(Stage::Simulated(&ws.sim));
+        Ok(run.map_err(JobError::Election)?)
+    } else {
+        let iterations = compiled.summary().iterations;
+        Err(Infeasible { iterations })
     };
-    let summary = ws.classifier.summarize_in(&config);
-    let leader = summary.leader.map_or("null".to_string(), |l| l.to_string());
-    ok_reply(id, "classify")
-        .bool("feasible", summary.feasible)
-        .u64("iterations", summary.iterations as u64)
-        .u64("classes", u64::from(summary.num_classes))
-        .raw("leader", &leader)
-        .u64("relabels", summary.relabels)
-        .finish()
+    Ok(Elected {
+        config,
+        outcome,
+        lookup,
+    })
 }
 
-fn run_cell_job(ws: &mut CampaignWorkspace, job: &CellJob, id: u64) -> String {
+/// Runs a `classify` job through `ws`'s classifier workspace, returning
+/// the configuration with its summary.
+pub fn classify(
+    ws: &mut CampaignWorkspace,
+    job: &OneShotJob,
+) -> Result<(Configuration, ClassifySummary), JobError> {
+    let config = job.configuration().map_err(JobError::BadRequest)?;
+    let summary = ws.classifier.summarize_in(&config);
+    Ok((config, summary))
+}
+
+/// Runs a `campaign-cell` job: validates its one-cell spec and folds the
+/// cell's runs through `ws` into its row.
+pub fn campaign_cell(ws: &mut CampaignWorkspace, job: &CellJob) -> Result<CampaignRow, JobError> {
     let spec = job.spec(ws.cache.is_some());
-    if let Err(msg) = spec.validate() {
-        return error_reply(id, "bad-request", &msg);
-    }
+    spec.validate().map_err(JobError::BadRequest)?;
     let cells = spec.cells();
     debug_assert_eq!(cells.len(), 1, "single-value axes name one cell");
     let agg = run_cell(ws, &spec, &cells[0]);
-    let row = cell_row(spec.phase, &cells[0], &agg);
-    ok_reply(id, "campaign-cell")
-        .u64("reps", spec.reps as u64)
-        .raw("row", &row.to_jsonl())
-        .finish()
-}
-
-fn execute_job(ws: &mut CampaignWorkspace, id: u64, job: &JobKind) -> String {
-    match job {
-        JobKind::Elect(j) => run_elect_job(ws, j, id),
-        JobKind::Classify(j) => run_classify_job(ws, j, id),
-        JobKind::CampaignCell(j) => run_cell_job(ws, j, id),
-        // Shutdown is intercepted by the reader; a worker never sees it.
-        JobKind::Shutdown => error_reply(id, "internal", "shutdown reached a worker"),
-    }
+    Ok(cell_row(spec.phase, &cells[0], &agg))
 }
 
 // ---------------------------------------------------------------------------

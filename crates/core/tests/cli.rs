@@ -111,6 +111,136 @@ fn bad_inputs_fail_cleanly() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // an argument the subcommand would not use is rejected by name, and
+    // so is a zero count
+    let h3 = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad_inputs_h3.cfg");
+    std::fs::write(&h3, family("h", "3")).expect("write config");
+    let h3 = h3.to_str().expect("UTF-8 path");
+    for (args, named) in [
+        (
+            &[
+                "elect",
+                h3,
+                "--span",
+                "9",
+                "--seed",
+                "4",
+                "--tags",
+                "clustered",
+            ][..],
+            "--span",
+        ),
+        (&["check", h3, "junk", "extra"], "junk"),
+        (&["trace", h3, "--reps", "5"], "--reps"),
+        (&["dot", h3, "--family", "path"], "--family"),
+        (&["family", "h", "3", "--seed", "5"], "--seed"),
+        (&["campaign", "--threads", "0"], "--threads"),
+        (&["campaign", "--shards", "0"], "--shards"),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// Every value flag takes `--flag=VALUE` as well as `--flag VALUE`.
+#[test]
+fn value_flags_accept_the_equals_spelling() {
+    let h2 = family("h", "2");
+    for (spaced, joined, stdin) in [
+        (
+            &["elect", "--model", "cd", "-"][..],
+            &["elect", "--model=cd", "-"][..],
+            h2.as_str(),
+        ),
+        (
+            &[
+                "elect", "--family", "path", "--size", "6", "--span", "3", "--seed", "42",
+            ],
+            &[
+                "elect",
+                "--family=path",
+                "--size=6",
+                "--span=3",
+                "--seed=42",
+            ],
+            "",
+        ),
+    ] {
+        let (expected, stderr, code) = run_with_stdin(spaced, stdin);
+        assert_eq!(code, 0, "{spaced:?}: {stderr}");
+        let (stdout, stderr, code) = run_with_stdin(joined, stdin);
+        assert_eq!(code, 0, "{joined:?}: {stderr}");
+        assert_eq!(stdout, expected, "{joined:?}");
+    }
+}
+
+/// The number that follows the first `label` in `text`.
+fn number_after(text: &str, label: &str) -> u64 {
+    let start = text
+        .find(label)
+        .unwrap_or_else(|| panic!("{label} in {text}"))
+        + label.len();
+    text[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("a number after {label} in {text}"))
+}
+
+/// `elect` and `check` run the executor a serve worker runs: their text
+/// carries the numbers of the served reply to the same job.
+#[test]
+fn cli_text_equals_the_served_reply() {
+    let elect = ["elect", "--family", "path", "--size", "6", "--span", "3"];
+    let (text, stderr, code) = run_with_stdin(&[&elect[..], &["--seed", "42"]].concat(), "");
+    assert_eq!(code, 0, "{stderr}");
+    let (reply, stderr, code) = run_with_stdin(
+        &["serve", "--stdin-stdout"],
+        "{\"op\":\"elect\",\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n",
+    );
+    assert_eq!(code, 0, "{stderr}");
+    for (label, field) in [
+        ("leader: v", "leader"),
+        ("phases: ", "phases"),
+        ("local rounds: ", "rounds_local"),
+        ("done by global round ", "completion_round"),
+        ("transmissions: ", "transmissions"),
+        ("engine: ", "rounds_stepped"),
+        ("stepped + ", "rounds_leapt"),
+    ] {
+        assert_eq!(
+            number_after(&text, label),
+            number_after(&reply, &format!("\"{field}\":")),
+            "{field}: {text} vs {reply}"
+        );
+    }
+
+    for (kind, m) in [("h", "3"), ("s", "2")] {
+        let config = family(kind, m);
+        let (text, stderr, code) = run_with_stdin(&["check", "-"], &config);
+        assert_eq!(code, 0, "{stderr}");
+        let job = format!(
+            "{{\"op\":\"classify\",\"config\":\"{}\"}}\n",
+            config.replace('\n', "\\n")
+        );
+        let (reply, stderr, code) = run_with_stdin(&["serve", "--stdin-stdout"], &job);
+        assert_eq!(code, 0, "{stderr}");
+        assert_eq!(
+            text.lines().any(|line| line.starts_with("FEASIBLE")),
+            reply.contains("\"feasible\":true"),
+            "{text} vs {reply}"
+        );
+        assert_eq!(
+            number_after(&text, "after "),
+            number_after(&reply, "\"iterations\":"),
+            "{text} vs {reply}"
+        );
+    }
 }
 
 #[test]
@@ -194,6 +324,30 @@ fn campaign_rejects_unrealizable_grids() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // a run count (cells × reps) that overflows is rejected before any run
+    let out = bin()
+        .args([
+            "campaign",
+            "--families",
+            "path,star",
+            "--sizes",
+            "4",
+            "--spans",
+            "2",
+            "--models",
+            "no-cd",
+            "--reps",
+            "18446744073709551615",
+            "--shards",
+            "1",
+            "--threads",
+            "1",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
 }
 
 #[test]
