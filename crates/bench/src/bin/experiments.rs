@@ -187,7 +187,7 @@ fn bench_scale(path: &std::path::Path, seed: u64) {
         let csr = FamilySpec::Star.build_csr(n, seed).expect("star builds");
         let gen_ns = gen_started.elapsed().as_nanos() as f64 / n as f64;
         let tags = TagStrategy::Extremes.draw(n, 3, &mut radio_util::rng::rng_from(seed));
-        let config = Configuration::from_csr(csr, tags).expect("star configuration");
+        let config = Configuration::new(csr, tags).expect("star configuration");
         let mut sim = SimWorkspace::new();
         let elect_started = std::time::Instant::now();
         let compiled = anon_radio::solve(&config).expect("star elects");

@@ -13,7 +13,7 @@
 //!   worker threads — each worker owning one long-lived [`SimWorkspace`]
 //!   through the worker-scoped [`par_map_init`];
 //! * a declarative campaign executed through
-//!   [`CampaignRunner`](crate::campaign::CampaignRunner) with streaming
+//!   [`CampaignRunner`] with streaming
 //!   per-cell aggregation.
 
 use std::time::Instant;

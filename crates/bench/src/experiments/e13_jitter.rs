@@ -35,7 +35,7 @@ fn perturbations(config: &Configuration) -> Vec<Configuration> {
             }
             tags[v] = t as u64;
             out.push(
-                Configuration::new(config.graph().clone(), tags)
+                Configuration::new(config.csr().clone(), tags)
                     .expect("graph unchanged")
                     .normalize(),
             );

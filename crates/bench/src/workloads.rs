@@ -6,7 +6,7 @@
 //! names (same graphs, same seed-derivation streams as the campaign axis,
 //! so pre-campaign experiment outputs are unchanged).
 
-use radio_graph::{tags, Configuration, FamilySpec, Graph};
+use radio_graph::{tags, Configuration, Csr, FamilySpec};
 use radio_sim::ModelKind;
 use radio_util::rng::{derive, rng_from};
 
@@ -25,9 +25,9 @@ impl Family {
     /// Panics if the family cannot be built on `n` nodes — the scaling
     /// experiments sweep sizes ≥ 4, which every family here accepts, so
     /// an unrealizable size is a programming error.
-    pub fn make(&self, n: usize, seed: u64) -> Graph {
+    pub fn make(&self, n: usize, seed: u64) -> Csr {
         self.spec
-            .build(n, seed)
+            .build_csr(n, seed)
             .unwrap_or_else(|e| panic!("{}: {e}", self.name))
     }
 }
@@ -50,23 +50,22 @@ pub fn scaling_families() -> Vec<Family> {
 }
 
 /// Builds a configuration with random tags in `0..=span`, seeded.
-pub fn with_random_tags(graph: Graph, span: u64, seed: u64) -> Configuration {
+pub fn with_random_tags(graph: Csr, span: u64, seed: u64) -> Configuration {
     tags::random_in_span(graph, span, &mut rng_from(derive(seed, "tags")))
 }
 
 /// Builds a configuration with distinct shuffled tags (always feasible in
 /// practice), seeded.
-pub fn with_distinct_tags(graph: Graph, seed: u64) -> Configuration {
+pub fn with_distinct_tags(graph: Csr, seed: u64) -> Configuration {
     tags::distinct_shuffled(graph, &mut rng_from(derive(seed, "tags-distinct")))
 }
 
 /// Keeps drawing random-tag configurations until one is feasible (bounded
 /// attempts); falls back to distinct tags, which break all symmetry.
 ///
-/// All attempts share one validated graph and its frozen CSR — each draw
-/// only swaps the tag vector ([`Configuration::retag`]); nothing is cloned
-/// on the happy path.
-pub fn feasible_with_span(graph: Graph, span: u64, seed: u64) -> Configuration {
+/// All attempts share one validated graph — each draw only swaps the tag
+/// vector ([`Configuration::retag`]); nothing is cloned on the happy path.
+pub fn feasible_with_span(graph: Csr, span: u64, seed: u64) -> Configuration {
     let n = graph.node_count();
     let mut config = Configuration::with_uniform_tags(graph, 0).expect("valid graph");
     for attempt in 0..20u64 {
@@ -79,7 +78,7 @@ pub fn feasible_with_span(graph: Graph, span: u64, seed: u64) -> Configuration {
             return config;
         }
     }
-    with_distinct_tags(config.graph().clone(), seed)
+    with_distinct_tags(config.csr().clone(), seed)
 }
 
 /// One cell of a model-crossed sweep: a named configuration paired with

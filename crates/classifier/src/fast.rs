@@ -10,8 +10,8 @@
 //! either engine are identical. The property suite asserts this.
 //!
 //! The pass is allocation-conscious: old/new class vectors are
-//! double-buffered inside [`RefState`] (one `mem::swap`, no clone), and
-//! [`refine_fast_by`] is generic over the per-node key so the
+//! double-buffered inside `RefState` (one `mem::swap`, no clone), and
+//! `refine_fast_by` is generic over the per-node key so the
 //! [`ClassifierWorkspace`](crate::workspace::ClassifierWorkspace) can
 //! refine on interned `u32` label ids through a *persistent* hash table —
 //! a warm pass performs zero heap allocation.

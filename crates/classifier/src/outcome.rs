@@ -11,7 +11,7 @@
 //! drives both engines and streams each iteration to a
 //! [`RecordSink`](crate::workspace::RecordSink). The functions here are
 //! the eager wrappers: a fresh
-//! [`ClassifierWorkspace`](crate::workspace::ClassifierWorkspace) with a
+//! [`ClassifierWorkspace`] with a
 //! [`FullRecords`](crate::workspace::FullRecords) sink, packaged as the
 //! classic [`Outcome`]. Batch callers hold a workspace and use
 //! [`ClassifierWorkspace::classify_in`](crate::workspace::ClassifierWorkspace::classify_in)

@@ -6,17 +6,17 @@
 //! a fresh `Vec<Label>` (one heap label per node), two clones of the class
 //! vector (one for `Refine`'s old/new split, one for the materialized
 //! [`Partition`]), and an eager
-//! [`IterationRecord`](crate::IterationRecord). None of that is needed to
+//! [`IterationRecord`]. None of that is needed to
 //! *decide* feasibility — and for a campaign sweeping millions of
 //! configurations, classification (not simulation) is the throughput
 //! ceiling. The [`ClassifierWorkspace`] removes all of it:
 //!
 //! * **Label interner** — label contents live in one flat [`Triple`] arena
-//!   ([`LabelInterner`]); a node's label is a `u32` id, and `Refine` hashes
+//!   (`LabelInterner`); a node's label is a `u32` id, and `Refine` hashes
 //!   `(old class, label id)` — two machine words — through a *persistent*
 //!   table instead of re-walking triple sequences.
 //! * **Double-buffered classes** — old/new class vectors swap inside
-//!   [`RefState`]; no per-pass clone.
+//!   `RefState`; no per-pass clone.
 //! * **Incremental worklist** — an iteration recomputes labels only for
 //!   nodes whose own class or some neighbour's class changed in the
 //!   previous pass. A node with a stable neighbourhood keeps its interned

@@ -60,7 +60,7 @@ fn main() {
     let code = Args::parse(subcommand, rest).and_then(|args| match subcommand.as_str() {
         "check" => check_command(&args),
         "elect" => elect_command(&args),
-        "family" => Ok(family_command(&args)),
+        "family" => family_command(&args),
         "campaign" => campaign_command(&args),
         "rows" => rows_command(&args),
         "serve" => serve_command(&args),
@@ -768,19 +768,36 @@ fn rows_command(args: &Args) -> Result<i32, String> {
     }
 }
 
-fn family_command(args: &Args) -> i32 {
-    let (kind, m) = match (
-        args.positionals.first(),
-        args.positionals.get(1).and_then(|s| s.parse::<u64>().ok()),
-    ) {
-        (Some(kind), Some(m)) => (kind.as_str(), m),
-        _ => return usage(),
+/// `anon-radio family g|h|s <m>` — print a paper family configuration.
+/// `m` is checked against the family's domain before anything is built.
+fn family_command(args: &Args) -> Result<i32, String> {
+    let [kind, m] = args.positionals.as_slice() else {
+        return Ok(usage());
     };
-    let config = match kind {
-        "g" if m >= 2 => families::g_m(m as usize),
-        "h" if m >= 1 => families::h_m(m),
-        "s" if m >= 1 => families::s_m(m),
-        _ => return usage(),
+    let m: u64 = m
+        .parse()
+        .map_err(|_| format!("family {kind}: m must be a whole number, got `{m}`"))?;
+    let config = match kind.as_str() {
+        "g" if m < 2 => return Err(format!("family g needs m ≥ 2, got {m}")),
+        "g" => {
+            // G_m is a path on 4m + 1 nodes, so it gets the bound that
+            // `elect --family path --size` enforces.
+            let n = usize::try_from(m)
+                .ok()
+                .and_then(|m| m.checked_mul(4)?.checked_add(1))
+                .ok_or_else(|| format!("family g {m}: 4m + 1 nodes overflow usize"))?;
+            FamilySpec::Path
+                .check_size(n)
+                .map_err(|e| format!("family g {m}: G_m is a path on 4m + 1 nodes, and {e}"))?;
+            families::g_m(m as usize)
+        }
+        "h" if m == 0 || m == u64::MAX => {
+            return Err(format!("family h needs 1 ≤ m < {}, got {m}", u64::MAX))
+        }
+        "h" => families::h_m(m),
+        "s" if m == 0 => return Err("family s needs m ≥ 1, got 0".to_string()),
+        "s" => families::s_m(m),
+        _ => return Err(format!("unknown family {kind} (expected g, h or s)")),
     };
     // `family` is the designed producer end of shell pipelines; a consumer
     // that exits early (e.g. on a bad flag) closes the pipe, and `print!`
@@ -788,11 +805,11 @@ fn family_command(args: &Args) -> i32 {
     // a clean stop, any other write failure is a real error.
     use std::io::Write as _;
     match std::io::stdout().write_all(io::to_text(&config).as_bytes()) {
-        Ok(()) => 0,
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Ok(()) => Ok(0),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(0),
         Err(e) => {
             eprintln!("error: could not write configuration: {e}");
-            1
+            Ok(1)
         }
     }
 }

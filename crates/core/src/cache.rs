@@ -11,7 +11,7 @@
 //!
 //! # Two key levels
 //!
-//! [`CanonicalKey`] can only be derived *by classifying* — it fingerprints
+//! [`CanonicalKey`](radio_classifier::key::CanonicalKey) can only be derived *by classifying* — it fingerprints
 //! the trace itself. On its own it would memoize schedule compilation but
 //! never classification. The cache therefore indexes every entry under two
 //! keys:
@@ -44,7 +44,7 @@
 //! # Bit-for-bit contract
 //!
 //! Cached ≡ uncached everywhere: a hit returns the same
-//! [`ClassifySummary`] and a schedule equal (by value) to what a fresh
+//! [`ClassifySummary`](radio_classifier::ClassifySummary) and a schedule equal (by value) to what a fresh
 //! compile would produce. Debug builds verify the schedule equality on
 //! every canonical hit. What *is* nondeterministic under concurrency is
 //! the hit/miss split itself (two workers can race to first-miss the same

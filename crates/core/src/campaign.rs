@@ -15,12 +15,10 @@
 //!   bit-for-bit and resumable mid-way.
 //! * [`CampaignRunner`] executes the grid *shard by shard*: each shard is
 //!   a contiguous slice of the run sequence, dispatched over worker
-//!   threads that each own one long-lived
-//!   [`SimWorkspace`](radio_sim::SimWorkspace) (see
+//!   threads that each own one long-lived [`SimWorkspace`] (see
 //!   [`radio_sim::parallel::par_map_init`]). As a shard completes, its
-//!   per-run metrics are folded into per-cell
-//!   [`StreamingStats`](radio_util::stats::StreamingStats) — count, mean,
-//!   min, max, p50, p95 in constant memory — instead of materializing
+//!   per-run metrics are folded into per-cell [`StreamingStats`] — count,
+//!   mean, min, max, p50, p95 in constant memory — instead of materializing
 //!   every [`Execution`](radio_sim::Execution). A million-run campaign
 //!   holds one shard's worth of 48-byte metric records at a time.
 //! * The shard cursor ([`CampaignRunner::cursor`], [`CampaignRunner::skip_to`])
@@ -56,9 +54,8 @@ use crate::dedicated::CompiledElection;
 /// * [`Phase::Elect`] — the full election pipeline per run: classify,
 ///   compile, simulate, validate. The original campaign workload.
 /// * [`Phase::Classify`] — the decision phase alone, through the
-///   worker's recycled
-///   [`ClassifierWorkspace`](radio_classifier::ClassifierWorkspace): per
-///   run only the classifier's verdict and shape metrics (iterations,
+///   worker's recycled [`ClassifierWorkspace`]: per run only the
+///   classifier's verdict and shape metrics (iterations,
 ///   final class count, incremental relabel work) are folded. This is the
 ///   phase the paper's open problem #1 is about, and the one the
 ///   simulation-side campaigns could not sweep at scale before.
@@ -113,10 +110,9 @@ pub struct CampaignWorkspace {
     /// Recycled classifier state (label interner, refine buffers,
     /// worklist).
     pub classifier: ClassifierWorkspace,
-    /// Shared schedule cache — one process-wide
-    /// [`ScheduleCache`](crate::cache::ScheduleCache) handle cloned into
-    /// every worker of a cached elect campaign; `None` runs the uncached
-    /// pipeline ([`CacheConfig::disabled`], classify campaigns).
+    /// Shared schedule cache — one process-wide [`ScheduleCache`] handle
+    /// cloned into every worker of a cached elect campaign; `None` runs the
+    /// uncached pipeline ([`CacheConfig::disabled`], classify campaigns).
     pub cache: Option<Arc<ScheduleCache>>,
 }
 
@@ -127,8 +123,7 @@ impl CampaignWorkspace {
     }
 
     /// A workspace routing elect runs through `cache` (when `Some`) — the
-    /// init the campaign runner hands to
-    /// [`par_map_init`](radio_sim::parallel::par_map_init) so every worker
+    /// init the campaign runner hands to [`par_map_init`] so every worker
     /// shares one cache.
     pub fn with_cache(cache: Option<Arc<ScheduleCache>>) -> CampaignWorkspace {
         CampaignWorkspace {
@@ -373,9 +368,8 @@ impl CampaignSpec {
             derive_index(derive(self.seed, &cell.family.to_string()), cell.n as u64),
             cell.span,
         );
-        // CSR-direct: the family streams straight into CSR form and the
-        // tag strategy draws from the same positional stream it always
-        // did, so no adjacency-list Graph is ever materialized.
+        // The family streams straight into CSR form and the tag strategy
+        // draws from the same positional stream it always did.
         let csr = cell
             .family
             .build_csr(cell.n, derive_index(derive(base, "graph"), rep as u64))
@@ -391,7 +385,7 @@ impl CampaignSpec {
             cell.span,
             &mut rng_from(derive_index(tag_stream, rep as u64)),
         );
-        Configuration::from_csr(csr, tags).expect("families build connected graphs")
+        Configuration::new(csr, tags).expect("families build connected graphs")
     }
 }
 
@@ -585,7 +579,7 @@ impl CellAggregate {
 }
 
 /// The elect-phase per-run workload: the full election pipeline on the
-/// drawn configuration — compile through [`CampaignWorkspace::compile`],
+/// drawn configuration — compile through `CampaignWorkspace::compile`,
 /// then the one simulate step every election takes (the streaming DRIP
 /// over length-only histories, resident in the worker's [`SimWorkspace`];
 /// each node reports its own verdict), and check the exactly-one-leader
@@ -1095,7 +1089,7 @@ mod tests {
         let uni = spec.configuration(&cells[0], 0);
         let arith = spec.configuration(&cells[18], 0);
         assert_eq!(cells[18].tags, TagStrategy::Arith { stride: 2 });
-        assert_eq!(uni.graph().edges(), arith.graph().edges(), "same graph");
+        assert_eq!(uni.csr(), arith.csr(), "same graph");
         assert_eq!(arith.tags(), &[0, 2, 1, 0, 2], "arith stride 2 mod σ+1");
     }
 
@@ -1185,7 +1179,7 @@ mod tests {
         assert_eq!(a, b, "model must not perturb the drawn configuration");
         // different rep → (overwhelmingly) different tags, same graph shape
         let c = spec.configuration(&cells[0], 0);
-        assert_eq!(a.graph().node_count(), c.graph().node_count());
+        assert_eq!(a.size(), c.size());
         // derivation is stable across calls
         assert_eq!(a, spec.configuration(&cells[0], 1));
     }
@@ -1214,7 +1208,7 @@ mod tests {
         assert_eq!("rtree".parse::<FamilySpec>(), Ok(FamilySpec::RandomTree));
         assert!("kagome-lattice".parse::<FamilySpec>().is_err());
         for kind in kinds {
-            let g = kind.build(7, 3).unwrap();
+            let g = kind.build_csr(7, 3).unwrap();
             assert!(radio_graph::algo::is_connected(&g), "{kind}");
         }
     }

@@ -341,7 +341,7 @@ impl ConfigSource {
                     .build_csr(*n, derive(*seed, "graph"))
                     .map_err(|e| e.to_string())?;
                 let tag_values = tags.draw(*n, *span, &mut rng_from(derive(*seed, "tags")));
-                Configuration::from_csr(csr, tag_values).map_err(|e| {
+                Configuration::new(csr, tag_values).map_err(|e| {
                     format!("{family} with {tags} tags is not a valid configuration: {e}")
                 })
             }

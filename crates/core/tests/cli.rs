@@ -356,10 +356,45 @@ fn family_argument_validation() {
         &["family", "g", "1"][..],
         &["family", "x", "3"],
         &["family", "h"],
+        &["family", "h", "18446744073709551615"],
+        &["family", "g", "99999999999"],
+        &["family", "g", "1073741824"],
+        &["family", "h", "0"],
     ] {
         let out = bin().args(bad).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{bad:?}");
     }
+    // A parameter outside the family's domain is one line on stderr that
+    // names the family and the bound, and nothing is built or printed.
+    for (bad, bound) in [
+        (&["family", "g", "1"][..], "family g needs m ≥ 2"),
+        (
+            &["family", "h", "0"],
+            "family h needs 1 ≤ m < 18446744073709551615",
+        ),
+        (
+            &["family", "h", "18446744073709551615"],
+            "family h needs 1 ≤ m < 18446744073709551615",
+        ),
+        (&["family", "s", "0"], "family s needs m ≥ 1"),
+        (&["family", "g", "99999999999"], "u32 offset space"),
+        (&["family", "g", "1073741824"], "u32 offset space"),
+        (&["family", "x", "3"], "expected g, h or s"),
+    ] {
+        let out = bin().args(bad).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(out.stdout.is_empty(), "{bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{bad:?}: {stderr}");
+        assert!(stderr.contains(bound), "{bad:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("family {}", bad[1])),
+            "{bad:?}: {stderr}"
+        );
+    }
+    // The largest members of the domain still build.
+    let largest_h = family("h", "18446744073709551614");
+    assert!(largest_h.contains("tags 18446744073709551614 0 0 18446744073709551615"));
 }
 
 /// Exit-code matrix for `--resume-from`: a cursor at or past the shard

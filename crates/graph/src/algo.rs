@@ -1,10 +1,10 @@
 //! Elementary graph algorithms used across the workspace: BFS layers,
 //! connectivity, eccentricity/diameter, and degree statistics.
 
-use crate::graph::{Graph, NodeId};
+use crate::csr::{Csr, NodeId};
 
 /// BFS distances from `src`; unreachable nodes get `u32::MAX`.
-pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
+pub fn bfs_distances(g: &Csr, src: NodeId) -> Vec<u32> {
     let n = g.node_count();
     let mut dist = vec![u32::MAX; n];
     if n == 0 {
@@ -26,20 +26,11 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
 }
 
 /// True iff the graph is connected (the empty graph counts as connected,
-/// the paper never uses it; a singleton is trivially connected).
-pub fn is_connected(g: &Graph) -> bool {
+/// the paper never uses it; a singleton is trivially connected). Every
+/// configuration is checked with it, so it marks nodes with a `bool`
+/// rather than computing distances.
+pub fn is_connected(g: &Csr) -> bool {
     let n = g.node_count();
-    if n <= 1 {
-        return true;
-    }
-    bfs_distances(g, 0).iter().all(|&d| d != u32::MAX)
-}
-
-/// True iff the CSR graph is connected — the validation path for
-/// CSR-direct configurations, which never materialize a [`Graph`]. Same
-/// convention as [`is_connected`]: empty and singleton count as connected.
-pub fn is_connected_csr(csr: &crate::csr::Csr) -> bool {
-    let n = csr.node_count();
     if n <= 1 {
         return true;
     }
@@ -49,7 +40,7 @@ pub fn is_connected_csr(csr: &crate::csr::Csr) -> bool {
     queue.push_back(0 as NodeId);
     let mut visited = 1usize;
     while let Some(u) = queue.pop_front() {
-        for &v in csr.neighbors(u) {
+        for &v in g.neighbors(u) {
             if !seen[v as usize] {
                 seen[v as usize] = true;
                 visited += 1;
@@ -61,7 +52,7 @@ pub fn is_connected_csr(csr: &crate::csr::Csr) -> bool {
 }
 
 /// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
+pub fn component_count(g: &Csr) -> usize {
     let n = g.node_count();
     let mut comp = vec![usize::MAX; n];
     let mut count = 0;
@@ -87,7 +78,7 @@ pub fn component_count(g: &Graph) -> usize {
 
 /// Eccentricity of `v` (greatest BFS distance from `v`); `None` if the graph
 /// is disconnected from `v`.
-pub fn eccentricity(g: &Graph, v: NodeId) -> Option<u32> {
+pub fn eccentricity(g: &Csr, v: NodeId) -> Option<u32> {
     let d = bfs_distances(g, v);
     let mx = *d.iter().max()?;
     if mx == u32::MAX {
@@ -98,7 +89,7 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> Option<u32> {
 }
 
 /// Diameter (max eccentricity). `None` for disconnected or empty graphs.
-pub fn diameter(g: &Graph) -> Option<u32> {
+pub fn diameter(g: &Csr) -> Option<u32> {
     let n = g.node_count();
     if n == 0 {
         return None;
@@ -111,7 +102,7 @@ pub fn diameter(g: &Graph) -> Option<u32> {
 }
 
 /// Histogram of node degrees: `hist[d]` = number of nodes of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
+pub fn degree_histogram(g: &Csr) -> Vec<usize> {
     let mut hist = vec![0usize; g.max_degree() + 1];
     for v in 0..g.node_count() as NodeId {
         hist[g.degree(v)] += 1;
@@ -120,7 +111,7 @@ pub fn degree_histogram(g: &Graph) -> Vec<usize> {
 }
 
 /// True iff the graph is a tree (connected with exactly `n − 1` edges).
-pub fn is_tree(g: &Graph) -> bool {
+pub fn is_tree(g: &Csr) -> bool {
     g.node_count() >= 1 && g.edge_count() == g.node_count() - 1 && is_connected(g)
 }
 
@@ -129,7 +120,7 @@ pub fn is_tree(g: &Graph) -> bool {
 ///
 /// Notable connection to the paper: on the lower-bound family `G_m`, the
 /// unique electable node `b_{m+1}` is exactly the centre of the path.
-pub fn center(g: &Graph) -> Option<Vec<NodeId>> {
+pub fn center(g: &Csr) -> Option<Vec<NodeId>> {
     let n = g.node_count();
     if n == 0 {
         return None;
@@ -159,13 +150,11 @@ mod tests {
     #[test]
     fn connectivity() {
         assert!(is_connected(&generators::cycle(6)));
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = Csr::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(!is_connected(&g));
         assert_eq!(component_count(&g), 2);
-        assert!(is_connected(&Graph::new(1)));
-        assert!(is_connected(&Graph::new(0)));
+        assert!(is_connected(&generators::path(1)));
+        assert!(is_connected(&generators::path(0)));
     }
 
     #[test]
@@ -174,12 +163,11 @@ mod tests {
         assert_eq!(diameter(&generators::cycle(8)), Some(4));
         assert_eq!(diameter(&generators::complete(5)), Some(1));
         assert_eq!(diameter(&generators::star(9)), Some(2));
-        assert_eq!(diameter(&Graph::new(1)), Some(0));
-        assert_eq!(diameter(&Graph::new(0)), None);
-        let mut g = Graph::new(2);
+        assert_eq!(diameter(&generators::path(1)), Some(0));
+        assert_eq!(diameter(&generators::path(0)), None);
+        let g = Csr::from_edges(2, &[]).unwrap();
         assert_eq!(diameter(&g), None, "disconnected");
-        g.add_edge(0, 1).unwrap();
-        assert_eq!(diameter(&g), Some(1));
+        assert_eq!(diameter(&generators::path(2)), Some(1));
     }
 
     #[test]
@@ -195,14 +183,12 @@ mod tests {
         assert!(is_tree(&generators::star(6)));
         assert!(is_tree(&generators::balanced_tree(9, 2)));
         assert!(!is_tree(&generators::cycle(4)));
-        let mut forest = Graph::new(4);
-        forest.add_edge(0, 1).unwrap();
-        forest.add_edge(2, 3).unwrap();
+        let forest = Csr::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(
             !is_tree(&forest),
             "disconnected with n-1... this has n-2 edges"
         );
-        assert!(is_tree(&Graph::new(1)));
+        assert!(is_tree(&generators::path(1)));
     }
 
     #[test]
@@ -211,11 +197,10 @@ mod tests {
         assert_eq!(center(&generators::path(4)), Some(vec![1, 2]));
         assert_eq!(center(&generators::star(7)), Some(vec![0]));
         assert_eq!(center(&generators::cycle(4)), Some(vec![0, 1, 2, 3]));
-        assert_eq!(center(&Graph::new(0)), None);
-        let mut disc = Graph::new(2);
+        assert_eq!(center(&generators::path(0)), None);
+        let disc = Csr::from_edges(2, &[]).unwrap();
         assert_eq!(center(&disc), None);
-        disc.add_edge(0, 1).unwrap();
-        assert_eq!(center(&disc), Some(vec![0, 1]));
+        assert_eq!(center(&generators::path(2)), Some(vec![0, 1]));
     }
 
     #[test]
@@ -223,7 +208,7 @@ mod tests {
         for m in [2usize, 3, 5] {
             let config = crate::families::g_m(m);
             assert_eq!(
-                center(config.graph()),
+                center(config.csr()),
                 Some(vec![crate::families::g_m_center(m)]),
                 "m={m}"
             );

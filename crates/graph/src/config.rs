@@ -10,11 +10,9 @@
 //! zero, after which the span equals the largest tag.
 
 use std::fmt;
-use std::sync::OnceLock;
 
-use crate::algo::{is_connected, is_connected_csr};
-use crate::csr::Csr;
-use crate::graph::{Graph, NodeId};
+use crate::algo::is_connected;
+use crate::csr::{assert_permutation, Csr, NodeId};
 
 /// Wake-up tag type. Tags are global round numbers; `u64` avoids any
 /// realistic overflow in span sweeps (`H_m` experiments push `σ` to 2^12+).
@@ -52,59 +50,20 @@ impl std::error::Error for ConfigError {}
 
 /// A radio-network configuration: connected graph + wake-up tags.
 ///
-/// The authoritative adjacency is the frozen [`Csr`] — everything on the
-/// campaign hot path (simulator, classifier, fingerprinting) iterates it
-/// directly. The mutable-form [`Graph`] is **lazy**: configurations built
-/// from a graph carry it along, while CSR-direct configurations (the
-/// million-node scale path, [`Configuration::from_csr`]) thaw one on first
-/// [`Configuration::graph`] call and never pay for it otherwise.
-#[derive(Debug, Clone)]
+/// The graph is a frozen [`Csr`]: everything (simulator, classifier,
+/// fingerprinting, IO) iterates it directly, and cloning a configuration
+/// shares it instead of copying it. Equality is semantic: same adjacency
+/// and same tags.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Configuration {
     csr: Csr,
     tags: Vec<Tag>,
-    graph: OnceLock<Graph>,
 }
-
-/// Equality is semantic over the frozen form: same CSR adjacency + same
-/// tags. Whether the lazy [`Graph`] has been thawed is unobservable.
-impl PartialEq for Configuration {
-    fn eq(&self, other: &Configuration) -> bool {
-        self.csr == other.csr && self.tags == other.tags
-    }
-}
-
-impl Eq for Configuration {}
 
 impl Configuration {
-    /// Builds a configuration, validating connectivity and tag arity.
-    pub fn new(graph: Graph, tags: Vec<Tag>) -> Result<Configuration, ConfigError> {
-        if graph.node_count() == 0 {
-            return Err(ConfigError::Empty);
-        }
-        if tags.len() != graph.node_count() {
-            return Err(ConfigError::TagArity {
-                nodes: graph.node_count(),
-                tags: tags.len(),
-            });
-        }
-        if !is_connected(&graph) {
-            return Err(ConfigError::Disconnected);
-        }
-        let csr = Csr::from_graph(&graph);
-        let lock = OnceLock::new();
-        let _ = lock.set(graph);
-        Ok(Configuration {
-            csr,
-            tags,
-            graph: lock,
-        })
-    }
-
-    /// Builds a configuration straight from a frozen [`Csr`] — the
-    /// CSR-direct scale path. Validation (non-empty, tag arity,
-    /// connectivity) runs on the CSR itself; no adjacency-list graph is
-    /// materialized unless [`Configuration::graph`] is later called.
-    pub fn from_csr(csr: Csr, tags: Vec<Tag>) -> Result<Configuration, ConfigError> {
+    /// Builds a configuration, validating that the graph is non-empty and
+    /// connected and that there is one tag per node.
+    pub fn new(csr: Csr, tags: Vec<Tag>) -> Result<Configuration, ConfigError> {
         if csr.node_count() == 0 {
             return Err(ConfigError::Empty);
         }
@@ -114,25 +73,27 @@ impl Configuration {
                 tags: tags.len(),
             });
         }
-        if !is_connected_csr(&csr) {
+        if !is_connected(&csr) {
             return Err(ConfigError::Disconnected);
         }
-        Ok(Configuration {
-            csr,
-            tags,
-            graph: OnceLock::new(),
-        })
+        Ok(Configuration { csr, tags })
+    }
+
+    /// The same as [`Configuration::new`], kept for callers outside the
+    /// workspace (`perfbench`) that still use this name.
+    pub fn from_csr(csr: Csr, tags: Vec<Tag>) -> Result<Configuration, ConfigError> {
+        Configuration::new(csr, tags)
     }
 
     /// Builds a configuration where every node has the same tag.
-    pub fn with_uniform_tags(graph: Graph, tag: Tag) -> Result<Configuration, ConfigError> {
-        let n = graph.node_count();
-        Configuration::new(graph, vec![tag; n])
+    pub fn with_uniform_tags(csr: Csr, tag: Tag) -> Result<Configuration, ConfigError> {
+        let n = csr.node_count();
+        Configuration::new(csr, vec![tag; n])
     }
 
-    /// Replaces the tags, reusing the already-validated graph and its
-    /// frozen CSR — no clone, no connectivity re-check. The cheap path
-    /// for sweeps that draw many tag assignments over one graph.
+    /// Replaces the tags, reusing the already-validated graph — no copy,
+    /// no connectivity re-check. The cheap path for sweeps that draw many
+    /// tag assignments over one graph.
     pub fn retag(self, tags: Vec<Tag>) -> Result<Configuration, ConfigError> {
         if tags.len() != self.csr.node_count() {
             return Err(ConfigError::TagArity {
@@ -143,7 +104,6 @@ impl Configuration {
         Ok(Configuration {
             csr: self.csr,
             tags,
-            graph: self.graph,
         })
     }
 
@@ -153,15 +113,7 @@ impl Configuration {
         self.csr.node_count()
     }
 
-    /// The mutable-form graph, thawed from the CSR on first use for
-    /// CSR-direct configurations (enumeration, IO, and tests only — the
-    /// campaign hot path never calls this).
-    #[inline]
-    pub fn graph(&self) -> &Graph {
-        self.graph.get_or_init(|| self.csr.to_graph())
-    }
-
-    /// The frozen CSR adjacency (what the simulator and classifier iterate).
+    /// The graph (what the simulator and classifier iterate).
     #[inline]
     pub fn csr(&self) -> &Csr {
         &self.csr
@@ -217,7 +169,6 @@ impl Configuration {
         Configuration {
             csr: self.csr.clone(),
             tags,
-            graph: self.graph.clone(),
         }
     }
 
@@ -228,20 +179,23 @@ impl Configuration {
         Configuration {
             csr: self.csr.clone(),
             tags,
-            graph: self.graph.clone(),
         }
     }
 
     /// Relabels nodes by the permutation `perm` (node `v` becomes
     /// `perm[v]`), carrying tags along. Feasibility is invariant under
     /// relabelling since nodes are anonymous.
+    ///
+    /// # Panics
+    /// Panics if `perm` is not a permutation of `0..n`.
     pub fn relabel(&self, perm: &[NodeId]) -> Configuration {
-        let graph = self.graph().relabel(perm).expect("valid permutation");
+        let csr = self.csr.relabel(perm);
         let mut tags = vec![0; self.tags.len()];
         for (v, &t) in self.tags.iter().enumerate() {
             tags[perm[v] as usize] = t;
         }
-        Configuration::new(graph, tags).expect("relabelling preserves validity")
+        // Relabelling keeps the graph connected and the tag arity.
+        Configuration { csr, tags }
     }
 
     /// Nodes grouped by tag, sorted by tag value — handy for traces.
@@ -265,18 +219,12 @@ impl Configuration {
     /// Panics if `perm` is not a permutation of `0..n`.
     pub fn is_automorphism(&self, perm: &[NodeId]) -> bool {
         let n = self.size();
-        assert_eq!(perm.len(), n, "permutation arity mismatch");
-        let mut seen = vec![false; n];
-        for &p in perm {
-            assert!((p as usize) < n && !seen[p as usize], "not a permutation");
-            seen[p as usize] = true;
-        }
+        assert_permutation(perm, n);
         // tags preserved
         if (0..n).any(|v| self.tags[v] != self.tags[perm[v] as usize]) {
             return false;
         }
-        // adjacency preserved (bijectivity makes one direction sufficient);
-        // iterate the CSR so CSR-direct configurations stay graph-free
+        // adjacency preserved (bijectivity makes one direction sufficient)
         for u in 0..n as NodeId {
             for &v in self.csr.neighbors(u) {
                 if u < v && !self.csr.has_edge(perm[u as usize], perm[v as usize]) {
@@ -357,16 +305,14 @@ mod tests {
     #[test]
     fn validates_inputs() {
         assert_eq!(
-            Configuration::new(Graph::new(0), vec![]).unwrap_err(),
+            Configuration::new(generators::path(0), vec![]).unwrap_err(),
             ConfigError::Empty
         );
         assert_eq!(
             Configuration::new(generators::path(3), vec![0, 1]).unwrap_err(),
             ConfigError::TagArity { nodes: 3, tags: 2 }
         );
-        let mut disconnected = Graph::new(4);
-        disconnected.add_edge(0, 1).unwrap();
-        disconnected.add_edge(2, 3).unwrap();
+        let disconnected = Csr::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(
             Configuration::new(disconnected, vec![0; 4]).unwrap_err(),
             ConfigError::Disconnected
@@ -375,30 +321,28 @@ mod tests {
 
     #[test]
     fn from_csr_matches_graph_construction() {
-        let g = generators::path(4);
-        let via_graph = Configuration::new(g.clone(), vec![3, 0, 0, 4]).unwrap();
-        let via_csr = Configuration::from_csr(Csr::from_graph(&g), vec![3, 0, 0, 4]).unwrap();
-        assert_eq!(via_graph, via_csr);
-        // the lazy graph thaws to the same adjacency
-        assert_eq!(via_csr.graph().edges(), g.edges());
-        assert_eq!(format!("{via_csr}"), format!("{via_graph}"));
+        let edges = [(2, 3), (0, 1), (2, 1)];
+        let via_new = Configuration::new(generators::path(4), vec![3, 0, 0, 4]).unwrap();
+        let via_csr =
+            Configuration::from_csr(Csr::from_edges(4, &edges).unwrap(), vec![3, 0, 0, 4]).unwrap();
+        assert_eq!(via_new, via_csr);
+        assert_eq!(via_csr.csr().edges(), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(format!("{via_csr}"), format!("{via_new}"));
     }
 
     #[test]
     fn from_csr_validates_like_new() {
         assert_eq!(
-            Configuration::from_csr(Csr::from_graph(&Graph::new(0)), vec![]).unwrap_err(),
+            Configuration::from_csr(generators::path(0), vec![]).unwrap_err(),
             ConfigError::Empty
         );
         assert_eq!(
-            Configuration::from_csr(Csr::from_graph(&generators::path(3)), vec![0, 1]).unwrap_err(),
+            Configuration::from_csr(generators::path(3), vec![0, 1]).unwrap_err(),
             ConfigError::TagArity { nodes: 3, tags: 2 }
         );
-        let mut disconnected = Graph::new(4);
-        disconnected.add_edge(0, 1).unwrap();
-        disconnected.add_edge(2, 3).unwrap();
+        let disconnected = Csr::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(
-            Configuration::from_csr(Csr::from_graph(&disconnected), vec![0; 4]).unwrap_err(),
+            Configuration::from_csr(disconnected, vec![0; 4]).unwrap_err(),
             ConfigError::Disconnected
         );
     }
@@ -430,11 +374,7 @@ mod tests {
         let c = p4();
         let r = c.relabel(&[3, 2, 1, 0]);
         assert_eq!(r.tags(), &[4, 0, 0, 3]);
-        assert_eq!(
-            r.graph().edges(),
-            c.graph().edges(),
-            "path reversal is an automorphism"
-        );
+        assert_eq!(r.csr(), c.csr(), "path reversal is an automorphism");
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! tags feasible?*).
 
 use crate::config::Tag;
-use crate::graph::{Graph, NodeId};
+use crate::csr::{Csr, NodeId};
 
 /// All connected labelled simple graphs on `n` nodes (`n ≤ 7` is
 /// practical: the loop enumerates `2^(n(n-1)/2)` edge subsets).
 ///
 /// Counts follow OEIS A001187: 1, 1, 4, 38, 728, 26704 for n = 1…6.
-pub fn connected_graphs(n: usize) -> Vec<Graph> {
+pub fn connected_graphs(n: usize) -> Vec<Csr> {
     assert!(
         (1..=7).contains(&n),
         "exhaustive enumeration is for 1 ≤ n ≤ 7, got {n}"
@@ -24,12 +24,13 @@ pub fn connected_graphs(n: usize) -> Vec<Graph> {
     let m = pairs.len();
     let mut out = Vec::new();
     for mask in 0u64..(1u64 << m) {
-        let mut g = Graph::new(n);
-        for (bit, &(u, v)) in pairs.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                g.add_edge(u, v).expect("enumerated pairs are valid");
+        let g = Csr::from_stream(n, |emit| {
+            for (bit, &(u, v)) in pairs.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    emit(u, v);
+                }
             }
-        }
+        });
         if crate::algo::is_connected(&g) {
             out.push(g);
         }

@@ -11,8 +11,8 @@
 //! Node layouts match the paper exactly so traces can be read against it.
 
 use crate::config::{Configuration, Tag};
+use crate::csr::NodeId;
 use crate::generators::path;
-use crate::graph::NodeId;
 
 /// Proposition 4.1's family `G_m` (requires `m ≥ 2`): a path of
 /// `n = 4m + 1` nodes, listed left to right as
@@ -37,7 +37,7 @@ pub fn g_m_center(m: usize) -> NodeId {
     (2 * m) as NodeId
 }
 
-/// Lemma 4.2's family `H_m` (requires `m ≥ 1`): the 4-node path
+/// Lemma 4.2's family `H_m` (requires `1 ≤ m < u64::MAX`): the 4-node path
 /// `a ‒ b ‒ c ‒ d` with tags `t_a = m`, `t_b = t_c = 0`, `t_d = m + 1`.
 ///
 /// Every `H_m` is feasible (all four nodes split into singleton classes
@@ -45,6 +45,7 @@ pub fn g_m_center(m: usize) -> NodeId {
 /// for it needs at least `m` rounds.
 pub fn h_m(m: Tag) -> Configuration {
     assert!(m >= 1, "H_m requires m >= 1");
+    assert!(m < Tag::MAX, "H_m requires m < u64::MAX (t_d = m + 1)");
     Configuration::new(path(4), vec![m, 0, 0, m + 1]).expect("path is connected")
 }
 
@@ -96,6 +97,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "m < u64::MAX")]
+    fn h_m_rejects_u64_max() {
+        let _ = h_m(u64::MAX);
+    }
+
+    #[test]
     fn h_m_layout() {
         let c = h_m(5);
         assert_eq!(c.size(), 4);
@@ -112,7 +119,7 @@ mod tests {
         // themselves — the symmetry that kills feasibility.
         let mirrored = c.relabel(&[3, 2, 1, 0]);
         assert_eq!(mirrored.tags(), c.tags());
-        assert_eq!(mirrored.graph().edges(), c.graph().edges());
+        assert_eq!(mirrored.csr(), c.csr());
     }
 
     #[test]

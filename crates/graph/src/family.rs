@@ -1,5 +1,5 @@
 //! The `FamilySpec` scenario grammar: every graph generator in
-//! [`generators`](crate::generators), reachable by name.
+//! [`generators`], reachable by name.
 //!
 //! The paper's round complexity is driven jointly by topology and by the
 //! label span, so campaign grids need the whole generator zoo — not a
@@ -8,7 +8,7 @@
 //! `gnp:0.05`, …) that names one graph family together with its shape
 //! parameters, parses from the CLI (`--families grid:16x4,torus:8x8`),
 //! round-trips through [`Display`](std::fmt::Display), and builds
-//! deterministic or seed-derived graphs through [`FamilySpec::build`].
+//! deterministic or seed-derived graphs through [`FamilySpec::build_csr`].
 //!
 //! ## Grammar
 //!
@@ -47,9 +47,8 @@ use radio_util::rng::{derive, rng_from};
 
 use crate::csr::Csr;
 use crate::generators::{self, Emit};
-use crate::graph::Graph;
 
-/// Errors from [`FamilySpec::build`] / [`FamilySpec::check_size`]: the
+/// Errors from [`FamilySpec::build_csr`] / [`FamilySpec::check_size`]: the
 /// requested node count is not realizable by the family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FamilyError {
@@ -274,20 +273,11 @@ impl FamilySpec {
         Ok(())
     }
 
-    /// Builds the family member on exactly `n` nodes. Deterministic
-    /// families ignore the seed; seed-derived ones use the same stream
-    /// labels the legacy campaign axis used (`rtree`, `gnp`, …), so
-    /// pre-existing draws are unchanged.
-    pub fn build(&self, n: usize, seed: u64) -> Result<Graph, FamilyError> {
-        self.check_size(n)?;
-        Ok(Graph::from_stream(n, |emit| self.edges(n, seed, emit)))
-    }
-
-    /// Builds the family member on exactly `n` nodes **directly in CSR
-    /// form** — the million-node scale path. No intermediate adjacency-list
-    /// [`Graph`] is materialized: the family's edge stream runs twice,
-    /// once to count degrees and once to fill the rows, so the result is
-    /// byte-identical to `build(n, seed)` followed by [`Csr::from_graph`].
+    /// Builds the family member on exactly `n` nodes. The family's edge
+    /// stream runs twice, once to count degrees and once to fill the rows,
+    /// so no edge list is held. Deterministic families ignore the seed;
+    /// seed-derived ones use the same stream labels the legacy campaign
+    /// axis used (`rtree`, `gnp`, …), so pre-existing draws are unchanged.
     pub fn build_csr(&self, n: usize, seed: u64) -> Result<Csr, FamilyError> {
         self.check_size(n)?;
         Ok(Csr::from_stream(n, |emit| self.edges(n, seed, emit)))
@@ -295,10 +285,9 @@ impl FamilySpec {
 
     /// Streams the edges of the member on `n` nodes (a size
     /// [`FamilySpec::check_size`] accepted) — the one dispatch behind
-    /// [`FamilySpec::build`] and [`FamilySpec::build_csr`]. Seeded
-    /// families draw from an RNG created here from `seed`, so every call
-    /// replays the same stream.
-    fn edges(&self, n: usize, seed: u64, emit: Emit) {
+    /// [`FamilySpec::build_csr`]. Seeded families draw from an RNG created
+    /// here from `seed`, so every call replays the same stream.
+    pub(crate) fn edges(&self, n: usize, seed: u64, emit: Emit) {
         use generators::*;
         let rng = |stream: &str| rng_from(derive(seed, stream));
         match *self {
@@ -641,9 +630,20 @@ impl fmt::Display for FamilySpec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algo::is_connected;
+
+    /// The single-pass build of the member on `n` nodes: the family's
+    /// stream collected once into an edge list and built by
+    /// [`Csr::from_edges`] — independent of [`FamilySpec::build_csr`]'s
+    /// count-then-fill passes, which must produce the same bytes.
+    pub(crate) fn single_pass(spec: FamilySpec, n: usize, seed: u64) -> Result<Csr, FamilyError> {
+        spec.check_size(n)?;
+        let mut edges = Vec::new();
+        spec.edges(n, seed, &mut |u, v| edges.push((u, v)));
+        Ok(Csr::from_edges(n, &edges).expect("family streams are simple"))
+    }
 
     #[test]
     fn zoo_covers_every_registered_name() {
@@ -663,7 +663,7 @@ mod tests {
     fn zoo_builds_connected_graphs_of_the_declared_size() {
         for spec in FamilySpec::zoo() {
             let n = spec.default_size();
-            let g = spec.build(n, 42).unwrap_or_else(|e| panic!("{e}"));
+            let g = spec.build_csr(n, 42).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(g.node_count(), n, "{spec}");
             assert!(is_connected(&g), "{spec}");
             g.check_invariants().unwrap();
@@ -744,8 +744,8 @@ mod tests {
     fn pinned_sizes_reject_mismatches_instead_of_clamping() {
         let grid = FamilySpec::Grid { rows: 4, cols: 3 };
         assert_eq!(grid.node_count(), Some(12));
-        assert!(grid.build(12, 0).is_ok());
-        let err = grid.build(11, 0).unwrap_err();
+        assert!(grid.build_csr(12, 0).is_ok());
+        let err = grid.build_csr(11, 0).unwrap_err();
         assert!(err.reason.contains("pins the node count"), "{err}");
         assert_eq!(grid.sizes_for(&[5, 11]), vec![12]);
         assert_eq!(FamilySpec::Path.sizes_for(&[5, 11]), vec![5, 11]);
@@ -753,30 +753,32 @@ mod tests {
 
     #[test]
     fn scalable_constraints_are_errors_not_clamps() {
-        assert!(FamilySpec::Cycle.build(2, 0).is_err());
-        assert!(FamilySpec::Cycle.build(3, 0).is_ok());
-        assert!(FamilySpec::Wheel.build(3, 0).is_err());
-        assert!(FamilySpec::Ladder.build(7, 0).is_err(), "odd ladder");
-        assert!(FamilySpec::Ladder.build(8, 0).is_ok());
-        assert!(FamilySpec::Path.build(0, 0).is_err());
+        assert!(FamilySpec::Cycle.build_csr(2, 0).is_err());
+        assert!(FamilySpec::Cycle.build_csr(3, 0).is_ok());
+        assert!(FamilySpec::Wheel.build_csr(3, 0).is_err());
+        assert!(FamilySpec::Ladder.build_csr(7, 0).is_err(), "odd ladder");
+        assert!(FamilySpec::Ladder.build_csr(8, 0).is_ok());
+        assert!(FamilySpec::Path.build_csr(0, 0).is_err());
         // random-connected: the extra-edge budget must fit the size
         let rc = FamilySpec::RandomConnected { extra: 4 };
-        assert!(rc.build(3, 0).is_err(), "3 nodes have 1 non-tree slot");
-        assert!(rc.build(6, 0).is_ok());
+        assert!(rc.build_csr(3, 0).is_err(), "3 nodes have 1 non-tree slot");
+        assert!(rc.build_csr(6, 0).is_ok());
     }
 
     #[test]
     fn legacy_streams_are_preserved() {
         // FamilySpec must draw exactly the graphs the pre-grammar campaign
         // axis drew, so pre-existing campaign rows stay reproducible.
-        let a = FamilySpec::RandomTree.build(9, 77).unwrap();
+        let a = FamilySpec::RandomTree.build_csr(9, 77).unwrap();
         let b = generators::random_tree(9, &mut rng_from(derive(77, "rtree")));
         assert_eq!(a.edges(), b.edges());
-        let a = FamilySpec::Gnp { ppm: None }.build(9, 77).unwrap();
+        let a = FamilySpec::Gnp { ppm: None }.build_csr(9, 77).unwrap();
         let b = generators::gnp_connected(9, 8.0 / 9.0, &mut rng_from(derive(77, "gnp")));
         assert_eq!(a.edges(), b.edges());
     }
 
+    /// The graph route is [`single_pass`]: the stream collected once and
+    /// built from its edge list.
     #[test]
     fn build_csr_is_byte_identical_to_graph_route() {
         for spec in FamilySpec::zoo() {
@@ -786,22 +788,14 @@ mod tests {
             for n in spec.sizes_for(&[d, d + 3, d + 7]) {
                 for seed in [0u64, 42, 0xFEED] {
                     let direct = spec.build_csr(n, seed);
-                    let via_graph = spec.build(n, seed).map(|g| Csr::from_graph(&g));
-                    assert_eq!(direct, via_graph, "{spec} n={n} seed={seed}");
+                    assert_eq!(
+                        direct,
+                        single_pass(spec, n, seed),
+                        "{spec} n={n} seed={seed}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn build_csr_rejects_the_same_sizes_as_build() {
-        assert_eq!(
-            FamilySpec::Cycle.build_csr(2, 0).unwrap_err(),
-            FamilySpec::Cycle.build(2, 0).unwrap_err()
-        );
-        assert!(FamilySpec::Ladder.build_csr(7, 0).is_err());
-        let grid = FamilySpec::Grid { rows: 4, cols: 3 };
-        assert!(grid.build_csr(11, 0).is_err());
     }
 
     #[test]
@@ -835,7 +829,7 @@ mod tests {
                 continue;
             }
             let n = spec.default_size();
-            let g = spec.build(n, 3).unwrap();
+            let g = spec.build_csr(n, 3).unwrap();
             assert_eq!(
                 spec.edge_count_hint(n),
                 g.edge_count() as u128,
@@ -846,12 +840,12 @@ mod tests {
 
     #[test]
     fn fixed_p_gnp_spans_the_density_range() {
-        let sparse = FamilySpec::Gnp { ppm: Some(0) }.build(10, 5).unwrap();
+        let sparse = FamilySpec::Gnp { ppm: Some(0) }.build_csr(10, 5).unwrap();
         assert_eq!(sparse.edge_count(), 9, "p=0 is a tree");
         let dense = FamilySpec::Gnp {
             ppm: Some(1_000_000),
         }
-        .build(10, 5)
+        .build_csr(10, 5)
         .unwrap();
         assert_eq!(dense.edge_count(), 45, "p=1 is complete");
     }

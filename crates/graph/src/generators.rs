@@ -7,12 +7,13 @@
 //!
 //! Each family is one `<family>_edges` function that calls `emit(u, v)`
 //! once per undirected edge — never a self-loop, never a repeated edge.
-//! Both graph forms consume these streams: [`Graph`] in one pass, keeping
-//! the emission order as adjacency order (the public constructors below),
-//! and [`Csr`](crate::Csr) in a count pass followed by a fill pass
-//! ([`FamilySpec::build_csr`](crate::FamilySpec::build_csr)). A seeded
-//! stream is a pure function of its RNG's starting state, so re-creating
-//! the RNG from the same seed replays the same edges on every pass.
+//! The stream's one consumer is the [`Csr`] builder: a count pass sizes
+//! the rows, then a fill pass writes them. The deterministic constructors
+//! below run their stream twice. A seeded stream is a pure function of its
+//! RNG's starting state, so [`FamilySpec::build_csr`](crate::FamilySpec::build_csr)
+//! re-creates the RNG from the seed for each pass; the constructors that
+//! borrow a caller's RNG run the stream once, collect the edges and freeze
+//! them, so they draw exactly what one pass draws.
 //!
 //! Every connected-by-construction generator is covered by tests asserting
 //! connectivity, node and edge counts.
@@ -22,7 +23,7 @@ use rand::Rng;
 
 use radio_util::FxHashSet;
 
-use crate::graph::{Graph, NodeId};
+use crate::csr::{Csr, NodeId};
 
 /// Where a generator sends its edges.
 pub(crate) type Emit<'a> = &'a mut dyn FnMut(NodeId, NodeId);
@@ -30,8 +31,8 @@ pub(crate) type Emit<'a> = &'a mut dyn FnMut(NodeId, NodeId);
 // --- deterministic families ---
 
 /// Path `P_n`: nodes `0‒1‒…‒(n-1)`.
-pub fn path(n: usize) -> Graph {
-    Graph::from_stream(n, |emit| path_edges(n, emit))
+pub fn path(n: usize) -> Csr {
+    Csr::from_stream(n, |emit| path_edges(n, emit))
 }
 
 pub(crate) fn path_edges(n: usize, emit: Emit) {
@@ -44,8 +45,8 @@ pub(crate) fn path_edges(n: usize, emit: Emit) {
 ///
 /// # Panics
 /// Panics if `n < 3` (a simple graph has no 1- or 2-cycles).
-pub fn cycle(n: usize) -> Graph {
-    Graph::from_stream(n, |emit| cycle_edges(n, emit))
+pub fn cycle(n: usize) -> Csr {
+    Csr::from_stream(n, |emit| cycle_edges(n, emit))
 }
 
 pub(crate) fn cycle_edges(n: usize, emit: Emit) {
@@ -55,8 +56,8 @@ pub(crate) fn cycle_edges(n: usize, emit: Emit) {
 }
 
 /// Complete graph `K_n`.
-pub fn complete(n: usize) -> Graph {
-    Graph::from_stream(n, |emit| complete_edges(n, emit))
+pub fn complete(n: usize) -> Csr {
+    Csr::from_stream(n, |emit| complete_edges(n, emit))
 }
 
 pub(crate) fn complete_edges(n: usize, emit: Emit) {
@@ -74,8 +75,8 @@ fn clique_edges(lo: usize, hi: usize, emit: Emit) {
 
 /// Star `S_{n-1}`: node 0 is the centre, nodes `1..n` are leaves
 /// (requires `n ≥ 1`).
-pub fn star(n: usize) -> Graph {
-    Graph::from_stream(n, |emit| star_edges(n, emit))
+pub fn star(n: usize) -> Csr {
+    Csr::from_stream(n, |emit| star_edges(n, emit))
 }
 
 pub(crate) fn star_edges(n: usize, emit: Emit) {
@@ -85,8 +86,8 @@ pub(crate) fn star_edges(n: usize, emit: Emit) {
 }
 
 /// Complete bipartite graph `K_{a,b}`: sides `0..a` and `a..a+b`.
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    Graph::from_stream(a + b, |emit| complete_bipartite_edges(a, b, emit))
+pub fn complete_bipartite(a: usize, b: usize) -> Csr {
+    Csr::from_stream(a + b, |emit| complete_bipartite_edges(a, b, emit))
 }
 
 pub(crate) fn complete_bipartite_edges(a: usize, b: usize, emit: Emit) {
@@ -98,8 +99,8 @@ pub(crate) fn complete_bipartite_edges(a: usize, b: usize, emit: Emit) {
 }
 
 /// `rows × cols` grid; node `(r, c)` has index `r * cols + c`.
-pub fn grid(rows: usize, cols: usize) -> Graph {
-    Graph::from_stream(rows * cols, |emit| grid_edges(rows, cols, emit))
+pub fn grid(rows: usize, cols: usize) -> Csr {
+    Csr::from_stream(rows * cols, |emit| grid_edges(rows, cols, emit))
 }
 
 pub(crate) fn grid_edges(rows: usize, cols: usize, emit: Emit) {
@@ -118,8 +119,8 @@ pub(crate) fn grid_edges(rows: usize, cols: usize, emit: Emit) {
 
 /// `d`-dimensional hypercube `Q_d` on `2^d` nodes; nodes adjacent iff their
 /// indices differ in one bit.
-pub fn hypercube(d: u32) -> Graph {
-    Graph::from_stream(1usize << d, |emit| hypercube_edges(d, emit))
+pub fn hypercube(d: u32) -> Csr {
+    Csr::from_stream(1usize << d, |emit| hypercube_edges(d, emit))
 }
 
 pub(crate) fn hypercube_edges(d: u32, emit: Emit) {
@@ -138,8 +139,8 @@ pub(crate) fn hypercube_edges(d: u32, emit: Emit) {
 ///
 /// # Panics
 /// Panics if `k == 0`.
-pub fn balanced_tree(n: usize, k: usize) -> Graph {
-    Graph::from_stream(n, |emit| balanced_tree_edges(n, k, emit))
+pub fn balanced_tree(n: usize, k: usize) -> Csr {
+    Csr::from_stream(n, |emit| balanced_tree_edges(n, k, emit))
 }
 
 pub(crate) fn balanced_tree_edges(n: usize, k: usize, emit: Emit) {
@@ -152,8 +153,8 @@ pub(crate) fn balanced_tree_edges(n: usize, k: usize, emit: Emit) {
 /// Caterpillar: a spine path of `spine` nodes, each carrying `legs` pendant
 /// leaves. Total nodes `spine * (1 + legs)`. Spine nodes come first
 /// (`0..spine`), then the leaves of spine node `s` are consecutive.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    Graph::from_stream(spine * (1 + legs), |emit| {
+pub fn caterpillar(spine: usize, legs: usize) -> Csr {
+    Csr::from_stream(spine * (1 + legs), |emit| {
         caterpillar_edges(spine, legs, emit)
     })
 }
@@ -172,8 +173,8 @@ pub(crate) fn caterpillar_edges(spine: usize, legs: usize, emit: Emit) {
 /// Spider: `legs` paths of length `len` glued at a centre node 0. Total
 /// nodes `1 + legs * len`. Leg `i` occupies nodes
 /// `1 + i*len .. 1 + (i+1)*len`, with the node closest to the centre first.
-pub fn spider(legs: usize, len: usize) -> Graph {
-    Graph::from_stream(1 + legs * len, |emit| spider_edges(legs, len, emit))
+pub fn spider(legs: usize, len: usize) -> Csr {
+    Csr::from_stream(1 + legs * len, |emit| spider_edges(legs, len, emit))
 }
 
 pub(crate) fn spider_edges(legs: usize, len: usize, emit: Emit) {
@@ -191,8 +192,8 @@ pub(crate) fn spider_edges(legs: usize, len: usize, emit: Emit) {
 
 /// Barbell: two `K_k` cliques joined by a path of `bridge` intermediate
 /// nodes. Total nodes `2k + bridge` (requires `k ≥ 1`).
-pub fn barbell(k: usize, bridge: usize) -> Graph {
-    Graph::from_stream(2 * k + bridge, |emit| barbell_edges(k, bridge, emit))
+pub fn barbell(k: usize, bridge: usize) -> Csr {
+    Csr::from_stream(2 * k + bridge, |emit| barbell_edges(k, bridge, emit))
 }
 
 pub(crate) fn barbell_edges(k: usize, bridge: usize, emit: Emit) {
@@ -216,8 +217,8 @@ fn tail_edges(from: usize, len: usize, emit: Emit) {
 
 /// Wheel `W_n`: a cycle of `n−1` rim nodes (`1..n`) plus hub node 0
 /// adjacent to all of them (requires `n ≥ 4`).
-pub fn wheel(n: usize) -> Graph {
-    Graph::from_stream(n, |emit| wheel_edges(n, emit))
+pub fn wheel(n: usize) -> Csr {
+    Csr::from_stream(n, |emit| wheel_edges(n, emit))
 }
 
 pub(crate) fn wheel_edges(n: usize, emit: Emit) {
@@ -231,8 +232,8 @@ pub(crate) fn wheel_edges(n: usize, emit: Emit) {
 
 /// Ladder: two paths of `len` nodes joined by rungs. Node `(side, i)` is
 /// `side * len + i`. Total nodes `2·len` (requires `len ≥ 1`).
-pub fn ladder(len: usize) -> Graph {
-    Graph::from_stream(2 * len, |emit| ladder_edges(len, emit))
+pub fn ladder(len: usize) -> Csr {
+    Csr::from_stream(2 * len, |emit| ladder_edges(len, emit))
 }
 
 pub(crate) fn ladder_edges(len: usize, emit: Emit) {
@@ -248,8 +249,8 @@ pub(crate) fn ladder_edges(len: usize, emit: Emit) {
 
 /// `rows × cols` torus: the grid with wraparound in both dimensions
 /// (requires `rows, cols ≥ 3` so the graph stays simple).
-pub fn torus(rows: usize, cols: usize) -> Graph {
-    Graph::from_stream(rows * cols, |emit| torus_edges(rows, cols, emit))
+pub fn torus(rows: usize, cols: usize) -> Csr {
+    Csr::from_stream(rows * cols, |emit| torus_edges(rows, cols, emit))
 }
 
 pub(crate) fn torus_edges(rows: usize, cols: usize, emit: Emit) {
@@ -265,8 +266,8 @@ pub(crate) fn torus_edges(rows: usize, cols: usize, emit: Emit) {
 
 /// Double star: two adjacent hubs (`0` and `1`) with `a` leaves on the
 /// first and `b` on the second. Total nodes `2 + a + b`.
-pub fn double_star(a: usize, b: usize) -> Graph {
-    Graph::from_stream(2 + a + b, |emit| double_star_edges(a, b, emit))
+pub fn double_star(a: usize, b: usize) -> Csr {
+    Csr::from_stream(2 + a + b, |emit| double_star_edges(a, b, emit))
 }
 
 pub(crate) fn double_star_edges(a: usize, b: usize, emit: Emit) {
@@ -281,8 +282,8 @@ pub(crate) fn double_star_edges(a: usize, b: usize, emit: Emit) {
 
 /// Lollipop: a `K_k` clique with a pendant path of `tail` nodes attached to
 /// clique node `k-1`. Total nodes `k + tail` (requires `k ≥ 1`).
-pub fn lollipop(k: usize, tail: usize) -> Graph {
-    Graph::from_stream(k + tail, |emit| lollipop_edges(k, tail, emit))
+pub fn lollipop(k: usize, tail: usize) -> Csr {
+    Csr::from_stream(k + tail, |emit| lollipop_edges(k, tail, emit))
 }
 
 pub(crate) fn lollipop_edges(k: usize, tail: usize, emit: Emit) {
@@ -296,13 +297,25 @@ pub(crate) fn lollipop_edges(k: usize, tail: usize, emit: Emit) {
 // Each takes an explicit `&mut impl Rng`; experiments derive their RNGs via
 // [`radio_util::rng`] so results are reproducible.
 
+/// Runs `stream` once, collecting its edges, and freezes them — for
+/// streams that draw from a caller's RNG and so cannot be replayed.
+fn freeze_once(n: usize, stream: impl FnOnce(Emit)) -> Csr {
+    let mut edges = Vec::new();
+    stream(&mut |u, v| edges.push((u, v)));
+    Csr::from_stream(n, |emit| {
+        for &(u, v) in &edges {
+            emit(u, v);
+        }
+    })
+}
+
 /// Uniform random labelled tree on `n` nodes via a random attachment
 /// sequence: node `v` (in a random order) attaches to a uniformly chosen
 /// earlier node. This is not the uniform spanning-tree distribution (that
 /// would need Prüfer decoding) but produces well-varied trees and is what
 /// the feasibility experiments need: diverse connected topologies.
-pub fn random_tree(n: usize, rng: &mut impl Rng) -> Graph {
-    Graph::from_stream(n, |emit| random_tree_edges(n, rng, emit))
+pub fn random_tree(n: usize, rng: &mut impl Rng) -> Csr {
+    freeze_once(n, |emit| random_tree_edges(n, rng, emit))
 }
 
 pub(crate) fn random_tree_edges(n: usize, rng: &mut impl Rng, emit: Emit) {
@@ -320,8 +333,8 @@ pub(crate) fn random_tree_edges(n: usize, rng: &mut impl Rng, emit: Emit) {
 ///
 /// For `p = 0` this is exactly a random tree; for `p = 1` the complete
 /// graph.
-pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
-    Graph::from_stream(n, |emit| gnp_connected_edges(n, p, rng, emit))
+pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Csr {
+    freeze_once(n, |emit| gnp_connected_edges(n, p, rng, emit))
 }
 
 pub(crate) fn gnp_connected_edges(n: usize, p: f64, rng: &mut impl Rng, emit: Emit) {
@@ -344,8 +357,8 @@ pub(crate) fn gnp_connected_edges(n: usize, p: f64, rng: &mut impl Rng, emit: Em
 ///
 /// # Panics
 /// Panics if `extra` exceeds the number of available non-tree pairs.
-pub fn random_connected(n: usize, extra: usize, rng: &mut impl Rng) -> Graph {
-    Graph::from_stream(n, |emit| random_connected_edges(n, extra, rng, emit))
+pub fn random_connected(n: usize, extra: usize, rng: &mut impl Rng) -> Csr {
+    freeze_once(n, |emit| random_connected_edges(n, extra, rng, emit))
 }
 
 pub(crate) fn random_connected_edges(n: usize, extra: usize, rng: &mut impl Rng, emit: Emit) {
@@ -379,8 +392,8 @@ fn tree_edge_set(n: usize, rng: &mut impl Rng, emit: Emit) -> FxHashSet<(NodeId,
 
 /// Random caterpillar: a spine of `spine` nodes, with `leaves` pendant
 /// leaves attached to uniformly chosen spine nodes.
-pub fn random_caterpillar(spine: usize, leaves: usize, rng: &mut impl Rng) -> Graph {
-    Graph::from_stream(spine + leaves, |emit| {
+pub fn random_caterpillar(spine: usize, leaves: usize, rng: &mut impl Rng) -> Csr {
+    freeze_once(spine + leaves, |emit| {
         random_caterpillar_edges(spine, leaves, rng, emit)
     })
 }

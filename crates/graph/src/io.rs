@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 
 use crate::config::{ConfigError, Configuration, Tag};
-use crate::graph::{Graph, GraphError};
+use crate::csr::{Csr, GraphError};
 
 /// Errors from parsing the text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +72,7 @@ impl From<ConfigError> for ParseError {
 
 /// Serializes a configuration to the text format.
 pub fn to_text(config: &Configuration) -> String {
-    let g = config.graph();
+    let g = config.csr();
     let mut out = String::new();
     let _ = writeln!(out, "config {} {}", g.node_count(), g.edge_count());
     let tags: Vec<String> = config.tags().iter().map(|t| t.to_string()).collect();
@@ -169,7 +169,7 @@ pub fn from_text(text: &str) -> Result<Configuration, ParseError> {
             edges.len()
         )));
     }
-    let graph = Graph::from_edges(n, &edges)?;
+    let graph = Csr::from_edges(n, &edges)?;
     if graph.edge_count() != m {
         return Err(ParseError::CountMismatch(format!(
             "{} distinct edges after dedup, header says {m}",
@@ -185,10 +185,10 @@ pub fn to_dot(config: &Configuration, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "graph {name} {{");
     let _ = writeln!(out, "  node [shape=circle];");
-    for v in config.graph().nodes() {
+    for v in config.csr().nodes() {
         let _ = writeln!(out, "  v{v} [label=\"v{v}\\nt={}\"];", config.tag(v));
     }
-    for (u, v) in config.graph().edges() {
+    for (u, v) in config.csr().edges() {
         let _ = writeln!(out, "  v{u} -- v{v};");
     }
     let _ = writeln!(out, "}}");

@@ -5,13 +5,13 @@
 //! **wake-up tags**. This crate provides everything upstream crates need to
 //! build, inspect, and serialize such configurations:
 //!
-//! * [`Graph`] — a mutable simple-graph builder with adjacency lists, and
-//!   [`Csr`] — the compressed-sparse-row form used by the simulator's hot
-//!   loop.
+//! * [`Csr`] — the one graph form: an immutable compressed-sparse-row
+//!   adjacency with sorted neighbour lists, built from an edge list
+//!   ([`Csr::from_edges`]) or straight from a generator's edge stream.
 //! * [`generators`] — deterministic constructors for paths, cycles, trees,
 //!   grids, hypercubes, complete/bipartite graphs, and seeded random
 //!   families (connected G(n,p), random trees, caterpillars), each written
-//!   once as an edge stream that builds either graph form.
+//!   once as an edge stream that is frozen into a [`Csr`].
 //! * [`family`] — the [`FamilySpec`] scenario grammar: every generator
 //!   reachable by a parseable name (`grid:16x4`, `hypercube:6`, `gnp:0.05`)
 //!   for campaign axes and CLIs.
@@ -33,14 +33,12 @@ pub mod enumerate;
 pub mod families;
 pub mod family;
 pub mod generators;
-pub mod graph;
 pub mod io;
 pub mod tags;
 
 pub use config::Configuration;
-pub use csr::Csr;
+pub use csr::{Csr, GraphError, NodeId};
 pub use family::{FamilyError, FamilySpec};
-pub use graph::{Graph, NodeId};
 pub use tags::TagStrategy;
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
 //! Property-based tests over the graph substrate.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use crate::algo::{component_count, is_connected};
 use crate::config::Configuration;
-use crate::csr::Csr;
-use crate::family::FamilySpec;
+use crate::csr::{Csr, GraphError, NodeId};
+use crate::family::{tests::single_pass, FamilySpec};
 use crate::generators;
-use crate::graph::{Graph, NodeId};
 use crate::io;
 use crate::tags::TagStrategy;
 use radio_util::rng::rng_from;
 
 /// Strategy: a connected random graph described by (n, extra-edge budget,
 /// seed), realized deterministically from the seed.
-fn connected_graph() -> impl Strategy<Value = Graph> {
+fn connected_graph() -> impl Strategy<Value = Csr> {
     (1usize..24, 0usize..12, any::<u64>()).prop_map(|(n, extra, seed)| {
         let mut rng = rng_from(seed);
         let max_extra = n * (n - 1) / 2 - n.saturating_sub(1);
@@ -32,16 +33,18 @@ proptest! {
 
     #[test]
     fn csr_round_trip_preserves_edges(g in connected_graph()) {
-        let csr = Csr::from_graph(&g);
-        prop_assert_eq!(csr.node_count(), g.node_count());
-        prop_assert_eq!(csr.edge_count(), g.edge_count());
-        prop_assert_eq!(csr.to_graph().edges(), g.edges());
-        // neighbour queries agree
-        for v in 0..g.node_count() as NodeId {
-            let mut expect = g.sorted_neighbors(v);
-            expect.dedup();
-            prop_assert_eq!(csr.neighbors(v), &expect[..]);
-        }
+        // edges() lists each edge once as a sorted (min, max) pair, and
+        // building from that list gives back the same adjacency.
+        let edges = g.edges();
+        prop_assert_eq!(edges.len(), g.edge_count());
+        prop_assert!(edges.windows(2).all(|w| w[0] < w[1]));
+        prop_assert!(edges.iter().all(|&(u, v)| u < v));
+        prop_assert_eq!(Csr::from_edges(g.node_count(), &edges), Ok(g));
+    }
+
+    #[test]
+    fn csr_from_edges_matches_an_edge_set_model(case in raw_edge_list()) {
+        check_from_edges_against_model(case.0, &case.1)?;
     }
 
     #[test]
@@ -87,7 +90,7 @@ proptest! {
         let r = c.relabel(&perm);
         prop_assert_eq!(r.size(), c.size());
         prop_assert_eq!(r.span(), c.span());
-        prop_assert_eq!(r.graph().edge_count(), c.graph().edge_count());
+        prop_assert_eq!(r.csr().edge_count(), c.csr().edge_count());
         prop_assert_eq!(r.max_degree(), c.max_degree());
         // tags travel with nodes
         for (v, &p) in perm.iter().enumerate() {
@@ -310,7 +313,7 @@ proptest! {
     #[test]
     fn family_spec_builds_match_the_declared_size(spec in family_spec(), seed in any::<u64>()) {
         let n = spec.default_size();
-        let g = spec.build(n, seed)
+        let g = spec.build_csr(n, seed)
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         prop_assert_eq!(g.node_count(), n, "{}", spec);
         prop_assert!(is_connected(&g), "{}", spec);
@@ -318,7 +321,7 @@ proptest! {
         if let Some(pinned) = spec.node_count() {
             prop_assert_eq!(pinned, n, "{}", spec);
             // any other size is an error, never a clamp
-            prop_assert!(spec.build(n + 1, seed).is_err(), "{}", spec);
+            prop_assert!(spec.build_csr(n + 1, seed).is_err(), "{}", spec);
         }
     }
 
@@ -341,8 +344,10 @@ proptest! {
     }
 }
 
-/// The scale-path generation contract body (free fn: the vendored
-/// `proptest!` macro token-munches the body, so it must stay tiny).
+/// The generation contract body (free fn: the vendored `proptest!` macro
+/// token-munches the body, so it must stay tiny): the two-pass
+/// [`FamilySpec::build_csr`] and the single-pass build from the stream's
+/// collected edge list agree byte for byte, or both reject the size.
 fn assert_csr_routes_agree(seed: u64, jitter: usize) -> Result<(), TestCaseError> {
     for spec in FamilySpec::zoo() {
         // Pinned specs only build at their own size; scalable ones get
@@ -351,26 +356,86 @@ fn assert_csr_routes_agree(seed: u64, jitter: usize) -> Result<(), TestCaseError
             Some(pinned) => pinned,
             None => spec.default_size() + jitter,
         };
-        match (spec.build_csr(n, seed), spec.build(n, seed)) {
-            (Ok(direct), Ok(graph)) => {
-                prop_assert_eq!(
-                    direct,
-                    Csr::from_graph(&graph),
-                    "{} n={} seed={}",
-                    spec,
-                    n,
-                    seed
-                );
-            }
-            (Err(_), Err(_)) => {}
-            (direct, graph) => {
-                return Err(TestCaseError::fail(format!(
-                    "{spec} n={n} seed={seed}: routes disagree on feasibility \
-                     (csr-direct: {}, graph: {})",
-                    if direct.is_ok() { "ok" } else { "err" },
-                    if graph.is_ok() { "ok" } else { "err" },
-                )));
-            }
+        prop_assert_eq!(
+            spec.build_csr(n, seed),
+            single_pass(spec, n, seed),
+            "{} n={} seed={}",
+            spec,
+            n,
+            seed
+        );
+    }
+    Ok(())
+}
+
+/// Strategy: `(n, edges)`, an edge list over nodes `0..n` that repeats
+/// edges in both orientations and, in most cases, holds self-loops and
+/// endpoints at or past `n` at a few random positions.
+fn raw_edge_list() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
+    use rand::Rng;
+    (0usize..10, 0usize..30, 0u32..4, any::<u64>()).prop_map(|(n, len, bad, seed)| {
+        let mut rng = rng_from(seed);
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(len);
+        let node = |rng: &mut rand::rngs::StdRng, hi: usize| rng.random_range(0..hi) as NodeId;
+        for _ in 0..len {
+            let edge = if n < 2 || rng.random_range(0..16u32) < bad {
+                // A bad edge: a self-loop, or an endpoint just past n.
+                let u = node(&mut rng, n + 2);
+                let v = if rng.random_bool(0.5) {
+                    u
+                } else {
+                    node(&mut rng, n + 2)
+                };
+                (u, v)
+            } else if !edges.is_empty() && rng.random_bool(0.3) {
+                let (u, v) = edges[rng.random_range(0..edges.len())];
+                if rng.random_bool(0.5) {
+                    (v, u)
+                } else {
+                    (u, v)
+                }
+            } else {
+                let u = node(&mut rng, n);
+                let v = (u + 1 + node(&mut rng, n - 1)) % n as NodeId;
+                (u, v)
+            };
+            edges.push(edge);
+        }
+        (n, edges)
+    })
+}
+
+/// [`Csr::from_edges`] against a `BTreeSet` model: the same first error in
+/// input order, or else the same sorted, repeat-free edge list and a CSR
+/// that passes its invariant check.
+fn check_from_edges_against_model(
+    n: usize,
+    edges: &[(NodeId, NodeId)],
+) -> Result<(), TestCaseError> {
+    let mut model = BTreeSet::new();
+    let mut first_error = None;
+    for &(u, v) in edges {
+        if u == v {
+            first_error = Some(GraphError::SelfLoop(u));
+        } else if let Some(node) = [u, v].into_iter().find(|&x| x as usize >= n) {
+            first_error = Some(GraphError::NodeOutOfRange { node, n });
+        } else {
+            model.insert((u.min(v), u.max(v)));
+            continue;
+        }
+        break;
+    }
+    match (Csr::from_edges(n, edges), first_error) {
+        (Err(got), Some(expected)) => prop_assert_eq!(got, expected),
+        (Ok(csr), None) => {
+            prop_assert_eq!(csr.check_invariants(), Ok(()));
+            prop_assert_eq!(csr.node_count(), n);
+            prop_assert_eq!(csr.edges(), model.into_iter().collect::<Vec<_>>());
+        }
+        (got, expected) => {
+            return Err(TestCaseError::fail(format!(
+                "from_edges({n}, {edges:?}) = {got:?}, model error {expected:?}"
+            )));
         }
     }
     Ok(())

@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::config::{Configuration, Tag};
-use crate::graph::Graph;
+use crate::csr::{Csr, NodeId};
 
 /// A named tag-placement strategy: how a campaign cell turns its span
 /// budget `σ` into a tag vector.
@@ -87,7 +87,7 @@ impl TagStrategy {
     /// Builds a configuration by drawing tags for the graph under this
     /// strategy — the strategy-parametric generalization of
     /// [`random_in_span`].
-    pub fn configure(&self, g: Graph, span: Tag, rng: &mut impl Rng) -> Configuration {
+    pub fn configure(&self, g: Csr, span: Tag, rng: &mut impl Rng) -> Configuration {
         let tags = self.draw(g.node_count(), span, rng);
         Configuration::new(g, tags).expect("valid graph")
     }
@@ -147,7 +147,7 @@ fn normalize_min_to_zero(mut tags: Vec<Tag>) -> Vec<Tag> {
 
 /// Every node gets tag `t` — the fully symmetric assignment; infeasible for
 /// any graph with `n ≥ 2` (all nodes share all histories forever).
-pub fn uniform(g: Graph, t: Tag) -> Configuration {
+pub fn uniform(g: Csr, t: Tag) -> Configuration {
     Configuration::with_uniform_tags(g, t).expect("valid graph")
 }
 
@@ -168,14 +168,14 @@ pub fn random_tags_in_span(n: usize, span: Tag, rng: &mut impl Rng) -> Vec<Tag> 
 
 /// Independent uniform tags in `0..=span`, normalized so the minimum is 0
 /// (hence the realized span may be smaller than requested).
-pub fn random_in_span(g: Graph, span: Tag, rng: &mut impl Rng) -> Configuration {
+pub fn random_in_span(g: Csr, span: Tag, rng: &mut impl Rng) -> Configuration {
     let tags = random_tags_in_span(g.node_count(), span, rng);
     Configuration::new(g, tags).expect("valid graph")
 }
 
 /// Distinct tags `0..n` in random order: the maximally asymmetric
 /// assignment (span `n − 1`).
-pub fn distinct_shuffled(g: Graph, rng: &mut impl Rng) -> Configuration {
+pub fn distinct_shuffled(g: Csr, rng: &mut impl Rng) -> Configuration {
     let n = g.node_count();
     let mut tags: Vec<Tag> = (0..n as Tag).collect();
     tags.shuffle(rng);
@@ -184,7 +184,7 @@ pub fn distinct_shuffled(g: Graph, rng: &mut impl Rng) -> Configuration {
 
 /// Tags equal to BFS depth from node 0, scaled by `step`. Wakes the network
 /// outward from a root — a natural "deployment wave" scenario.
-pub fn bfs_wave(g: Graph, step: Tag) -> Configuration {
+pub fn bfs_wave(g: Csr, step: Tag) -> Configuration {
     let depths = crate::algo::bfs_distances(&g, 0);
     let tags: Vec<Tag> = depths
         .iter()
@@ -198,7 +198,7 @@ pub fn bfs_wave(g: Graph, step: Tag) -> Configuration {
 
 /// Exactly two tag values: nodes in `late` get tag `span`, everyone else 0.
 /// Used to construct near-symmetric configurations.
-pub fn two_values(g: Graph, late: &[crate::graph::NodeId], span: Tag) -> Configuration {
+pub fn two_values(g: Csr, late: &[NodeId], span: Tag) -> Configuration {
     let n = g.node_count();
     let mut tags = vec![0 as Tag; n];
     for &v in late {
@@ -209,7 +209,7 @@ pub fn two_values(g: Graph, late: &[crate::graph::NodeId], span: Tag) -> Configu
 
 /// Random balanced two-value assignment: each node tags 0 or `span` with
 /// probability 1/2.
-pub fn coin_flip(g: Graph, span: Tag, rng: &mut impl Rng) -> Configuration {
+pub fn coin_flip(g: Csr, span: Tag, rng: &mut impl Rng) -> Configuration {
     let n = g.node_count();
     let tags: Vec<Tag> = (0..n)
         .map(|_| if rng.random_bool(0.5) { span } else { 0 })

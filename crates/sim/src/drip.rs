@@ -33,7 +33,7 @@ pub trait DripNode {
     /// The history arrives as a borrowed [`HistoryView`] — in the engine's
     /// hot loop it points straight into the shared observation arena, so
     /// deciding a round allocates nothing. Call
-    /// [`History::view`] to drive a node from an owned history.
+    /// [`History::view`](crate::history::History::view) to drive a node from an owned history.
     ///
     /// The engine guarantees calls happen in increasing local-round order
     /// and never again after `Action::Terminate` is returned. Without

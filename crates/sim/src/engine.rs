@@ -89,7 +89,7 @@
 //!
 //! # Batch execution
 //!
-//! The run loop itself lives in [`SimWorkspace`](crate::SimWorkspace),
+//! The run loop itself lives in [`SimWorkspace`],
 //! which owns all of the state above and recycles it across runs;
 //! [`Executor`] is the stateless one-shot façade (a fresh workspace per
 //! call). Batch workloads — [`crate::parallel`], the campaign layer —
@@ -343,7 +343,7 @@ mod tests {
     use crate::msg::Msg;
     use radio_graph::{generators, Configuration};
 
-    fn cfg(graph: radio_graph::Graph, tags: Vec<u64>) -> Configuration {
+    fn cfg(graph: radio_graph::Csr, tags: Vec<u64>) -> Configuration {
         Configuration::new(graph, tags).unwrap()
     }
 

@@ -42,7 +42,7 @@ pub fn run_reference_model<M: RadioModel>(
     opts: RunOpts,
 ) -> Result<Execution, SimError> {
     let n = config.size();
-    let graph = config.graph();
+    let graph = config.csr();
 
     #[derive(PartialEq)]
     enum State {

@@ -36,7 +36,7 @@
 //!
 //! The rules above are the *default* channel — the paper's. They live in
 //! the [`model`] layer: both engines are generic over a
-//! [`RadioModel`](model::RadioModel), and two alternative channels ship
+//! [`RadioModel`], and two alternative channels ship
 //! alongside the default ([`model::CollisionDetection`],
 //! [`model::Beeping`]). Everything documented here about collision
 //! semantics and forced wake-ups is the contract of the default

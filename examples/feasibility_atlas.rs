@@ -30,7 +30,7 @@ fn main() {
         ],
     );
 
-    type GraphMaker = Box<dyn Fn() -> Graph>;
+    type GraphMaker = Box<dyn Fn() -> Csr>;
     let families: Vec<(&str, GraphMaker)> = vec![
         ("path", Box::new(|| generators::path(12))),
         ("cycle", Box::new(|| generators::cycle(12))),

@@ -148,7 +148,7 @@ fn election_transmission_budget_is_exactly_n_times_phases() {
 #[test]
 fn random_feasible_configs_elect_across_families() {
     let mut rng = rng_from(0xFEED);
-    type GraphMaker = Box<dyn Fn(&mut rand::rngs::StdRng) -> radio_graph::Graph>;
+    type GraphMaker = Box<dyn Fn(&mut rand::rngs::StdRng) -> radio_graph::Csr>;
     let makers: Vec<(&str, GraphMaker)> = vec![
         ("tree", Box::new(|r| generators::random_tree(10, r))),
         ("gnp", Box::new(|r| generators::gnp_connected(10, 0.3, r))),

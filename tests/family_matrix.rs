@@ -24,7 +24,7 @@ use radio_util::rng::{derive, rng_from};
 fn scenario(spec: FamilySpec, strategy: TagStrategy) -> Configuration {
     let seed = derive(derive(0xFA417, &spec.to_string()), &strategy.to_string());
     let graph = spec
-        .build(spec.default_size(), seed)
+        .build_csr(spec.default_size(), seed)
         .unwrap_or_else(|e| panic!("{e}"));
     strategy.configure(graph, 6, &mut rng_from(derive(seed, "tags")))
 }

@@ -18,7 +18,7 @@ fn lemmas_hold_on_paper_families() {
 
 #[test]
 fn lemmas_hold_on_deterministic_shapes() {
-    let shapes: Vec<(&str, radio_graph::Graph)> = vec![
+    let shapes: Vec<(&str, radio_graph::Csr)> = vec![
         ("path", generators::path(7)),
         ("cycle", generators::cycle(7)),
         ("star", generators::star(7)),

@@ -38,7 +38,7 @@ fn field_u64(reply: &str, name: &str) -> u64 {
 fn drawn_config(family: FamilySpec, n: usize, span: u64, seed: u64) -> Configuration {
     let csr = family.build_csr(n, derive(seed, "graph")).unwrap();
     let tags = TagStrategy::Uniform.draw(n, span, &mut rng_from(derive(seed, "tags")));
-    Configuration::from_csr(csr, tags).unwrap()
+    Configuration::new(csr, tags).unwrap()
 }
 
 /// `family=path n=6 span=3 seed=42`, the spec most tests here serve.

@@ -29,7 +29,7 @@ fn canonical_runs_visit_nodes_in_proportion_to_their_traffic() {
             let seed = derive(derive(0x71_5117, &spec.to_string()), &n.to_string());
             for strategy in TagStrategy::ALL {
                 for sigma in [0, 1, 17, 200] {
-                    let graph = spec.build(n, seed).unwrap_or_else(|e| panic!("{e}"));
+                    let graph = spec.build_csr(n, seed).unwrap_or_else(|e| panic!("{e}"));
                     let tags_seed = derive(seed, &format!("{strategy}/{sigma}"));
                     let config = strategy.configure(graph, sigma, &mut rng_from(tags_seed));
                     let compiled = CompiledElection::compile_in(&mut classifier, &config);
@@ -79,7 +79,7 @@ fn stepping_decides_every_awake_round_and_leaping_never_decides_more() {
     let mut sim = SimWorkspace::new();
     for spec in FamilySpec::zoo() {
         let n = spec.default_size();
-        let graph = spec.build(n, 7).unwrap_or_else(|e| panic!("{e}"));
+        let graph = spec.build_csr(n, 7).unwrap_or_else(|e| panic!("{e}"));
         let config = TagStrategy::Uniform.configure(graph, 5, &mut rng_from(derive(7, "tags")));
         let compiled = CompiledElection::compile_in(&mut classifier, &config);
         let factory = CanonicalFactory::new(compiled.shared_schedule());
