@@ -1,23 +1,30 @@
 //! Criterion: the million-node scale path — family generation straight
-//! into CSR form ([`FamilySpec::build_csr`], the family's edge stream run
-//! twice: count, then fill), and the streaming elect pipeline on top of it.
+//! into CSR form ([`FamilySpec::build_csr`]: a deterministic family's edge
+//! stream runs twice, count then fill; a seeded family's runs once into an
+//! edge list that is then frozen), and the streaming elect pipeline on top
+//! of it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use radio_graph::FamilySpec;
 
 const SEED: u64 = 9;
 
-/// One deterministic and one seed-streamed (two-pass count-then-fill)
-/// family.
-const FAMILIES: [FamilySpec; 2] = [FamilySpec::Path, FamilySpec::RandomTree];
+/// The generated families and their sizes: `path` is deterministic and
+/// takes both passes; `random-tree` and `gnp` are seeded and take one.
+/// `gnp` flips a coin for every node pair, so it runs at smaller sizes.
+const FAMILIES: [(FamilySpec, [usize; 2]); 3] = [
+    (FamilySpec::Path, [10_000, 100_000]),
+    (FamilySpec::RandomTree, [10_000, 100_000]),
+    (FamilySpec::Gnp { ppm: None }, [256, 4_096]),
+];
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale/generate");
     group
         .sample_size(10)
         .measurement_time(std::time::Duration::from_millis(1500));
-    for family in FAMILIES {
-        for n in [10_000usize, 100_000] {
+    for (family, sizes) in FAMILIES {
+        for n in sizes {
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(
                 BenchmarkId::new(format!("{family}/csr_direct"), n),

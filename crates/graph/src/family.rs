@@ -273,23 +273,49 @@ impl FamilySpec {
         Ok(())
     }
 
-    /// Builds the family member on exactly `n` nodes. The family's edge
-    /// stream runs twice, once to count degrees and once to fill the rows,
-    /// so no edge list is held. Deterministic families ignore the seed;
-    /// seed-derived ones use the same stream labels the legacy campaign
-    /// axis used (`rtree`, `gnp`, …), so pre-existing draws are unchanged.
+    /// Builds the family member on exactly `n` nodes. A deterministic
+    /// family ignores the seed, and its edge stream runs twice, once to
+    /// count degrees and once to fill the rows, so no edge list is held.
+    /// A seeded family's stream runs once: its edges are collected into a
+    /// list pre-sized by [`FamilySpec::edge_count_hint`] and frozen, so
+    /// every value is drawn once. Seeded families use the same stream
+    /// labels the legacy campaign axis used (`rtree`, `gnp`, …), so
+    /// pre-existing draws are unchanged.
     pub fn build_csr(&self, n: usize, seed: u64) -> Result<Csr, FamilyError> {
         self.check_size(n)?;
-        Ok(Csr::from_stream(n, |emit| self.edges(n, seed, emit)))
+        Ok(if self.stream_label().is_some() {
+            let hint = self.edge_count_hint(n) as usize;
+            generators::freeze_once(n, hint, |emit| self.edges(n, seed, emit))
+        } else {
+            Csr::from_stream(n, |emit| self.edges(n, seed, emit))
+        })
+    }
+
+    /// The label of a seeded family's RNG stream, or `None` for a
+    /// deterministic family. This one table decides both which families
+    /// draw ([`FamilySpec::edges`] derives every RNG from it) and which
+    /// take [`FamilySpec::build_csr`]'s one-pass route.
+    fn stream_label(&self) -> Option<&'static str> {
+        match *self {
+            FamilySpec::RandomTree => Some("rtree"),
+            FamilySpec::Gnp { .. } => Some("gnp"),
+            FamilySpec::RandomConnected { .. } => Some("rconn"),
+            FamilySpec::RandomCaterpillar { .. } => Some("rcat"),
+            _ => None,
+        }
     }
 
     /// Streams the edges of the member on `n` nodes (a size
     /// [`FamilySpec::check_size`] accepted) — the one dispatch behind
     /// [`FamilySpec::build_csr`]. Seeded families draw from an RNG created
-    /// here from `seed`, so every call replays the same stream.
+    /// here from `seed` and their [`FamilySpec::stream_label`], so every
+    /// call replays the same stream.
     pub(crate) fn edges(&self, n: usize, seed: u64, emit: Emit) {
         use generators::*;
-        let rng = |stream: &str| rng_from(derive(seed, stream));
+        let rng = || {
+            let label = self.stream_label().expect("only a labelled family draws");
+            rng_from(derive(seed, label))
+        };
         match *self {
             FamilySpec::Path => path_edges(n, emit),
             FamilySpec::Cycle => cycle_edges(n, emit),
@@ -298,12 +324,12 @@ impl FamilySpec {
             FamilySpec::Wheel => wheel_edges(n, emit),
             FamilySpec::Ladder => ladder_edges(n / 2, emit),
             FamilySpec::Tree { arity } => balanced_tree_edges(n, arity as usize, emit),
-            FamilySpec::RandomTree => random_tree_edges(n, &mut rng("rtree"), emit),
+            FamilySpec::RandomTree => random_tree_edges(n, &mut rng(), emit),
             FamilySpec::Gnp { ppm } => {
-                gnp_connected_edges(n, edge_probability(ppm, n), &mut rng("gnp"), emit)
+                gnp_connected_edges(n, edge_probability(ppm, n), &mut rng(), emit)
             }
             FamilySpec::RandomConnected { extra } => {
-                random_connected_edges(n, extra as usize, &mut rng("rconn"), emit)
+                random_connected_edges(n, extra as usize, &mut rng(), emit)
             }
             FamilySpec::Grid { rows, cols } => grid_edges(rows as usize, cols as usize, emit),
             FamilySpec::Torus { rows, cols } => torus_edges(rows as usize, cols as usize, emit),
@@ -312,7 +338,7 @@ impl FamilySpec {
                 caterpillar_edges(spine as usize, legs as usize, emit)
             }
             FamilySpec::RandomCaterpillar { spine, leaves } => {
-                random_caterpillar_edges(spine as usize, leaves as usize, &mut rng("rcat"), emit)
+                random_caterpillar_edges(spine as usize, leaves as usize, &mut rng(), emit)
             }
             FamilySpec::Spider { legs, len } => spider_edges(legs as usize, len as usize, emit),
             FamilySpec::Barbell { clique, bridge } => {
@@ -636,8 +662,10 @@ pub(crate) mod tests {
 
     /// The single-pass build of the member on `n` nodes: the family's
     /// stream collected once into an edge list and built by
-    /// [`Csr::from_edges`] — independent of [`FamilySpec::build_csr`]'s
-    /// count-then-fill passes, which must produce the same bytes.
+    /// [`Csr::from_edges`], which sorts and dedupes it — independent of
+    /// both [`FamilySpec::build_csr`] routes (the stream replayed for a
+    /// deterministic family, the list replayed for a seeded one), which
+    /// must produce the same bytes.
     pub(crate) fn single_pass(spec: FamilySpec, n: usize, seed: u64) -> Result<Csr, FamilyError> {
         spec.check_size(n)?;
         let mut edges = Vec::new();

@@ -8,12 +8,13 @@
 //! Each family is one `<family>_edges` function that calls `emit(u, v)`
 //! once per undirected edge — never a self-loop, never a repeated edge.
 //! The stream's one consumer is the [`Csr`] builder: a count pass sizes
-//! the rows, then a fill pass writes them. The deterministic constructors
-//! below run their stream twice. A seeded stream is a pure function of its
-//! RNG's starting state, so [`FamilySpec::build_csr`](crate::FamilySpec::build_csr)
-//! re-creates the RNG from the seed for each pass; the constructors that
-//! borrow a caller's RNG run the stream once, collect the edges and freeze
-//! them, so they draw exactly what one pass draws.
+//! the rows, then a fill pass writes them. A deterministic stream is
+//! replayed for the fill pass, so no edge list is held. A seeded stream
+//! runs once (`freeze_once`): its edges are collected into a list, and
+//! the list is replayed. That holds both for the constructors below that
+//! borrow a caller's RNG and for
+//! [`FamilySpec::build_csr`](crate::FamilySpec::build_csr), which seeds
+//! its own RNG, so every seeded draw is made exactly once.
 //!
 //! Every connected-by-construction generator is covered by tests asserting
 //! connectivity, node and edge counts.
@@ -297,10 +298,12 @@ pub(crate) fn lollipop_edges(k: usize, tail: usize, emit: Emit) {
 // Each takes an explicit `&mut impl Rng`; experiments derive their RNGs via
 // [`radio_util::rng`] so results are reproducible.
 
-/// Runs `stream` once, collecting its edges, and freezes them — for
-/// streams that draw from a caller's RNG and so cannot be replayed.
-fn freeze_once(n: usize, stream: impl FnOnce(Emit)) -> Csr {
-    let mut edges = Vec::new();
+/// Runs `stream` once, collecting its edges into a list with room for
+/// `capacity` of them, and freezes them — the route of every seeded
+/// stream, which would otherwise redraw its RNG for the fill pass (or, on
+/// a caller's RNG, could not replay it at all).
+pub(crate) fn freeze_once(n: usize, capacity: usize, stream: impl FnOnce(Emit)) -> Csr {
+    let mut edges = Vec::with_capacity(capacity);
     stream(&mut |u, v| edges.push((u, v)));
     Csr::from_stream(n, |emit| {
         for &(u, v) in &edges {
@@ -315,7 +318,9 @@ fn freeze_once(n: usize, stream: impl FnOnce(Emit)) -> Csr {
 /// would need Prüfer decoding) but produces well-varied trees and is what
 /// the feasibility experiments need: diverse connected topologies.
 pub fn random_tree(n: usize, rng: &mut impl Rng) -> Csr {
-    freeze_once(n, |emit| random_tree_edges(n, rng, emit))
+    freeze_once(n, n.saturating_sub(1), |emit| {
+        random_tree_edges(n, rng, emit)
+    })
 }
 
 pub(crate) fn random_tree_edges(n: usize, rng: &mut impl Rng, emit: Emit) {
@@ -334,17 +339,29 @@ pub(crate) fn random_tree_edges(n: usize, rng: &mut impl Rng, emit: Emit) {
 /// For `p = 0` this is exactly a random tree; for `p = 1` the complete
 /// graph.
 pub fn gnp_connected(n: usize, p: f64, rng: &mut impl Rng) -> Csr {
-    freeze_once(n, |emit| gnp_connected_edges(n, p, rng, emit))
+    freeze_once(n, n.saturating_sub(1), |emit| {
+        gnp_connected_edges(n, p, rng, emit)
+    })
 }
 
 pub(crate) fn gnp_connected_edges(n: usize, p: f64, rng: &mut impl Rng, emit: Emit) {
     assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    // No coin is flipped for a pair the backbone already joined.
-    let tree = tree_edge_set(n, rng, emit);
+    let mut tree = Vec::with_capacity(n.saturating_sub(1));
+    random_tree_edges(n, rng, &mut |u, v| {
+        tree.push((u.min(v), u.max(v)));
+        emit(u, v);
+    });
     if p > 0.0 {
+        // No coin is flipped for a pair the backbone already joined. The
+        // scan meets pairs in `(u, v)` order, so it meets the sorted
+        // backbone pairs in order too: a cursor replaces a set lookup.
+        tree.sort_unstable();
+        let mut next = 0;
         for u in 0..n as NodeId {
             for v in (u + 1)..n as NodeId {
-                if !tree.contains(&(u, v)) && rng.random_bool(p) {
+                if tree.get(next) == Some(&(u, v)) {
+                    next += 1;
+                } else if rng.random_bool(p) {
                     emit(u, v);
                 }
             }
@@ -358,7 +375,9 @@ pub(crate) fn gnp_connected_edges(n: usize, p: f64, rng: &mut impl Rng, emit: Em
 /// # Panics
 /// Panics if `extra` exceeds the number of available non-tree pairs.
 pub fn random_connected(n: usize, extra: usize, rng: &mut impl Rng) -> Csr {
-    freeze_once(n, |emit| random_connected_edges(n, extra, rng, emit))
+    freeze_once(n, n.saturating_sub(1), |emit| {
+        random_connected_edges(n, extra, rng, emit)
+    })
 }
 
 pub(crate) fn random_connected_edges(n: usize, extra: usize, rng: &mut impl Rng, emit: Emit) {
@@ -367,33 +386,28 @@ pub(crate) fn random_connected_edges(n: usize, extra: usize, rng: &mut impl Rng,
         extra <= max_extra,
         "requested {extra} extra edges, only {max_extra} available"
     );
-    let mut edges = tree_edge_set(n, rng, emit);
+    // Rejection sampling tests arbitrary pairs, so the tree goes in a set.
+    let mut joined = FxHashSet::default();
+    random_tree_edges(n, rng, &mut |u, v| {
+        joined.insert((u.min(v), u.max(v)));
+        emit(u, v);
+    });
     let mut added = 0;
     while added < extra {
         let u = rng.random_range(0..n) as NodeId;
         let v = rng.random_range(0..n) as NodeId;
-        if u != v && edges.insert((u.min(v), u.max(v))) {
+        if u != v && joined.insert((u.min(v), u.max(v))) {
             emit(u, v);
             added += 1;
         }
     }
 }
 
-/// Streams [`random_tree_edges`] and returns its edges as `(min, max)`
-/// pairs — the adjacency test the densifying families draw against.
-fn tree_edge_set(n: usize, rng: &mut impl Rng, emit: Emit) -> FxHashSet<(NodeId, NodeId)> {
-    let mut tree = FxHashSet::default();
-    random_tree_edges(n, rng, &mut |u, v| {
-        tree.insert((u.min(v), u.max(v)));
-        emit(u, v);
-    });
-    tree
-}
-
 /// Random caterpillar: a spine of `spine` nodes, with `leaves` pendant
 /// leaves attached to uniformly chosen spine nodes.
 pub fn random_caterpillar(spine: usize, leaves: usize, rng: &mut impl Rng) -> Csr {
-    freeze_once(spine + leaves, |emit| {
+    let n = spine + leaves;
+    freeze_once(n, n.saturating_sub(1), |emit| {
         random_caterpillar_edges(spine, leaves, rng, emit)
     })
 }

@@ -8,10 +8,11 @@ use crate::algo::{component_count, is_connected};
 use crate::config::Configuration;
 use crate::csr::{Csr, GraphError, NodeId};
 use crate::family::{tests::single_pass, FamilySpec};
-use crate::generators;
+use crate::generators::{self, Emit};
 use crate::io;
 use crate::tags::TagStrategy;
 use radio_util::rng::rng_from;
+use radio_util::FxHashSet;
 
 /// Strategy: a connected random graph described by (n, extra-edge budget,
 /// seed), realized deterministically from the seed.
@@ -345,9 +346,9 @@ proptest! {
 }
 
 /// The generation contract body (free fn: the vendored `proptest!` macro
-/// token-munches the body, so it must stay tiny): the two-pass
-/// [`FamilySpec::build_csr`] and the single-pass build from the stream's
-/// collected edge list agree byte for byte, or both reject the size.
+/// token-munches the body, so it must stay tiny): [`FamilySpec::build_csr`]
+/// and the independent build from the stream's collected edge list agree
+/// byte for byte, or both reject the size.
 fn assert_csr_routes_agree(seed: u64, jitter: usize) -> Result<(), TestCaseError> {
     for spec in FamilySpec::zoo() {
         // Pinned specs only build at their own size; scalable ones get
@@ -448,5 +449,56 @@ proptest! {
         jitter in 0usize..16,
     ) {
         assert_csr_routes_agree(seed, jitter)?;
+    }
+}
+
+/// A reference `gnp` stream that tests backbone membership with an
+/// `FxHashSet` probe per pair, in place of the sorted scan:
+/// [`generators::gnp_connected_edges`] must draw exactly what it draws.
+fn gnp_edges_with_a_hash_set(n: usize, p: f64, rng: &mut impl rand::Rng, emit: Emit) {
+    let mut tree = FxHashSet::default();
+    generators::random_tree_edges(n, rng, &mut |u, v| {
+        tree.insert((u.min(v), u.max(v)));
+        emit(u, v);
+    });
+    if p > 0.0 {
+        for u in 0..n as NodeId {
+            for v in (u + 1)..n as NodeId {
+                if !tree.contains(&(u, v)) && rng.random_bool(p) {
+                    emit(u, v);
+                }
+            }
+        }
+    }
+}
+
+/// Both `gnp` streams on one seed emit the same edges in the same order
+/// and leave their RNGs in the same state, at `p = 0`, at `ppm`, and at
+/// `p = 1`.
+fn assert_gnp_scan_matches_the_hash_set(
+    n: usize,
+    ppm: u32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    use rand::Rng;
+    for p in [0.0, f64::from(ppm) / 1e6, 1.0] {
+        let (mut scan, mut set) = (Vec::new(), Vec::new());
+        let (mut scan_rng, mut set_rng) = (rng_from(seed), rng_from(seed));
+        generators::gnp_connected_edges(n, p, &mut scan_rng, &mut |u, v| scan.push((u, v)));
+        gnp_edges_with_a_hash_set(n, p, &mut set_rng, &mut |u, v| set.push((u, v)));
+        prop_assert_eq!(&scan, &set, "n={} p={} seed={}", n, p, seed);
+        prop_assert_eq!(scan_rng.next_u64(), set_rng.next_u64(), "n={} p={}", n, p);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn gnp_backbone_scan_draws_what_the_hash_set_drew(
+        n in 1usize..65,
+        ppm in 0u32..1_000_001,
+        seed in any::<u64>(),
+    ) {
+        assert_gnp_scan_matches_the_hash_set(n, ppm, seed)?;
     }
 }
