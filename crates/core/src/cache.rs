@@ -325,7 +325,20 @@ impl ScheduleCache {
         workspace: &mut ClassifierWorkspace,
         config: &Configuration,
     ) -> (CompiledElection, CacheLookup) {
-        let exact = Key::Exact(config_fingerprint(config));
+        self.compile_keyed(workspace, config, config_fingerprint(config))
+    }
+
+    /// [`ScheduleCache::compile_in`] for a caller that already holds
+    /// `config`'s [`config_fingerprint`] (the campaign dedupe memo), so
+    /// the configuration is hashed once per run, not twice.
+    pub(crate) fn compile_keyed(
+        &self,
+        workspace: &mut ClassifierWorkspace,
+        config: &Configuration,
+        fingerprint: u128,
+    ) -> (CompiledElection, CacheLookup) {
+        debug_assert_eq!(fingerprint, config_fingerprint(config));
+        let exact = Key::Exact(fingerprint);
         if let Some(cached) = self.get(exact) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.exact_hits.fetch_add(1, Ordering::Relaxed);

@@ -136,13 +136,18 @@ impl CampaignWorkspace {
     /// when one is attached (returning its lookup outcome), else directly
     /// through the classifier workspace (returning `None`). Both routes
     /// compile bit-identical elections; neither clones the configuration.
+    /// A caller that already fingerprinted `config` passes the
+    /// fingerprint, and the cache lookup reuses it.
     pub(crate) fn compile(
         &mut self,
         config: &Configuration,
+        fingerprint: Option<u128>,
     ) -> (CompiledElection, Option<CacheLookup>) {
         match &self.cache {
             Some(cache) => {
-                let (compiled, lookup) = cache.compile_in(&mut self.classifier, config);
+                let fingerprint = fingerprint.unwrap_or_else(|| config_fingerprint(config));
+                let (compiled, lookup) =
+                    cache.compile_keyed(&mut self.classifier, config, fingerprint);
                 (compiled, Some(lookup))
             }
             None => (
@@ -580,10 +585,11 @@ impl CellAggregate {
 
 /// The elect-phase per-run workload: the full election pipeline on the
 /// drawn configuration — compile through `CampaignWorkspace::compile`,
-/// then the one simulate step every election takes (the streaming DRIP
-/// over length-only histories, resident in the worker's [`SimWorkspace`];
-/// each node reports its own verdict), and check the exactly-one-leader
-/// contract against the classifier's prediction.
+/// then the one simulate step every election takes
+/// ([`CompiledElection::simulate_in`]: the canonical DRIP's flat node
+/// state over length-only histories, resident in the worker's
+/// [`SimWorkspace`]; each node reports its own verdict), and check the
+/// exactly-one-leader contract against the classifier's prediction.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
@@ -595,12 +601,24 @@ pub fn election_metrics(
     model: ModelKind,
     opts: RunOpts,
 ) -> RunMetrics {
+    election_metrics_keyed(workspace, config, None, model, opts)
+}
+
+/// [`election_metrics`] given `config`'s [`config_fingerprint`] when the
+/// caller already computed it.
+fn election_metrics_keyed(
+    workspace: &mut CampaignWorkspace,
+    config: &Configuration,
+    fingerprint: Option<u128>,
+    model: ModelKind,
+    opts: RunOpts,
+) -> RunMetrics {
     // lint:allow(wall-clock): this is the designated timing site feeding the
     // wall_ns column, which lives in the measured row tail after the pinned
     // deterministic prefix
     let start = Instant::now();
     let mut metrics = RunMetrics::default();
-    let (compiled, lookup) = workspace.compile(config);
+    let (compiled, lookup) = workspace.compile(config, fingerprint);
     metrics.cache_hit = lookup.is_some_and(CacheLookup::is_hit);
     metrics.cache_miss = lookup.is_some_and(|l| !l.is_hit());
     if !compiled.feasible() {
@@ -638,7 +656,8 @@ pub fn election_metrics(
 /// it records a hit when a cache is attached (the memo answered it
 /// without consulting the shared cache) and neither a hit nor a miss
 /// otherwise. The memo is only probed and inserted, never iterated, so
-/// the returned metrics keep the slice's positional order.
+/// the returned metrics keep the slice's positional order. A fingerprint
+/// computed for the memo also keys the run's cache lookup.
 pub fn election_metrics_batched(
     workspace: &mut CampaignWorkspace,
     spec: &CampaignSpec,
@@ -650,8 +669,8 @@ pub fn election_metrics_batched(
     let mut seen: FxHashMap<u128, usize> = FxHashMap::default();
     for idx in lo..hi {
         let config = spec.configuration(cell, idx % spec.reps);
-        if spec.batch.enabled {
-            let fingerprint = config_fingerprint(&config);
+        let fingerprint = spec.batch.enabled.then(|| config_fingerprint(&config));
+        if let Some(fingerprint) = fingerprint {
             if let Some(&k) = seen.get(&fingerprint) {
                 let mut copy = metrics[k];
                 copy.cache_hit = workspace.cache.is_some();
@@ -661,7 +680,13 @@ pub fn election_metrics_batched(
             }
             seen.insert(fingerprint, metrics.len());
         }
-        metrics.push(election_metrics(workspace, &config, cell.model, spec.opts));
+        metrics.push(election_metrics_keyed(
+            workspace,
+            &config,
+            fingerprint,
+            cell.model,
+            spec.opts,
+        ));
     }
     metrics
 }

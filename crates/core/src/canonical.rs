@@ -7,6 +7,16 @@
 //! phase against the hard-coded `L_j` entries. In the first round after
 //! phase `T` every node terminates.
 //!
+//! Two node types run it, round for round alike:
+//!
+//! * [`CanonicalFactory`] spawns boxed [`DripNode`]s that re-read their
+//!   stored histories at each phase boundary — the paper's definition,
+//!   run by the oracles that judge histories with `f_G`;
+//! * `CanonicalNodes` keeps every node's state in flat per-node arrays and
+//!   folds each observation into a match cursor as it lands, so the
+//!   engine stores history lengths only. Every election runs it
+//!   ([`CompiledElection::simulate_in`](crate::CompiledElection::simulate_in)).
+//!
 //! ## Off-schedule histories
 //!
 //! On its own configuration the matching is guaranteed to succeed uniquely
@@ -17,41 +27,25 @@
 //! terminates on time. This keeps the DRIP total (every node terminates)
 //! without inventing behaviour the paper doesn't define.
 
-use radio_sim::{Action, DripFactory, DripNode, HistoryView, Msg, Obs};
+use radio_graph::NodeId;
+use radio_sim::{Action, DripFactory, DripNode, DripNodes, HistoryView, Msg, Obs};
 
-use crate::schedule::{MatchCursor, MatchResult, SharedSchedule};
-use radio_classifier::{Level, Multi, Triple};
+use crate::schedule::{CanonicalSchedule, MatchCursor, MatchResult, SharedSchedule};
 
 /// Factory installing the canonical DRIP of one configuration at every
-/// node.
+/// node, as boxed nodes that re-read their stored histories: at each
+/// phase boundary a node matches its recorded phase against the list
+/// entries ([`CanonicalSchedule::match_entries`]). Runs through it
+/// materialize full [`Execution`](radio_sim::Execution)s, which the
+/// decision function `f_G` then judges node by node.
 pub struct CanonicalFactory {
     schedule: SharedSchedule,
-    streaming: bool,
 }
 
 impl CanonicalFactory {
     /// Wraps a compiled schedule.
     pub fn new(schedule: SharedSchedule) -> CanonicalFactory {
-        CanonicalFactory {
-            schedule,
-            streaming: false,
-        }
-    }
-
-    /// Wraps a compiled schedule in *streaming-match* mode: nodes fold
-    /// every observation into a [`MatchCursor`] as it lands (via
-    /// [`DripNode::observe`]) and resolve their phase matches — and the
-    /// final leader verdict — without ever re-reading history content.
-    /// Behaviour is bit-identical to [`CanonicalFactory::new`]; the point
-    /// is that it stays correct under
-    /// [`RunOpts::len_only_histories`](radio_sim::RunOpts), where
-    /// histories have lengths but no content, which removes the dominant
-    /// memory term of million-node elections.
-    pub fn streaming(schedule: SharedSchedule) -> CanonicalFactory {
-        CanonicalFactory {
-            schedule,
-            streaming: true,
-        }
+        CanonicalFactory { schedule }
     }
 
     /// The shared schedule.
@@ -63,14 +57,11 @@ impl CanonicalFactory {
 impl DripFactory for CanonicalFactory {
     fn spawn(&self) -> Box<dyn DripNode> {
         Box::new(CanonicalNode {
-            cursor: self.schedule.matcher_after_phase(1).start(1),
             schedule: self.schedule.clone(),
             phase: 1,
             t_block: 1,
             transmit_at: self.schedule.transmit_round(1, 1),
             off_schedule: false,
-            streaming: self.streaming,
-            is_leader: None,
         })
     }
 
@@ -93,13 +84,6 @@ struct CanonicalNode {
     transmit_at: u64,
     /// Set when matching failed (foreign configuration): listen-only mode.
     off_schedule: bool,
-    /// Streaming-match mode: phase matches (and the leader verdict) come
-    /// from `cursor`, fed by `observe`, instead of re-reading history.
-    streaming: bool,
-    /// Trie position within `matcher_after_phase(phase)` (streaming only).
-    cursor: MatchCursor,
-    /// The leader verdict, resolved once at termination (streaming only).
-    is_leader: Option<bool>,
 }
 
 impl DripNode for CanonicalNode {
@@ -108,18 +92,7 @@ impl DripNode for CanonicalNode {
         let s = &self.schedule;
 
         if i > s.phase_end(s.phases()) {
-            // r_T + 1: all nodes terminate (L_{T+1} = terminate). In
-            // streaming mode this is also where the decision function
-            // collapses into the node: resolve phase T's cursor against
-            // the final would-be list and compare with the leader class.
-            if self.streaming && self.is_leader.is_none() {
-                let claim = !self.off_schedule
-                    && match self.cursor.resolve(s.matcher_after_phase(self.phase)) {
-                        MatchResult::Unique(k) => s.lists.leader_class == Some(k),
-                        MatchResult::NoMatch | MatchResult::Ambiguous { .. } => false,
-                    };
-                self.is_leader = Some(claim);
-            }
+            // r_T + 1: all nodes terminate (L_{T+1} = terminate).
             return Action::Terminate;
         }
 
@@ -129,22 +102,11 @@ impl DripNode for CanonicalNode {
             let next = self.phase + 1;
             debug_assert!(next <= s.phases());
             if !self.off_schedule {
-                let result = if self.streaming {
-                    self.cursor.resolve(s.matcher_after_phase(self.phase))
-                } else {
-                    let entries = match s.lists.level(next) {
-                        Level::Blocks(entries) => entries,
-                        Level::Terminate => unreachable!("terminate level handled above"),
-                    };
-                    s.match_entries(history, self.phase, self.t_block, entries)
-                };
-                match result {
+                let entries = s.entries_after_phase(self.phase);
+                match s.match_entries(history, self.phase, self.t_block, entries) {
                     MatchResult::Unique(k) => {
                         self.t_block = k;
                         self.transmit_at = s.transmit_round(next, k);
-                        if self.streaming {
-                            self.cursor = s.matcher_after_phase(next).start(k);
-                        }
                     }
                     MatchResult::NoMatch | MatchResult::Ambiguous { .. } => {
                         self.off_schedule = true;
@@ -161,41 +123,6 @@ impl DripNode for CanonicalNode {
         }
     }
 
-    fn observe(&mut self, t: u64, obs: Obs) {
-        if !self.streaming || self.off_schedule || self.is_leader.is_some() {
-            return;
-        }
-        // Project the observation onto phase geometry exactly as
-        // `CanonicalSchedule::observed_triples` does: only non-silent
-        // rounds inside the current phase's block region become triples
-        // (the engine already filters silence; `t` outside the region —
-        // the wake round 0 or the trailing σ listening rounds — is
-        // ignored).
-        let s = &self.schedule;
-        let start = s.phase_end(self.phase - 1);
-        if t <= start {
-            return;
-        }
-        let off = t - start;
-        let width = s.block_width();
-        if off > s.blocks(self.phase).saturating_mul(width) {
-            return;
-        }
-        let c = match obs {
-            Obs::Silence => return,
-            Obs::Heard(_) => Multi::One,
-            Obs::Collision | Obs::Noise => Multi::Star,
-        };
-        let a = ((off - 1) / width + 1) as u32;
-        let b = (off - 1) % width + 1;
-        self.cursor
-            .advance(s.matcher_after_phase(self.phase), Triple::new(a, b, c));
-    }
-
-    fn leader_claim(&self) -> Option<bool> {
-        self.is_leader
-    }
-
     fn quiet_until(&self, history: HistoryView<'_>) -> Option<u64> {
         let i = history.len() as u64;
         if self.off_schedule {
@@ -210,8 +137,139 @@ impl DripNode for CanonicalNode {
     }
 }
 
+/// Flag: matching failed (foreign configuration), listen-only mode.
+const OFF_SCHEDULE: u8 = 1;
+/// Flag: the node terminated in the leader class.
+const LEADER: u8 = 2;
+
+/// The canonical DRIP at every node of one run, as flat per-node arrays
+/// ("planes") over one borrowed schedule: the run spawns no boxes and
+/// shares no reference count.
+///
+/// A node folds each non-silent observation into its [`MatchCursor`] as
+/// the engine records it ([`DripNodes::observe`]), resolves the cursor at
+/// each phase boundary, and at termination resolves its leader verdict the
+/// way `f_G` would. It never reads history content, so the engine stores
+/// lengths only. Behaviour is round for round that of
+/// [`CanonicalFactory`]'s nodes, and the verdicts are exactly `f_G`'s: the
+/// cursor walks the trie of the same list entries the decision replay
+/// compares against, under every channel model.
+pub(crate) struct CanonicalNodes<'s> {
+    schedule: &'s CanonicalSchedule,
+    /// Current phase `j` (1-based).
+    phase: Vec<u32>,
+    /// Local round of this phase's transmission.
+    transmit_at: Vec<u64>,
+    /// Trie position within the current phase's matcher.
+    cursor: Vec<MatchCursor>,
+    /// `OFF_SCHEDULE` and `LEADER` bits.
+    flags: Vec<u8>,
+}
+
+impl<'s> CanonicalNodes<'s> {
+    /// `n` nodes at the start of phase 1, in block 1.
+    pub(crate) fn new(schedule: &'s CanonicalSchedule, n: usize) -> CanonicalNodes<'s> {
+        CanonicalNodes {
+            schedule,
+            phase: vec![1; n],
+            transmit_at: vec![schedule.transmit_round(1, 1); n],
+            cursor: vec![schedule.matcher().start(1, 1); n],
+            flags: vec![0; n],
+        }
+    }
+
+    /// The nodes that terminated claiming leadership, in node order.
+    pub(crate) fn leaders(&self) -> Vec<NodeId> {
+        (0..self.flags.len() as NodeId)
+            .filter(|&v| self.flags[v as usize] & LEADER != 0)
+            .collect()
+    }
+}
+
+impl DripNodes for CanonicalNodes<'_> {
+    const READS_HISTORY: bool = false;
+
+    fn decide(&mut self, v: NodeId, history: HistoryView<'_>) -> Action {
+        let v = v as usize;
+        let i = history.len() as u64; // local round to act in
+        let s = self.schedule;
+        let phase = self.phase[v] as usize;
+
+        if i > s.phase_end(s.phases()) {
+            // r_T + 1: every node terminates, and the decision function
+            // collapses into the node: phase T's cursor, resolved against
+            // the final would-be list, names its final class.
+            if self.flags[v] & OFF_SCHEDULE == 0
+                && matches!(
+                    self.cursor[v].resolve(s.matcher()),
+                    MatchResult::Unique(k) if s.lists.leader_class == Some(k)
+                )
+            {
+                self.flags[v] |= LEADER;
+            }
+            return Action::Terminate;
+        }
+
+        if i > s.phase_end(phase) {
+            // First round of the next phase: the cursor fed during the
+            // phase that just ended names the new block.
+            let next = phase + 1;
+            debug_assert!(next <= s.phases());
+            if self.flags[v] & OFF_SCHEDULE == 0 {
+                match self.cursor[v].resolve(s.matcher()) {
+                    MatchResult::Unique(k) => {
+                        self.transmit_at[v] = s.transmit_round(next, k);
+                        self.cursor[v] = s.matcher().start(next, k);
+                    }
+                    MatchResult::NoMatch | MatchResult::Ambiguous { .. } => {
+                        self.flags[v] |= OFF_SCHEDULE;
+                    }
+                }
+            }
+            self.phase[v] = next as u32;
+        }
+
+        if self.flags[v] & OFF_SCHEDULE == 0 && i == self.transmit_at[v] {
+            Action::Transmit(Msg::ONE)
+        } else {
+            Action::Listen
+        }
+    }
+
+    fn quiet_until(&self, v: NodeId, history: HistoryView<'_>) -> Option<u64> {
+        let v = v as usize;
+        let i = history.len() as u64;
+        if self.flags[v] & OFF_SCHEDULE != 0 {
+            // A silent observer listens until the scheduled termination.
+            let done = self.schedule.done_local();
+            return (done > i).then_some(done);
+        }
+        self.schedule
+            .quiet_horizon(i, self.phase[v] as usize, self.transmit_at[v])
+    }
+
+    #[inline]
+    fn observe(&mut self, v: NodeId, t: u64, obs: Obs) {
+        let v = v as usize;
+        if self.flags[v] & OFF_SCHEDULE != 0 {
+            return;
+        }
+        let s = self.schedule;
+        if let Some(key) = s.observation_key(self.phase[v] as usize, t, obs) {
+            self.cursor[v].advance(s.matcher(), key);
+        }
+    }
+
+    fn mem_bytes(&self) -> u64 {
+        fn plane<T>(v: &Vec<T>) -> u64 {
+            (v.capacity() * std::mem::size_of::<T>()) as u64
+        }
+        plane(&self.phase) + plane(&self.transmit_at) + plane(&self.cursor) + plane(&self.flags)
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schedule::CanonicalSchedule;
     use radio_graph::{families, generators, Configuration};
@@ -364,26 +422,42 @@ mod tests {
     }
 
     /// Runs `compiled` on `config` both ways under every channel model,
-    /// leaping and stepping: the history-reading DRIP judged node by node
-    /// by `f_G` (the oracle), and the streaming simulate step every
-    /// election takes. Leaders and run shape must agree exactly.
-    fn assert_streaming_matches_the_oracle(
+    /// leaping and stepping, within `max_rounds`: the history-reading DRIP
+    /// judged node by node by `f_G` (the oracle), and the streaming
+    /// simulate step every election takes. Leaders and run shape must
+    /// agree exactly, and so must a round-limit error. Returns how many of
+    /// the six runs hit the limit.
+    pub(crate) fn assert_streaming_matches_the_oracle(
         compiled: &crate::CompiledElection,
         config: &Configuration,
         sim: &mut radio_sim::SimWorkspace,
-    ) {
+        max_rounds: u64,
+    ) -> usize {
         let decision = compiled.decision();
+        let mut limited = 0;
         for model in radio_sim::ModelKind::ALL {
-            for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
+            let budget = RunOpts::with_max_rounds(max_rounds);
+            for opts in [budget, budget.no_leap()] {
                 let what = format!("{config} model={model} leap={}", opts.leap);
-                let ex = sim
-                    .run_kind(model, config, &compiled.factory(), opts)
-                    .unwrap();
+                let dense = sim.run_kind(model, config, &compiled.factory(), opts);
+                let streamed = compiled.simulate_in(sim, config, model, opts);
+                let (ex, (leaders, run)) = match (dense, streamed) {
+                    (Ok(ex), Ok(streamed)) => (ex, streamed),
+                    (Err(dense), Err(streamed)) => {
+                        assert_eq!(streamed, dense, "{what}");
+                        limited += 1;
+                        continue;
+                    }
+                    (dense, streamed) => panic!(
+                        "{what}: dense {:?} but streaming {:?}",
+                        dense.map(|_| ()),
+                        streamed.map(|_| ())
+                    ),
+                };
                 let oracle: Vec<_> = (0..config.size() as radio_graph::NodeId)
                     .filter(|&v| decision.is_leader(ex.history(v)))
                     .collect();
                 let done = ex.done_round.iter().copied().max().unwrap_or(0);
-                let (leaders, run) = compiled.simulate_in(sim, config, model, opts).unwrap();
                 assert_eq!(leaders, oracle, "{what}");
                 assert_eq!(
                     (run.stats, run.rounds, run.rounds_stepped, run.rounds_leapt),
@@ -393,33 +467,7 @@ mod tests {
                 assert_eq!(run.completion_round, done, "{what}");
             }
         }
-    }
-
-    #[test]
-    fn streaming_len_only_elects_exactly_like_the_dense_path() {
-        // The streaming factory under length-only histories must produce
-        // the same leaders and run shape as the dense factory judged by
-        // the decision function — across feasible, infeasible, and random
-        // configurations, under every channel model, with and without
-        // leaps. Campaign `elected` counts under cd and beep come from
-        // these claims, so this is their guard.
-        let mut rng = radio_util::rng::rng_from(29);
-        let mut configs = vec![
-            families::h_m(3),
-            families::g_m(3),
-            families::s_m(2),
-            families::h_m(1),
-        ];
-        for _ in 0..6 {
-            let g = generators::gnp_connected(9, 0.35, &mut rng);
-            configs.push(radio_graph::tags::random_in_span(g, 5, &mut rng));
-        }
-        let mut cls = radio_classifier::ClassifierWorkspace::new();
-        let mut sim = radio_sim::SimWorkspace::new();
-        for config in configs {
-            let compiled = crate::CompiledElection::compile_in(&mut cls, &config);
-            assert_streaming_matches_the_oracle(&compiled, &config, &mut sim);
-        }
+        limited
     }
 
     #[test]
@@ -430,9 +478,54 @@ mod tests {
         let mut cls = radio_classifier::ClassifierWorkspace::new();
         let compiled = crate::CompiledElection::compile_in(&mut cls, &families::h_m(2));
         let mut sim = radio_sim::SimWorkspace::new();
+        let limit = RunOpts::default().max_rounds;
         for foreign in [families::s_m(2), families::h_m(5), families::g_m(2)] {
-            assert_streaming_matches_the_oracle(&compiled, &foreign, &mut sim);
+            let limited = assert_streaming_matches_the_oracle(&compiled, &foreign, &mut sim, limit);
+            assert_eq!(limited, 0, "{foreign}");
         }
+    }
+
+    #[test]
+    fn keys_past_two_to_the_64_keep_label_order_and_elect() {
+        // At this span one label triple of the 6-node path has doubled
+        // offset 2⁶⁴ + 14, and the run still completes within a u64
+        // budget. Keys must not wrap there: they order and compare
+        // exactly like the triples, and the streaming run elects node 0.
+        // (The dense oracle cannot run this: its histories would need
+        // about 10¹⁹ entries.)
+        let sigma = 1_537_228_672_809_129_302;
+        let config =
+            Configuration::new(generators::path(6), vec![0, 0, 0, sigma, sigma, 0]).unwrap();
+        let mut cls = radio_classifier::ClassifierWorkspace::new();
+        let compiled = crate::CompiledElection::compile_in(&mut cls, &config);
+        let s = compiled.schedule();
+        let triples: Vec<radio_classifier::Triple> = (1..=s.phases())
+            .flat_map(|j| s.entries_after_phase(j))
+            .flat_map(|e| e.label.triples().iter().copied())
+            .collect();
+        let past = u128::from(u64::MAX);
+        assert!(
+            triples.iter().any(|t| s.triple_key(t) > past),
+            "{triples:?}"
+        );
+        for a in &triples {
+            for b in &triples {
+                assert_eq!(
+                    s.triple_key(a).cmp(&s.triple_key(b)),
+                    a.cmp(b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        let report = compiled
+            .run_in(
+                &mut radio_sim::SimWorkspace::new(),
+                &config,
+                radio_sim::ModelKind::default(),
+                RunOpts::with_max_rounds(u64::MAX),
+            )
+            .unwrap();
+        assert_eq!(report.leader, 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use radio_sim::History;
 
 use crate::schedule::{MatchResult, SharedSchedule};
-use radio_classifier::Level;
 
 /// The decision function `f_G`; cheap to clone (shares the schedule).
 #[derive(Clone)]
@@ -33,20 +32,15 @@ impl LeaderDecision {
         let history = history.view();
         let s = &self.schedule;
         let mut t_block = 1u32; // phase 1: everyone in block 1 (L_1 = [(1, null)])
-        for j in 2..=s.phases() {
-            let entries = match s.lists.level(j) {
-                Level::Blocks(entries) => entries,
-                Level::Terminate => unreachable!("levels 1..=T are block levels"),
-            };
-            match s.match_entries(history, j - 1, t_block, entries) {
+        for j in 1..=s.phases() {
+            // Phase T is judged against the would-be list: its block is
+            // the final class.
+            match s.match_entries(history, j, t_block, s.entries_after_phase(j)) {
                 MatchResult::Unique(k) => t_block = k,
                 _ => return None,
             }
         }
-        match s.match_entries(history, s.phases(), t_block, &s.lists.final_entries) {
-            MatchResult::Unique(k) => Some(k),
-            _ => None,
-        }
+        Some(t_block)
     }
 
     /// `f_G(history)`: 1 iff the history is the leader's.

@@ -7,7 +7,7 @@ use radio_graph::{Configuration, NodeId};
 use radio_sim::{ModelKind, ResidentRun, RunOpts, SimError, SimWorkspace};
 
 use crate::api::{ElectError, ElectionReport};
-use crate::canonical::CanonicalFactory;
+use crate::canonical::{CanonicalFactory, CanonicalNodes};
 use crate::decision::LeaderDecision;
 use crate::schedule::{CanonicalSchedule, SharedSchedule};
 use radio_classifier::{ClassifierWorkspace, ClassifySummary};
@@ -109,31 +109,30 @@ impl CompiledElection {
     }
 
     /// The simulate step: runs `D_G` on `config` resident in `workspace`
-    /// under `model`, over *length-only* histories, and returns the nodes
-    /// that claimed leadership with the run summary.
+    /// under `model`, and returns the nodes that claimed leadership with
+    /// the run summary. Every election takes it — [`run_in`](Self::run_in)
+    /// validates its result; campaigns count it.
     ///
-    /// The streaming canonical DRIP folds every observation into a
-    /// per-node match cursor as it lands and resolves its leader verdict
-    /// itself at termination (`DripNode::leader_claim`), so the arena
-    /// stores no observation content at all — only per-node lengths. This
-    /// removes the dominant memory term of dense-neighbourhood elections
-    /// (each stored heard-event costs 24 B; a 10⁶-node bipartite run
-    /// stores ~10⁸ of them). The claims are exactly `f_G`'s verdicts: the
-    /// cursor walks the same trie of list entries the decision replay
-    /// compares against, under every channel model.
-    pub(crate) fn simulate_in(
+    /// The nodes are flat per-node arrays over the borrowed schedule (the
+    /// run spawns no boxes). Each folds every observation into a match
+    /// cursor as it lands and resolves its leader verdict itself at
+    /// termination, so the engine stores no observation content at all —
+    /// only per-node history lengths. This removes the dominant memory
+    /// term of dense-neighbourhood elections (each stored heard-event
+    /// costs 24 B; a 10⁶-node bipartite run stores ~10⁸ of them). The
+    /// claims are exactly `f_G`'s verdicts, under every channel model:
+    /// the cursor walks the same list entries the decision replay compares
+    /// against.
+    pub fn simulate_in(
         &self,
         workspace: &mut SimWorkspace,
         config: &Configuration,
         model: ModelKind,
         opts: RunOpts,
     ) -> Result<(Vec<NodeId>, ResidentRun), SimError> {
-        let factory = CanonicalFactory::streaming(self.schedule.clone());
-        let run = workspace.run_kind_resident(model, config, &factory, opts.len_only())?;
-        let leaders = (0..config.size() as NodeId)
-            .filter(|&v| workspace.leader_claim(v) == Some(true))
-            .collect();
-        Ok((leaders, run))
+        let mut nodes = CanonicalNodes::new(&self.schedule, config.size());
+        let run = workspace.run_nodes(model, config, &mut nodes, opts)?;
+        Ok((nodes.leaders(), run))
     }
 
     /// Simulates `(D_G, f_G)` on `config` — which must be the

@@ -1,12 +1,14 @@
 //! Property-based tests of the canonical schedule, the decision function,
-//! off-schedule robustness (failure injection), and the row and request
-//! parsers under hostile input.
+//! the streaming simulate step against it, off-schedule robustness
+//! (failure injection), and the row and request parsers under hostile
+//! input.
 
 use proptest::prelude::*;
 
 use radio_graph::{generators, Configuration};
 use radio_sim::{Executor, RunOpts};
 
+use crate::canonical::tests::assert_streaming_matches_the_oracle;
 use crate::canonical::CanonicalFactory;
 use crate::decision::LeaderDecision;
 use crate::row::{binary_to_jsonl, jsonl_to_binary, CampaignRow};
@@ -23,6 +25,55 @@ fn build_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
 fn config_strategy() -> impl Strategy<Value = Configuration> {
     (1usize..10, 0usize..6, 0u64..5, any::<u64>())
         .prop_map(|(n, extra, span, seed)| build_config(n, extra, span, seed))
+}
+
+/// Connected configurations with n ≤ 24 — random graphs, paths and
+/// cycles — and a span of 0, a draw ≤ 8 or a draw ≤ 200. Tags are drawn
+/// in the span, or from `{0, σ}`, or are σ on one run of consecutive
+/// nodes and 0 elsewhere (`G_m`'s pattern): the last two keep paths and
+/// cycles symmetric enough to need several phases. Larger spans do not
+/// fit the dense oracle's stored histories.
+fn sim_config_strategy() -> impl Strategy<Value = Configuration> {
+    (
+        1usize..=24,
+        0u8..3,
+        0usize..12,
+        0u8..3,
+        0u8..3,
+        any::<u64>(),
+    )
+        .prop_map(|(n, shape, extra, budget, pattern, seed)| {
+            use rand::Rng;
+            let span = match budget {
+                0 => 0,
+                1 => seed % 9,
+                _ => seed % 201,
+            };
+            let mut rng = radio_util::rng::rng_from(seed);
+            let g = match shape {
+                0 => {
+                    let max_extra = n * (n - 1) / 2 - (n - 1);
+                    generators::random_connected(n, extra.min(max_extra), &mut rng)
+                }
+                1 => generators::path(n),
+                _ if n >= 3 => generators::cycle(n),
+                _ => generators::path(n),
+            };
+            let tags = match pattern {
+                0 => return radio_graph::tags::random_in_span(g, span, &mut rng),
+                1 => (0..n)
+                    .map(|_| if rng.random() { span } else { 0 })
+                    .collect(),
+                _ => {
+                    let lo = rng.random_range(0..n);
+                    let hi = rng.random_range(lo..=n);
+                    (0..n)
+                        .map(|v| if (lo..hi).contains(&v) { span } else { 0 })
+                        .collect()
+                }
+            };
+            Configuration::new(g, tags).expect("connected")
+        })
 }
 
 /// The golden row corpus: every line is a canonical row.
@@ -101,6 +152,45 @@ proptest! {
             prop_assert_eq!(binary_to_jsonl(&binary).expect("own encoding decodes"), text + "\n");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn streaming_elects_exactly_like_the_oracle(
+        config in sim_config_strategy(),
+        other in sim_config_strategy(),
+        foreign in any::<bool>(),
+    ) {
+        // The streaming simulate step must produce the leaders `f_G`
+        // reads off the dense histories, and the same run shape, under
+        // every channel model, leaping or not — on its own configuration
+        // and, with a foreign schedule, off schedule. Campaign `elected`
+        // counts under cd and beep come from these claims, so this is
+        // their guard.
+        let mut cls = radio_classifier::ClassifierWorkspace::new();
+        let mut sim = radio_sim::SimWorkspace::new();
+        let compiled_on = if foreign { &other } else { &config };
+        let compiled = crate::CompiledElection::compile_in(&mut cls, compiled_on);
+        let limit = RunOpts::default().max_rounds;
+        let limited = assert_streaming_matches_the_oracle(&compiled, &config, &mut sim, limit);
+        prop_assert_eq!(limited, 0, "{}", config);
+    }
+}
+
+#[test]
+fn streaming_and_oracle_stop_at_the_same_round_limit() {
+    let config = radio_graph::families::g_m(3);
+    let mut cls = radio_classifier::ClassifierWorkspace::new();
+    let compiled = crate::CompiledElection::compile_in(&mut cls, &config);
+    let half = compiled.rounds_bound() / 2;
+    let mut sim = radio_sim::SimWorkspace::new();
+    let limited = assert_streaming_matches_the_oracle(&compiled, &config, &mut sim, half);
+    assert_eq!(
+        limited, 6,
+        "every model and leap mode stops at round {half}"
+    );
 }
 
 proptest! {

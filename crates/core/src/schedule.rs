@@ -26,6 +26,7 @@ use radio_classifier::{
     ListsSink, Multi, Outcome, Triple,
 };
 use radio_graph::Configuration;
+use radio_sim::Obs;
 
 /// The complete dedicated knowledge of the canonical DRIP for one
 /// configuration, plus derived geometry.
@@ -37,13 +38,13 @@ pub struct CanonicalSchedule {
     pub lists: CanonicalLists,
     /// `phase_end[j]` = `r_j` for `j = 0..=T` (`phase_end[0] = 0`).
     pub phase_end: Vec<u64>,
-    /// `phase_matchers[j-1]` = the [`MatchAutomaton`] over `L_{j+1}`'s
-    /// entries, for `j = 1..T` — the matcher phase `j`'s observations are
-    /// judged against. Phase `T`'s observations are judged against
-    /// `final_matcher`.
-    phase_matchers: Vec<MatchAutomaton>,
-    /// Matcher over the final would-be list `L_{T+1}`'s entries.
-    final_matcher: MatchAutomaton,
+    /// `block_region[j-1]` = the length of phase `j`'s block region,
+    /// `numClasses_j·(2σ+1)` (saturating): the rounds whose observations
+    /// are matched.
+    block_region: Vec<u64>,
+    /// The one matcher over every phase's judged entries (see
+    /// [`CanonicalSchedule::entries_after_phase`]).
+    matcher: MatchAutomaton,
 }
 
 impl CanonicalSchedule {
@@ -94,30 +95,26 @@ impl CanonicalSchedule {
         let sigma = lists.sigma;
         let width = block_width(sigma);
         let mut phase_end = Vec::with_capacity(lists.phases() + 1);
+        let mut block_region = Vec::with_capacity(lists.phases());
         phase_end.push(0u64);
         for j in 1..=lists.phases() {
-            let blocks = lists.level(j).num_blocks() as u64;
+            let region = (lists.level(j).num_blocks() as u64).saturating_mul(width);
             let prev = *phase_end.last().expect("non-empty");
-            phase_end.push(
-                prev.saturating_add(blocks.saturating_mul(width))
-                    .saturating_add(sigma),
-            );
+            phase_end.push(prev.saturating_add(region).saturating_add(sigma));
+            block_region.push(region);
         }
-        let mut phase_matchers = Vec::with_capacity(lists.phases().saturating_sub(1));
-        for j in 2..=lists.phases() {
-            let entries = match lists.level(j) {
-                Level::Blocks(entries) => entries.as_slice(),
-                Level::Terminate => unreachable!("levels 1..=T are block levels"),
-            };
-            phase_matchers.push(MatchAutomaton::compile(entries));
-        }
-        let final_matcher = MatchAutomaton::compile(&lists.final_entries);
+        let matcher = {
+            let judged: Vec<&[ListEntry]> = (1..=lists.phases())
+                .map(|j| entries_after(&lists, j))
+                .collect();
+            MatchAutomaton::compile(width, &judged)
+        };
         CanonicalSchedule {
             sigma,
             lists,
             phase_end,
-            phase_matchers,
-            final_matcher,
+            block_region,
+            matcher,
         }
     }
 
@@ -250,21 +247,81 @@ impl CanonicalSchedule {
         }
     }
 
-    /// The precompiled matcher that phase `j`'s observations are judged
-    /// against at the phase boundary: `L_{j+1}`'s entries for `j < T`, the
-    /// final would-be list for `j = T`. This is the streaming twin of
-    /// [`CanonicalSchedule::match_entries`] — a node feeds its non-silent
-    /// observations into a [`MatchCursor`] as they land and resolves at
-    /// the boundary, never re-reading its history.
-    pub fn matcher_after_phase(&self, j: usize) -> &MatchAutomaton {
-        debug_assert!((1..=self.phases()).contains(&j));
-        if j == self.phases() {
-            &self.final_matcher
-        } else {
-            &self.phase_matchers[j - 1]
+    /// The entries phase `j`'s observations are judged against at the
+    /// phase boundary: `L_{j+1}`'s for `j < T`, the final would-be list's
+    /// for `j = T`.
+    pub fn entries_after_phase(&self, j: usize) -> &[ListEntry] {
+        entries_after(&self.lists, j)
+    }
+
+    /// The precompiled matcher over every phase's judged entries — the
+    /// streaming twin of [`CanonicalSchedule::match_entries`]: a node
+    /// starts a [`MatchCursor`] at each phase entry, feeds it the key of
+    /// every non-silent observation as it lands
+    /// ([`CanonicalSchedule::observation_key`]) and resolves it at the
+    /// boundary, never re-reading its history.
+    pub fn matcher(&self) -> &MatchAutomaton {
+        &self.matcher
+    }
+
+    /// The match key of observation `obs` at local round `t` of phase
+    /// `j`, or `None` when it is silence or lies outside the phase's block
+    /// region (the wake round, an earlier phase, the trailing `σ`
+    /// listening rounds). This is the key of the triple
+    /// [`CanonicalSchedule::observed_triples`] extracts for that round
+    /// (see [`CanonicalSchedule::triple_key`]), computed from the
+    /// phase-local offset directly, without dividing it into `(a, b)`.
+    #[inline]
+    pub fn observation_key(&self, j: usize, t: u64, obs: Obs) -> Option<MatchKey> {
+        let star = match obs {
+            Obs::Silence => return None,
+            Obs::Heard(_) => 0,
+            // Noise only arises off-model; it matches like a collision, as
+            // in `observed_triples`.
+            Obs::Collision | Obs::Noise => 1,
+        };
+        let off = t.checked_sub(self.phase_end[j - 1])?;
+        if off == 0 || off > self.block_region[j - 1] {
+            return None;
+        }
+        Some(MatchKey::from(off) * 2 + star)
+    }
+
+    /// The match key of label triple `(a, b, c)`: its phase-local offset
+    /// `(a−1)(2σ+1) + b`, doubled, plus 1 for `c = ∗`. Since `b` ranges
+    /// over `1 ..= 2σ+1`, offsets order triples by `(a, b)`, and the
+    /// doubling leaves room for `1 ≺ ∗`: keys order and compare exactly
+    /// like `≺_hist`. The width is the geometry's saturating `2σ+1`; a
+    /// doubled offset can pass 2⁶⁴ in a run that completes, so keys are
+    /// `u128`.
+    pub fn triple_key(&self, triple: &Triple) -> MatchKey {
+        triple_key(self.block_width(), triple)
+    }
+}
+
+/// The entries phase `j` of `lists` is judged against (see
+/// [`CanonicalSchedule::entries_after_phase`]).
+fn entries_after(lists: &CanonicalLists, j: usize) -> &[ListEntry] {
+    if j == lists.phases() {
+        &lists.final_entries
+    } else {
+        match lists.level(j + 1) {
+            Level::Blocks(entries) => entries,
+            Level::Terminate => unreachable!("levels 1..=T are block levels"),
         }
     }
 }
+
+/// [`CanonicalSchedule::triple_key`] under block width `width`.
+fn triple_key(width: u64, triple: &Triple) -> MatchKey {
+    let off = (MatchKey::from(triple.a).saturating_sub(1)) * MatchKey::from(width)
+        + MatchKey::from(triple.b);
+    off * 2 + MatchKey::from(triple.c == Multi::Star)
+}
+
+/// The integer a matcher edge is keyed by: one observation, or one label
+/// triple (see [`CanonicalSchedule::triple_key`]).
+pub type MatchKey = u128;
 
 /// Result of matching a phase history against list entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,33 +342,42 @@ pub enum MatchResult {
     },
 }
 
-/// A precompiled trie matcher over one entry list, the streaming
-/// equivalent of [`CanonicalSchedule::match_entries`].
+/// A precompiled trie matcher over every phase's judged entries, the
+/// streaming equivalent of [`CanonicalSchedule::match_entries`].
 ///
-/// Entries sharing an `old_class` share a root; each root's trie follows
-/// the entry labels triple by triple. Because
-/// [`CanonicalSchedule::observed_triples`] emits a phase's non-silent
-/// observations in ascending `(a, b)` order — exactly the ≺_hist order the
-/// label triples are stored in — sequence equality against a label is a
-/// root-to-leaf walk: advance the cursor once per observed triple, then
-/// read the terminal entries at the final state. A node therefore needs
-/// only a cursor (one `u32`) of per-phase match state instead of its
-/// recorded history, which is what lets million-node elections run with
-/// length-only histories.
+/// Each phase's entries sharing an `old_class` share a root; each root's
+/// trie follows the entry labels key by key. A phase's non-silent
+/// observations land in increasing local rounds, so their keys arrive in
+/// ascending order — the `≺_hist` order label triples are stored in —
+/// and sequence equality against a label is a root-to-leaf walk: advance
+/// the cursor once per observation, then read the terminal entries at the
+/// final state. A node therefore needs only a cursor (one `u32`) of
+/// per-phase match state instead of its recorded history, which is what
+/// lets million-node elections run with length-only histories.
+///
+/// The states of every phase form one forest stored in offset-indexed
+/// arrays, in breadth-first order: each state's outgoing edges are one
+/// contiguous slice of sorted keys, and edge `e` leads to state
+/// `root_count + e`, so an edge stores nothing but its key. Compiling
+/// sorts the entries by `(phase, old_class, label)` and lays the forest
+/// out one depth at a time, with no per-state allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MatchAutomaton {
-    /// `roots[c]` = trie root for entries with `old_class == c`
-    /// (`NO_STATE` when no entry has that class).
+    /// Phase `j`'s root table is `roots[root_start[j-1]..root_start[j]]`.
+    root_start: Vec<u32>,
+    /// Per phase, per `old_class`: the root state (`NO_STATE` when no
+    /// entry of that phase has that class).
     roots: Vec<u32>,
-    states: Vec<MatchState>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct MatchState {
-    /// Outgoing transitions, sorted by triple (unique keys).
-    children: Vec<(Triple, u32)>,
-    /// 1-based indices of entries whose label ends at this state, in entry
-    /// order.
+    /// Number of root states; edge `e` leads to state `root_count + e`.
+    root_count: u32,
+    /// State `s`'s edges are `child_start[s]..child_start[s + 1]`.
+    child_start: Vec<u32>,
+    /// Each edge's key; sorted and unique within each state's slice.
+    keys: Vec<MatchKey>,
+    /// The entries ending at state `s` are
+    /// `terminal[term_start[s]..term_start[s + 1]]`.
+    term_start: Vec<u32>,
+    /// 1-based indices of entries, in entry order within each state.
     terminal: Vec<u32>,
 }
 
@@ -319,51 +385,95 @@ struct MatchState {
 const NO_STATE: u32 = u32::MAX;
 
 impl MatchAutomaton {
-    /// Builds the trie over `entries` (each contributes one root-to-leaf
-    /// path under its `old_class` root).
-    pub fn compile(entries: &[ListEntry]) -> MatchAutomaton {
+    /// Builds the forest over `phases[j-1]`, the entries phase `j` is
+    /// judged against, keying label triples under block width `width`.
+    pub(crate) fn compile(width: u64, phases: &[&[ListEntry]]) -> MatchAutomaton {
+        let key = |t: &Triple| triple_key(width, t);
+        let entry = |(p, i): (u32, u32)| &phases[p as usize][i as usize];
+        let mut order: Vec<(u32, u32)> = Vec::with_capacity(phases.iter().map(|e| e.len()).sum());
         let mut a = MatchAutomaton::default();
-        for (idx, entry) in entries.iter().enumerate() {
-            let c = entry.old_class as usize;
-            if a.roots.len() <= c {
-                a.roots.resize(c + 1, NO_STATE);
-            }
-            if a.roots[c] == NO_STATE {
-                a.roots[c] = a.new_state();
-            }
-            let mut s = a.roots[c];
-            for &t in entry.label.triples() {
-                let pos = a.states[s as usize]
-                    .children
-                    .binary_search_by_key(&t, |&(k, _)| k);
-                s = match pos {
-                    Ok(i) => a.states[s as usize].children[i].1,
-                    Err(i) => {
-                        let next = a.new_state();
-                        a.states[s as usize].children.insert(i, (t, next));
-                        next
-                    }
-                };
-            }
-            a.states[s as usize].terminal.push(idx as u32 + 1);
+        a.root_start.reserve(phases.len() + 1);
+        a.root_start.push(0);
+        for (p, entries) in phases.iter().enumerate() {
+            order.extend((0..entries.len() as u32).map(|i| (p as u32, i)));
+            let classes = entries.iter().map(|e| e.old_class as usize + 1).max();
+            a.roots
+                .resize(a.roots.len() + classes.unwrap_or(0), NO_STATE);
+            a.root_start.push(a.roots.len() as u32);
         }
+        // Entries sharing a phase, a class and a label prefix are then
+        // contiguous, shorter labels first, equal labels in entry order.
+        order.sort_unstable_by(|&x, &y| {
+            let (ex, ey) = (entry(x), entry(y));
+            (x.0, ex.old_class)
+                .cmp(&(y.0, ey.old_class))
+                .then_with(|| {
+                    let kx = ex.label.triples().iter().map(key);
+                    kx.cmp(ey.label.triples().iter().map(key))
+                })
+                .then(x.1.cmp(&y.1))
+        });
+
+        // Depth 0: one root per (phase, class) run. `groups` holds the
+        // runs of entries sharing a state, in state order.
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        let mut lo = 0;
+        while lo < order.len() {
+            let (p, class) = (order[lo].0, entry(order[lo]).old_class);
+            let mut hi = lo + 1;
+            while hi < order.len() && order[hi].0 == p && entry(order[hi]).old_class == class {
+                hi += 1;
+            }
+            a.roots[a.root_start[p as usize] as usize + class as usize] = groups.len() as u32;
+            groups.push((lo, hi));
+            lo = hi;
+        }
+        a.root_count = groups.len() as u32;
+
+        // Each depth's states, in order: first the entries whose label
+        // ends here, then one edge (and one next-depth state) per run of
+        // equal keys at this depth.
+        let mut next = Vec::new();
+        let mut depth = 0;
+        while !groups.is_empty() {
+            next.clear();
+            for &(lo, hi) in &groups {
+                a.child_start.push(a.keys.len() as u32);
+                a.term_start.push(a.terminal.len() as u32);
+                let triples = |k: usize| entry(order[k]).label.triples();
+                let mut i = lo;
+                while i < hi && triples(i).len() == depth {
+                    a.terminal.push(order[i].1 + 1);
+                    i += 1;
+                }
+                while i < hi {
+                    let k = key(&triples(i)[depth]);
+                    let mut j = i + 1;
+                    while j < hi && key(&triples(j)[depth]) == k {
+                        j += 1;
+                    }
+                    a.keys.push(k);
+                    next.push((i, j));
+                    i = j;
+                }
+            }
+            std::mem::swap(&mut groups, &mut next);
+            depth += 1;
+        }
+        a.child_start.push(a.keys.len() as u32);
+        a.term_start.push(a.terminal.len() as u32);
         a
     }
 
-    fn new_state(&mut self) -> u32 {
-        self.states.push(MatchState::default());
-        (self.states.len() - 1) as u32
-    }
-
-    /// A cursor rooted at `old_class` — dead from the start when no entry
-    /// has that class (the `prev_block` filter of
-    /// [`CanonicalSchedule::match_entries`]).
-    pub fn start(&self, old_class: u32) -> MatchCursor {
-        let state = self
-            .roots
-            .get(old_class as usize)
-            .copied()
-            .unwrap_or(NO_STATE);
+    /// A cursor at phase `phase`'s root for `old_class` — dead from the
+    /// start when no entry of that phase has that class (the `prev_block`
+    /// filter of [`CanonicalSchedule::match_entries`]).
+    pub fn start(&self, phase: usize, old_class: u32) -> MatchCursor {
+        let (lo, hi) = (self.root_start[phase - 1], self.root_start[phase]);
+        let state = lo
+            .checked_add(old_class)
+            .filter(|&i| i < hi)
+            .map_or(NO_STATE, |i| self.roots[i as usize]);
         MatchCursor { state }
     }
 }
@@ -376,17 +486,19 @@ pub struct MatchCursor {
 }
 
 impl MatchCursor {
-    /// Feeds the next observed triple. A transition miss kills the cursor
-    /// permanently (the observation sequence is not a prefix of any
+    /// Feeds the key of the next observation. A transition miss kills the
+    /// cursor permanently (the observation sequence is not a prefix of any
     /// entry's label).
     #[inline]
-    pub fn advance(&mut self, automaton: &MatchAutomaton, triple: Triple) {
+    pub fn advance(&mut self, automaton: &MatchAutomaton, key: MatchKey) {
         if self.state == NO_STATE {
             return;
         }
-        let children = &automaton.states[self.state as usize].children;
-        self.state = match children.binary_search_by_key(&triple, |&(k, _)| k) {
-            Ok(i) => children[i].1,
+        let s = self.state as usize;
+        let lo = automaton.child_start[s] as usize;
+        let hi = automaton.child_start[s + 1] as usize;
+        self.state = match automaton.keys[lo..hi].binary_search(&key) {
+            Ok(i) => automaton.root_count + (lo + i) as u32,
             Err(_) => NO_STATE,
         };
     }
@@ -398,7 +510,9 @@ impl MatchCursor {
         if self.state == NO_STATE {
             return MatchResult::NoMatch;
         }
-        match automaton.states[self.state as usize].terminal.as_slice() {
+        let s = self.state as usize;
+        let ends = automaton.term_start[s] as usize..automaton.term_start[s + 1] as usize;
+        match &automaton.terminal[ends] {
             [] => MatchResult::NoMatch,
             [k] => MatchResult::Unique(*k),
             [first, second, ..] => MatchResult::Ambiguous {
@@ -625,8 +739,8 @@ mod tests {
 
     #[test]
     fn automaton_resolves_exactly_like_match_entries() {
-        // On real canonical executions, a cursor fed the observed triples
-        // of each phase must resolve to the same MatchResult as the
+        // On real canonical executions, a cursor fed the keys of each
+        // phase's observations must resolve to the same MatchResult as the
         // eager sequence comparison — for every node, every phase, and
         // the final would-be list, on feasible and infeasible configs.
         use crate::canonical::CanonicalFactory;
@@ -650,23 +764,25 @@ mod tests {
             let factory = CanonicalFactory::new(shared.clone());
             let ex = Executor::run(&config, &factory, RunOpts::default()).unwrap();
             let s = &*shared;
+            let automaton = s.matcher();
             for v in 0..config.size() as u32 {
                 let h = ex.history(v).view();
                 let mut t_block = 1u32;
                 for j in 1..=s.phases() {
-                    let entries = if j == s.phases() {
-                        &s.lists.final_entries
-                    } else {
-                        match s.lists.level(j + 1) {
-                            radio_classifier::Level::Blocks(e) => e,
-                            radio_classifier::Level::Terminate => unreachable!(),
-                        }
-                    };
+                    let entries = s.entries_after_phase(j);
                     let expected = s.match_entries(h, j, t_block, entries);
-                    let automaton = s.matcher_after_phase(j);
-                    let mut cursor = automaton.start(t_block);
-                    for triple in s.observed_triples(h, j) {
-                        cursor.advance(automaton, triple);
+                    // the engine's keys are exactly the observed triples'
+                    let keys: Vec<MatchKey> = h
+                        .iter()
+                        .filter_map(|(t, obs)| s.observation_key(j, t as u64, obs))
+                        .collect();
+                    let triples = s.observed_triples(h, j);
+                    let triple_keys: Vec<MatchKey> =
+                        triples.iter().map(|t| s.triple_key(t)).collect();
+                    assert_eq!(keys, triple_keys, "{config}: node {v} phase {j}");
+                    let mut cursor = automaton.start(j, t_block);
+                    for &key in &keys {
+                        cursor.advance(automaton, key);
                     }
                     assert_eq!(
                         cursor.resolve(automaton),
@@ -674,9 +790,9 @@ mod tests {
                         "{config}: node {v} phase {j}"
                     );
                     // a foreign previous block must miss in both
-                    let mut foreign = automaton.start(u32::MAX - 1);
-                    for triple in s.observed_triples(h, j) {
-                        foreign.advance(automaton, triple);
+                    let mut foreign = automaton.start(j, u32::MAX - 1);
+                    for &key in &keys {
+                        foreign.advance(automaton, key);
                     }
                     assert_eq!(
                         foreign.resolve(automaton),

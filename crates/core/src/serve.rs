@@ -610,7 +610,7 @@ pub fn elect(
 ) -> Result<Elected, JobError> {
     let config = job.configuration().map_err(JobError::BadRequest)?;
     probe(Stage::Built(&config));
-    let (compiled, lookup) = ws.compile(&config);
+    let (compiled, lookup) = ws.compile(&config, None);
     let outcome = if compiled.feasible() {
         probe(Stage::Compiled(&mut ws.classifier));
         let opts = run_opts(job.max_rounds, job.no_leap);

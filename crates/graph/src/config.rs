@@ -53,11 +53,20 @@ impl std::error::Error for ConfigError {}
 /// The graph is a frozen [`Csr`]: everything (simulator, classifier,
 /// fingerprinting, IO) iterates it directly, and cloning a configuration
 /// shares it instead of copying it. Equality is semantic: same adjacency
-/// and same tags.
+/// and same tags (the tag extremes are a function of the tags).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Configuration {
     csr: Csr,
     tags: Vec<Tag>,
+    /// Smallest and largest tag, computed once by every constructor.
+    min_tag: Tag,
+    max_tag: Tag,
+}
+
+/// Smallest and largest of non-empty `tags`, in one pass.
+fn extremes(tags: &[Tag]) -> (Tag, Tag) {
+    tags.iter()
+        .fold((Tag::MAX, Tag::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)))
 }
 
 impl Configuration {
@@ -76,7 +85,19 @@ impl Configuration {
         if !is_connected(&csr) {
             return Err(ConfigError::Disconnected);
         }
-        Ok(Configuration { csr, tags })
+        Ok(Configuration::assemble(csr, tags))
+    }
+
+    /// Wraps an already-validated graph and tag vector, computing the tag
+    /// extremes.
+    fn assemble(csr: Csr, tags: Vec<Tag>) -> Configuration {
+        let (min_tag, max_tag) = extremes(&tags);
+        Configuration {
+            csr,
+            tags,
+            min_tag,
+            max_tag,
+        }
     }
 
     /// The same as [`Configuration::new`], kept for callers outside the
@@ -101,10 +122,7 @@ impl Configuration {
                 tags: tags.len(),
             });
         }
-        Ok(Configuration {
-            csr: self.csr,
-            tags,
-        })
+        Ok(Configuration::assemble(self.csr, tags))
     }
 
     /// Number of nodes `n`.
@@ -132,18 +150,21 @@ impl Configuration {
     }
 
     /// Smallest tag.
+    #[inline]
     pub fn min_tag(&self) -> Tag {
-        *self.tags.iter().min().expect("non-empty")
+        self.min_tag
     }
 
     /// Largest tag.
+    #[inline]
     pub fn max_tag(&self) -> Tag {
-        *self.tags.iter().max().expect("non-empty")
+        self.max_tag
     }
 
     /// Span `σ` = max tag − min tag.
+    #[inline]
     pub fn span(&self) -> Tag {
-        self.max_tag() - self.min_tag()
+        self.max_tag - self.min_tag
     }
 
     /// Maximum degree Δ of the graph.
@@ -165,10 +186,11 @@ impl Configuration {
         if lo == 0 {
             return self.clone();
         }
-        let tags = self.tags.iter().map(|t| t - lo).collect();
         Configuration {
             csr: self.csr.clone(),
-            tags,
+            tags: self.tags.iter().map(|t| t - lo).collect(),
+            min_tag: 0,
+            max_tag: self.max_tag - lo,
         }
     }
 
@@ -176,10 +198,7 @@ impl Configuration {
     /// (useful for invariance tests).
     pub fn shift_tags(&self, delta: Tag) -> Configuration {
         let tags = self.tags.iter().map(|t| t + delta).collect();
-        Configuration {
-            csr: self.csr.clone(),
-            tags,
-        }
+        Configuration::assemble(self.csr.clone(), tags)
     }
 
     /// Relabels nodes by the permutation `perm` (node `v` becomes
@@ -194,8 +213,14 @@ impl Configuration {
         for (v, &t) in self.tags.iter().enumerate() {
             tags[perm[v] as usize] = t;
         }
-        // Relabelling keeps the graph connected and the tag arity.
-        Configuration { csr, tags }
+        // Relabelling keeps the graph connected, the tag arity and the
+        // tag extremes.
+        Configuration {
+            csr,
+            tags,
+            min_tag: self.min_tag,
+            max_tag: self.max_tag,
+        }
     }
 
     /// Nodes grouped by tag, sorted by tag value — handy for traces.
@@ -356,6 +381,24 @@ mod tests {
         assert_eq!(c.span(), 4);
         assert!(c.is_normalized());
         assert_eq!(c.max_degree(), 2);
+    }
+
+    #[test]
+    fn tag_extremes_follow_every_constructor() {
+        let scan = |c: &Configuration| {
+            let lo = *c.tags().iter().min().unwrap();
+            let hi = *c.tags().iter().max().unwrap();
+            assert_eq!((c.min_tag(), c.max_tag(), c.span()), (lo, hi, hi - lo));
+        };
+        let c = Configuration::new(generators::path(4), vec![7, 3, 9, 5]).unwrap();
+        scan(&c);
+        scan(&Configuration::with_uniform_tags(generators::path(4), 6).unwrap());
+        scan(&c.normalize());
+        scan(&c.shift_tags(11));
+        scan(&c.relabel(&[2, 0, 3, 1]));
+        scan(&c.clone().retag(vec![1, 8, 2, 4]).unwrap());
+        // equality is semantic: equal tags and graphs compare equal
+        assert_eq!(c.shift_tags(4).normalize(), c.normalize());
     }
 
     #[test]

@@ -20,11 +20,23 @@
 //! knowledge a *dedicated* algorithm may embed is whatever the factory
 //! itself closes over (e.g. the canonical schedule of `anon-radio`), which
 //! mirrors the paper's "algorithm dedicated to configuration G".
+//!
+//! The engine itself drives a run's nodes through [`DripNodes`]: the state
+//! of every node of one run, addressed by node id. Boxed nodes spawned
+//! from a factory are one implementation; flat per-node arrays that hold
+//! one protocol's state for the whole network (`anon-radio`'s canonical
+//! DRIP) are the other.
+
+use radio_graph::NodeId;
 
 use crate::history::HistoryView;
-use crate::msg::{Action, Msg};
+use crate::msg::{Action, Msg, Obs};
 
-/// A per-node DRIP state machine.
+/// A per-node DRIP state machine, boxed once per node by a [`DripFactory`].
+///
+/// A boxed node reads what it heard off the history it is handed, so the
+/// engine stores full histories for it (see [`DripNodes`], which
+/// `Vec<Box<dyn DripNode>>` implements).
 pub trait DripNode {
     /// Returns the action for the next local round `i`, given the history
     /// `H[0..i-1]` (so `history.len() == i ≥ 1`; entry 0 is the wake-up
@@ -58,10 +70,10 @@ pub trait DripNode {
     /// every local round `j` with `i ≤ j < q`, **provided** all
     /// observations it makes in those rounds are `(∅)`; the engine then
     /// visits it next at local round `q` and calls `decide` there. Anything
-    /// else it hears before `q` is recorded (and streamed to
-    /// [`DripNode::observe`]) without a `decide`, and the engine re-asks
-    /// at the end of that round. Returning `None` (the default), or a
-    /// `q ≤ i`, makes no claim: the node decides in round `i`.
+    /// else it hears before `q` is recorded without a `decide`, and the
+    /// engine re-asks at the end of that round. Returning `None` (the
+    /// default), or a `q ≤ i`, makes no claim: the node decides in round
+    /// `i`.
     ///
     /// An exact horizon (the node's next transmission, phase entry or
     /// termination, as the canonical DRIP gives) is what makes a run cost
@@ -69,34 +81,6 @@ pub trait DripNode {
     /// extra `decide` calls. Implementations must not mutate state here.
     fn quiet_until(&self, history: HistoryView<'_>) -> Option<u64> {
         let _ = history;
-        None
-    }
-
-    /// Streaming-observation hook: the engine calls this whenever a
-    /// *non-silent* observation is recorded for this node, with `t` the
-    /// local round the entry lands at (`H[t] = obs`), including rounds a
-    /// horizon let the engine skip `decide` in. Silence — including the
-    /// bulk `(∅)` stretches appended for skipped rounds — is never
-    /// reported; a node that cares about silent rounds reads them off the
-    /// growing `history.len()` in [`DripNode::decide`].
-    ///
-    /// The default is a no-op. Implementations that fold their history
-    /// incrementally (e.g. the canonical DRIP's streaming mode) use this
-    /// to avoid ever re-reading history content, which lets the engine
-    /// run them with length-only histories
-    /// ([`RunOpts::len_only`](crate::RunOpts::len_only)) — no observation
-    /// storage at all.
-    fn observe(&mut self, t: u64, obs: crate::msg::Obs) {
-        let _ = (t, obs);
-    }
-
-    /// After termination: whether this node elected itself, if the
-    /// implementation tracks that itself. `None` (the default) means the
-    /// caller must derive leadership from the recorded history (the
-    /// classic decision-function route). Nodes that fold their history
-    /// online return `Some(..)` from the round they terminate, which is
-    /// what lets a length-only run still produce an election outcome.
-    fn leader_claim(&self) -> Option<bool> {
         None
     }
 }
@@ -109,6 +93,68 @@ pub trait DripFactory: Sync {
     /// Human-readable protocol name (used in traces and experiment tables).
     fn name(&self) -> String {
         "drip".to_string()
+    }
+}
+
+/// The nodes of one run, as the engine drives them: every node's protocol
+/// state, addressed by node id.
+///
+/// [`SimWorkspace`](crate::SimWorkspace)'s run loop is generic over this
+/// trait, so it is compiled once per node type, as it is per channel
+/// model. `Vec<Box<dyn DripNode>>` — one boxed state machine per node,
+/// spawned from a [`DripFactory`] — is what every factory-taking entry
+/// point runs. A protocol that keeps its state in flat per-node arrays
+/// implements the trait directly and spawns nothing.
+///
+/// `decide` and `quiet_until` carry [`DripNode`]'s contracts for node `v`.
+pub trait DripNodes {
+    /// Whether the nodes read the content of their stored histories. When
+    /// `false` the engine stores history *lengths* only: no observation is
+    /// kept, every view reads as `(∅)`, the bulk silence of a leap is a
+    /// counter bump, and the nodes learn what they hear through
+    /// [`DripNodes::observe`] alone. This is the million-node mode:
+    /// per-node history memory drops to one counter.
+    const READS_HISTORY: bool;
+
+    /// Node `v`'s action in its next local round (see
+    /// [`DripNode::decide`]).
+    fn decide(&mut self, v: NodeId, history: HistoryView<'_>) -> Action;
+
+    /// Node `v`'s quiescence horizon (see [`DripNode::quiet_until`]).
+    fn quiet_until(&self, v: NodeId, history: HistoryView<'_>) -> Option<u64>;
+
+    /// Streams one non-silent observation as it is recorded: `H[t] = obs`
+    /// for node `v`, including rounds a horizon let the engine skip
+    /// `decide` in. Silence — also the bulk `(∅)` stretches appended for
+    /// skipped rounds — is never reported; a node that cares about silent
+    /// rounds reads them off `history.len()`.
+    fn observe(&mut self, v: NodeId, t: u64, obs: Obs);
+
+    /// Bytes of per-node state, counted into
+    /// [`SimWorkspace::mem_bytes`](crate::SimWorkspace::mem_bytes).
+    fn mem_bytes(&self) -> u64;
+}
+
+/// Boxed nodes read their stored histories; they fold nothing online.
+impl DripNodes for Vec<Box<dyn DripNode>> {
+    const READS_HISTORY: bool = true;
+
+    #[inline]
+    fn decide(&mut self, v: NodeId, history: HistoryView<'_>) -> Action {
+        self[v as usize].decide(history)
+    }
+
+    #[inline]
+    fn quiet_until(&self, v: NodeId, history: HistoryView<'_>) -> Option<u64> {
+        self[v as usize].quiet_until(history)
+    }
+
+    #[inline]
+    fn observe(&mut self, _v: NodeId, _t: u64, _obs: Obs) {}
+
+    /// The pointer plane only: the boxed internals are the protocol's.
+    fn mem_bytes(&self) -> u64 {
+        (self.capacity() * std::mem::size_of::<Box<dyn DripNode>>()) as u64
     }
 }
 

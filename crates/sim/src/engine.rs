@@ -105,6 +105,11 @@ use crate::trace::Trace;
 use crate::workspace::SimWorkspace;
 
 /// Execution limits and instrumentation switches.
+///
+/// How histories are stored is not an option: it follows the nodes being
+/// run ([`DripNodes::READS_HISTORY`](crate::drip::DripNodes::READS_HISTORY)).
+/// Boxed nodes spawned from a factory get full histories; nodes that fold
+/// what they hear online get lengths only.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
     /// Abort with [`SimError::RoundLimit`] if any node is still running
@@ -123,18 +128,6 @@ pub struct RunOpts {
     /// [`Execution::rounds_leapt`], the work counters and wall-clock time
     /// differ.
     pub leap: bool,
-    /// Store history *lengths* only: no observation content is retained
-    /// at all. Non-silent observations are still delivered to the nodes
-    /// through [`DripNode::observe`](crate::drip::DripNode::observe) as
-    /// they happen, and the election outcome is read from
-    /// [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim) —
-    /// so this mode is only sound for DRIPs that fold their history
-    /// online (the canonical DRIP's streaming mode). Views still answer
-    /// `len()` correctly but report every entry as `(∅)`; materializing
-    /// an [`Execution`] in this mode is a contract violation (debug
-    /// asserted). This is the million-node election mode: per-node
-    /// memory drops to one counter.
-    pub len_only_histories: bool,
 }
 
 impl Default for RunOpts {
@@ -143,7 +136,6 @@ impl Default for RunOpts {
             max_rounds: 50_000_000,
             record_trace: false,
             leap: true,
-            len_only_histories: false,
         }
     }
 }
@@ -167,15 +159,6 @@ impl RunOpts {
     /// one by one, and every awake node decides in every round.
     pub fn no_leap(mut self) -> RunOpts {
         self.leap = false;
-        self
-    }
-
-    /// Enables length-only history storage — see
-    /// [`RunOpts::len_only_histories`]. Only sound for DRIPs that fold
-    /// their history online via
-    /// [`DripNode::observe`](crate::drip::DripNode::observe).
-    pub fn len_only(mut self) -> RunOpts {
-        self.len_only_histories = true;
         self
     }
 }

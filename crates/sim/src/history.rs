@@ -154,9 +154,10 @@ impl<'a> IntoIterator for &'a History {
 /// * **dense** — a fat pointer into a contiguous `[Obs]` run (the owned
 ///   form, the default workspace arena);
 /// * **silent** — a length and nothing else: every entry reads as `(∅)`.
-///   The engine's length-only arena
-///   ([`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories))
-///   stores no observation content, so its views are this form.
+///   The engine's length-only arena (for nodes whose
+///   [`DripNodes::READS_HISTORY`](crate::drip::DripNodes::READS_HISTORY)
+///   is `false`) stores no observation content, so its views are this
+///   form.
 ///
 /// The one dense-only accessor is [`HistoryView::as_slice`], which
 /// panics on a silent view — code meant to run under the length-only

@@ -95,7 +95,7 @@ pub mod patient;
 pub mod trace;
 pub mod workspace;
 
-pub use drip::{DripFactory, DripNode, PureDrip, PureFactory};
+pub use drip::{DripFactory, DripNode, DripNodes, PureDrip, PureFactory};
 pub use election::{run_election, run_election_model, ElectionOutcome, LeaderAlgorithm};
 pub use engine::{ExecStats, Execution, Executor, RunOpts, SimError};
 pub use history::{History, HistoryView};

@@ -10,10 +10,11 @@
 //! [`SimWorkspace::reset_for`] re-dimensions the buffers for the next
 //! configuration *without freeing them*: once a workspace has warmed up to
 //! the largest configuration in a batch, back-to-back runs allocate
-//! almost nothing in the hot loop (what is left is the per-node DRIP
-//! boxes the factory spawns, the owned histories of the returned
-//! [`Execution`] — both part of the run's inputs/outputs, not the engine —
-//! and the index nodes of the calendar's far-future buckets).
+//! almost nothing in the hot loop (what is left is the run's node state —
+//! the boxes a factory spawns, or the planes of flat
+//! [`DripNodes`] — and the owned histories of the returned [`Execution`],
+//! both part of the run's inputs/outputs, not the engine, plus the index
+//! nodes of the calendar's far-future buckets).
 //!
 //! The one-shot entry points ([`Executor::run`](crate::Executor::run),
 //! [`ModelKind::run`](crate::ModelKind::run)) are thin wrappers that build
@@ -26,7 +27,7 @@ use std::collections::BTreeMap;
 
 use radio_graph::{Configuration, NodeId};
 
-use crate::drip::DripFactory;
+use crate::drip::{DripFactory, DripNode, DripNodes};
 use crate::engine::{ExecStats, Execution, RunOpts, SimError};
 use crate::history::{History, HistoryView};
 use crate::model::{
@@ -52,8 +53,9 @@ use crate::trace::{RoundEvent, Trace};
 ///
 /// # Length-only mode
 ///
-/// Under [`RunOpts::len_only_histories`](crate::RunOpts::len_only_histories)
-/// the arena stores nothing: each history is a per-node virtual length,
+/// For nodes that do not read stored history
+/// ([`DripNodes::READS_HISTORY`] is `false`) the arena stores nothing:
+/// each history is a per-node virtual length,
 /// and the bulk silence of the rounds a node spent unvisited
 /// ([`ObsArena::pad_to`]) is a counter bump — O(1) time *and* memory —
 /// which is what lets a 10⁶-node election run within a small multiple of
@@ -61,7 +63,7 @@ use crate::trace::{RoundEvent, Trace};
 #[derive(Debug, Default)]
 pub(crate) struct ObsArena {
     /// Length-only mode: nothing is stored, histories exist purely as
-    /// per-node virtual lengths (`vlen`). See [`RunOpts::len_only_histories`].
+    /// per-node virtual lengths (`vlen`).
     len_only: bool,
     /// Backing buffer (one `Obs` per recorded round).
     data: Vec<Obs>,
@@ -236,8 +238,8 @@ impl ObsArena {
     pub(crate) fn view(&self, v: usize) -> HistoryView<'_> {
         if self.len_only {
             // Length-only views have the right `len()` but report every
-            // entry as silence; sound only under the `observe`-folding
-            // DRIP contract of `RunOpts::len_only_histories`.
+            // entry as silence; sound only for nodes that fold what they
+            // hear through `DripNodes::observe`.
             return HistoryView::silent(self.vlen[v] as usize);
         }
         HistoryView::new(&self.data[self.off[v]..self.off[v] + self.len[v] as usize])
@@ -361,11 +363,16 @@ impl Calendar {
 /// [`Executor`](crate::Executor) runs.
 #[derive(Default)]
 pub struct SimWorkspace {
-    nodes: Vec<Box<dyn crate::drip::DripNode>>,
+    /// High-water mark of the runs' node state
+    /// ([`DripNodes::mem_bytes`]), which the nodes themselves own.
+    node_bytes: u64,
     arena: ObsArena,
     wake: Vec<u64>,
     done: Vec<u64>,
+    /// Nodes in wake-up order: by tag, ties by node.
     by_tag: Vec<NodeId>,
+    /// Counting-sort slots of `by_tag`, one per tag offset.
+    tag_slots: Vec<u32>,
     calendar: Calendar,
     /// Per node, under time-leap: the round of its live calendar entry
     /// (`ASLEEP` while it has none — asleep, terminated, or being visited
@@ -388,7 +395,7 @@ pub struct SimWorkspace {
 impl std::fmt::Debug for SimWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimWorkspace")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.wake.len())
             .field("arena_obs", &self.arena.data.len())
             .finish()
     }
@@ -402,19 +409,22 @@ impl SimWorkspace {
 
     /// Approximate footprint of the workspace's backing buffers in bytes.
     /// Counts plane *capacities* — capacities never shrink across runs, so
-    /// this is the high-water mark of everything the workspace ever held
-    /// (boxed node internals and the calendar's map nodes excluded). Feeds
-    /// the campaign `mem_hw` column.
+    /// this is the high-water mark of everything the workspace ever held —
+    /// plus the largest per-node state a run brought along
+    /// ([`DripNodes::mem_bytes`]: the canonical DRIP's planes, or a boxed
+    /// run's pointer plane; boxed node internals and the calendar's map
+    /// nodes are excluded). Feeds the campaign `mem_hw` column.
     pub fn mem_bytes(&self) -> u64 {
         fn plane<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * std::mem::size_of::<T>()) as u64
         }
         self.arena.mem_bytes()
             + self.calendar.mem_bytes()
-            + plane(&self.nodes)
+            + self.node_bytes
             + plane(&self.wake)
             + plane(&self.done)
             + plane(&self.by_tag)
+            + plane(&self.tag_slots)
             + plane(&self.due)
             + plane(&self.bucket)
             + plane(&self.visited)
@@ -432,15 +442,12 @@ impl SimWorkspace {
     /// start of every run.
     pub fn reset_for(&mut self, config: &Configuration) {
         let n = config.size();
-        self.nodes.clear();
         self.arena.reset(n);
         self.wake.clear();
         self.wake.resize(n, ASLEEP);
         self.done.clear();
         self.done.resize(n, ASLEEP);
-        self.by_tag.clear();
-        self.by_tag.extend(0..n as NodeId);
-        self.by_tag.sort_by_key(|&v| config.tag(v));
+        self.order_by_tag(config);
         self.calendar.reset();
         self.due.clear();
         self.due.resize(n, ASLEEP);
@@ -458,6 +465,36 @@ impl SimWorkspace {
         self.cnt_stamp.resize(n, u64::MAX);
         self.heard_msg.clear();
         self.heard_msg.resize(n, Msg(0));
+    }
+
+    /// Fills `by_tag` with the nodes by tag, ties by node. A span below n,
+    /// the common case, is a counting sort, O(n + σ); a wider one sorts by
+    /// `(tag, node)`.
+    fn order_by_tag(&mut self, config: &Configuration) {
+        let n = config.size();
+        let (tags, lo, span) = (config.tags(), config.min_tag(), config.span());
+        self.by_tag.clear();
+        if span >= n as u64 {
+            self.by_tag.extend(0..n as NodeId);
+            self.by_tag.sort_unstable_by_key(|&v| (tags[v as usize], v));
+            return;
+        }
+        // Count each tag offset into the slot after it, then turn the
+        // counts into each offset's first slot.
+        self.tag_slots.clear();
+        self.tag_slots.resize(span as usize + 2, 0);
+        for &t in tags {
+            self.tag_slots[(t - lo) as usize + 1] += 1;
+        }
+        for i in 1..self.tag_slots.len() {
+            self.tag_slots[i] += self.tag_slots[i - 1];
+        }
+        self.by_tag.resize(n, 0);
+        for (v, &t) in tags.iter().enumerate() {
+            let slot = &mut self.tag_slots[(t - lo) as usize];
+            self.by_tag[*slot as usize] = v as NodeId;
+            *slot += 1;
+        }
     }
 
     /// Runs `factory`'s DRIP on `config` under the paper's channel model
@@ -497,10 +534,6 @@ impl SimWorkspace {
         factory: &dyn DripFactory,
         opts: RunOpts,
     ) -> Result<Execution, SimError> {
-        debug_assert!(
-            !opts.len_only_histories,
-            "length-only histories cannot be materialized into an Execution"
-        );
         let run = self.run_model_resident::<M>(config, factory, opts)?;
         Ok(Execution {
             wake_round: std::mem::take(&mut self.wake),
@@ -519,13 +552,13 @@ impl SimWorkspace {
     /// resets it, and the returned summary carries everything else an
     /// [`Execution`] would.
     ///
-    /// This is the engine's million-node path. Materializing a 10⁶-node
-    /// execution clones every observation into per-node vectors — for
-    /// history-heavy runs that clone alone can exceed the configuration
-    /// footprint by an order of magnitude. A DRIP that decides as it goes
-    /// runs resident over length-only histories
-    /// ([`RunOpts::len_only_histories`]) and reports its verdict through
-    /// [`SimWorkspace::leader_claim`].
+    /// Materializing a 10⁶-node execution clones every observation into
+    /// per-node vectors — for history-heavy runs that clone alone can
+    /// exceed the configuration footprint by an order of magnitude. The
+    /// factory's boxed nodes read their histories, so this run still
+    /// stores them in full; the engine's million-node path is
+    /// [`SimWorkspace::run_nodes`] with nodes that fold what they hear
+    /// online and keep their verdicts in their own state.
     pub fn run_kind_resident(
         &mut self,
         model: ModelKind,
@@ -544,16 +577,6 @@ impl SimWorkspace {
         }
     }
 
-    /// Leader verdict of node `v`'s DRIP from the last run, if the
-    /// algorithm resolved one at termination (see
-    /// [`DripNode::leader_claim`](crate::drip::DripNode::leader_claim)).
-    /// This is how length-only runs report
-    /// election outcomes without stored histories.
-    #[inline]
-    pub fn leader_claim(&self, v: NodeId) -> Option<bool> {
-        self.nodes[v as usize].leader_claim()
-    }
-
     /// Appends the silent rounds node `v` spent unvisited, so that its
     /// history covers every local round before global round `r`.
     #[inline]
@@ -564,29 +587,71 @@ impl SimWorkspace {
     /// Records observation `obs` as node `v`'s entry for global round `r`,
     /// streaming it to the node when it is not silence.
     #[inline]
-    fn record(&mut self, v: usize, r: u64, obs: Obs) {
+    fn record<N: DripNodes>(&mut self, nodes: &mut N, v: usize, r: u64, obs: Obs) {
         self.catch_up(v, r);
         let t = self.arena.pos(v);
         self.arena.push(v, obs);
         if !matches!(obs, Obs::Silence) {
-            self.nodes[v].observe(t, obs);
+            nodes.observe(v as NodeId, t, obs);
         }
     }
 
     /// [`SimWorkspace::run_kind_resident`] under an explicit channel model
-    /// `M`. This is the run loop itself; [`SimWorkspace::run_model`] wraps
-    /// it and materializes the [`Execution`].
+    /// `M`: spawns one boxed node per configuration node and runs them
+    /// through the run loop. [`SimWorkspace::run_model`] wraps it and
+    /// materializes the [`Execution`].
     pub fn run_model_resident<M: RadioModel>(
         &mut self,
         config: &Configuration,
         factory: &dyn DripFactory,
         opts: RunOpts,
     ) -> Result<ResidentRun, SimError> {
-        self.arena.set_len_only(opts.len_only_histories);
+        let mut nodes: Vec<Box<dyn DripNode>> =
+            (0..config.size()).map(|_| factory.spawn()).collect();
+        self.run_loop::<M, _>(config, &mut nodes, opts)
+    }
+
+    /// Runs `nodes` on `config` under a runtime-selected channel model,
+    /// resident in this workspace like
+    /// [`SimWorkspace::run_kind_resident`].
+    ///
+    /// This is the engine's million-node path. The nodes bring their own
+    /// state, so the run spawns nothing, and
+    /// [`DripNodes::READS_HISTORY`] decides how histories are stored: for
+    /// nodes that fold what they hear through [`DripNodes::observe`] the
+    /// arena keeps one length per node and no observation at all. Whatever
+    /// the nodes concluded (a leader verdict, say) stays in `nodes` for the
+    /// caller to read.
+    pub fn run_nodes<N: DripNodes>(
+        &mut self,
+        model: ModelKind,
+        config: &Configuration,
+        nodes: &mut N,
+        opts: RunOpts,
+    ) -> Result<ResidentRun, SimError> {
+        match model {
+            ModelKind::NoCollisionDetection => {
+                self.run_loop::<NoCollisionDetection, N>(config, nodes, opts)
+            }
+            ModelKind::CollisionDetection => {
+                self.run_loop::<CollisionDetection, N>(config, nodes, opts)
+            }
+            ModelKind::Beeping => self.run_loop::<Beeping, N>(config, nodes, opts),
+        }
+    }
+
+    /// The run loop itself, compiled once per channel model and node type.
+    fn run_loop<M: RadioModel, N: DripNodes>(
+        &mut self,
+        config: &Configuration,
+        nodes: &mut N,
+        opts: RunOpts,
+    ) -> Result<ResidentRun, SimError> {
+        self.arena.set_len_only(!N::READS_HISTORY);
         self.reset_for(config);
+        self.node_bytes = self.node_bytes.max(nodes.mem_bytes());
         let n = config.size();
         let csr = config.csr();
-        self.nodes.extend((0..n).map(|_| factory.spawn()));
 
         let mut tag_ptr = 0usize;
         let mut done_count = 0usize;
@@ -645,7 +710,7 @@ impl SimWorkspace {
                     self.due[vi] = ASLEEP;
                 }
                 self.catch_up(vi, r);
-                let action = self.nodes[vi].decide(self.arena.view(vi));
+                let action = nodes.decide(v, self.arena.view(vi));
                 self.actions.push((v, action));
             }
             decides += self.actions.len() as u64;
@@ -690,7 +755,7 @@ impl SimWorkspace {
                         if self.cnt_stamp[vi] == r {
                             let obs = M::listener_obs(self.cnt[vi], self.listened_msg(vi));
                             let traced = trace.is_some().then_some(&mut event);
-                            self.listen(vi, r, obs, &mut stats, traced);
+                            self.listen(nodes, vi, r, obs, &mut stats, traced);
                         }
                         if opts.leap {
                             self.visited.push(v);
@@ -721,13 +786,13 @@ impl SimWorkspace {
                     let obs = M::listener_obs(self.cnt[wi], msg);
                     if !matches!(obs, Obs::Silence) {
                         let traced = trace.is_some().then_some(&mut event);
-                        self.listen(wi, r, obs, &mut stats, traced);
+                        self.listen(nodes, wi, r, obs, &mut stats, traced);
                         self.visited.push(w);
                     }
                 } else if self.wake[wi] == ASLEEP {
                     if let Some(obs) = M::wake_obs(self.cnt[wi], msg) {
                         self.wake[wi] = r;
-                        self.record(wi, r, obs);
+                        self.record(nodes, wi, r, obs);
                         self.visited.push(w);
                         stats.forced_wakeups += 1;
                         if trace.is_some() {
@@ -768,7 +833,7 @@ impl SimWorkspace {
                     // limit. (Only with `max_rounds == u64::MAX` can that be
                     // the `ASLEEP` sentinel: the node is then never due
                     // again, and the run ends at the limit.)
-                    let due = match self.nodes[vi].quiet_until(self.arena.view(vi)) {
+                    let due = match nodes.quiet_until(v, self.arena.view(vi)) {
                         Some(q) => self.wake[vi]
                             .saturating_add(q)
                             .clamp(r + 1, opts.max_rounds),
@@ -843,8 +908,9 @@ impl SimWorkspace {
     /// Delivers listener observation `obs` to awake node `v` in round `r`,
     /// noting it in `event` when the run is traced.
     #[inline]
-    fn listen(
+    fn listen<N: DripNodes>(
         &mut self,
+        nodes: &mut N,
         v: usize,
         r: u64,
         obs: Obs,
@@ -852,7 +918,7 @@ impl SimWorkspace {
         event: Option<&mut RoundEvent>,
     ) {
         record_listener_obs(obs, stats);
-        self.record(v, r, obs);
+        self.record(nodes, v, r, obs);
         if let Some(event) = event {
             match obs {
                 Obs::Heard(m) => event.received.push((v as NodeId, m)),
@@ -879,10 +945,9 @@ pub struct ResidentRun {
     /// Global round by which every node had terminated (`max` over the
     /// done plane; 0 for an empty configuration).
     pub completion_round: u64,
-    /// Node visits that called [`DripNode::decide`](crate::drip::DripNode::decide).
+    /// Node visits that called [`DripNodes::decide`].
     pub decides: u64,
-    /// Calls to [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until)
-    /// (0 without time-leap).
+    /// Calls to [`DripNodes::quiet_until`] (0 without time-leap).
     pub horizon_queries: u64,
     /// Aggregate counters.
     pub stats: ExecStats,
@@ -977,6 +1042,27 @@ mod tests {
         assert_eq!(hs[2].len(), 21);
         assert_eq!(hs[2].message_at(0), Some(Msg(9)));
         assert!(hs[2].as_slice()[1..].iter().all(|o| o.is_silence()));
+    }
+
+    #[test]
+    fn wake_order_is_by_tag_then_node_on_both_sort_routes() {
+        use radio_graph::{generators, Configuration};
+
+        let mut ws = SimWorkspace::new();
+        let top = u64::MAX;
+        for tags in [
+            // span < n: counting sort
+            vec![3, 1, 3, 0, 1, 1],
+            vec![top, top - 2, top, top - 1, top - 2, top],
+            // span ≥ n: comparison sort
+            vec![90, 7, 90, 1_000, 7, top - 1],
+        ] {
+            let config = Configuration::new(generators::path(6), tags.clone()).unwrap();
+            ws.reset_for(&config);
+            let mut expected: Vec<NodeId> = (0..6).collect();
+            expected.sort_by_key(|&v| tags[v as usize]);
+            assert_eq!(ws.by_tag, expected, "{tags:?}");
+        }
     }
 
     #[test]

@@ -33,15 +33,13 @@ fn canonical_runs_visit_nodes_in_proportion_to_their_traffic() {
                     let tags_seed = derive(seed, &format!("{strategy}/{sigma}"));
                     let config = strategy.configure(graph, sigma, &mut rng_from(tags_seed));
                     let compiled = CompiledElection::compile_in(&mut classifier, &config);
-                    let factory = CanonicalFactory::streaming(compiled.shared_schedule());
                     let m = config.csr().edge_count() as u64;
                     let phases = compiled.schedule().phases() as u64;
                     let n = n as u64;
                     let bound = 4 * (n + (n + m) * phases);
                     for model in ModelKind::ALL {
-                        let opts = RunOpts::default().len_only();
-                        let run = sim
-                            .run_kind_resident(model, &config, &factory, opts)
+                        let (_, run) = compiled
+                            .simulate_in(&mut sim, &config, model, RunOpts::default())
                             .unwrap_or_else(|e| panic!("{spec} n={n}: {e}"));
                         let work = run.decides + run.horizon_queries;
                         assert!(
