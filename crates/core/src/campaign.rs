@@ -595,18 +595,12 @@ impl CellAggregate {
 /// campaign-level result — the feasibility landscape); foreign-model runs
 /// that break the election contract still contribute their execution
 /// shape, with `elected = false`.
+///
+/// A caller that already holds `config`'s [`config_fingerprint`] (the
+/// batch dedupe memo) passes it as `fingerprint`, and the cache lookup
+/// reuses it instead of hashing the configuration again; it must be that
+/// configuration's fingerprint.
 pub fn election_metrics(
-    workspace: &mut CampaignWorkspace,
-    config: &Configuration,
-    model: ModelKind,
-    opts: RunOpts,
-) -> RunMetrics {
-    election_metrics_keyed(workspace, config, None, model, opts)
-}
-
-/// [`election_metrics`] given `config`'s [`config_fingerprint`] when the
-/// caller already computed it.
-fn election_metrics_keyed(
     workspace: &mut CampaignWorkspace,
     config: &Configuration,
     fingerprint: Option<u128>,
@@ -680,7 +674,7 @@ pub fn election_metrics_batched(
             }
             seen.insert(fingerprint, metrics.len());
         }
-        metrics.push(election_metrics_keyed(
+        metrics.push(election_metrics(
             workspace,
             &config,
             fingerprint,
@@ -1386,6 +1380,7 @@ mod tests {
         let m = election_metrics(
             &mut ws,
             &config,
+            None,
             ModelKind::NoCollisionDetection,
             radio_sim::RunOpts::with_max_rounds(2),
         );
@@ -1398,6 +1393,7 @@ mod tests {
         let ok = election_metrics(
             &mut ws,
             &config,
+            None,
             ModelKind::NoCollisionDetection,
             radio_sim::RunOpts::default(),
         );
@@ -1415,6 +1411,7 @@ mod tests {
         let m = election_metrics(
             &mut ws,
             &config,
+            None,
             ModelKind::NoCollisionDetection,
             RunOpts::default(),
         );

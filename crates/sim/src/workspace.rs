@@ -369,10 +369,7 @@ pub struct SimWorkspace {
     arena: ObsArena,
     wake: Vec<u64>,
     done: Vec<u64>,
-    /// Nodes in wake-up order: by tag, ties by node.
     by_tag: Vec<NodeId>,
-    /// Counting-sort slots of `by_tag`, one per tag offset.
-    tag_slots: Vec<u32>,
     calendar: Calendar,
     /// Per node, under time-leap: the round of its live calendar entry
     /// (`ASLEEP` while it has none — asleep, terminated, or being visited
@@ -424,7 +421,6 @@ impl SimWorkspace {
             + plane(&self.wake)
             + plane(&self.done)
             + plane(&self.by_tag)
-            + plane(&self.tag_slots)
             + plane(&self.due)
             + plane(&self.bucket)
             + plane(&self.visited)
@@ -447,7 +443,9 @@ impl SimWorkspace {
         self.wake.resize(n, ASLEEP);
         self.done.clear();
         self.done.resize(n, ASLEEP);
-        self.order_by_tag(config);
+        self.by_tag.clear();
+        self.by_tag.extend(0..n as NodeId);
+        self.by_tag.sort_by_key(|&v| config.tag(v));
         self.calendar.reset();
         self.due.clear();
         self.due.resize(n, ASLEEP);
@@ -465,36 +463,6 @@ impl SimWorkspace {
         self.cnt_stamp.resize(n, u64::MAX);
         self.heard_msg.clear();
         self.heard_msg.resize(n, Msg(0));
-    }
-
-    /// Fills `by_tag` with the nodes by tag, ties by node. A span below n,
-    /// the common case, is a counting sort, O(n + σ); a wider one sorts by
-    /// `(tag, node)`.
-    fn order_by_tag(&mut self, config: &Configuration) {
-        let n = config.size();
-        let (tags, lo, span) = (config.tags(), config.min_tag(), config.span());
-        self.by_tag.clear();
-        if span >= n as u64 {
-            self.by_tag.extend(0..n as NodeId);
-            self.by_tag.sort_unstable_by_key(|&v| (tags[v as usize], v));
-            return;
-        }
-        // Count each tag offset into the slot after it, then turn the
-        // counts into each offset's first slot.
-        self.tag_slots.clear();
-        self.tag_slots.resize(span as usize + 2, 0);
-        for &t in tags {
-            self.tag_slots[(t - lo) as usize + 1] += 1;
-        }
-        for i in 1..self.tag_slots.len() {
-            self.tag_slots[i] += self.tag_slots[i - 1];
-        }
-        self.by_tag.resize(n, 0);
-        for (v, &t) in tags.iter().enumerate() {
-            let slot = &mut self.tag_slots[(t - lo) as usize];
-            self.by_tag[*slot as usize] = v as NodeId;
-            *slot += 1;
-        }
     }
 
     /// Runs `factory`'s DRIP on `config` under the paper's channel model
@@ -534,7 +502,9 @@ impl SimWorkspace {
         factory: &dyn DripFactory,
         opts: RunOpts,
     ) -> Result<Execution, SimError> {
-        let run = self.run_model_resident::<M>(config, factory, opts)?;
+        let mut nodes: Vec<Box<dyn DripNode>> =
+            (0..config.size()).map(|_| factory.spawn()).collect();
+        let run = self.run_loop::<M, _>(config, &mut nodes, opts)?;
         Ok(Execution {
             wake_round: std::mem::take(&mut self.wake),
             done_round: std::mem::take(&mut self.done),
@@ -545,36 +515,6 @@ impl SimWorkspace {
             stats: run.stats,
             trace: run.trace,
         })
-    }
-
-    /// [`SimWorkspace::run_kind`] without materializing an [`Execution`]:
-    /// the run's state stays resident in the workspace until the next run
-    /// resets it, and the returned summary carries everything else an
-    /// [`Execution`] would.
-    ///
-    /// Materializing a 10⁶-node execution clones every observation into
-    /// per-node vectors — for history-heavy runs that clone alone can
-    /// exceed the configuration footprint by an order of magnitude. The
-    /// factory's boxed nodes read their histories, so this run still
-    /// stores them in full; the engine's million-node path is
-    /// [`SimWorkspace::run_nodes`] with nodes that fold what they hear
-    /// online and keep their verdicts in their own state.
-    pub fn run_kind_resident(
-        &mut self,
-        model: ModelKind,
-        config: &Configuration,
-        factory: &dyn DripFactory,
-        opts: RunOpts,
-    ) -> Result<ResidentRun, SimError> {
-        match model {
-            ModelKind::NoCollisionDetection => {
-                self.run_model_resident::<NoCollisionDetection>(config, factory, opts)
-            }
-            ModelKind::CollisionDetection => {
-                self.run_model_resident::<CollisionDetection>(config, factory, opts)
-            }
-            ModelKind::Beeping => self.run_model_resident::<Beeping>(config, factory, opts),
-        }
     }
 
     /// Appends the silent rounds node `v` spent unvisited, so that its
@@ -596,32 +536,22 @@ impl SimWorkspace {
         }
     }
 
-    /// [`SimWorkspace::run_kind_resident`] under an explicit channel model
-    /// `M`: spawns one boxed node per configuration node and runs them
-    /// through the run loop. [`SimWorkspace::run_model`] wraps it and
-    /// materializes the [`Execution`].
-    pub fn run_model_resident<M: RadioModel>(
-        &mut self,
-        config: &Configuration,
-        factory: &dyn DripFactory,
-        opts: RunOpts,
-    ) -> Result<ResidentRun, SimError> {
-        let mut nodes: Vec<Box<dyn DripNode>> =
-            (0..config.size()).map(|_| factory.spawn()).collect();
-        self.run_loop::<M, _>(config, &mut nodes, opts)
-    }
-
-    /// Runs `nodes` on `config` under a runtime-selected channel model,
-    /// resident in this workspace like
-    /// [`SimWorkspace::run_kind_resident`].
+    /// Runs `nodes` on `config` under a runtime-selected channel model
+    /// without materializing an [`Execution`]: the run's state stays
+    /// resident in the workspace until the next run resets it, and the
+    /// returned summary carries everything else an [`Execution`] would.
     ///
-    /// This is the engine's million-node path. The nodes bring their own
+    /// This is the engine's million-node path. Materializing a 10⁶-node
+    /// execution clones every observation into per-node vectors — for
+    /// history-heavy runs that clone alone can exceed the configuration
+    /// footprint by an order of magnitude. The nodes bring their own
     /// state, so the run spawns nothing, and
     /// [`DripNodes::READS_HISTORY`] decides how histories are stored: for
     /// nodes that fold what they hear through [`DripNodes::observe`] the
     /// arena keeps one length per node and no observation at all. Whatever
     /// the nodes concluded (a leader verdict, say) stays in `nodes` for the
-    /// caller to read.
+    /// caller to read. A factory's DRIP runs here as the boxed nodes it
+    /// spawns (`Vec<Box<dyn DripNode>>`), with histories stored in full.
     pub fn run_nodes<N: DripNodes>(
         &mut self,
         model: ModelKind,
@@ -930,7 +860,7 @@ impl SimWorkspace {
 }
 
 /// Summary of a run whose histories stayed resident in the workspace
-/// arena (see [`SimWorkspace::run_kind_resident`]): everything an
+/// arena (see [`SimWorkspace::run_nodes`]): everything an
 /// [`Execution`] reports except the materialized per-node vectors.
 #[derive(Debug, Clone)]
 pub struct ResidentRun {
@@ -1042,27 +972,6 @@ mod tests {
         assert_eq!(hs[2].len(), 21);
         assert_eq!(hs[2].message_at(0), Some(Msg(9)));
         assert!(hs[2].as_slice()[1..].iter().all(|o| o.is_silence()));
-    }
-
-    #[test]
-    fn wake_order_is_by_tag_then_node_on_both_sort_routes() {
-        use radio_graph::{generators, Configuration};
-
-        let mut ws = SimWorkspace::new();
-        let top = u64::MAX;
-        for tags in [
-            // span < n: counting sort
-            vec![3, 1, 3, 0, 1, 1],
-            vec![top, top - 2, top, top - 1, top - 2, top],
-            // span ≥ n: comparison sort
-            vec![90, 7, 90, 1_000, 7, top - 1],
-        ] {
-            let config = Configuration::new(generators::path(6), tags.clone()).unwrap();
-            ws.reset_for(&config);
-            let mut expected: Vec<NodeId> = (0..6).collect();
-            expected.sort_by_key(|&v| tags[v as usize]);
-            assert_eq!(ws.by_tag, expected, "{tags:?}");
-        }
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! Heap allocations per election: a warmed run makes a constant number
-//! whatever the network's size, and compiling makes one per list entry
-//! (its label) plus a constant.
+//! Heap allocations per election: a warmed run's own state is a constant
+//! number of blocks whatever the network's size, and compiling makes one
+//! per list entry (its label) plus a constant.
+//!
+//! Under time-leap the engine's calendar adds the nodes of its far-future
+//! map, which grow with the number of rounds pending at once rather than
+//! with n alone; that share is pinned separately, for this grid only.
 //!
 //! A counting global allocator tallies the heap blocks the test thread
 //! creates (`alloc` and `alloc_zeroed`; resizing a block through `realloc`
@@ -67,12 +71,20 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, BLOCKS.with(Cell::get) - before)
 }
 
-/// A warmed `run_in` allocates at most this many blocks at every size:
-/// the canonical DRIP's per-node planes and the leader list (5 blocks),
-/// plus the calendar's far-future map, whose nodes are freed as it drains
-/// and allocated again by the next run (about one per 11 distinct pending
-/// rounds; the grid's worst case is `path` n = 4 096, σ = 3, at 81).
-const RUN_BLOCKS: u64 = 128;
+/// A warmed `run_in` without time-leap allocates at most this many blocks
+/// at every size: the canonical DRIP's per-node planes and the leader
+/// list (5 blocks), and the scratch of the wake-up order's stable sort
+/// past 1 024 nodes (1 block); the grid measures 5 and 6. Without
+/// time-leap the calendar never files a round in its far-future map.
+const RUN_BLOCKS: u64 = 8;
+
+/// What the calendar's far-future map adds to a warmed `run_in` under
+/// time-leap, on this grid (n ≤ 4 096). The map's nodes are freed as it
+/// drains and allocated again by the next run, about one per 11 distinct
+/// pending rounds, so this share is not constant: it grows with the rounds
+/// pending at once (the grid's worst case is `path` n = 4 096, σ = 3, at
+/// 76 blocks).
+const CALENDAR_BLOCKS: u64 = 128;
 
 /// Compiling allocates at most this many blocks beyond one per list entry
 /// (the grid's worst case is 16).
@@ -120,21 +132,32 @@ fn list_entries(compiled: &CompiledElection) -> u64 {
 fn warmed_runs_allocate_a_constant_number_of_blocks() {
     let mut classifier = ClassifierWorkspace::new();
     let mut sim = SimWorkspace::new();
+    let model = ModelKind::default();
     for (what, config) in configurations() {
         let compiled = CompiledElection::compile_in(&mut classifier, &config);
-        // Warm the workspace on this very configuration.
-        let warm = compiled.run_in(&mut sim, &config, ModelKind::default(), RunOpts::default());
-        let (run, blocks) = counted(|| {
-            compiled.run_in(&mut sim, &config, ModelKind::default(), RunOpts::default())
-        });
-        assert_eq!(
-            run.as_ref().map(|r| r.leader).ok(),
-            warm.as_ref().map(|r| r.leader).ok(),
-            "{what}: a warmed run elects what the first did"
-        );
+        let mut warmed_run = |opts: RunOpts| {
+            // Warm the workspace on this very configuration and options.
+            let warm = compiled.run_in(&mut sim, &config, model, opts);
+            let (run, blocks) = counted(|| compiled.run_in(&mut sim, &config, model, opts));
+            assert_eq!(
+                run.as_ref().map(|r| r.leader).ok(),
+                warm.as_ref().map(|r| r.leader).ok(),
+                "{what}: a warmed run elects what the first did"
+            );
+            (run.map(|r| r.leader).ok(), blocks)
+        };
+        let (flat_leader, flat) = warmed_run(RunOpts::default().no_leap());
         assert!(
-            blocks <= RUN_BLOCKS,
-            "{what}: a warmed run_in allocated {blocks} blocks (bound {RUN_BLOCKS})"
+            flat <= RUN_BLOCKS,
+            "{what}: a warmed run_in without time-leap allocated {flat} blocks \
+             (bound {RUN_BLOCKS})"
+        );
+        let (leader, leap) = warmed_run(RunOpts::default());
+        assert_eq!(leader, flat_leader, "{what}: time-leap changed the outcome");
+        assert!(
+            leap <= flat + CALENDAR_BLOCKS,
+            "{what}: a warmed run_in allocated {leap} blocks, {flat} without \
+             time-leap (calendar bound {CALENDAR_BLOCKS})"
         );
     }
 }

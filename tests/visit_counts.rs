@@ -13,7 +13,7 @@
 use anon_radio::{CanonicalFactory, CompiledElection};
 use radio_classifier::ClassifierWorkspace;
 use radio_graph::{FamilySpec, TagStrategy};
-use radio_sim::{ModelKind, RunOpts, SimWorkspace};
+use radio_sim::{DripFactory, DripNode, ModelKind, RunOpts, SimWorkspace};
 use radio_util::rng::{derive, rng_from};
 
 #[test]
@@ -88,13 +88,14 @@ fn stepping_decides_every_awake_round_and_leaping_never_decides_more() {
             let awake_rounds: u64 = (0..n)
                 .map(|v| step.done_round[v] - step.wake_round[v])
                 .sum();
+            let spawn = || -> Vec<Box<dyn DripNode>> { (0..n).map(|_| factory.spawn()).collect() };
             let step_run = sim
-                .run_kind_resident(model, &config, &factory, RunOpts::default().no_leap())
+                .run_nodes(model, &config, &mut spawn(), RunOpts::default().no_leap())
                 .unwrap();
             assert_eq!(step_run.horizon_queries, 0, "{spec} [{model}]");
             assert_eq!(step_run.decides, awake_rounds, "{spec} [{model}]");
             let leap = sim
-                .run_kind_resident(model, &config, &factory, RunOpts::default())
+                .run_nodes(model, &config, &mut spawn(), RunOpts::default())
                 .unwrap();
             assert!(leap.decides <= step_run.decides, "{spec} [{model}]");
         }
