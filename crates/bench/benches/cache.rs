@@ -22,6 +22,7 @@
 //! derivation started missing (stability bug) or the cached path grew a
 //! deep copy.
 
+use anon_radio::cache::DEFAULT_CAPACITY;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radio_bench::campaign::{
     BatchConfig, CacheConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, ScheduleCache,
@@ -58,7 +59,8 @@ fn bench_cache_campaign(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(std::time::Duration::from_millis(3000));
-    let runs = repeated_shape_spec(CacheConfig::default()).total_runs() as u64;
+    let cached = CacheConfig::with_capacity(DEFAULT_CAPACITY);
+    let runs = repeated_shape_spec(cached).total_runs() as u64;
     group.throughput(Throughput::Elements(runs));
     let threads = 4;
 
@@ -76,20 +78,14 @@ fn bench_cache_campaign(c: &mut Criterion) {
     // draws, so after the priming pass every lookup is an exact hit).
     let warm = Arc::new(ScheduleCache::default());
     {
-        let mut primer = CampaignRunner::with_cache(
-            repeated_shape_spec(CacheConfig::default()),
-            1,
-            Some(warm.clone()),
-        );
+        let mut primer =
+            CampaignRunner::with_cache(repeated_shape_spec(cached), 1, Some(warm.clone()));
         primer.run_to_completion(threads);
     }
     group.bench_function("warm", |b| {
         b.iter(|| {
-            let mut runner = CampaignRunner::with_cache(
-                repeated_shape_spec(CacheConfig::default()),
-                1,
-                Some(warm.clone()),
-            );
+            let mut runner =
+                CampaignRunner::with_cache(repeated_shape_spec(cached), 1, Some(warm.clone()));
             runner.run_to_completion(threads);
             runner.aggregates().map(|(_, a)| a.runs).sum::<u64>()
         })

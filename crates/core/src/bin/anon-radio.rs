@@ -226,8 +226,9 @@ impl Args {
     }
 }
 
-/// The schedule-cache policy `--no-cache` and `--cache-capacity` name.
-fn cache_policy(args: &Args) -> Result<CacheConfig, String> {
+/// The schedule-cache policy `--no-cache` and `--cache-capacity` name,
+/// or the subcommand's `default` when neither is given.
+fn cache_policy(args: &Args, default: CacheConfig) -> Result<CacheConfig, String> {
     match (args.switch("--no-cache"), args.value("--cache-capacity")?) {
         (true, Some(_)) => Err("--cache-capacity conflicts with --no-cache".to_string()),
         (true, None) => Ok(CacheConfig::disabled()),
@@ -235,7 +236,7 @@ fn cache_policy(args: &Args) -> Result<CacheConfig, String> {
             Err("--cache-capacity must be at least 1 (or pass --no-cache)".to_string())
         }
         (false, Some(capacity)) => Ok(CacheConfig::with_capacity(capacity)),
-        (false, None) => Ok(CacheConfig::default()),
+        (false, None) => Ok(default),
     }
 }
 
@@ -511,7 +512,7 @@ fn campaign_command(args: &Args) -> Result<i32, String> {
             .value("--seed")?
             .unwrap_or(radio_util::rng::DEFAULT_ROOT_SEED),
         opts: run_opts(None, args.switch("--no-leap")),
-        cache: cache_policy(args)?,
+        cache: cache_policy(args, CacheConfig::default())?,
         batch,
     };
     let shards = args.count("--shards")?.unwrap_or(8);
@@ -648,7 +649,7 @@ fn serve_command(args: &Args) -> Result<i32, String> {
             .count("--threads")?
             .unwrap_or_else(radio_sim::parallel::default_threads),
         queue: args.count("--queue")?.unwrap_or(16),
-        cache: cache_policy(args)?,
+        cache: cache_policy(args, ServeOptions::default().cache)?,
     };
     if stdin_stdout {
         // `Stdout` (not the lock) goes to the writer thread: the handle is
@@ -853,10 +854,11 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}      --tags t,…       tag strategies: uniform, clustered, extremes, arith:K\n\
          \u{20}      --sizes n,…  --spans s,…  --models m,…  --reps k\n\
          \u{20}      --shards K --threads T --seed N --resume-from S --no-leap --out FILE\n\
-         \u{20}      --no-cache       disable the canonical schedule cache (elect phase\n\
-         \u{20}                       memoizes classify+compile across repeated shapes by\n\
-         \u{20}                       default; rows are bit-identical either way)\n\
-         \u{20}      --cache-capacity N  bound the cache at ~N entries (default 4096)\n\
+         \u{20}      --cache-capacity N  memoize classify+compile across repeated shapes\n\
+         \u{20}                       in a schedule cache of ~N entries (elect phase;\n\
+         \u{20}                       campaigns run uncached by default; rows are\n\
+         \u{20}                       bit-identical either way)\n\
+         \u{20}      --no-cache       run uncached (the campaign default)\n\
          \u{20}      --no-batch       compile and simulate every elect-phase run (by default a\n\
          \u{20}                       run repeating an earlier draw of its slice copies that\n\
          \u{20}                       run's metrics; rows are bit-identical either way up to\n\
@@ -879,6 +881,7 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}      --unix PATH      listen on a Unix-domain socket\n\
          \u{20}      --threads T --queue Q  worker pool size and bounded job-queue depth\n\
          \u{20}      --no-cache / --cache-capacity N  shared schedule-cache policy\n\
+         \u{20}                       (default: a cache of ~4096 entries)\n\
          \n\
          a flag takes its value as `--seed 5` or `--seed=5`; a subcommand rejects\n\
          (exit 2) any flag or argument it does not use, and counts (--reps,\n\

@@ -68,10 +68,17 @@ pub const SHARDS: usize = 16;
 /// Default total entry capacity of a [`ScheduleCache`].
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Cache policy knob carried by `CampaignSpec` and the CLI.
+/// Cache policy knob carried by `CampaignSpec`, `ServeOptions` and the
+/// CLI.
+///
+/// The default is no cache, which is what campaigns run unless they name
+/// a capacity: a campaign's runs rarely repeat a configuration (132 of
+/// 6 954 lookups per pass on perfbench's campaign-mixed), so a cache
+/// would mostly hold one-off schedules. The daemon, whose jobs repeat,
+/// takes [`CacheConfig::with_capacity`]`(`[`DEFAULT_CAPACITY`]`)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Whether the campaign attaches a schedule cache at all
+    /// Whether the campaign or daemon attaches a schedule cache at all
     /// (`--no-cache` clears it).
     pub enabled: bool,
     /// Total entry budget across all shards.
@@ -79,20 +86,18 @@ pub struct CacheConfig {
 }
 
 impl Default for CacheConfig {
+    /// [`CacheConfig::disabled`].
     fn default() -> CacheConfig {
-        CacheConfig {
-            enabled: true,
-            capacity: DEFAULT_CAPACITY,
-        }
+        CacheConfig::disabled()
     }
 }
 
 impl CacheConfig {
-    /// The `--no-cache` configuration.
+    /// No cache: the default, and the `--no-cache` configuration.
     pub fn disabled() -> CacheConfig {
         CacheConfig {
             enabled: false,
-            ..CacheConfig::default()
+            capacity: DEFAULT_CAPACITY,
         }
     }
 
@@ -576,8 +581,11 @@ mod tests {
     #[test]
     fn config_default_and_knobs() {
         let d = CacheConfig::default();
-        assert!(d.enabled);
-        assert_eq!(d.capacity, DEFAULT_CAPACITY);
+        assert!(
+            !d.enabled,
+            "campaigns run uncached unless they name a capacity"
+        );
+        assert_eq!(d, CacheConfig::disabled());
         assert!(!CacheConfig::disabled().enabled);
         let c = CacheConfig::with_capacity(64);
         assert!(c.enabled);

@@ -234,10 +234,11 @@ pub struct CampaignSpec {
     pub seed: u64,
     /// Engine options applied to every run (round limit, leap mode).
     pub opts: RunOpts,
-    /// Schedule-cache policy for elect campaigns (`--no-cache`,
-    /// `--cache-capacity`). Ignored by the classify phase, which never
-    /// compiles a schedule. Cached and uncached campaigns produce
-    /// bit-identical rows up to the cache counters themselves.
+    /// Schedule-cache policy for elect campaigns (`--cache-capacity`,
+    /// `--no-cache`); [`CacheConfig::default`] runs uncached. Ignored by
+    /// the classify phase, which never compiles a schedule. Cached and
+    /// uncached campaigns produce bit-identical rows up to the cache
+    /// counters themselves.
     pub cache: CacheConfig,
     /// Dedupe policy for elect campaigns (`--no-batch`,
     /// `--batch-size`). Deduped and plain campaigns produce
@@ -1039,6 +1040,7 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::DEFAULT_CAPACITY;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -1504,15 +1506,10 @@ mod tests {
                 .map(|row| row.split(",\"wall_ns\"").next().unwrap().to_string())
                 .collect()
         };
-        assert_eq!(
-            rows_with(CacheConfig::default()),
-            rows_with(CacheConfig::disabled())
-        );
+        let cached = rows_with(CacheConfig::with_capacity(DEFAULT_CAPACITY));
+        assert_eq!(cached, rows_with(CacheConfig::disabled()));
         // a tiny capacity thrashes the LRU but never changes results
-        assert_eq!(
-            rows_with(CacheConfig::default()),
-            rows_with(CacheConfig::with_capacity(1))
-        );
+        assert_eq!(cached, rows_with(CacheConfig::with_capacity(1)));
     }
 
     #[test]
@@ -1523,11 +1520,12 @@ mod tests {
         // by batched_dedupe_accounts_hits_without_extra_lookups).
         let mut spec = tiny_spec();
         spec.batch = BatchConfig::disabled();
+        spec.cache = CacheConfig::with_capacity(DEFAULT_CAPACITY);
         let mut runner = CampaignRunner::new(spec, 2);
         runner.run_to_completion(2);
         let stats = runner
             .cache_stats()
-            .expect("elect campaigns cache by default");
+            .expect("an elect campaign that names a capacity caches");
         assert_eq!(stats.lookups(), runner.spec().total_runs() as u64);
         // 3 models share each (family, n, span, rep) draw, so at least
         // two-thirds of the lookups hit even with racing workers
@@ -1561,6 +1559,7 @@ mod tests {
         spec.tags = vec![TagStrategy::Arith { stride: 1 }];
         spec.reps = 6;
         spec.batch = BatchConfig::with_size(4);
+        spec.cache = CacheConfig::with_capacity(DEFAULT_CAPACITY);
         let mut runner = CampaignRunner::new(spec.clone(), 1);
         runner.run_to_completion(1);
         let stats = runner.cache_stats().unwrap();

@@ -153,7 +153,9 @@ const LEADER: u8 = 2;
 /// lengths only. Behaviour is round for round that of
 /// [`CanonicalFactory`]'s nodes, and the verdicts are exactly `f_G`'s: the
 /// cursor walks the trie of the same list entries the decision replay
-/// compares against, under every channel model.
+/// compares against, under every channel model — in phase `T`, only the
+/// leader class's path, since no node reads which other final class it
+/// lands in. Once a cursor is dead, `observe` computes no further keys.
 pub(crate) struct CanonicalNodes<'s> {
     schedule: &'s CanonicalSchedule,
     /// Current phase `j` (1-based).
@@ -197,8 +199,9 @@ impl DripNodes for CanonicalNodes<'_> {
 
         if i > s.phase_end(s.phases()) {
             // r_T + 1: every node terminates, and the decision function
-            // collapses into the node: phase T's cursor, resolved against
-            // the final would-be list, names its final class.
+            // collapses into the node: phase T's cursor follows m̂'s path
+            // alone and resolves to `Unique(m̂)` exactly when the node's
+            // history lands in the leader class.
             if self.flags[v] & OFF_SCHEDULE == 0
                 && matches!(
                     self.cursor[v].resolve(s.matcher()),
@@ -251,7 +254,8 @@ impl DripNodes for CanonicalNodes<'_> {
     #[inline]
     fn observe(&mut self, v: NodeId, t: u64, obs: Obs) {
         let v = v as usize;
-        if self.flags[v] & OFF_SCHEDULE != 0 {
+        // A dead cursor stays dead: in phase T, every node off m̂'s path.
+        if self.cursor[v].is_dead() || self.flags[v] & OFF_SCHEDULE != 0 {
             return;
         }
         let s = self.schedule;

@@ -180,6 +180,22 @@ proptest! {
 }
 
 #[test]
+fn streaming_elects_like_the_oracle_on_multi_phase_families() {
+    // G_m runs T = m phases, so every node's cursor crosses full tries
+    // for phases 1 … T−1 before the leader-only path of phase T.
+    let mut cls = radio_classifier::ClassifierWorkspace::new();
+    let mut sim = radio_sim::SimWorkspace::new();
+    for m in 2..=5 {
+        let config = radio_graph::families::g_m(m);
+        let compiled = crate::CompiledElection::compile_in(&mut cls, &config);
+        assert_eq!(compiled.schedule().phases(), m, "{config}");
+        let limit = RunOpts::default().max_rounds;
+        let limited = assert_streaming_matches_the_oracle(&compiled, &config, &mut sim, limit);
+        assert_eq!(limited, 0, "{config}");
+    }
+}
+
+#[test]
 fn streaming_and_oracle_stop_at_the_same_round_limit() {
     let config = radio_graph::families::g_m(3);
     let mut cls = radio_classifier::ClassifierWorkspace::new();

@@ -42,8 +42,9 @@ pub struct CanonicalSchedule {
     /// `numClasses_j·(2σ+1)` (saturating): the rounds whose observations
     /// are matched.
     block_region: Vec<u64>,
-    /// The one matcher over every phase's judged entries (see
-    /// [`CanonicalSchedule::entries_after_phase`]).
+    /// The one matcher: phase `j < T`'s judged entries (see
+    /// [`CanonicalSchedule::entries_after_phase`]), and for phase `T` the
+    /// leader class's entry alone.
     matcher: MatchAutomaton,
 }
 
@@ -104,8 +105,15 @@ impl CanonicalSchedule {
             block_region.push(region);
         }
         let matcher = {
-            let judged: Vec<&[ListEntry]> = (1..=lists.phases())
-                .map(|j| entries_after(&lists, j))
+            // Phase T is judged for the leader verdict alone: m̂'s entry,
+            // under its own index, or nothing when there is no leader.
+            let t = lists.phases();
+            let judged: Vec<(u32, &[ListEntry])> = (1..t)
+                .map(|j| (0, entries_after(&lists, j)))
+                .chain(std::iter::once(match lists.leader_class {
+                    Some(m) => (m - 1, &lists.final_entries[m as usize - 1..m as usize]),
+                    None => (0, &[][..]),
+                }))
                 .collect();
             MatchAutomaton::compile(width, &judged)
         };
@@ -254,12 +262,19 @@ impl CanonicalSchedule {
         entries_after(&self.lists, j)
     }
 
-    /// The precompiled matcher over every phase's judged entries — the
-    /// streaming twin of [`CanonicalSchedule::match_entries`]: a node
-    /// starts a [`MatchCursor`] at each phase entry, feeds it the key of
-    /// every non-silent observation as it lands
+    /// The precompiled matcher — the streaming twin of
+    /// [`CanonicalSchedule::match_entries`]: a node starts a
+    /// [`MatchCursor`] at each phase entry, feeds it the key of every
+    /// non-silent observation as it lands
     /// ([`CanonicalSchedule::observation_key`]) and resolves it at the
     /// boundary, never re-reading its history.
+    ///
+    /// For phases `j < T` it resolves exactly like `match_entries` over
+    /// [`CanonicalSchedule::entries_after_phase`]`(j)`. Phase `T` holds
+    /// only the leader class `m̂`'s entry, the one final class a verdict
+    /// reads: a cursor there resolves to `Unique(m̂)` exactly when
+    /// `match_entries` does, and to `NoMatch` otherwise (always, on an
+    /// infeasible schedule).
     pub fn matcher(&self) -> &MatchAutomaton {
         &self.matcher
     }
@@ -345,6 +360,13 @@ pub enum MatchResult {
 /// A precompiled trie matcher over every phase's judged entries, the
 /// streaming equivalent of [`CanonicalSchedule::match_entries`].
 ///
+/// A schedule judges phases `1 … T−1` against all of `L_{j+1}`, since
+/// resolving them gives a node its next block, but phase `T` against the
+/// leader class `m̂`'s entry alone (see [`CanonicalSchedule::matcher`]).
+/// Within one list the `(old_class, label)` pairs are pairwise distinct,
+/// so that one path decides the verdict, and the automaton does not grow
+/// with the number of final classes.
+///
 /// Each phase's entries sharing an `old_class` share a root; each root's
 /// trie follows the entry labels key by key. A phase's non-silent
 /// observations land in increasing local rounds, so their keys arrive in
@@ -385,16 +407,19 @@ pub struct MatchAutomaton {
 const NO_STATE: u32 = u32::MAX;
 
 impl MatchAutomaton {
-    /// Builds the forest over `phases[j-1]`, the entries phase `j` is
-    /// judged against, keying label triples under block width `width`.
-    pub(crate) fn compile(width: u64, phases: &[&[ListEntry]]) -> MatchAutomaton {
+    /// Builds the forest over `phases[j-1] = (skip, entries)`, the entries
+    /// phase `j` is judged against: a window of a list that starts after
+    /// its first `skip` entries, so `entries[i]` resolves as entry
+    /// `skip + i + 1`. Label triples are keyed under block width `width`.
+    pub(crate) fn compile(width: u64, phases: &[(u32, &[ListEntry])]) -> MatchAutomaton {
         let key = |t: &Triple| triple_key(width, t);
-        let entry = |(p, i): (u32, u32)| &phases[p as usize][i as usize];
-        let mut order: Vec<(u32, u32)> = Vec::with_capacity(phases.iter().map(|e| e.len()).sum());
+        let entry = |(p, i): (u32, u32)| &phases[p as usize].1[i as usize];
+        let mut order: Vec<(u32, u32)> =
+            Vec::with_capacity(phases.iter().map(|(_, e)| e.len()).sum());
         let mut a = MatchAutomaton::default();
         a.root_start.reserve(phases.len() + 1);
         a.root_start.push(0);
-        for (p, entries) in phases.iter().enumerate() {
+        for (p, (_, entries)) in phases.iter().enumerate() {
             order.extend((0..entries.len() as u32).map(|i| (p as u32, i)));
             let classes = entries.iter().map(|e| e.old_class as usize + 1).max();
             a.roots
@@ -443,7 +468,8 @@ impl MatchAutomaton {
                 let triples = |k: usize| entry(order[k]).label.triples();
                 let mut i = lo;
                 while i < hi && triples(i).len() == depth {
-                    a.terminal.push(order[i].1 + 1);
+                    a.terminal
+                        .push(phases[order[i].0 as usize].0 + order[i].1 + 1);
                     i += 1;
                 }
                 while i < hi {
@@ -486,12 +512,19 @@ pub struct MatchCursor {
 }
 
 impl MatchCursor {
+    /// Whether the cursor is dead: it resolves to `NoMatch` whatever it is
+    /// fed next, so a caller may skip computing further keys.
+    #[inline]
+    pub fn is_dead(&self) -> bool {
+        self.state == NO_STATE
+    }
+
     /// Feeds the key of the next observation. A transition miss kills the
     /// cursor permanently (the observation sequence is not a prefix of any
     /// entry's label).
     #[inline]
     pub fn advance(&mut self, automaton: &MatchAutomaton, key: MatchKey) {
-        if self.state == NO_STATE {
+        if self.is_dead() {
             return;
         }
         let s = self.state as usize;
@@ -505,9 +538,10 @@ impl MatchCursor {
 
     /// Resolves the match at a phase boundary: the entries terminating at
     /// the current state, reported exactly like
-    /// [`CanonicalSchedule::match_entries`].
+    /// [`CanonicalSchedule::match_entries`] over the entries the automaton
+    /// holds for that phase.
     pub fn resolve(&self, automaton: &MatchAutomaton) -> MatchResult {
-        if self.state == NO_STATE {
+        if self.is_dead() {
             return MatchResult::NoMatch;
         }
         let s = self.state as usize;
@@ -741,8 +775,11 @@ mod tests {
     fn automaton_resolves_exactly_like_match_entries() {
         // On real canonical executions, a cursor fed the keys of each
         // phase's observations must resolve to the same MatchResult as the
-        // eager sequence comparison — for every node, every phase, and
-        // the final would-be list, on feasible and infeasible configs.
+        // eager sequence comparison — for every node and every phase
+        // j < T, on feasible and infeasible configs. At j = T the
+        // automaton holds m̂'s path alone: it must resolve to Unique(m̂)
+        // exactly when the comparison against the final would-be list
+        // does, and to NoMatch otherwise.
         use crate::canonical::CanonicalFactory;
         use radio_sim::{Executor, RunOpts};
         use radio_util::rng::rng_from;
@@ -765,6 +802,11 @@ mod tests {
             let ex = Executor::run(&config, &factory, RunOpts::default()).unwrap();
             let s = &*shared;
             let automaton = s.matcher();
+            let judged = |j: usize, result: MatchResult| match result {
+                _ if j < s.phases() => result,
+                MatchResult::Unique(k) if s.lists.leader_class == Some(k) => result,
+                _ => MatchResult::NoMatch,
+            };
             for v in 0..config.size() as u32 {
                 let h = ex.history(v).view();
                 let mut t_block = 1u32;
@@ -786,7 +828,7 @@ mod tests {
                     }
                     assert_eq!(
                         cursor.resolve(automaton),
-                        expected,
+                        judged(j, expected),
                         "{config}: node {v} phase {j}"
                     );
                     // a foreign previous block must miss in both
@@ -796,7 +838,7 @@ mod tests {
                     }
                     assert_eq!(
                         foreign.resolve(automaton),
-                        s.match_entries(h, j, u32::MAX - 1, entries),
+                        judged(j, s.match_entries(h, j, u32::MAX - 1, entries)),
                         "{config}: node {v} phase {j} foreign block"
                     );
                     match expected {
@@ -806,6 +848,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The edges reachable from phase `j`'s roots.
+    fn phase_edges(a: &MatchAutomaton, j: usize) -> usize {
+        let roots = &a.roots[a.root_start[j - 1] as usize..a.root_start[j] as usize];
+        let mut stack: Vec<u32> = roots.iter().copied().filter(|&r| r != NO_STATE).collect();
+        let mut edges = 0;
+        while let Some(s) = stack.pop() {
+            let (lo, hi) = (a.child_start[s as usize], a.child_start[s as usize + 1]);
+            edges += (hi - lo) as usize;
+            stack.extend((lo..hi).map(|e| a.root_count + e));
+        }
+        edges
+    }
+
+    #[test]
+    fn final_phase_holds_only_the_leader_path() {
+        // One phase and hundreds of final classes: a trie over every
+        // final entry would hold about one path per class, but phase T
+        // keeps m̂'s label alone, which still resolves to Unique(m̂).
+        let csr = radio_graph::FamilySpec::RandomTree
+            .build_csr(512, 5)
+            .unwrap();
+        let config = radio_graph::tags::random_in_span(csr, 64, &mut radio_util::rng::rng_from(5));
+        let s = CanonicalSchedule::build(&config).1;
+        assert_eq!(s.phases(), 1);
+        assert!(
+            s.lists.final_entries.len() >= 200,
+            "{}",
+            s.lists.final_entries.len()
+        );
+        let m = s.lists.leader_class.expect("feasible");
+        let leader = &s.lists.final_entries[m as usize - 1];
+        let a = s.matcher();
+        assert_eq!(phase_edges(a, 1), leader.label.triples().len());
+        let mut cursor = a.start(1, leader.old_class);
+        for t in leader.label.triples() {
+            cursor.advance(a, s.triple_key(t));
+        }
+        assert_eq!(cursor.resolve(a), MatchResult::Unique(m));
+
+        // An infeasible schedule judges phase T for no one: no root.
+        let s = CanonicalSchedule::build(&families::s_m(2)).1;
+        let (t, a) = (s.phases(), s.matcher());
+        assert_eq!(a.root_start[t - 1], a.root_start[t]);
+        assert_eq!(a.start(t, 1).resolve(a), MatchResult::NoMatch);
     }
 
     #[test]

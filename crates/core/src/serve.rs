@@ -89,7 +89,7 @@ use radio_util::json::{Object, Writer};
 use radio_util::rng::{derive, rng_from, DEFAULT_ROOT_SEED};
 
 use crate::api::{ElectError, ElectionReport, Infeasible};
-use crate::cache::{CacheConfig, CacheLookup, ScheduleCache};
+use crate::cache::{CacheConfig, CacheLookup, ScheduleCache, DEFAULT_CAPACITY};
 use crate::campaign::{
     cell_row, run_cell, BatchConfig, CampaignSpec, CampaignWorkspace, FamilySpec, Phase,
     TagStrategy,
@@ -108,7 +108,9 @@ pub struct ServeOptions {
     /// buffering.
     pub queue: usize,
     /// Schedule-cache policy for the process-wide cache every worker
-    /// shares ([`CacheConfig::disabled`] runs uncached).
+    /// shares ([`CacheConfig::disabled`] runs uncached). The default is a
+    /// [`DEFAULT_CAPACITY`]-entry cache, not [`CacheConfig::default`]: a
+    /// daemon's jobs repeat configurations, so its compiles hit.
     pub cache: CacheConfig,
 }
 
@@ -117,7 +119,7 @@ impl Default for ServeOptions {
         ServeOptions {
             threads: 4,
             queue: 16,
-            cache: CacheConfig::default(),
+            cache: CacheConfig::with_capacity(DEFAULT_CAPACITY),
         }
     }
 }
@@ -429,7 +431,7 @@ impl CellJob {
             seed: self.seed,
             opts: run_opts(self.max_rounds, self.no_leap),
             cache: if cached {
-                CacheConfig::default()
+                CacheConfig::with_capacity(DEFAULT_CAPACITY)
             } else {
                 CacheConfig::disabled()
             },
@@ -1168,6 +1170,15 @@ mod tests {
     }
 
     #[test]
+    fn the_daemon_caches_by_default() {
+        // Campaigns run uncached by default; a daemon does not.
+        let cache = ServeOptions::default().cache;
+        assert!(cache.enabled);
+        assert_eq!(cache.capacity, DEFAULT_CAPACITY);
+        assert_ne!(cache, CacheConfig::default());
+    }
+
+    #[test]
     fn serve_session_answers_in_order_and_acks_shutdown_last() {
         let input = concat!(
             "{\"op\":\"classify\",\"id\":10,\"family\":\"star\",\"n\":6,\"span\":3}\n",
@@ -1183,7 +1194,7 @@ mod tests {
             &ServeOptions {
                 threads: 3,
                 queue: 2,
-                cache: CacheConfig::default(),
+                cache: CacheConfig::with_capacity(DEFAULT_CAPACITY),
             },
         );
         assert!(summary.shutdown);

@@ -297,6 +297,61 @@ fn campaign_accepts_the_scenario_grammar() {
     );
 }
 
+/// A campaign runs uncached unless `--cache-capacity N` names a cache;
+/// `--no-cache` is still accepted and still conflicts with a capacity.
+#[test]
+fn campaign_runs_uncached_unless_it_names_a_capacity() {
+    let run = |extra: &[&str]| {
+        let out = bin()
+            .args([
+                "campaign",
+                "--families",
+                "star",
+                "--sizes",
+                "8",
+                "--spans",
+                "3",
+                "--tags",
+                "arith:2",
+                "--models",
+                "no-cd",
+                "--reps",
+                "4",
+                "--threads",
+                "1",
+                "--no-batch",
+            ])
+            .args(extra)
+            .output()
+            .expect("campaign runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let rows: Vec<String> = stdout
+            .lines()
+            .map(|row| row.split(",\"wall_ns\"").next().unwrap().to_string())
+            .collect();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (rows, stderr, out.status.code())
+    };
+    let (uncached, log, code) = run(&[]);
+    assert_eq!(code, Some(0), "{log}");
+    assert!(log.lines().any(|line| line == "cache: disabled"), "{log}");
+    let (no_cache, log, _) = run(&["--no-cache"]);
+    assert!(log.lines().any(|line| line == "cache: disabled"), "{log}");
+    let (cached, log, code) = run(&["--cache-capacity", "64"]);
+    assert_eq!(code, Some(0), "{log}");
+    assert!(
+        log.lines()
+            .any(|line| line.starts_with("cache: ") && !line.starts_with("cache: 0 hit")),
+        "arith tags repeat, so a cached run hits: {log}"
+    );
+    assert_eq!(uncached.len(), 1);
+    assert_eq!(uncached, no_cache);
+    assert_eq!(uncached, cached);
+    let (_, log, code) = run(&["--no-cache", "--cache-capacity", "64"]);
+    assert_eq!(code, Some(2), "{log}");
+    assert!(log.contains("conflicts with --no-cache"), "{log}");
+}
+
 #[test]
 fn campaign_rejects_unrealizable_grids() {
     // a cycle cannot have 2 nodes: error, never a clamped graph whose

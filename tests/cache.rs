@@ -2,13 +2,14 @@
 //! cache-miss bit-for-bit at every level the pipeline exposes — compiled
 //! schedules, election reports, campaign JSONL rows — across workspace
 //! reuse, shuffled scenario mixes, LRU eviction, and cross-workspace key
-//! stability. The golden campaign corpus runs with the cache *on* (the
-//! default), so `tests/golden_campaign.rs` doubles as the pin that cached
-//! rows match the pre-cache byte stream.
+//! stability. Campaigns run uncached by default, so every cached run here
+//! names its capacity. The golden campaign corpus runs with a
+//! [`DEFAULT_CAPACITY`] cache, so `tests/golden_campaign.rs` doubles as
+//! the pin that cached rows match the pre-cache byte stream.
 
 use std::sync::Arc;
 
-use anon_radio::cache::{CacheConfig, CacheLookup, ScheduleCache};
+use anon_radio::cache::{CacheConfig, CacheLookup, ScheduleCache, DEFAULT_CAPACITY};
 use anon_radio::campaign::{
     BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
 };
@@ -59,7 +60,8 @@ fn cached_campaign_rows_match_uncached_bit_for_bit() {
         let hits = runner.cache_stats().map(|s| s.hits);
         (stable(runner.jsonl_rows()), hits)
     };
-    let (cached, hits) = run(CacheConfig::default(), 4, 2);
+    let cache_on = CacheConfig::with_capacity(DEFAULT_CAPACITY);
+    let (cached, hits) = run(cache_on, 4, 2);
     let (uncached, none) = run(CacheConfig::disabled(), 4, 2);
     assert_eq!(
         cached, uncached,
@@ -71,7 +73,7 @@ fn cached_campaign_rows_match_uncached_bit_for_bit() {
     );
     assert!(none.is_none());
     // different shard/thread geometry on the cached path changes nothing
-    let (regeo, _) = run(CacheConfig::default(), 1, 1);
+    let (regeo, _) = run(cache_on, 1, 1);
     assert_eq!(cached, regeo);
     // a thrashing one-entry cache still changes nothing
     let (tiny, _) = run(CacheConfig::with_capacity(1), 3, 2);
@@ -83,7 +85,7 @@ fn cache_hits_equal_fresh_compiles_across_workspace_reuse_and_shuffles() {
     // Shuffled zoo mix: derive every configuration of the grid, visit it
     // in two different orders through one long-lived workspace, and check
     // the cached result against an always-fresh compile each time.
-    let spec = zoo_spec(CacheConfig::default());
+    let spec = zoo_spec(CacheConfig::with_capacity(DEFAULT_CAPACITY));
     let mut configs: Vec<Configuration> = Vec::new();
     for cell in spec.cells() {
         for rep in 0..spec.reps {

@@ -52,7 +52,9 @@ fn golden_elect_spec() -> CampaignSpec {
         reps: 2,
         seed: 0x60_1DE4,
         opts: RunOpts::default(),
-        cache: anon_radio::cache::CacheConfig::default(),
+        // The corpus runs cached: it pins that the schedule cache is
+        // invisible in the deterministic row prefix.
+        cache: anon_radio::cache::CacheConfig::with_capacity(anon_radio::cache::DEFAULT_CAPACITY),
         // The default (deduped) path: the golden corpus itself pins that
         // the slice dedupe is invisible in the deterministic row prefix.
         batch: anon_radio::campaign::BatchConfig::default(),

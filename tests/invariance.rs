@@ -9,6 +9,8 @@
 //! * The reference and fast classifier engines agree *exactly*.
 //! * Feasible ⟹ the compiled algorithm elects exactly one leader;
 //!   infeasible ⟹ the canonical execution leaves no unique history.
+//! * Within every canonical list, no two entries share both their
+//!   previous class and their label.
 
 use proptest::prelude::*;
 
@@ -120,6 +122,38 @@ proptest! {
         }
         for w in counts[..counts.len().saturating_sub(1)].windows(2) {
             prop_assert!(w[0] < w[1], "strict growth before the exit iteration");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn list_entries_are_pairwise_distinct(
+        n in 1usize..40,
+        extra in 0usize..20,
+        span in 0u64..65,
+        seed in any::<u64>(),
+    ) {
+        // Each entry of a list is a distinct class's representative, so no
+        // two entries share both the previous class and the label. The
+        // streaming election matches phase T against m̂'s entry alone,
+        // which decides the leader verdict only because of this.
+        let config = build_config(n, extra, span, seed);
+        let mut sink = radio_classifier::ListsSink::default();
+        let summary = radio_classifier::ClassifierWorkspace::new()
+            .classify_with_sink(&config, Engine::Fast, &mut sink);
+        let lists = sink.into_lists(config.span(), summary.leader_class);
+        let levels = lists.levels.iter().filter_map(|level| match level {
+            radio_classifier::Level::Blocks(entries) => Some(entries),
+            radio_classifier::Level::Terminate => None,
+        });
+        for entries in levels.chain([&lists.final_entries]) {
+            let mut pairs: Vec<_> =
+                entries.iter().map(|e| (e.old_class, e.label.triples())).collect();
+            pairs.sort_unstable();
+            prop_assert!(pairs.windows(2).all(|w| w[0] != w[1]), "{}", config);
         }
     }
 }
