@@ -16,6 +16,7 @@
 //! below 1.5× means the slice memo stopped finding duplicates or a
 //! per-run fixed cost grew on the deduped path.
 
+use anon_radio::cache::DEFAULT_CAPACITY;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use radio_bench::campaign::{
     BatchConfig, CacheConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
@@ -35,7 +36,7 @@ fn small_graph_spec(batch: BatchConfig) -> CampaignSpec {
         reps: 5_000,
         seed: 0xBA7C4E,
         opts: RunOpts::default(),
-        cache: CacheConfig::default(),
+        cache: CacheConfig::with_capacity(DEFAULT_CAPACITY),
         batch,
     }
 }

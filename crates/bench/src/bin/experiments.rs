@@ -119,7 +119,9 @@ fn bench_batch(path: &std::path::Path, seed: u64) {
         reps: 5_000,
         seed,
         opts: RunOpts::default(),
-        cache: radio_bench::campaign::CacheConfig::default(),
+        cache: radio_bench::campaign::CacheConfig::with_capacity(
+            anon_radio::cache::DEFAULT_CAPACITY,
+        ),
         batch,
     };
     let threads = radio_sim::parallel::default_threads();

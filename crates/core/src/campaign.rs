@@ -1042,6 +1042,9 @@ mod tests {
     use super::*;
     use crate::cache::DEFAULT_CAPACITY;
 
+    /// Cached, so the geometry, resume and shape tests below run with
+    /// workers racing on one shared cache; the uncached campaign default
+    /// is the subject of `tests/campaign.rs` and the `disabled` cases here.
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
             phase: Phase::Elect,
@@ -1053,7 +1056,7 @@ mod tests {
             reps: 2,
             seed: 11,
             opts: RunOpts::default(),
-            cache: CacheConfig::default(),
+            cache: CacheConfig::with_capacity(DEFAULT_CAPACITY),
             batch: BatchConfig::default(),
         }
     }
@@ -1328,7 +1331,9 @@ mod tests {
                 reps: 3,
                 seed: 17,
                 opts: RunOpts::default(),
-                cache: CacheConfig::default(),
+                // the campaign side caches; `run_cell` on a fresh
+                // workspace does not
+                cache: CacheConfig::with_capacity(DEFAULT_CAPACITY),
                 batch: BatchConfig::default(),
             };
             let cells = spec.cells();
@@ -1602,7 +1607,10 @@ mod tests {
 
     #[test]
     fn classify_campaigns_never_attach_a_cache() {
-        let mut runner = CampaignRunner::new(tiny_classify_spec(), 2);
+        // even a spec that names a capacity: classify compiles nothing
+        let mut spec = tiny_classify_spec();
+        spec.cache = CacheConfig::with_capacity(DEFAULT_CAPACITY);
+        let mut runner = CampaignRunner::new(spec, 2);
         assert!(runner.cache_stats().is_none(), "classify compiles nothing");
         runner.run_to_completion(2);
         for row in runner.jsonl_rows() {

@@ -1,10 +1,13 @@
 //! Campaign dedupe differential: elect rows with the slice dedupe on
 //! (the default, at several slice lengths) match `--no-batch` rows
 //! exactly after the measured tail, across the three channel models and
-//! several shard/thread geometries. A deduped run copies an earlier
-//! run's metrics instead of simulating, so this pins that equal
-//! fingerprints really do mean equal elections.
+//! several shard/thread geometries, both uncached (the campaign default)
+//! and with a schedule cache, where a slice hands its fingerprints to
+//! the cache's keyed compile. A deduped run copies an earlier run's
+//! metrics instead of simulating, so this pins that equal fingerprints
+//! really do mean equal elections.
 
+use anon_radio::cache::{CacheConfig, DEFAULT_CAPACITY};
 use anon_radio::campaign::{
     BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
 };
@@ -12,9 +15,18 @@ use radio_sim::{ModelKind, RunOpts};
 
 /// Elect-phase JSONL rows with dedupe on (default slice length and ragged
 /// ones) are identical to `--no-batch` rows after the measured tail,
-/// across shard/thread geometries.
+/// across shard/thread geometries, with and without a schedule cache.
 #[test]
 fn campaign_rows_unchanged_batch_on_vs_off() {
+    for cache in [
+        CacheConfig::default(),
+        CacheConfig::with_capacity(DEFAULT_CAPACITY),
+    ] {
+        rows_unchanged_batch_on_vs_off(cache);
+    }
+}
+
+fn rows_unchanged_batch_on_vs_off(cache: CacheConfig) {
     let spec = |batch: BatchConfig| CampaignSpec {
         phase: Phase::Elect,
         families: vec![
@@ -30,7 +42,7 @@ fn campaign_rows_unchanged_batch_on_vs_off() {
         reps: 5,
         seed: 0xBA7C4,
         opts: RunOpts::default(),
-        cache: anon_radio::cache::CacheConfig::default(),
+        cache,
         batch,
     };
     let strip = |rows: Vec<String>| -> Vec<String> {
@@ -47,14 +59,34 @@ fn campaign_rows_unchanged_batch_on_vs_off() {
     assert_eq!(
         run(BatchConfig::disabled(), 1, 1),
         unbatched,
-        "off, 1 shard"
+        "off, 1 shard, {cache:?}"
     );
-    assert_eq!(run(BatchConfig::default(), 4, 2), unbatched, "default size");
+    assert_eq!(
+        run(BatchConfig::default(), 4, 2),
+        unbatched,
+        "default size, {cache:?}"
+    );
     // ragged: 3 does not divide reps = 5, so every cell ends with a
     // 2-run last slice; 1 is the degenerate slice that dedupes nothing
-    assert_eq!(run(BatchConfig::with_size(3), 4, 2), unbatched, "size 3");
-    assert_eq!(run(BatchConfig::with_size(1), 4, 2), unbatched, "size 1");
+    assert_eq!(
+        run(BatchConfig::with_size(3), 4, 2),
+        unbatched,
+        "size 3, {cache:?}"
+    );
+    assert_eq!(
+        run(BatchConfig::with_size(1), 4, 2),
+        unbatched,
+        "size 1, {cache:?}"
+    );
     // geometry invariance holds with dedupe on too
-    assert_eq!(run(BatchConfig::default(), 1, 1), unbatched, "1 shard");
-    assert_eq!(run(BatchConfig::with_size(3), 7, 3), unbatched, "7 shards");
+    assert_eq!(
+        run(BatchConfig::default(), 1, 1),
+        unbatched,
+        "1 shard, {cache:?}"
+    );
+    assert_eq!(
+        run(BatchConfig::with_size(3), 7, 3),
+        unbatched,
+        "7 shards, {cache:?}"
+    );
 }

@@ -266,7 +266,7 @@ fn shutdown_drains_in_flight_jobs_and_acks_last() {
         &ServeOptions {
             threads: 2,
             queue: 2,
-            cache: CacheConfig::default(),
+            ..ServeOptions::default()
         },
     );
     assert!(summary.shutdown);
