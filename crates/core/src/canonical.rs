@@ -14,7 +14,7 @@
 //!   run by the oracles that judge histories with `f_G`;
 //! * `CanonicalNodes` keeps every node's state in flat per-node arrays and
 //!   folds each observation into a match cursor as it lands, so the
-//!   engine stores history lengths only. Every election runs it
+//!   engine stores no history. Every election runs it
 //!   ([`CompiledElection::simulate_in`](crate::CompiledElection::simulate_in)).
 //!
 //! ## Off-schedule histories
@@ -150,7 +150,9 @@ const LEADER: u8 = 2;
 /// the engine records it ([`DripNodes::observe`]), resolves the cursor at
 /// each phase boundary, and at termination resolves its leader verdict the
 /// way `f_G` would. It never reads history content, so the engine stores
-/// lengths only. Behaviour is round for round that of
+/// no history: a node's history length is its global round less its wake
+/// round. Hearing never moves a node's horizon, so the engine never
+/// re-asks it after a delivery. Behaviour is round for round that of
 /// [`CanonicalFactory`]'s nodes, and the verdicts are exactly `f_G`'s: the
 /// cursor walks the trie of the same list entries the decision replay
 /// compares against, under every channel model — in phase `T`, only the
@@ -251,17 +253,21 @@ impl DripNodes for CanonicalNodes<'_> {
             .quiet_horizon(i, self.phase[v] as usize, self.transmit_at[v])
     }
 
+    /// Folds `obs` into the node's cursor. The horizon is a function of
+    /// the local round, the phase and the transmit round, and none of
+    /// them changes here, so the engine never needs to re-ask it.
     #[inline]
-    fn observe(&mut self, v: NodeId, t: u64, obs: Obs) {
+    fn observe(&mut self, v: NodeId, t: u64, obs: Obs) -> bool {
         let v = v as usize;
         // A dead cursor stays dead: in phase T, every node off m̂'s path.
         if self.cursor[v].is_dead() || self.flags[v] & OFF_SCHEDULE != 0 {
-            return;
+            return false;
         }
         let s = self.schedule;
         if let Some(key) = s.observation_key(self.phase[v] as usize, t, obs) {
             self.cursor[v].advance(s.matcher(), key);
         }
+        false
     }
 
     fn mem_bytes(&self) -> u64 {

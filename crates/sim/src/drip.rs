@@ -56,10 +56,12 @@ pub trait DripNode {
     /// node listens there by its claim, and a round's decision cannot
     /// depend on that round's own observation. The engine re-asks for a
     /// horizon after every round in which the node decided, woke, or
-    /// observed anything but silence, and the next `decide` sees every
-    /// observation made in between (skipped silent rounds as `(∅)`
-    /// entries). A node that returns `Some(q)` must therefore behave
-    /// identically whether or not the covered calls happen.
+    /// observed anything but silence (a boxed node is always re-asked
+    /// after an observation; see [`DripNodes::observe`]), and the next
+    /// `decide` sees every observation made in between (skipped silent
+    /// rounds as `(∅)` entries). A node that returns `Some(q)` must
+    /// therefore behave identically whether or not the covered calls
+    /// happen.
     fn decide(&mut self, history: HistoryView<'_>) -> Action;
 
     /// Quiescence horizon for the time-leap scheduler.
@@ -109,11 +111,12 @@ pub trait DripFactory: Sync {
 /// `decide` and `quiet_until` carry [`DripNode`]'s contracts for node `v`.
 pub trait DripNodes {
     /// Whether the nodes read the content of their stored histories. When
-    /// `false` the engine stores history *lengths* only: no observation is
-    /// kept, every view reads as `(∅)`, the bulk silence of a leap is a
-    /// counter bump, and the nodes learn what they hear through
-    /// [`DripNodes::observe`] alone. This is the million-node mode:
-    /// per-node history memory drops to one counter.
+    /// `false` the engine stores no history at all: a node's history in
+    /// global round `r` has length `r − wake`, every view reads as `(∅)`,
+    /// a leap over silent rounds costs nothing, and the nodes learn what
+    /// they hear through [`DripNodes::observe`] alone. This is the
+    /// million-node mode: per-node history memory drops to nothing beyond
+    /// the wake round the engine keeps anyway.
     const READS_HISTORY: bool;
 
     /// Node `v`'s action in its next local round (see
@@ -128,14 +131,22 @@ pub trait DripNodes {
     /// `decide` in. Silence — also the bulk `(∅)` stretches appended for
     /// skipped rounds — is never reported; a node that cares about silent
     /// rounds reads them off `history.len()`.
-    fn observe(&mut self, v: NodeId, t: u64, obs: Obs);
+    ///
+    /// Returns whether the engine must re-ask `v`'s horizon
+    /// ([`DripNodes::quiet_until`]) at the end of the round. Return `true`
+    /// when the observation may move it; `false` promises that the
+    /// horizon, asked with the end-of-round history, would name the same
+    /// global round as before. A node that decided or woke in the round is
+    /// re-asked whatever this returns.
+    fn observe(&mut self, v: NodeId, t: u64, obs: Obs) -> bool;
 
     /// Bytes of per-node state, counted into
     /// [`SimWorkspace::mem_bytes`](crate::SimWorkspace::mem_bytes).
     fn mem_bytes(&self) -> u64;
 }
 
-/// Boxed nodes read their stored histories; they fold nothing online.
+/// Boxed nodes read their stored histories; they fold nothing online, and
+/// since their horizons read history, every observation re-asks one.
 impl DripNodes for Vec<Box<dyn DripNode>> {
     const READS_HISTORY: bool = true;
 
@@ -150,7 +161,9 @@ impl DripNodes for Vec<Box<dyn DripNode>> {
     }
 
     #[inline]
-    fn observe(&mut self, _v: NodeId, _t: u64, _obs: Obs) {}
+    fn observe(&mut self, _v: NodeId, _t: u64, _obs: Obs) -> bool {
+        true
+    }
 
     /// The pointer plane only: the boxed internals are the protocol's.
     fn mem_bytes(&self) -> u64 {

@@ -30,9 +30,11 @@
 //!    (noise is not a message).
 //! 5. **Spontaneous wake-ups** — sleeping nodes whose tag equals `r` wake
 //!    with `H[0] = (∅)`.
-//! 6. **Reschedule** — every node that decided, heard something, or woke
-//!    in round `r` is re-asked for its horizon with its end-of-round
-//!    history, which sets the next round it is due in.
+//! 6. **Reschedule** — every node that decided or woke in round `r`, and
+//!    every node that heard something there and says its horizon may have
+//!    moved ([`DripNodes::observe`](crate::drip::DripNodes::observe)), is
+//!    re-asked for its horizon with its end-of-round history, which sets
+//!    the next round it is due in.
 //!
 //! Step 4 runs before step 5 so a message arriving exactly in a node's tag
 //! round yields the forced-style `H[0] = (M)` — in every model.
@@ -43,8 +45,11 @@
 //! for σ rounds; the canonical schedule transmits once per node per phase
 //! and listens through σ-wide gaps), so the engine visits a node only when
 //! it acts or hears ([`RunOpts::leap`], on by default). A round-bucketed
-//! calendar keys every awake node by its next due round:
+//! calendar files every node under its wake-up tag at the start of the
+//! run, and every awake node under its next due round:
 //!
+//! * an entry whose node is still asleep when its round comes is that
+//!   node's spontaneous wake-up (step 5, after the forced ones);
 //! * after a visit the node is asked
 //!   [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until); a
 //!   claim `q` files it under its local round `q` — its transmit slot,
@@ -52,23 +57,31 @@
 //!   round;
 //! * in between it is not visited at all, unless a neighbour's
 //!   transmission reaches it: it records what it hears (without deciding:
-//!   it listens by its claim) and is re-asked at the end of that round;
+//!   it listens by its claim), and it is re-asked at the end of that round
+//!   only if [`DripNodes::observe`](crate::drip::DripNodes::observe) says
+//!   its horizon may have moved (boxed nodes always; the canonical DRIP's
+//!   flat nodes never, since hearing does not move their horizon);
 //! * the silent rounds a node spends unvisited are appended to its history
-//!   in bulk on its next visit (the arena's `pad_to`, a counter bump for
-//!   length-only histories).
+//!   in bulk on its next visit (the arena's `pad_to`); nodes that keep no
+//!   stored history need nothing, since their history length is the
+//!   global round less their wake round.
 //!
-//! The engine executes only rounds in which some node is due or a wake-up
-//! tag falls, and skips straight from one to the next. A round counts as
-//! *stepped* iff some node decides in it or some node's tag equals it
-//! (including the tag of a node a message already woke); every other
-//! round is *leapt*. Work is therefore O(visits) — for the canonical DRIP
+//! The calendar files the rounds less than
+//! [`RING_ROUNDS`](crate::workspace::RING_ROUNDS) ahead of its next round
+//! in a ring of buckets with an occupancy mask, and later ones in an
+//! ordered map of buckets. The engine executes only rounds in which some
+//! node is due or a wake-up tag falls, and skips straight from one to the
+//! next. A round counts as *stepped* iff some node decides in it or some
+//! node's tag equals it (including the tag of a node a message already
+//! woke); every other round is *leapt*. Work is therefore O(visits) — for the canonical DRIP
 //! O(n + (n + m)·T) over T phases — instead of O(stepped rounds × n).
 //!
 //! Leaping is a pure wall-clock optimization: the resulting [`Execution`]
 //! (histories, wake/done rounds, stats, trace round numbers and event
 //! lists) is bit-identical to a run with [`RunOpts::no_leap`], which files
-//! every awake node under the next round and so decides every node in
-//! every round — the differential suite enforces this against both that
+//! keeps every awake node in one flat sweep list and so decides every node
+//! in every round (its calendar holds the wake-ups only) — the
+//! differential suite enforces this against both that
 //! mode and the naive reference engine ([`crate::engine_ref`], which never
 //! leaps). Only [`Execution::rounds_stepped`] / [`Execution::rounds_leapt`]
 //! and the work counters of [`ResidentRun`](crate::ResidentRun) reveal the
@@ -79,10 +92,13 @@
 //! All per-node engine state is struct-of-arrays, and all observations
 //! live in one shared observation arena: per node an
 //! `(offset, len, capacity)` segment into a single flat `Vec<Obs>`,
-//! relocated with geometric growth when full. Steady-state rounds
-//! therefore allocate nothing but the calendar's occasional map node — no
-//! per-node `Vec<Obs>` ever exists during the run — and a node's history
-//! reaches its DRIP as a borrowed
+//! relocated with geometric growth when full; nodes that do not read
+//! their histories get no segment at all. The calendar's ring buckets
+//! keep their capacity from run to run, so steady-state rounds allocate
+//! nothing but the far-future map's occasional node, and only rounds at
+//! least [`RING_ROUNDS`](crate::workspace::RING_ROUNDS) ahead reach that
+//! map. No per-node `Vec<Obs>` ever exists during the run, and a node's
+//! history reaches its DRIP as a borrowed
 //! [`HistoryView`](crate::HistoryView) straight into the arena. Owned
 //! [`History`] values are materialized once, when the [`Execution`] is
 //! assembled.

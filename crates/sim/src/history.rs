@@ -154,14 +154,13 @@ impl<'a> IntoIterator for &'a History {
 /// * **dense** — a fat pointer into a contiguous `[Obs]` run (the owned
 ///   form, the default workspace arena);
 /// * **silent** — a length and nothing else: every entry reads as `(∅)`.
-///   The engine's length-only arena (for nodes whose
+///   The engine stores no history for nodes whose
 ///   [`DripNodes::READS_HISTORY`](crate::drip::DripNodes::READS_HISTORY)
-///   is `false`) stores no observation content, so its views are this
-///   form.
+///   is `false`, so their views are this form.
 ///
 /// The one dense-only accessor is [`HistoryView::as_slice`], which
-/// panics on a silent view — code meant to run under the length-only
-/// arena must read through `get`/`iter`/the query methods.
+/// panics on a silent view — code meant to run without stored histories
+/// must read through `get`/`iter`/the query methods.
 #[derive(Debug, Clone, Copy)]
 pub struct HistoryView<'a> {
     repr: Repr<'a>,
@@ -186,8 +185,10 @@ impl<'a> HistoryView<'a> {
         }
     }
 
-    /// All-silence view of `len` rounds. Only the engine's length-only
-    /// arena constructs these.
+    /// All-silence view of `len` rounds. Only the engine constructs these,
+    /// for nodes that keep no stored history: in global round `r` a
+    /// node's history has `r − wake` rounds, so `len` needs no per-node
+    /// counter.
     #[inline]
     pub(crate) fn silent(len: usize) -> HistoryView<'a> {
         HistoryView {

@@ -8,13 +8,15 @@
 //! that state and recycles it run after run.
 //!
 //! [`SimWorkspace::reset_for`] re-dimensions the buffers for the next
-//! configuration *without freeing them*: once a workspace has warmed up to
-//! the largest configuration in a batch, back-to-back runs allocate
-//! almost nothing in the hot loop (what is left is the run's node state —
-//! the boxes a factory spawns, or the planes of flat
-//! [`DripNodes`] — and the owned histories of the returned [`Execution`],
-//! both part of the run's inputs/outputs, not the engine, plus the index
-//! nodes of the calendar's far-future buckets).
+//! configuration *without freeing them*, and files every node's wake-up
+//! in the visit calendar: once a workspace has warmed up to the largest
+//! configuration in a batch, back-to-back runs allocate almost nothing in
+//! the hot loop. What is left is the run's node state — the boxes a
+//! factory spawns, or the planes of flat [`DripNodes`] — and the owned
+//! histories of the returned [`Execution`], both part of the run's
+//! inputs/outputs, not the engine, plus the index nodes of the calendar's
+//! far-future map, which only rounds at least [`RING_ROUNDS`] ahead of the
+//! calendar reach.
 //!
 //! The one-shot entry points ([`Executor::run`](crate::Executor::run),
 //! [`ModelKind::run`](crate::ModelKind::run)) are thin wrappers that build
@@ -51,20 +53,12 @@ use crate::trace::{RoundEvent, Trace};
 /// while keeping the backing vector's capacity — how a [`SimWorkspace`]
 /// carries its warmed-up arena from run to run.
 ///
-/// # Length-only mode
-///
-/// For nodes that do not read stored history
-/// ([`DripNodes::READS_HISTORY`] is `false`) the arena stores nothing:
-/// each history is a per-node virtual length,
-/// and the bulk silence of the rounds a node spent unvisited
-/// ([`ObsArena::pad_to`]) is a counter bump — O(1) time *and* memory —
-/// which is what lets a 10⁶-node election run within a small multiple of
-/// its configuration footprint.
+/// Only nodes that read their stored histories
+/// ([`DripNodes::READS_HISTORY`]) use it. For the others the engine keeps
+/// no history at all: a node's history length in global round `r` is
+/// `r − wake`, which is all their views carry.
 #[derive(Debug, Default)]
 pub(crate) struct ObsArena {
-    /// Length-only mode: nothing is stored, histories exist purely as
-    /// per-node virtual lengths (`vlen`).
-    len_only: bool,
     /// Backing buffer (one `Obs` per recorded round).
     data: Vec<Obs>,
     /// Per-node segment offsets into `data`.
@@ -73,8 +67,6 @@ pub(crate) struct ObsArena {
     len: Vec<u32>,
     /// Per-node segment capacities.
     cap: Vec<u32>,
-    /// Length-only mode: per-node virtual history length in rounds.
-    vlen: Vec<u64>,
     /// Slots abandoned by segment relocations since the last compaction.
     dead: usize,
 }
@@ -96,25 +88,7 @@ impl ObsArena {
         (self.data.capacity() * std::mem::size_of::<Obs>()
             + self.off.capacity() * std::mem::size_of::<usize>()
             + self.len.capacity() * std::mem::size_of::<u32>()
-            + self.cap.capacity() * std::mem::size_of::<u32>()
-            + self.vlen.capacity() * std::mem::size_of::<u64>()) as u64
-    }
-
-    /// Selects the storage mode for the *next* [`ObsArena::reset`]. Must
-    /// not be flipped mid-run.
-    pub(crate) fn set_len_only(&mut self, len_only: bool) {
-        self.len_only = len_only;
-    }
-
-    /// The virtual length of node `v`'s history — the local round index
-    /// the *next* recorded entry will land at, in either storage mode.
-    #[inline]
-    pub(crate) fn pos(&self, v: usize) -> u64 {
-        if self.len_only {
-            self.vlen[v]
-        } else {
-            u64::from(self.len[v])
-        }
+            + self.cap.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Re-dimensions for `n` empty segments, retaining all buffer capacity.
@@ -126,17 +100,11 @@ impl ObsArena {
         self.len.resize(n, 0);
         self.cap.clear();
         self.cap.resize(n, 0);
-        self.vlen.clear();
-        self.vlen.resize(n, 0);
         self.dead = 0;
     }
 
     #[inline]
     pub(crate) fn push(&mut self, v: usize, obs: Obs) {
-        if self.len_only {
-            self.vlen[v] += 1;
-            return;
-        }
         if self.len[v] == self.cap[v] {
             self.grow(v, self.len[v] as usize + 1);
         }
@@ -148,17 +116,11 @@ impl ObsArena {
     /// [`ObsArena::pad_to`] delivers the silent rounds a node spent
     /// unvisited.
     ///
-    /// Length-only mode: a pure counter bump, O(1) time and memory — a
-    /// leap over a million quiet rounds costs nothing per node. Dense
-    /// mode: O(1) past capacity checks, because a segment's unused tail
+    /// O(1) past capacity checks, because a segment's unused tail
     /// `[len..cap)` still holds the `Obs::Silence` the backing vector was
     /// resized with (pushes only ever write at `len`), so appending
     /// silence is just a length bump.
     pub(crate) fn push_silence_n(&mut self, v: usize, k: usize) {
-        if self.len_only {
-            self.vlen[v] += k as u64;
-            return;
-        }
         let need = self.len[v] as usize + k;
         if need > self.cap[v] as usize {
             self.grow(v, need);
@@ -167,13 +129,10 @@ impl ObsArena {
     }
 
     /// Pads segment `v` with `(∅)` entries up to length `len` (a no-op
-    /// when it is already that long) — one branch on the storage mode,
-    /// since the engine pads on every visit.
+    /// when it is already that long).
     #[inline]
     pub(crate) fn pad_to(&mut self, v: usize, len: u64) {
-        if self.len_only {
-            self.vlen[v] = self.vlen[v].max(len);
-        } else if len > u64::from(self.len[v]) {
+        if len > u64::from(self.len[v]) {
             self.push_silence_n(v, (len - u64::from(self.len[v])) as usize);
         }
     }
@@ -236,12 +195,6 @@ impl ObsArena {
 
     #[inline]
     pub(crate) fn view(&self, v: usize) -> HistoryView<'_> {
-        if self.len_only {
-            // Length-only views have the right `len()` but report every
-            // entry as silence; sound only for nodes that fold what they
-            // hear through `DripNodes::observe`.
-            return HistoryView::silent(self.vlen[v] as usize);
-        }
         HistoryView::new(&self.data[self.off[v]..self.off[v] + self.len[v] as usize])
     }
 
@@ -258,97 +211,172 @@ impl ObsArena {
 /// "no calendar entry" in the due plane.
 const ASLEEP: u64 = u64::MAX;
 
+/// How many rounds the calendar's ring holds: a round less than this many
+/// rounds after the calendar's next round is filed in the ring, a later
+/// one in its far-future map.
+pub const RING_ROUNDS: u64 = 256;
+
+/// Words of the ring's occupancy mask.
+const RING_WORDS: usize = (RING_ROUNDS / 64) as usize;
+
 /// The round-bucketed visit calendar: which nodes the engine must visit
 /// in which global round.
 ///
-/// Under time-leap every awake, unterminated node has exactly one live
-/// entry, at the round recorded in the workspace's due plane.
-/// Rescheduling a node pushes a new entry and leaves the old one behind;
-/// [`SimWorkspace`] skips an entry whose round no longer matches the
-/// node's due round, so stale entries cost one check each and never a
-/// visit. Without time-leap every awake node acts every round, and the
-/// round's bucket simply carries over to the next.
+/// [`SimWorkspace::reset_for`] files every node under its wake-up tag. An
+/// entry whose node is still asleep when its round comes is that node's
+/// spontaneous wake-up. Under time-leap every awake, unterminated node
+/// also has exactly one live entry, at the round recorded in the
+/// workspace's due plane. Rescheduling a node pushes a new entry and
+/// leaves the old one behind; [`SimWorkspace`] skips an entry whose round
+/// no longer matches the node's due round, so stale entries cost one
+/// check each and never a visit. Without time-leap the calendar holds the
+/// wake-ups only: every awake node acts every round, from a flat sweep
+/// list.
 ///
-/// The bucket of the round right after the current one is a plain `Vec`,
-/// so a run without time-leap is a flat sweep over it and a node that
-/// acts again next round is one push. Later rounds sit in an ordered map
-/// of buckets, so a push costs a lookup among the distinct pending
-/// rounds, never among the pending nodes (a heap would pay log n per
-/// visit). Emptied buckets are kept for reuse.
+/// Rounds less than [`RING_ROUNDS`] after the calendar's next round (the
+/// one after the last round taken) go in a ring of buckets indexed by
+/// `round % RING_ROUNDS`, with one occupancy bit per bucket: a push is an
+/// index and a `Vec` push, the first due round is a scan of four words,
+/// and the buckets keep their capacity from run to run. Rounds further
+/// ahead sit in an ordered map of buckets, so a push costs a lookup among
+/// the distinct far rounds, never among the pending nodes (a heap would
+/// pay log n per visit). Emptied map buckets are kept for reuse. A round
+/// filed in the map stays there until it is taken, so taking a round
+/// looks in both.
 #[derive(Debug, Default)]
 struct Calendar {
-    /// The round `next` holds.
-    next_round: u64,
-    /// Entries due in `next_round`.
-    next: Vec<NodeId>,
-    /// Entries due after `next_round` (and entries for `next_round` pushed
-    /// while it was still further ahead).
-    later: BTreeMap<u64, Vec<NodeId>>,
-    /// Emptied buckets, kept for their capacity.
+    /// The round after the last one taken (at reset, the calendar's
+    /// start): no entry is ever filed before it, and the ring holds the
+    /// rounds `base .. base + RING_ROUNDS`.
+    base: u64,
+    /// `RING_ROUNDS` buckets (sized by the first reset); round `x` sits
+    /// at index `x % RING_ROUNDS`.
+    ring: Vec<Vec<NodeId>>,
+    /// Bit `i` is set iff `ring[i]` holds an entry.
+    occupied: [u64; RING_WORDS],
+    /// Entries filed at least `RING_ROUNDS` rounds ahead of `base`.
+    far: BTreeMap<u64, Vec<NodeId>>,
+    /// Emptied map buckets, kept for their capacity.
     spare: Vec<Vec<NodeId>>,
 }
 
 impl Calendar {
-    fn reset(&mut self) {
-        self.next_round = 0;
-        self.next.clear();
-        while let Some((_, mut bucket)) = self.later.pop_first() {
+    /// Empties the calendar, keeping every bucket's capacity, and makes
+    /// `start` its first round.
+    fn reset(&mut self, start: u64) {
+        if self.ring.is_empty() {
+            self.ring.resize_with(RING_ROUNDS as usize, Vec::new);
+        }
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            while *word != 0 {
+                self.ring[w * 64 + word.trailing_zeros() as usize].clear();
+                *word &= *word - 1;
+            }
+        }
+        while let Some((_, mut bucket)) = self.far.pop_first() {
             bucket.clear();
             self.spare.push(bucket);
         }
+        self.base = start;
     }
 
+    /// Files `v` under `round`, which is never before the calendar's next
+    /// round.
+    #[inline]
     fn push(&mut self, round: u64, v: NodeId) {
-        if round == self.next_round {
-            self.next.push(v);
+        debug_assert!(
+            round >= self.base,
+            "round {round} filed behind the calendar"
+        );
+        if round - self.base < RING_ROUNDS {
+            let i = (round % RING_ROUNDS) as usize;
+            self.occupied[i / 64] |= 1 << (i % 64);
+            self.ring[i].push(v);
         } else {
             let spare = &mut self.spare;
-            self.later
+            self.far
                 .entry(round)
                 .or_insert_with(|| spare.pop().unwrap_or_default())
                 .push(v);
         }
     }
 
-    /// Makes `bucket` the next round's bucket, handing back the emptied
-    /// one in its place (without time-leap nothing else is ever filed).
-    fn carry_over(&mut self, bucket: &mut Vec<NodeId>) {
-        debug_assert!(self.next.is_empty(), "a flat sweep files nothing");
-        std::mem::swap(bucket, &mut self.next);
+    /// The earliest round of the ring holding an entry: the first set
+    /// occupancy bit at or after `base`'s index, wrapping around. The
+    /// scan visits `base`'s word twice, first for the bits at or after
+    /// `base`, last for the bits before it.
+    fn ring_first(&self) -> Option<u64> {
+        let start = (self.base % RING_ROUNDS) as usize;
+        let from_start = u64::MAX << (start % 64);
+        for k in 0..=RING_WORDS {
+            let w = (start / 64 + k) % RING_WORDS;
+            let bits = match k {
+                0 => self.occupied[w] & from_start,
+                RING_WORDS => self.occupied[w] & !from_start,
+                _ => self.occupied[w],
+            };
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                let ahead = (i + RING_ROUNDS as usize - start) % RING_ROUNDS as usize;
+                return Some(self.base + ahead as u64);
+            }
+        }
+        None
     }
 
     /// The earliest round holding an entry (stale or live).
     fn first_round(&self) -> Option<u64> {
-        if self.next.is_empty() {
-            self.later.keys().next().copied()
-        } else {
-            Some(self.next_round)
+        let far = self.far.keys().next().copied();
+        match (self.ring_first(), far) {
+            (Some(ring), Some(far)) => Some(ring.min(far)),
+            (ring, far) => ring.or(far),
         }
     }
 
     /// Moves every entry of round `r` into `out` (cleared first), and makes
-    /// `r + 1` the next round. `r` is never before [`Calendar::first_round`].
+    /// `r + 1` the next round. `r` is never after
+    /// [`Calendar::first_round`]; a round before the calendar's next round
+    /// (without time-leap, the rounds before the first tag) holds nothing
+    /// and leaves the calendar as it is.
+    ///
+    /// The entries are copied, not swapped out with their buffer: every
+    /// bucket keeps its own capacity, so a workspace warmed by one run
+    /// allocates nothing for the ring's rounds in the next.
     fn take(&mut self, r: u64, out: &mut Vec<NodeId>) {
         out.clear();
-        if r == self.next_round {
-            std::mem::swap(out, &mut self.next);
+        if r < self.base {
+            return;
         }
-        if let Some(mut bucket) = self.later.remove(&r) {
-            if out.is_empty() {
-                std::mem::swap(out, &mut bucket);
-            } else {
-                out.append(&mut bucket);
+        if r - self.base < RING_ROUNDS {
+            let i = (r % RING_ROUNDS) as usize;
+            let bit = 1 << (i % 64);
+            if self.occupied[i / 64] & bit != 0 {
+                self.occupied[i / 64] &= !bit;
+                out.extend_from_slice(&self.ring[i]);
+                self.ring[i].clear();
             }
+        } else {
+            debug_assert!(
+                self.ring_first().is_none(),
+                "ring entries left behind round {r}"
+            );
+        }
+        debug_assert!(
+            self.far.keys().next().is_none_or(|&k| k >= r),
+            "far entries left behind round {r}"
+        );
+        if let Some(mut bucket) = self.far.remove(&r) {
+            out.append(&mut bucket);
             self.spare.push(bucket);
         }
-        debug_assert!(self.next.is_empty(), "entries left behind round {r}");
-        self.next_round = r + 1;
+        self.base = r.saturating_add(1);
     }
 
     fn mem_bytes(&self) -> u64 {
         let ids = |v: &Vec<NodeId>| (v.capacity() * std::mem::size_of::<NodeId>()) as u64;
-        ids(&self.next)
-            + self.later.values().map(ids).sum::<u64>()
+        (self.ring.capacity() * std::mem::size_of::<Vec<NodeId>>()) as u64
+            + self.ring.iter().map(ids).sum::<u64>()
+            + self.far.values().map(ids).sum::<u64>()
             + self.spare.iter().map(ids).sum::<u64>()
     }
 }
@@ -369,17 +397,20 @@ pub struct SimWorkspace {
     arena: ObsArena,
     wake: Vec<u64>,
     done: Vec<u64>,
-    by_tag: Vec<NodeId>,
     calendar: Calendar,
     /// Per node, under time-leap: the round of its live calendar entry
     /// (`ASLEEP` while it has none — asleep, terminated, or being visited
-    /// this round). Without time-leap every calendar entry is live and
-    /// the plane stays `ASLEEP`.
+    /// this round). A sleeping node's wake-up entry is not recorded here.
+    /// Without time-leap the plane stays `ASLEEP`.
     due: Vec<u64>,
     /// The entries of the round being executed.
     bucket: Vec<NodeId>,
-    /// Nodes to reschedule at the end of the round: every node visited
-    /// under time-leap, the nodes that woke without it.
+    /// Without time-leap: every awake, unterminated node, in wake-up
+    /// order. Each round it decides them all.
+    sweep: Vec<NodeId>,
+    /// Nodes to reschedule at the end of the round: under time-leap every
+    /// node that decided or woke, and every node that heard something and
+    /// asked to be re-asked; without it, the nodes that woke.
     visited: Vec<NodeId>,
     actions: Vec<(NodeId, Action)>,
     transmitters: Vec<(NodeId, Msg)>,
@@ -420,9 +451,9 @@ impl SimWorkspace {
             + self.node_bytes
             + plane(&self.wake)
             + plane(&self.done)
-            + plane(&self.by_tag)
             + plane(&self.due)
             + plane(&self.bucket)
+            + plane(&self.sweep)
             + plane(&self.visited)
             + plane(&self.cnt)
             + plane(&self.cnt_stamp)
@@ -434,22 +465,30 @@ impl SimWorkspace {
 
     /// Re-dimensions every buffer for `config` without freeing capacity:
     /// the per-run state (arena segments, wake/done/due/counter planes,
-    /// the calendar) is cleared in place. Called automatically at the
-    /// start of every run.
+    /// the calendar) is cleared in place, and every node is filed in the
+    /// calendar under its wake-up tag, which makes the smallest tag the
+    /// calendar's start. Called automatically at the start of every run.
     pub fn reset_for(&mut self, config: &Configuration) {
+        self.reset_run(config, true);
+    }
+
+    /// [`SimWorkspace::reset_for`], with one arena segment per node only
+    /// when the nodes read their stored histories.
+    fn reset_run(&mut self, config: &Configuration, store_histories: bool) {
         let n = config.size();
-        self.arena.reset(n);
+        self.arena.reset(if store_histories { n } else { 0 });
         self.wake.clear();
         self.wake.resize(n, ASLEEP);
         self.done.clear();
         self.done.resize(n, ASLEEP);
-        self.by_tag.clear();
-        self.by_tag.extend(0..n as NodeId);
-        self.by_tag.sort_by_key(|&v| config.tag(v));
-        self.calendar.reset();
+        self.calendar.reset(config.min_tag());
+        for (v, &tag) in config.tags().iter().enumerate() {
+            self.calendar.push(tag, v as NodeId);
+        }
         self.due.clear();
         self.due.resize(n, ASLEEP);
         self.bucket.clear();
+        self.sweep.clear();
         self.visited.clear();
         self.actions.clear();
         self.transmitters.clear();
@@ -517,23 +556,33 @@ impl SimWorkspace {
         })
     }
 
-    /// Appends the silent rounds node `v` spent unvisited, so that its
-    /// history covers every local round before global round `r`.
+    /// Node `v`'s history at the start of global round `r`: its local
+    /// rounds `0 .. r − wake`. Nodes that read history get their arena
+    /// segment, first padded with the silent rounds they spent unvisited;
+    /// for the others the length is all there is.
     #[inline]
-    fn catch_up(&mut self, v: usize, r: u64) {
-        self.arena.pad_to(v, r - self.wake[v]);
+    fn history<N: DripNodes>(&mut self, v: usize, r: u64) -> HistoryView<'_> {
+        let len = r - self.wake[v];
+        if N::READS_HISTORY {
+            self.arena.pad_to(v, len);
+            self.arena.view(v)
+        } else {
+            HistoryView::silent(len as usize)
+        }
     }
 
-    /// Records observation `obs` as node `v`'s entry for global round `r`,
-    /// streaming it to the node when it is not silence.
+    /// Records observation `obs` as node `v`'s entry for global round `r`
+    /// (local round `r − wake`), streaming it to the node when it is not
+    /// silence. Returns whether the node asked to have its horizon
+    /// re-asked ([`DripNodes::observe`]).
     #[inline]
-    fn record<N: DripNodes>(&mut self, nodes: &mut N, v: usize, r: u64, obs: Obs) {
-        self.catch_up(v, r);
-        let t = self.arena.pos(v);
-        self.arena.push(v, obs);
-        if !matches!(obs, Obs::Silence) {
-            nodes.observe(v as NodeId, t, obs);
+    fn record<N: DripNodes>(&mut self, nodes: &mut N, v: usize, r: u64, obs: Obs) -> bool {
+        let t = r - self.wake[v];
+        if N::READS_HISTORY {
+            self.arena.pad_to(v, t);
+            self.arena.push(v, obs);
         }
+        !matches!(obs, Obs::Silence) && nodes.observe(v as NodeId, t, obs)
     }
 
     /// Runs `nodes` on `config` under a runtime-selected channel model
@@ -546,12 +595,15 @@ impl SimWorkspace {
     /// history-heavy runs that clone alone can exceed the configuration
     /// footprint by an order of magnitude. The nodes bring their own
     /// state, so the run spawns nothing, and
-    /// [`DripNodes::READS_HISTORY`] decides how histories are stored: for
-    /// nodes that fold what they hear through [`DripNodes::observe`] the
-    /// arena keeps one length per node and no observation at all. Whatever
-    /// the nodes concluded (a leader verdict, say) stays in `nodes` for the
-    /// caller to read. A factory's DRIP runs here as the boxed nodes it
-    /// spawns (`Vec<Box<dyn DripNode>>`), with histories stored in full.
+    /// [`DripNodes::READS_HISTORY`] decides whether histories are stored:
+    /// nodes that fold what they hear through [`DripNodes::observe`] get
+    /// no history storage at all — each view is the all-silence history of
+    /// length `r − wake`, computed from the node's wake round — and they
+    /// are re-asked for their horizon after a delivery only when `observe`
+    /// says so. Whatever the nodes concluded (a leader verdict, say) stays
+    /// in `nodes` for the caller to read. A factory's DRIP runs here as the
+    /// boxed nodes it spawns (`Vec<Box<dyn DripNode>>`), with histories
+    /// stored in full.
     pub fn run_nodes<N: DripNodes>(
         &mut self,
         model: ModelKind,
@@ -577,13 +629,11 @@ impl SimWorkspace {
         nodes: &mut N,
         opts: RunOpts,
     ) -> Result<ResidentRun, SimError> {
-        self.arena.set_len_only(!N::READS_HISTORY);
-        self.reset_for(config);
+        self.reset_run(config, N::READS_HISTORY);
         self.node_bytes = self.node_bytes.max(nodes.mem_bytes());
         let n = config.size();
         let csr = config.csr();
 
-        let mut tag_ptr = 0usize;
         let mut done_count = 0usize;
         let mut stats = ExecStats::default();
         let mut trace = if opts.record_trace {
@@ -598,18 +648,14 @@ impl SimWorkspace {
 
         let mut r: u64 = 0;
         while done_count < n {
-            let next_tag = if tag_ptr < n {
-                config.tag(self.by_tag[tag_ptr])
-            } else {
-                u64::MAX
-            };
             if opts.leap {
                 // Skip straight to the next round in which some node is
                 // due or wakes spontaneously: nothing happens in between.
-                r = self
-                    .calendar
-                    .first_round()
-                    .map_or(next_tag, |d| d.min(next_tag));
+                // Every sleeping node has its wake-up entry and every
+                // awake one a live entry, so the calendar is empty only
+                // when every unfinished node's horizon is past the last
+                // round.
+                r = self.calendar.first_round().unwrap_or(ASLEEP);
             }
             if r >= opts.max_rounds {
                 return Err(SimError::RoundLimit {
@@ -623,25 +669,41 @@ impl SimWorkspace {
                 ..Default::default()
             };
 
-            // 1. Decide: every node due this round. Under time-leap a node
-            //    whose entry was superseded (rescheduled since) is skipped,
-            //    and a consumed entry is marked so a duplicate cannot
-            //    decide twice; without it every entry is live.
+            // 1. Decide: every node due this round. Under time-leap a
+            //    node whose entry was superseded (rescheduled since) is
+            //    skipped, and a consumed entry is marked so a duplicate
+            //    cannot decide twice; an entry of a sleeping node is its
+            //    wake-up, handled in step 5. Without time-leap the round's
+            //    entries are all wake-ups and every awake node decides.
             self.actions.clear();
             self.visited.clear();
             let mut bucket = std::mem::take(&mut self.bucket);
             self.calendar.take(r, &mut bucket);
-            for &v in &bucket {
-                let vi = v as usize;
-                if opts.leap {
+            // Whether some entry is a node's tag: a sleeping node's
+            // wake-up, or the tag of a node a message already woke.
+            let mut tag_fires = false;
+            if opts.leap {
+                for &v in &bucket {
+                    let vi = v as usize;
+                    if self.wake[vi] == ASLEEP {
+                        tag_fires = true;
+                        continue;
+                    }
                     if self.due[vi] != r {
+                        tag_fires |= config.tag(v) == r;
                         continue;
                     }
                     self.due[vi] = ASLEEP;
+                    let action = nodes.decide(v, self.history::<N>(vi, r));
+                    self.actions.push((v, action));
                 }
-                self.catch_up(vi, r);
-                let action = nodes.decide(v, self.arena.view(vi));
-                self.actions.push((v, action));
+            } else {
+                tag_fires = !bucket.is_empty();
+                for i in 0..self.sweep.len() {
+                    let v = self.sweep[i];
+                    let action = nodes.decide(v, self.history::<N>(v as usize, r));
+                    self.actions.push((v, action));
+                }
             }
             decides += self.actions.len() as u64;
 
@@ -705,9 +767,10 @@ impl SimWorkspace {
             // 4. Reach the other neighbours of transmitters: a node with a
             //    calendar entry is awake and covered by its horizon — it
             //    listens without deciding (without time-leap every awake
-            //    node decided above); a sleeping node wakes exactly when
-            //    the model says so (under the default model a collision
-            //    leaves it asleep).
+            //    node decided above), and is re-asked only if it says its
+            //    horizon may have moved; a sleeping node wakes exactly
+            //    when the model says so (under the default model a
+            //    collision leaves it asleep).
             for i in 0..self.touched.len() {
                 let w = self.touched[i];
                 let wi = w as usize;
@@ -716,8 +779,9 @@ impl SimWorkspace {
                     let obs = M::listener_obs(self.cnt[wi], msg);
                     if !matches!(obs, Obs::Silence) {
                         let traced = trace.is_some().then_some(&mut event);
-                        self.listen(nodes, wi, r, obs, &mut stats, traced);
-                        self.visited.push(w);
+                        if self.listen(nodes, wi, r, obs, &mut stats, traced) {
+                            self.visited.push(w);
+                        }
                     }
                 } else if self.wake[wi] == ASLEEP {
                     if let Some(obs) = M::wake_obs(self.cnt[wi], msg) {
@@ -732,38 +796,39 @@ impl SimWorkspace {
                 }
             }
 
-            // 5. Spontaneous wake-ups at tag == r.
-            let tag_fires = next_tag == r;
-            while tag_ptr < n && config.tag(self.by_tag[tag_ptr]) == r {
-                let w = self.by_tag[tag_ptr];
-                tag_ptr += 1;
-                let wi = w as usize;
-                if self.wake[wi] == ASLEEP {
-                    self.wake[wi] = r;
-                    self.arena.push(wi, Obs::Silence);
-                    self.visited.push(w);
-                    if trace.is_some() {
-                        event.woke.push((w, Obs::Silence));
+            // 5. Spontaneous wake-ups: the round's entries whose nodes are
+            //    still asleep (their tag is `r`), after the forced ones.
+            //    The wake-up entry `H[0] = (∅)` is appended lazily, like
+            //    any silence.
+            if tag_fires {
+                for &w in &bucket {
+                    let wi = w as usize;
+                    if self.wake[wi] == ASLEEP {
+                        self.wake[wi] = r;
+                        self.visited.push(w);
+                        if trace.is_some() {
+                            event.woke.push((w, Obs::Silence));
+                        }
                     }
                 }
             }
 
-            // 6. Reschedule. Under time-leap every node visited this
-            //    round is re-asked for its horizon with its end-of-round
-            //    history. Without it every awake node acts again next
-            //    round: the round's bucket carries over as a flat sweep,
-            //    less the nodes that terminated, ahead of those that woke.
+            // 6. Reschedule. Under time-leap every node in `visited` is
+            //    re-asked for its horizon with its end-of-round history.
+            //    Without it every awake node acts again next round: the
+            //    sweep keeps its order, less the nodes that terminated,
+            //    ahead of those that woke.
             if opts.leap {
                 for i in 0..self.visited.len() {
                     let v = self.visited[i];
                     let vi = v as usize;
-                    self.catch_up(vi, r + 1);
                     horizon_queries += 1;
+                    let horizon = nodes.quiet_until(v, self.history::<N>(vi, r + 1));
                     // A horizon past the round limit only has to reach the
                     // limit. (Only with `max_rounds == u64::MAX` can that be
                     // the `ASLEEP` sentinel: the node is then never due
                     // again, and the run ends at the limit.)
-                    let due = match nodes.quiet_until(v, self.arena.view(vi)) {
+                    let due = match horizon {
                         Some(q) => self.wake[vi]
                             .saturating_add(q)
                             .clamp(r + 1, opts.max_rounds),
@@ -777,10 +842,9 @@ impl SimWorkspace {
             } else {
                 if retired {
                     let done = &self.done;
-                    bucket.retain(|&v| done[v as usize] == ASLEEP);
+                    self.sweep.retain(|&v| done[v as usize] == ASLEEP);
                 }
-                bucket.extend_from_slice(&self.visited);
-                self.calendar.carry_over(&mut bucket);
+                self.sweep.extend_from_slice(&self.visited);
             }
             self.bucket = bucket;
 
@@ -836,7 +900,8 @@ impl SimWorkspace {
     }
 
     /// Delivers listener observation `obs` to awake node `v` in round `r`,
-    /// noting it in `event` when the run is traced.
+    /// noting it in `event` when the run is traced. Returns whether the
+    /// node asked to have its horizon re-asked.
     #[inline]
     fn listen<N: DripNodes>(
         &mut self,
@@ -846,9 +911,9 @@ impl SimWorkspace {
         obs: Obs,
         stats: &mut ExecStats,
         event: Option<&mut RoundEvent>,
-    ) {
+    ) -> bool {
         record_listener_obs(obs, stats);
-        self.record(nodes, v, r, obs);
+        let re_ask = self.record(nodes, v, r, obs);
         if let Some(event) = event {
             match obs {
                 Obs::Heard(m) => event.received.push((v as NodeId, m)),
@@ -856,6 +921,7 @@ impl SimWorkspace {
                 Obs::Silence => {}
             }
         }
+        re_ask
     }
 }
 
@@ -929,25 +995,77 @@ mod tests {
         assert!(hs[1].all_silent());
     }
 
+    /// Takes round `r` from `calendar` and from the model `want`, and
+    /// checks they hand out the same entries (in any order within the
+    /// round).
+    fn take_both(calendar: &mut Calendar, want: &mut BTreeMap<u64, Vec<NodeId>>, r: u64) -> usize {
+        let mut out = Vec::new();
+        calendar.take(r, &mut out);
+        let mut expect = want.remove(&r).unwrap_or_default();
+        out.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(out, expect, "round {r}");
+        out.len()
+    }
+
     #[test]
-    fn arena_len_only_mode_counts_without_storing() {
-        let mut arena = ObsArena::default();
-        arena.set_len_only(true);
-        arena.reset(2);
-        arena.push(0, Obs::Heard(Msg(7)));
-        arena.push_silence_n(0, 1000);
-        arena.push(0, Obs::Collision);
-        arena.push_silence_n(1, 3);
-        // Lengths are exact in every accessor…
-        assert_eq!(arena.pos(0), 1002);
-        assert_eq!(arena.pos(1), 3);
-        assert_eq!(arena.view(0).len(), 1002);
-        assert_eq!(arena.view(1).len(), 3);
-        // …but nothing was stored: views report silence everywhere and no
-        // backing buffer grew.
-        assert_eq!(arena.view(0).message_at(0), None);
-        assert_eq!(arena.view(0).get(1001), Some(Obs::Silence));
-        assert_eq!(arena.data.capacity(), 0);
+    fn calendar_matches_an_ordered_map_model() {
+        use radio_util::rng::splitmix64;
+        let mut calendar = Calendar::default();
+        let starts = [0, 1, 200, 1_000_003, u64::MAX - 5_000, u64::MAX - 300];
+        for (case, start) in starts.into_iter().enumerate() {
+            let mut draws = 0u64;
+            let mut draw = |bound: u64| {
+                draws += 1;
+                splitmix64(((case as u64) << 32) ^ draws) % bound
+            };
+            calendar.reset(start);
+            if let Some(before) = start.checked_sub(1) {
+                // A round before the start holds nothing and moves nothing.
+                assert_eq!(take_both(&mut calendar, &mut BTreeMap::new(), before), 0);
+            }
+            let mut want: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+            // The calendar's next round: no entry may be filed before it.
+            let mut next = start;
+            let (mut pushed, mut taken) = (0usize, 0usize);
+            for _ in 0..6_000 {
+                assert_eq!(calendar.first_round(), want.keys().next().copied());
+                let first = want.keys().next().copied();
+                if draw(5) < 3 || first.is_none() {
+                    let room = u64::MAX - next;
+                    let ahead = match draw(4) {
+                        0 => draw(8),
+                        // Straddle the ring's edge.
+                        1 => RING_ROUNDS - 4 + draw(8),
+                        2 => draw(8 * RING_ROUNDS),
+                        _ => draw(room.max(1)),
+                    };
+                    let round = next + ahead.min(room);
+                    calendar.push(round, pushed as NodeId);
+                    want.entry(round).or_default().push(pushed as NodeId);
+                    pushed += 1;
+                } else if let Some(first) = first.filter(|&f| f < u64::MAX) {
+                    // The first round, or sometimes an empty one before it.
+                    let r = if draw(4) == 0 {
+                        next + draw(first - next + 1)
+                    } else {
+                        first
+                    };
+                    taken += take_both(&mut calendar, &mut want, r);
+                    next = r + 1;
+                }
+            }
+            while let Some(first) = calendar.first_round() {
+                assert_eq!(Some(first), want.keys().next().copied());
+                taken += take_both(&mut calendar, &mut want, first);
+                if first == u64::MAX {
+                    break;
+                }
+            }
+            assert!(want.is_empty(), "start {start}: entries never taken");
+            assert_eq!(taken, pushed, "start {start}");
+            assert!(pushed > 2_000, "start {start}: only {pushed} pushes");
+        }
     }
 
     #[test]

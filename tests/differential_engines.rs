@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use radio_graph::{generators, Configuration};
 use radio_sim::drip::{BeaconFactory, EchoFactory, WaitThenTransmitFactory};
 use radio_sim::engine_ref::run_reference;
+use radio_sim::workspace::RING_ROUNDS;
 use radio_sim::{DripFactory, Executor, ModelKind, Msg, PatientFactory, RunOpts};
 
 fn build_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
@@ -177,6 +178,55 @@ proptest! {
         let config = build_config(n, 2, span, seed);
         let f = WaitThenTransmitFactory { wait, msg: Msg(2), lifetime: wait + 12 };
         assert_identical(&config, &f)?;
+    }
+}
+
+/// Where the far-tag configurations' first tag falls.
+const FAR: u64 = 100_000;
+
+/// `build_config`'s graph with tags in `FAR ..= FAR + span`, both ends
+/// taken, so the calendar starts at `FAR` and files wake-ups on both
+/// sides of its ring's edge when `span ≥ RING_ROUNDS`.
+fn far_config(n: usize, extra: usize, span: u64, seed: u64) -> Configuration {
+    let config = build_config(n, extra, span, seed);
+    let mut tags = config.tags().to_vec();
+    tags[0] = 0;
+    tags[n - 1] = span;
+    let tags = tags.into_iter().map(|t| FAR + t).collect();
+    Configuration::new(config.csr().clone(), tags).unwrap()
+}
+
+/// A round whose entries sit in both halves of the calendar: node 2's
+/// wake-up was filed in the far-future map, more than `RING_ROUNDS` past
+/// the first tag, and node 1, woken the round before, is due in that same
+/// round from the ring. Neither may be dropped.
+#[test]
+fn a_round_filed_in_both_the_ring_and_the_far_map_visits_both() {
+    let late = FAR + RING_ROUNDS + 44;
+    let config = Configuration::new(generators::path(3), vec![FAR, late, late + 1]).unwrap();
+    assert_identical(&config, &radio_sim::drip::SilentFactory { lifetime: 1 }).unwrap();
+}
+
+// Tags that start far from round 0 and span more than the calendar's ring:
+// every DRIP the traced differential draws from, leaping and stepping under
+// every model, against the reference engine (which steps through the
+// 10⁵ rounds before the first tag one by one). `FAR` is not a multiple of
+// the ring's size, so the ring's window starts mid-ring and wraps.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn far_tags_spanning_more_than_the_ring_differential(
+        n in 2usize..7,
+        extra in 0usize..4,
+        span in RING_ROUNDS..4 * RING_ROUNDS,
+        seed in any::<u64>(),
+        which in 0usize..6,
+        wait in 0u64..4,
+    ) {
+        let config = far_config(n, extra, span, seed);
+        prop_assert_eq!((config.min_tag(), config.span()), (FAR, span));
+        assert_identical(&config, traced_drip(&config, which, wait).as_ref())?;
     }
 }
 

@@ -2,9 +2,12 @@
 //! number of blocks whatever the network's size, and compiling makes one
 //! per list entry (its label) plus a constant.
 //!
-//! Under time-leap the engine's calendar adds the nodes of its far-future
-//! map, which grow with the number of rounds pending at once rather than
-//! with n alone; that share is pinned separately, for this grid only.
+//! Under time-leap the engine's calendar files the rounds less than
+//! `RING_ROUNDS` ahead in a ring of buckets that keep their capacity, so a
+//! run whose rounds all fit there allocates exactly what it does without
+//! time-leap. Rounds further ahead go to a far-future map whose nodes grow
+//! with the number of far rounds pending at once rather than with n alone;
+//! that share is pinned separately, for this grid only.
 //!
 //! A counting global allocator tallies the heap blocks the test thread
 //! creates (`alloc` and `alloc_zeroed`; resizing a block through `realloc`
@@ -17,6 +20,7 @@ use std::cell::Cell;
 use anon_radio::CompiledElection;
 use radio_classifier::{ClassifierWorkspace, Level};
 use radio_graph::{Configuration, FamilySpec, TagStrategy};
+use radio_sim::workspace::RING_ROUNDS;
 use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::rng::{derive, rng_from};
 
@@ -73,18 +77,19 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// A warmed `run_in` without time-leap allocates at most this many blocks
 /// at every size: the canonical DRIP's per-node planes and the leader
-/// list (5 blocks), and the scratch of the wake-up order's stable sort
-/// past 1 024 nodes (1 block); the grid measures 5 and 6. Without
-/// time-leap the calendar never files a round in its far-future map.
-const RUN_BLOCKS: u64 = 8;
+/// list (5 blocks); the grid measures 5 everywhere. Without time-leap the
+/// calendar holds the wake-ups only, and on this grid (σ ≤ 64) every tag
+/// lands in its ring.
+const RUN_BLOCKS: u64 = 6;
 
 /// What the calendar's far-future map adds to a warmed `run_in` under
-/// time-leap, on this grid (n ≤ 4 096). The map's nodes are freed as it
-/// drains and allocated again by the next run, about one per 11 distinct
-/// pending rounds, so this share is not constant: it grows with the rounds
-/// pending at once (the grid's worst case is `path` n = 4 096, σ = 3, at
-/// 76 blocks).
-const CALENDAR_BLOCKS: u64 = 128;
+/// time-leap, on this grid (n ≤ 4 096). Only rounds at least
+/// `RING_ROUNDS` ahead of the calendar reach the map. Its nodes are freed
+/// as it drains and allocated again by the next run, so this share is not
+/// constant: it grows with the far rounds pending at once (the grid's
+/// worst case is `path` n = 4 096, σ = 3, at 65 blocks; `grid:64x64`,
+/// σ = 3, adds 5, and every other configuration none).
+const CALENDAR_BLOCKS: u64 = 72;
 
 /// Compiling allocates at most this many blocks beyond one per list entry
 /// (the grid's worst case is 16).
@@ -133,33 +138,50 @@ fn warmed_runs_allocate_a_constant_number_of_blocks() {
     let mut classifier = ClassifierWorkspace::new();
     let mut sim = SimWorkspace::new();
     let model = ModelKind::default();
+    let mut in_ring = 0;
     for (what, config) in configurations() {
         let compiled = CompiledElection::compile_in(&mut classifier, &config);
         let mut warmed_run = |opts: RunOpts| {
             // Warm the workspace on this very configuration and options.
             let warm = compiled.run_in(&mut sim, &config, model, opts);
             let (run, blocks) = counted(|| compiled.run_in(&mut sim, &config, model, opts));
+            let outcome = |r: &anon_radio::ElectionReport| (r.leader, r.completion_round);
             assert_eq!(
-                run.as_ref().map(|r| r.leader).ok(),
-                warm.as_ref().map(|r| r.leader).ok(),
+                run.as_ref().map(outcome).ok(),
+                warm.as_ref().map(outcome).ok(),
                 "{what}: a warmed run elects what the first did"
             );
-            (run.map(|r| r.leader).ok(), blocks)
+            (run.as_ref().map(outcome).ok(), blocks)
         };
-        let (flat_leader, flat) = warmed_run(RunOpts::default().no_leap());
+        let (flat_outcome, flat) = warmed_run(RunOpts::default().no_leap());
         assert!(
             flat <= RUN_BLOCKS,
             "{what}: a warmed run_in without time-leap allocated {flat} blocks \
              (bound {RUN_BLOCKS})"
         );
-        let (leader, leap) = warmed_run(RunOpts::default());
-        assert_eq!(leader, flat_leader, "{what}: time-leap changed the outcome");
+        let (outcome, leap) = warmed_run(RunOpts::default());
+        assert_eq!(
+            outcome, flat_outcome,
+            "{what}: time-leap changed the outcome"
+        );
         assert!(
             leap <= flat + CALENDAR_BLOCKS,
             "{what}: a warmed run_in allocated {leap} blocks, {flat} without \
              time-leap (calendar bound {CALENDAR_BLOCKS})"
         );
+        // Every round is filed from a round at or after the first tag, for
+        // a round no later than the completion round: when those are at
+        // most `RING_ROUNDS` apart, the far map is never touched.
+        if outcome.is_some_and(|(_, done)| done - config.min_tag() <= RING_ROUNDS) {
+            assert_eq!(
+                leap, flat,
+                "{what}: every round fits the calendar's ring, yet time-leap \
+                 allocated {leap} blocks against {flat} without it"
+            );
+            in_ring += 1;
+        }
     }
+    assert!(in_ring >= 12, "only {in_ring} runs fit the calendar's ring");
 }
 
 #[test]

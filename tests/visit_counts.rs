@@ -7,8 +7,11 @@
 //! neighbour's transmission reaches it — O(n + (n + m)·T) visits for T
 //! phases. This pins that bound, with a constant of 4, on every canonical
 //! run over the zoo × every tag strategy × every channel model × four
-//! spans × three sizes. The counts are deterministic, so the bound holds
-//! on every machine.
+//! spans × three sizes. Hearing never moves a canonical node's horizon,
+//! so a delivery costs no horizon query: a completed run asks exactly one
+//! per decide (each node's wake-up takes the query its termination does
+//! not). The counts are deterministic, so the bounds hold on every
+//! machine.
 
 use anon_radio::{CanonicalFactory, CompiledElection};
 use radio_classifier::ClassifierWorkspace;
@@ -51,6 +54,11 @@ fn canonical_runs_visit_nodes_in_proportion_to_their_traffic() {
                         );
                         // every transmission is a decide
                         assert!(run.decides >= run.stats.transmissions);
+                        assert_eq!(
+                            run.horizon_queries, run.decides,
+                            "{spec} n={n} m={m} {strategy} σ={sigma} T={phases} [{model}]: \
+                             a delivery re-asked a horizon"
+                        );
                         runs += 1;
                         visits += work;
                         node_rounds += run.rounds_stepped * n;
