@@ -5,8 +5,7 @@
 //! [`anon_radio::campaign`] so the `anon-radio campaign` CLI can reach it;
 //! this module re-exports it for the experiment harness and adds the
 //! spec builders and table renderers the experiments share (E10 ports its
-//! batch-throughput sweep onto the runner, E14 its leap-vs-step span
-//! grid).
+//! batch-throughput sweep onto the runner).
 
 pub use anon_radio::cache::{CacheConfig, CacheStats, ScheduleCache};
 pub use anon_radio::campaign::{

@@ -124,16 +124,12 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     // Declarative campaign with streaming aggregation: the E10 sweep
     // expressed as a CampaignSpec and folded shard by shard.
     let mut runner = CampaignRunner::new(election_spec(effort, seed), 4);
-    let start = Instant::now();
     runner.run_to_completion(threads);
-    let wall = start.elapsed().as_secs_f64();
     let campaign = aggregate_table(
         format!(
-            "E10c: campaign of {} elections over {} shards — streaming per-cell aggregates \
-             ({:.0} runs/s)",
+            "E10c: campaign of {} elections over {} shards — streaming per-cell aggregates",
             runner.spec().total_runs(),
             runner.shard_count(),
-            runner.spec().total_runs() as f64 / wall.max(1e-9),
         ),
         &runner,
     );

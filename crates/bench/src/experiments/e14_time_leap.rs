@@ -6,79 +6,60 @@
 //! Before the event-driven engine these regimes were unreachable at
 //! realistic spans — a span-10⁶ configuration spun a million empty loop
 //! iterations before the first wake-up. This experiment sweeps the span
-//! on both workload shapes and reports, per span, the stepped/leapt round
-//! split and the wall-clock of three engines on the identical workload —
-//! the naive reference (full per-round rescan), the optimized engine with
-//! leaping disabled (`RunOpts::no_leap`), and the leaping engine —
-//! asserting along the way that all three produce bit-identical
-//! executions. The leaping engine's residual cost is the history
-//! materialization itself (the output is Θ(rounds) observations);
-//! everything round-proportional in the *loop* is gone.
+//! on three workload shapes and reports, per span, the stepped/leapt round
+//! split and the wall-clock of two engines on the identical workload —
+//! the naive reference (full per-round rescan) and the leaping engine —
+//! asserting along the way that both produce bit-identical executions.
+//! The leaping engine's residual cost is the history materialization
+//! itself (the output is Θ(rounds) observations); everything
+//! round-proportional in the *loop* is gone.
 
 use std::time::Instant;
 
 use radio_graph::{families, generators, Configuration};
 use radio_sim::drip::WaitThenTransmitFactory;
-use radio_sim::{Execution, PatientFactory, RunOpts};
+use radio_sim::{PatientFactory, RunOpts};
 use radio_util::rng::derive;
 use radio_util::table::{fmt_f64, Table};
 
-use crate::campaign::{CampaignRunner, CampaignSpec, FamilySpec};
 use crate::workloads::with_random_tags;
 use crate::Effort;
 
-/// Times one run under `opts`, returning (execution, wall seconds).
-fn timed(
-    config: &radio_graph::Configuration,
-    factory: &dyn radio_sim::DripFactory,
-    opts: RunOpts,
-) -> (Execution, f64) {
-    let start = Instant::now();
-    let ex = radio_sim::Executor::run(config, factory, opts).unwrap();
-    (ex, start.elapsed().as_secs_f64())
-}
-
-/// Times the naive reference engine (one full scan per round, always).
-fn timed_naive(
-    config: &radio_graph::Configuration,
-    factory: &dyn radio_sim::DripFactory,
-) -> (Execution, f64) {
-    let start = Instant::now();
-    let ex = radio_sim::engine_ref::run_reference(config, factory, RunOpts::default()).unwrap();
-    (ex, start.elapsed().as_secs_f64())
-}
-
-fn assert_identical(leap: &Execution, other: &Execution, what: &str) {
-    assert_eq!(leap.histories, other.histories, "{what}: histories");
-    assert_eq!(leap.wake_round, other.wake_round, "{what}: wake rounds");
-    assert_eq!(leap.done_round, other.done_round, "{what}: done rounds");
-    assert_eq!(leap.stats, other.stats, "{what}: stats");
-    assert_eq!(leap.rounds, other.rounds, "{what}: round count");
-}
-
+/// Times the naive reference engine (one full scan per round, always) and
+/// the leaping engine on one workload, checks that they produce identical
+/// executions, and appends the row.
 fn push_comparison_row(
     table: &mut Table,
-    label: String,
-    leap: (Execution, f64),
-    step_wall: f64,
-    naive_wall: f64,
+    what: &str,
+    span: u64,
+    config: &Configuration,
+    factory: &dyn radio_sim::DripFactory,
 ) {
-    let (ex, leap_wall) = leap;
+    let what = format!("{what} σ={span}");
+    let start = Instant::now();
+    let naive = radio_sim::engine_ref::run_reference(config, factory, RunOpts::default()).unwrap();
+    let naive_wall = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let ex = radio_sim::Executor::run(config, factory, RunOpts::default()).unwrap();
+    let leap_wall = start.elapsed().as_secs_f64();
+    assert_eq!(ex.histories, naive.histories, "{what}: histories");
+    assert_eq!(ex.wake_round, naive.wake_round, "{what}: wake rounds");
+    assert_eq!(ex.done_round, naive.done_round, "{what}: done rounds");
+    assert_eq!(ex.stats, naive.stats, "{what}: stats");
+    assert_eq!(ex.rounds, naive.rounds, "{what}: round count");
     table.push_row(vec![
-        label,
+        span.to_string(),
         ex.rounds.to_string(),
         ex.rounds_stepped.to_string(),
         ex.rounds_leapt.to_string(),
         fmt_f64(naive_wall * 1e3, 3),
-        fmt_f64(step_wall * 1e3, 3),
         fmt_f64(leap_wall * 1e3, 3),
-        fmt_f64(step_wall / leap_wall.max(1e-9), 1),
         fmt_f64(naive_wall / leap_wall.max(1e-9), 1),
     ]);
 }
 
-const COLUMNS: [&str; 9] = [
-    "span σ", "rounds", "stepped", "leapt", "naive ms", "step ms", "leap ms", "vs step", "vs naive",
+const COLUMNS: [&str; 7] = [
+    "span σ", "rounds", "stepped", "leapt", "naive ms", "leap ms", "vs naive",
 ];
 
 /// Runs E14.
@@ -94,9 +75,9 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     // the whole network is asleep. Histories stay O(n · lifetime) while
     // the simulated span grows without bound: the regime where the
     // event-driven engine fully decouples wall-clock from rounds (the
-    // round-driven engines pay Θ(σ · n) regardless).
+    // round-driven reference pays Θ(σ · n) regardless).
     let mut bursts = Table::new(
-        "E14a: duty-cycled wake bursts on a star — naive vs step vs leap",
+        "E14a: duty-cycled wake bursts on a star — naive vs leap",
         &COLUMNS,
     );
     for &span in &spans {
@@ -113,22 +94,17 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
             msg: radio_sim::Msg::ONE,
             lifetime: 16,
         };
-        let naive = timed_naive(&config, &factory);
-        let step = timed(&config, &factory, RunOpts::default().no_leap());
-        let leap = timed(&config, &factory, RunOpts::default());
-        assert_identical(&leap.0, &step.0, "bursts step");
-        assert_identical(&leap.0, &naive.0, "bursts naive");
-        push_comparison_row(&mut bursts, span.to_string(), leap, step.1, naive.1);
+        push_comparison_row(&mut bursts, "bursts", span, &config, &factory);
     }
 
     // Workload 2: patient-wrapped wait-then-transmit on a path with random
     // tags in 0..=σ — the Lemma 3.12 regime. Every node listens through a
     // σ-round window before the inner DRIP may act; here the *output*
     // (every node's σ-long history) is itself Θ(rounds), so the leap
-    // engine's win is bounded by the materialization floor all engines
+    // engine's win is bounded by the materialization floor both engines
     // share.
     let mut patient = Table::new(
-        "E14b: patient transform (Lemma 3.12) — naive vs step vs leap",
+        "E14b: patient transform (Lemma 3.12) — naive vs leap",
         &COLUMNS,
     );
     for &span in &spans {
@@ -141,12 +117,7 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
             },
             config.span(),
         );
-        let naive = timed_naive(&config, &factory);
-        let step = timed(&config, &factory, RunOpts::default().no_leap());
-        let leap = timed(&config, &factory, RunOpts::default());
-        assert_identical(&leap.0, &step.0, "patient step");
-        assert_identical(&leap.0, &naive.0, "patient naive");
-        push_comparison_row(&mut patient, span.to_string(), leap, step.1, naive.1);
+        push_comparison_row(&mut patient, "patient", span, &config, &factory);
     }
 
     // Workload 3: the compiled canonical schedule on H_m (n = 4, σ = m+1)
@@ -154,87 +125,17 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     // advertises its timetable via `quiet_until`, so the leaping engine
     // executes only the eventful rounds.
     let mut canonical = Table::new(
-        "E14c: canonical dedicated schedule on H_m — naive vs step vs leap",
+        "E14c: canonical dedicated schedule on H_m — naive vs leap",
         &COLUMNS,
     );
     for &span in &spans {
         let config = families::h_m(span - 1); // σ = span
         let dedicated = anon_radio::solve(&config).expect("H_m is feasible");
         let factory = dedicated.factory();
-        let naive = timed_naive(&config, &factory);
-        let step = timed(&config, &factory, RunOpts::default().no_leap());
-        let leap = timed(&config, &factory, RunOpts::default());
-        assert_identical(&leap.0, &step.0, "canonical step");
-        assert_identical(&leap.0, &naive.0, "canonical naive");
-        push_comparison_row(&mut canonical, span.to_string(), leap, step.1, naive.1);
+        push_comparison_row(&mut canonical, "canonical", span, &config, &factory);
     }
 
-    // Workload 4: the same leap-vs-step comparison as a declarative
-    // campaign — the E14 sweep ported onto the campaign runner. Two
-    // runners execute the identical grid (same positional seeds, so the
-    // drawn configurations match cell for cell), one with the time-leap
-    // scheduler and one without; per-cell streaming aggregates replace
-    // the hand-rolled per-span loop. The stepped/leapt split is the
-    // deterministic signal; the wall-time ratio is the measured one.
-    let campaign_spans: Vec<u64> = match effort {
-        Effort::Quick => vec![1_000, 10_000],
-        Effort::Full => vec![10_000, 100_000],
-    };
-    let spec = CampaignSpec {
-        phase: crate::campaign::Phase::Elect,
-        families: vec![FamilySpec::Path],
-        tags: vec![crate::campaign::TagStrategy::Uniform],
-        sizes: vec![4],
-        spans: campaign_spans,
-        models: vec![radio_sim::ModelKind::NoCollisionDetection],
-        reps: 2,
-        seed,
-        opts: RunOpts::default(),
-        cache: crate::campaign::CacheConfig::default(),
-        batch: crate::campaign::BatchConfig::default(),
-    };
-    let leap_spec = spec.clone();
-    let mut step_spec = spec;
-    step_spec.opts = RunOpts::default().no_leap();
-
-    let mut leap_runner = CampaignRunner::new(leap_spec, 2);
-    leap_runner.run_to_completion(2);
-    let mut step_runner = CampaignRunner::new(step_spec, 2);
-    step_runner.run_to_completion(2);
-
-    let mut campaign = Table::new(
-        "E14d: leap vs step across the span grid — campaign aggregation",
-        &[
-            "cell",
-            "rounds p50",
-            "stepped p50 (leap)",
-            "leapt p50 (leap)",
-            "step wall µs p50",
-            "leap wall µs p50",
-            "wall ratio",
-        ],
-    );
-    for ((cell, leap_agg), (_, step_agg)) in leap_runner.aggregates().zip(step_runner.aggregates())
-    {
-        assert_eq!(
-            leap_agg.rounds.p50(),
-            step_agg.rounds.p50(),
-            "leap and step campaigns simulate identical executions"
-        );
-        let step_wall = step_agg.wall_ns.p50().unwrap_or(0.0);
-        let leap_wall = leap_agg.wall_ns.p50().unwrap_or(0.0);
-        campaign.push_row(vec![
-            cell.to_string(),
-            fmt_f64(leap_agg.rounds.p50().unwrap_or(0.0), 0),
-            fmt_f64(leap_agg.stepped.p50().unwrap_or(0.0), 0),
-            fmt_f64(leap_agg.leapt.p50().unwrap_or(0.0), 0),
-            fmt_f64(step_wall / 1e3, 1),
-            fmt_f64(leap_wall / 1e3, 1),
-            fmt_f64(step_wall / leap_wall.max(1.0), 1),
-        ]);
-    }
-
-    vec![bursts, patient, canonical, campaign]
+    vec![bursts, patient, canonical]
 }
 
 #[cfg(test)]
@@ -244,9 +145,9 @@ mod tests {
     #[test]
     fn tables_have_expected_shape() {
         let tables = run(Effort::Quick, 3);
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 3);
         for t in &tables {
-            assert_eq!(t.len(), 2, "one row per span (cell)");
+            assert_eq!(t.len(), 2, "one row per span");
         }
     }
 

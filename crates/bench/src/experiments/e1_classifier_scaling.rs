@@ -173,15 +173,12 @@ pub fn run(effort: Effort, seed: u64) -> Vec<Table> {
     // declarative family × n × span grid with streaming per-cell
     // aggregates (feasible rate, iterations, classes, relabel work).
     let mut runner = CampaignRunner::new(classify_spec(effort, seed), 4);
-    let start = Instant::now();
     runner.run_to_completion(threads);
-    let wall = start.elapsed().as_secs_f64();
     let campaign = classify_table(
         format!(
-            "E1c: classify-phase campaign of {} runs over {} shards ({:.0} runs/s)",
+            "E1c: classify-phase campaign of {} runs over {} shards",
             runner.spec().total_runs(),
             runner.shard_count(),
-            runner.spec().total_runs() as f64 / wall.max(1e-9),
         ),
         &runner,
     );

@@ -18,10 +18,7 @@
 //! rendered as text.
 //!
 //! `--model <no-cd|cd|beep>` selects the channel semantics for `elect`
-//! (default: `no-cd`, the paper's model). `--no-leap` disables the
-//! engine's time-leap scheduler and executes every global round one by
-//! one — the result is bit-identical, only slower; useful as an escape
-//! hatch and for timing comparisons.
+//! (default: `no-cd`, the paper's model).
 //!
 //! Configuration files use the `radio-graph` text format:
 //!
@@ -40,11 +37,11 @@ use anon_radio::cache::CacheConfig;
 use anon_radio::campaign::{
     BatchConfig, CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy,
 };
-use anon_radio::serve::{run_opts, ConfigSource, JobError, OneShotJob, ServeOptions, Stage};
+use anon_radio::serve::{ConfigSource, JobError, OneShotJob, ServeOptions, Stage};
 use anon_radio::CampaignWorkspace;
 use radio_classifier::ClassifierWorkspace;
 use radio_graph::{families, io};
-use radio_sim::ModelKind;
+use radio_sim::{ModelKind, RunOpts};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -96,7 +93,6 @@ type Flag = (&'static str, bool, &'static [&'static str]);
 /// The flag table.
 const FLAGS: &[Flag] = &[
     ("--model", true, &["elect", "elect --family"]),
-    ("--no-leap", false, &["elect", "elect --family", "campaign"]),
     ("--family", true, &["elect --family"]),
     ("--size", true, &["elect --family"]),
     ("--span", true, &["elect --family"]),
@@ -269,7 +265,6 @@ fn check_command(args: &Args) -> Result<i32, String> {
         source: ConfigSource::Inline(config_text(args)?),
         model: ModelKind::default(),
         max_rounds: None,
-        no_leap: false,
     };
     let (config, summary) = anon_radio::serve::classify(&mut CampaignWorkspace::new(), &job)
         .map_err(|e| e.to_string())?;
@@ -332,7 +327,6 @@ fn inspect_command(subcommand: &str, args: &Args) -> Result<i32, String> {
 /// edge lines) and reports its memory on stderr stage by stage.
 fn elect_command(args: &Args) -> Result<i32, String> {
     let model: ModelKind = args.value("--model")?.unwrap_or_default();
-    let no_leap = args.switch("--no-leap");
     let source = match args.value::<FamilySpec>("--family")? {
         Some(family) => ConfigSource::Drawn {
             family,
@@ -353,7 +347,6 @@ fn elect_command(args: &Args) -> Result<i32, String> {
         source,
         model,
         max_rounds: None,
-        no_leap,
     };
     // The drawn form's raw data footprint: u32 offsets (n+1) + u32 target
     // slots (2m) + u64 tags (n). The acceptance bar for the scale path is
@@ -511,7 +504,7 @@ fn campaign_command(args: &Args) -> Result<i32, String> {
         seed: args
             .value("--seed")?
             .unwrap_or(radio_util::rng::DEFAULT_ROOT_SEED),
-        opts: run_opts(None, args.switch("--no-leap")),
+        opts: RunOpts::default(),
         cache: cache_policy(args, CacheConfig::default())?,
         batch,
     };
@@ -826,10 +819,8 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}  anon-radio check   <file|->    decide feasibility (Thm 3.17)\n\
          \u{20}  anon-radio trace   <file|->    show the Classifier refinement trace\n\
          \u{20}  anon-radio elect   <file|->    compile and run the dedicated election\n\
-         \u{20}                                 (--model no-cd|cd|beep selects the channel;\n\
-         \u{20}                                 --no-leap executes every round one by one\n\
-         \u{20}                                 instead of time-leaping quiet stretches;\n\
-         \u{20}                                 both also apply to elect --family)\n\
+         \u{20}                                 (--model no-cd|cd|beep selects the channel,\n\
+         \u{20}                                 also for elect --family)\n\
          \u{20}  anon-radio elect --family SPEC [--size N] --span S [--tags STRAT] [--seed K]\n\
          \u{20}                                 (--size defaults to a size-pinned spec's own\n\
          \u{20}                                 node count, else 8)\n\
@@ -853,7 +844,7 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}                       bipartite:AxB (size-pinned specs override --sizes)\n\
          \u{20}      --tags t,…       tag strategies: uniform, clustered, extremes, arith:K\n\
          \u{20}      --sizes n,…  --spans s,…  --models m,…  --reps k\n\
-         \u{20}      --shards K --threads T --seed N --resume-from S --no-leap --out FILE\n\
+         \u{20}      --shards K --threads T --seed N --resume-from S --out FILE\n\
          \u{20}      --cache-capacity N  memoize classify+compile across repeated shapes\n\
          \u{20}                       in a schedule cache of ~N entries (elect phase;\n\
          \u{20}                       campaigns run uncached by default; rows are\n\

@@ -232,7 +232,7 @@ pub struct CampaignSpec {
     pub reps: usize,
     /// Root seed; every run seed is derived from it positionally.
     pub seed: u64,
-    /// Engine options applied to every run (round limit, leap mode).
+    /// Engine options applied to every run (the round limit).
     pub opts: RunOpts,
     /// Schedule-cache policy for elect campaigns (`--cache-capacity`,
     /// `--no-cache`); [`CacheConfig::default`] runs uncached. Ignored by
@@ -691,12 +691,7 @@ pub fn election_metrics_batched(
 /// no simulation — the folded shape is the classifier's: iterations until
 /// the verdict, final class count, and the incremental worklist's actual
 /// relabel work.
-pub fn classify_metrics(
-    workspace: &mut CampaignWorkspace,
-    config: &Configuration,
-    _model: ModelKind,
-    _opts: RunOpts,
-) -> RunMetrics {
+pub fn classify_metrics(workspace: &mut CampaignWorkspace, config: &Configuration) -> RunMetrics {
     // lint:allow(wall-clock): designated timing site for the classify-row
     // wall_ns column, outside the deterministic prefix
     let start = Instant::now();
@@ -1008,7 +1003,7 @@ fn run_slice(
         Phase::Classify => (lo..hi)
             .map(|idx| {
                 let config = spec.configuration(cell, idx % spec.reps);
-                classify_metrics(workspace, &config, cell.model, spec.opts)
+                classify_metrics(workspace, &config)
             })
             .collect(),
     }
@@ -1431,12 +1426,7 @@ mod tests {
     fn classify_metrics_reports_the_classifier_shape() {
         let mut ws = CampaignWorkspace::new();
         let feasible = radio_graph::families::h_m(3);
-        let m = classify_metrics(
-            &mut ws,
-            &feasible,
-            ModelKind::NoCollisionDetection,
-            RunOpts::default(),
-        );
+        let m = classify_metrics(&mut ws, &feasible);
         assert!(m.feasible);
         assert_eq!(m.iterations, 1);
         assert_eq!(m.classes, 4);
@@ -1444,12 +1434,7 @@ mod tests {
         assert_eq!((m.rounds, m.transmissions, m.elected as u64), (0, 0, 0));
 
         let infeasible = radio_graph::families::s_m(2);
-        let m = classify_metrics(
-            &mut ws,
-            &infeasible,
-            ModelKind::NoCollisionDetection,
-            RunOpts::default(),
-        );
+        let m = classify_metrics(&mut ws, &infeasible);
         assert!(!m.feasible);
         assert_eq!(m.iterations, 2);
         assert_eq!(m.classes, 2);

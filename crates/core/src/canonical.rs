@@ -411,12 +411,13 @@ pub(crate) mod tests {
     fn leap_engine_runs_high_span_schedules_in_few_steps() {
         // H_m with m = 2^12: σ = 4097, schedule ≈ 3·(2σ+1)+… rounds of
         // which only a handful are eventful. The leap engine must step a
-        // tiny fraction and still match the step engine bit for bit.
+        // tiny fraction and still match the step-by-step reference engine
+        // bit for bit.
         let c = families::h_m(1 << 12);
         let (_, schedule) = CanonicalSchedule::build(&c);
         let factory = CanonicalFactory::new(Arc::new(schedule));
         let leap = Executor::run(&c, &factory, RunOpts::default()).unwrap();
-        let step = Executor::run(&c, &factory, RunOpts::default().no_leap()).unwrap();
+        let step = radio_sim::engine_ref::run_reference(&c, &factory, RunOpts::default()).unwrap();
         assert_eq!(leap.histories, step.histories);
         assert_eq!(leap.done_round, step.done_round);
         assert_eq!(leap.wake_round, step.wake_round);
@@ -431,12 +432,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// Runs `compiled` on `config` both ways under every channel model,
-    /// leaping and stepping, within `max_rounds`: the history-reading DRIP
-    /// judged node by node by `f_G` (the oracle), and the streaming
-    /// simulate step every election takes. Leaders and run shape must
-    /// agree exactly, and so must a round-limit error. Returns how many of
-    /// the six runs hit the limit.
+    /// Runs `compiled` on `config` both ways under every channel model
+    /// within `max_rounds`: the history-reading DRIP judged node by node by
+    /// `f_G` (the oracle), and the streaming simulate step every election
+    /// takes. Leaders and run shape must agree exactly, and so must a
+    /// round-limit error. Returns how many of the three runs hit the limit.
     pub(crate) fn assert_streaming_matches_the_oracle(
         compiled: &crate::CompiledElection,
         config: &Configuration,
@@ -445,37 +445,35 @@ pub(crate) mod tests {
     ) -> usize {
         let decision = compiled.decision();
         let mut limited = 0;
+        let opts = RunOpts::with_max_rounds(max_rounds);
         for model in radio_sim::ModelKind::ALL {
-            let budget = RunOpts::with_max_rounds(max_rounds);
-            for opts in [budget, budget.no_leap()] {
-                let what = format!("{config} model={model} leap={}", opts.leap);
-                let dense = sim.run_kind(model, config, &compiled.factory(), opts);
-                let streamed = compiled.simulate_in(sim, config, model, opts);
-                let (ex, (leaders, run)) = match (dense, streamed) {
-                    (Ok(ex), Ok(streamed)) => (ex, streamed),
-                    (Err(dense), Err(streamed)) => {
-                        assert_eq!(streamed, dense, "{what}");
-                        limited += 1;
-                        continue;
-                    }
-                    (dense, streamed) => panic!(
-                        "{what}: dense {:?} but streaming {:?}",
-                        dense.map(|_| ()),
-                        streamed.map(|_| ())
-                    ),
-                };
-                let oracle: Vec<_> = (0..config.size() as radio_graph::NodeId)
-                    .filter(|&v| decision.is_leader(ex.history(v)))
-                    .collect();
-                let done = ex.done_round.iter().copied().max().unwrap_or(0);
-                assert_eq!(leaders, oracle, "{what}");
-                assert_eq!(
-                    (run.stats, run.rounds, run.rounds_stepped, run.rounds_leapt),
-                    (ex.stats, ex.rounds, ex.rounds_stepped, ex.rounds_leapt),
-                    "{what}"
-                );
-                assert_eq!(run.completion_round, done, "{what}");
-            }
+            let what = format!("{config} model={model}");
+            let dense = sim.run_kind(model, config, &compiled.factory(), opts);
+            let streamed = compiled.simulate_in(sim, config, model, opts);
+            let (ex, (leaders, run)) = match (dense, streamed) {
+                (Ok(ex), Ok(streamed)) => (ex, streamed),
+                (Err(dense), Err(streamed)) => {
+                    assert_eq!(streamed, dense, "{what}");
+                    limited += 1;
+                    continue;
+                }
+                (dense, streamed) => panic!(
+                    "{what}: dense {:?} but streaming {:?}",
+                    dense.map(|_| ()),
+                    streamed.map(|_| ())
+                ),
+            };
+            let oracle: Vec<_> = (0..config.size() as radio_graph::NodeId)
+                .filter(|&v| decision.is_leader(ex.history(v)))
+                .collect();
+            let done = ex.done_round.iter().copied().max().unwrap_or(0);
+            assert_eq!(leaders, oracle, "{what}");
+            assert_eq!(
+                (run.stats, run.rounds, run.rounds_stepped, run.rounds_leapt),
+                (ex.stats, ex.rounds, ex.rounds_stepped, ex.rounds_leapt),
+                "{what}"
+            );
+            assert_eq!(run.completion_round, done, "{what}");
         }
         limited
     }

@@ -144,8 +144,7 @@ impl CompiledElection {
     /// Under a foreign channel the run is still deterministic and total,
     /// but the exactly-one-leader contract may fail, surfacing as
     /// [`ElectError::Contract`] or [`ElectError::PredictionMismatch`].
-    /// By default the engine time-leaps the schedule's silent stretches;
-    /// pass `opts.no_leap()` to force round-by-round execution.
+    /// The engine time-leaps the schedule's silent stretches.
     pub fn run_in(
         &self,
         workspace: &mut SimWorkspace,

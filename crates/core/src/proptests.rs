@@ -91,7 +91,7 @@ const GOLDEN: [&str; 2] = [
 /// Valid request lines: every op, the drawn and inline config routes, and
 /// the escapes (`\n`, `\u00e9`, a surrogate pair) a client may send.
 const REQUESTS: [&str; 4] = [
-    r#"{"op":"elect","id":7,"family":"path","n":6,"span":3,"tags":"arith:2","seed":9,"model":"beep","max_rounds":100,"no_leap":true}"#,
+    r#"{"op":"elect","id":7,"family":"path","n":6,"span":3,"tags":"arith:2","seed":9,"model":"beep","max_rounds":100}"#,
     r##"{"op":"classify","id":1,"config":"# \u00e9 \ud83d\ude00\nconfig 2 1\ntags 0 5\nedge 0 1\n"}"##,
     r#"{"op":"campaign-cell","id":3,"phase":"classify","family":"grid:3x2","span":4,"reps":3}"#,
     r#"{"op":"shutdown","id":9}"#,
@@ -165,7 +165,7 @@ proptest! {
     ) {
         // The streaming simulate step must produce the leaders `f_G`
         // reads off the dense histories, and the same run shape, under
-        // every channel model, leaping or not — on its own configuration
+        // every channel model — on its own configuration
         // and, with a foreign schedule, off schedule. Campaign `elected`
         // counts under cd and beep come from these claims, so this is
         // their guard.
@@ -203,10 +203,7 @@ fn streaming_and_oracle_stop_at_the_same_round_limit() {
     let half = compiled.rounds_bound() / 2;
     let mut sim = radio_sim::SimWorkspace::new();
     let limited = assert_streaming_matches_the_oracle(&compiled, &config, &mut sim, half);
-    assert_eq!(
-        limited, 6,
-        "every model and leap mode stops at round {half}"
-    );
+    assert_eq!(limited, 3, "every model stops at round {half}");
 }
 
 proptest! {

@@ -34,11 +34,11 @@
 //!   [`OneShotJob`] and run the same executor ([`elect`], [`classify`]),
 //!   so a served reply and the one-shot text carry the same result.
 //! * `elect` additionally takes `model` (default `no-cd`), and the
-//!   per-job deadline knobs `max_rounds` (unsigned; the existing
-//!   [`RunOpts::max_rounds`] plumbing) and `no_leap` (bool).
+//!   per-job deadline knob `max_rounds` (unsigned; the existing
+//!   [`RunOpts::max_rounds`] plumbing).
 //! * `campaign-cell` takes `phase` (default `elect`), `family` (required),
 //!   `n`/`span`/`tags`/`seed`, `reps` (default 1), and for the elect
-//!   phase `model`/`max_rounds`/`no_leap`. It executes one grid cell
+//!   phase `model`/`max_rounds`. It executes one grid cell
 //!   through [`run_cell`] — positional seeds, same as a full `campaign`
 //!   over the single-cell spec — and embeds the cell's row (the PR 6/PR 9
 //!   row schema, full measured tail) under `"row"`.
@@ -195,8 +195,6 @@ pub struct OneShotJob {
     pub model: ModelKind,
     /// Per-job deadline: round budget override (elect only).
     pub max_rounds: Option<u64>,
-    /// Disable the time-leap scheduler (elect only).
-    pub no_leap: bool,
 }
 
 /// A `campaign-cell` request: one grid cell, `reps` positional runs.
@@ -220,23 +218,11 @@ pub struct CellJob {
     pub seed: u64,
     /// Per-job deadline: round budget override.
     pub max_rounds: Option<u64>,
-    /// Disable the time-leap scheduler.
-    pub no_leap: bool,
 }
 
-/// The run options a job's `max_rounds` and `no_leap` name: the one
-/// `no_leap` → [`RunOpts`] mapping, shared by served jobs and the CLI's
-/// `--no-leap`.
-pub fn run_opts(max_rounds: Option<u64>, no_leap: bool) -> RunOpts {
-    let mut opts = if no_leap {
-        RunOpts::default().no_leap()
-    } else {
-        RunOpts::default()
-    };
-    if let Some(budget) = max_rounds {
-        opts.max_rounds = budget;
-    }
-    opts
+/// The run options a job's `max_rounds` names.
+fn run_opts(max_rounds: Option<u64>) -> RunOpts {
+    max_rounds.map_or_else(RunOpts::default, RunOpts::with_max_rounds)
 }
 
 /// A request that failed to parse — carries the `id` when one was
@@ -291,27 +277,25 @@ impl JobRequest {
 impl OneShotJob {
     fn from_fields(fields: &mut Object, is_elect: bool) -> Result<OneShotJob, String> {
         let source = ConfigSource::from_fields(fields)?;
-        let (model, max_rounds, no_leap) = if is_elect {
+        let (model, max_rounds) = if is_elect {
             (
                 parse_model(fields.take_str("model")?)?,
                 fields.take_u64("max_rounds")?,
-                fields.take_bool("no_leap")?.unwrap_or(false),
             )
         } else {
-            for knob in ["model", "max_rounds", "no_leap"] {
+            for knob in ["model", "max_rounds"] {
                 if fields.take(knob).is_some() {
                     return Err(format!(
                         "\"{knob}\" does not apply to \"classify\" jobs (no simulation runs)"
                     ));
                 }
             }
-            (ModelKind::default(), None, false)
+            (ModelKind::default(), None)
         };
         Ok(OneShotJob {
             source,
             model,
             max_rounds,
-            no_leap,
         })
     }
 
@@ -411,7 +395,6 @@ impl CellJob {
             reps: fields.take_u64("reps")?.unwrap_or(1) as usize,
             seed: fields.take_u64("seed")?.unwrap_or(DEFAULT_ROOT_SEED),
             max_rounds: fields.take_u64("max_rounds")?,
-            no_leap: fields.take_bool("no_leap")?.unwrap_or(false),
         })
     }
 
@@ -429,7 +412,7 @@ impl CellJob {
             models: vec![self.model],
             reps: self.reps,
             seed: self.seed,
-            opts: run_opts(self.max_rounds, self.no_leap),
+            opts: run_opts(self.max_rounds),
             cache: if cached {
                 CacheConfig::with_capacity(DEFAULT_CAPACITY)
             } else {
@@ -615,7 +598,7 @@ pub fn elect(
     let (compiled, lookup) = ws.compile(&config, None);
     let outcome = if compiled.feasible() {
         probe(Stage::Compiled(&mut ws.classifier));
-        let opts = run_opts(job.max_rounds, job.no_leap);
+        let opts = run_opts(job.max_rounds);
         let run = compiled.run_in(&mut ws.sim, &config, job.model, opts);
         probe(Stage::Simulated(&ws.sim));
         Ok(run.map_err(JobError::Election)?)
@@ -986,7 +969,7 @@ mod tests {
     #[test]
     fn parses_the_job_grammar() {
         let req = parse_ok(
-            r#"{"op":"elect","id":7,"family":"path","n":6,"span":3,"tags":"uniform","seed":9,"model":"beep","max_rounds":100,"no_leap":true}"#,
+            r#"{"op":"elect","id":7,"family":"path","n":6,"span":3,"tags":"uniform","seed":9,"model":"beep","max_rounds":100}"#,
         );
         assert_eq!(req.id, Some(7));
         let JobKind::Elect(job) = req.kind else {
@@ -994,7 +977,6 @@ mod tests {
         };
         assert_eq!(job.model, ModelKind::Beeping);
         assert_eq!(job.max_rounds, Some(100));
-        assert!(job.no_leap);
         assert_eq!(
             job.source,
             ConfigSource::Drawn {
@@ -1061,6 +1043,20 @@ mod tests {
         let e = parse_err(r#"{"op":"elect","id":5,"family":"path","bogus":1}"#);
         assert_eq!(e.id, Some(5));
         assert!(e.message.contains("\"bogus\""));
+        // The retired stepping-mode knob is an unknown field like any other.
+        for (line, op) in [
+            (r#"{"op":"elect","family":"path","no_leap":true}"#, "elect"),
+            (
+                r#"{"op":"campaign-cell","family":"path","no_leap":true}"#,
+                "campaign-cell",
+            ),
+        ] {
+            assert_eq!(
+                parse_err(line).message,
+                format!("\"no_leap\" is not a field of \"{op}\" jobs"),
+                "{line}"
+            );
+        }
         assert!(parse_err(r#"{"op":"elect","family":"path","n":-3}"#)
             .message
             .contains("unsigned"));

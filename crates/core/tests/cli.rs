@@ -146,6 +146,26 @@ fn bad_inputs_fail_cleanly() {
     }
 }
 
+/// The retired stepping-mode switch is an unknown argument wherever it
+/// was once accepted.
+#[test]
+fn no_leap_is_an_unknown_argument() {
+    for (args, subcommand) in [
+        (&["elect", "--no-leap", "-"][..], "elect"),
+        (&["elect", "--family", "path", "--no-leap"], "elect"),
+        (&["campaign", "--no-leap"], "campaign"),
+    ] {
+        let out = bin().args(args).stdin(Stdio::null()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown {subcommand} argument `--no-leap`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
 /// Every value flag takes `--flag=VALUE` as well as `--flag VALUE`.
 #[test]
 fn value_flags_accept_the_equals_spelling() {

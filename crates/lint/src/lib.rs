@@ -1,7 +1,7 @@
 //! `radio-lint` — the determinism-contract static analyzer for the
 //! anon-radio workspace.
 //!
-//! Every headline claim in this repository is an `≡` claim: leap ≡ step ≡
+//! Every headline claim in this repository is an `≡` claim: leap ≡
 //! reference, cached ≡ uncached, reuse ≡ fresh, deduped ≡ plain —
 //! all bit-for-bit. Differential tests enforce those equivalences after
 //! the fact; this crate enforces the *preconditions* statically, so a PR

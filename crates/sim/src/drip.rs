@@ -47,11 +47,11 @@ pub trait DripNode {
     /// deciding a round allocates nothing. Call
     /// [`History::view`](crate::history::History::view) to drive a node from an owned history.
     ///
-    /// The engine guarantees calls happen in increasing local-round order
-    /// and never again after `Action::Terminate` is returned. Without
-    /// time-leap ([`RunOpts::leap`](crate::RunOpts::leap) off) the call
-    /// comes once per local round. With it, the engine skips `decide` in
-    /// every round the node's last [`DripNode::quiet_until`] horizon
+    /// The engines guarantee calls happen in increasing local-round order
+    /// and never again after `Action::Terminate` is returned. The
+    /// reference engine ([`crate::engine_ref`]) calls it once per local
+    /// round. The engine skips `decide` in every round the node's last
+    /// [`DripNode::quiet_until`] horizon
     /// covers — including a round in which the node hears something: the
     /// node listens there by its claim, and a round's decision cannot
     /// depend on that round's own observation. The engine re-asks for a

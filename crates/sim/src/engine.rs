@@ -44,9 +44,9 @@
 //! Real workloads are dominated by silence (the patient transform listens
 //! for σ rounds; the canonical schedule transmits once per node per phase
 //! and listens through σ-wide gaps), so the engine visits a node only when
-//! it acts or hears ([`RunOpts::leap`], on by default). A round-bucketed
-//! calendar files every node under its wake-up tag at the start of the
-//! run, and every awake node under its next due round:
+//! it acts or hears. A round-bucketed calendar files every node under its
+//! wake-up tag at the start of the run, and every awake node under its
+//! next due round:
 //!
 //! * an entry whose node is still asleep when its round comes is that
 //!   node's spontaneous wake-up (step 5, after the forced ones);
@@ -78,14 +78,11 @@
 //!
 //! Leaping is a pure wall-clock optimization: the resulting [`Execution`]
 //! (histories, wake/done rounds, stats, trace round numbers and event
-//! lists) is bit-identical to a run with [`RunOpts::no_leap`], which files
-//! keeps every awake node in one flat sweep list and so decides every node
-//! in every round (its calendar holds the wake-ups only) — the
-//! differential suite enforces this against both that
-//! mode and the naive reference engine ([`crate::engine_ref`], which never
-//! leaps). Only [`Execution::rounds_stepped`] / [`Execution::rounds_leapt`]
-//! and the work counters of [`ResidentRun`](crate::ResidentRun) reveal the
-//! difference.
+//! lists) is bit-identical to the naive reference engine's
+//! ([`crate::engine_ref`], which executes every round and scans every
+//! node in it) — the differential suite enforces this. Only
+//! [`Execution::rounds_stepped`] / [`Execution::rounds_leapt`] and the work
+//! counters of [`ResidentRun`](crate::ResidentRun) reveal the difference.
 //!
 //! # Hot-loop memory layout
 //!
@@ -134,16 +131,6 @@ pub struct RunOpts {
     pub max_rounds: u64,
     /// Record a [`Trace`] of eventful rounds.
     pub record_trace: bool,
-    /// Enable the time-leap scheduler: visit a node only at wake-up, when
-    /// its quiet horizon runs out, and when a neighbour's transmission
-    /// reaches it, skipping every round in which no node decides and no
-    /// tag falls (see
-    /// [`DripNode::quiet_until`](crate::drip::DripNode::quiet_until) and
-    /// the module docs). On by default; the produced [`Execution`] is
-    /// bit-identical either way — only [`Execution::rounds_stepped`] /
-    /// [`Execution::rounds_leapt`], the work counters and wall-clock time
-    /// differ.
-    pub leap: bool,
 }
 
 impl Default for RunOpts {
@@ -151,7 +138,6 @@ impl Default for RunOpts {
         RunOpts {
             max_rounds: 50_000_000,
             record_trace: false,
-            leap: true,
         }
     }
 }
@@ -168,13 +154,6 @@ impl RunOpts {
     /// Enables trace recording.
     pub fn traced(mut self) -> RunOpts {
         self.record_trace = true;
-        self
-    }
-
-    /// Disables the time-leap scheduler: every global round is executed
-    /// one by one, and every awake node decides in every round.
-    pub fn no_leap(mut self) -> RunOpts {
-        self.leap = false;
         self
     }
 }
@@ -232,11 +211,10 @@ pub struct Execution {
     /// Final local history of each node.
     pub histories: Vec<History>,
     /// Number of global rounds simulated (index of the last eventful round
-    /// plus one). Identical whether or not the engine leapt.
+    /// plus one).
     pub rounds: u64,
     /// Global rounds in which some node decided or a wake-up tag fell.
-    /// Always `rounds_stepped + rounds_leapt == rounds`; without time-leap
-    /// the whole run is stepped.
+    /// Always `rounds_stepped + rounds_leapt == rounds`.
     pub rounds_stepped: u64,
     /// Global rounds the time-leap scheduler skipped as provably quiet.
     pub rounds_leapt: u64,
@@ -338,6 +316,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::drip::{BeaconFactory, EchoFactory, SilentFactory, WaitThenTransmitFactory};
+    use crate::engine_ref::run_reference;
     use crate::model::{Beeping, CollisionDetection};
     use crate::msg::Msg;
     use radio_graph::{generators, Configuration};
@@ -555,31 +534,23 @@ mod tests {
     #[test]
     fn round_limit_boundary_is_exact() {
         // silent(4) on tags [0,1,2] needs rounds 0..=6: exactly 7 rounds.
-        let run = |max_rounds, leap| {
-            let opts = if leap {
-                RunOpts::with_max_rounds(max_rounds)
-            } else {
-                RunOpts::with_max_rounds(max_rounds).no_leap()
-            };
+        let run = |max_rounds| {
             Executor::run(
                 &cfg(generators::path(3), vec![0, 1, 2]),
                 &SilentFactory { lifetime: 4 },
-                opts,
+                RunOpts::with_max_rounds(max_rounds),
             )
         };
-        for leap in [false, true] {
-            let ex = run(7, leap).expect("exactly enough rounds");
-            assert_eq!(ex.rounds, 7);
-            let err = run(6, leap).unwrap_err();
-            assert_eq!(
-                err,
-                SimError::RoundLimit {
-                    max_rounds: 6,
-                    still_running: 1
-                },
-                "leap={leap}: 6 rounds must not be enough"
-            );
-        }
+        let ex = run(7).expect("exactly enough rounds");
+        assert_eq!(ex.rounds, 7);
+        assert_eq!(
+            run(6).unwrap_err(),
+            SimError::RoundLimit {
+                max_rounds: 6,
+                still_running: 1
+            },
+            "6 rounds must not be enough"
+        );
     }
 
     #[test]
@@ -613,10 +584,10 @@ mod tests {
 
     #[test]
     fn leap_engine_matches_step_engine_and_skips_quiet_rounds() {
-        // Huge tag span: the step engine must iterate through the whole
-        // stretch, the leap engine jumps it — with identical results. The
-        // ends transmit simultaneously, so their collision leaves the
-        // sleeping centre asleep until its distant tag.
+        // Huge tag span: the step-by-step reference engine iterates
+        // through the whole stretch, the engine jumps it — with identical
+        // results. The ends transmit simultaneously, so their collision
+        // leaves the sleeping centre asleep until its distant tag.
         let span = 100_000u64;
         let c = cfg(generators::path(3), vec![0, span, 0]);
         let f = WaitThenTransmitFactory {
@@ -625,7 +596,7 @@ mod tests {
             lifetime: 20,
         };
         let leap = Executor::run(&c, &f, RunOpts::default()).unwrap();
-        let step = Executor::run(&c, &f, RunOpts::default().no_leap()).unwrap();
+        let step = run_reference(&c, &f, RunOpts::default()).unwrap();
         assert_eq!(leap.wake_round, step.wake_round);
         assert_eq!(leap.done_round, step.done_round);
         assert_eq!(leap.histories, step.histories);
@@ -633,9 +604,7 @@ mod tests {
         assert_eq!(leap.stats, step.stats);
         // accounting: every round is either stepped or leapt
         assert_eq!(leap.rounds_stepped + leap.rounds_leapt, leap.rounds);
-        assert_eq!(step.rounds_stepped, step.rounds);
-        assert_eq!(step.rounds_leapt, 0);
-        // and the leap engine actually leapt the dead stretch
+        // and the engine actually leapt the dead stretch
         assert!(leap.rounds > span, "the last node only wakes at {span}");
         assert!(
             leap.rounds_stepped < 64,
@@ -658,7 +627,7 @@ mod tests {
             lifetime: 9,
         };
         let leap = Executor::run(&c, &f, RunOpts::default().traced()).unwrap();
-        let step = Executor::run(&c, &f, RunOpts::default().no_leap().traced()).unwrap();
+        let step = run_reference(&c, &f, RunOpts::default().traced()).unwrap();
         assert!(leap.rounds_stepped < 20, "dead stretch must be leapt");
         let (lt, st) = (leap.trace.unwrap(), step.trace.unwrap());
         assert_eq!(lt.events, st.events, "trace must be round-for-round equal");

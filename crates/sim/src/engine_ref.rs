@@ -9,10 +9,10 @@
 //!
 //! Like the optimized engine it is generic over the channel semantics:
 //! [`run_reference_model`] accepts any [`RadioModel`], and the two engines
-//! must produce byte-identical executions under *every* model; the
-//! property suite checks this across random configurations and protocols.
-//! When the two engines disagree, the naive one is almost certainly right
-//! — that is the point.
+//! must produce byte-identical executions under *every* model, traces
+//! included; the property suite checks this across random configurations
+//! and protocols. When the two engines disagree, the naive one is almost
+//! certainly right — that is the point.
 
 use radio_graph::{Configuration, NodeId};
 
@@ -20,13 +20,14 @@ use crate::drip::DripFactory;
 use crate::engine::{ExecStats, Execution, RunOpts, SimError};
 use crate::history::History;
 use crate::model::{record_listener_obs, NoCollisionDetection, RadioModel};
-use crate::msg::{Action, Msg};
+use crate::msg::{Action, Msg, Obs};
+use crate::trace::{RoundEvent, Trace};
 
 /// Runs `factory`'s DRIP on `config` with the naive engine under the
-/// paper's model. Options are honoured except `record_trace` (the
-/// reference engine keeps no trace) and `leap` (the reference engine
-/// executes every round one by one, always — it is the oracle the
-/// time-leap scheduler is differenced against, so it must never leap).
+/// paper's model, honouring every option. It executes every round one by
+/// one, always — it is the oracle the engine's time-leap scheduler is
+/// differenced against — and a traced run records each eventful round's
+/// lists in node order.
 pub fn run_reference(
     config: &Configuration,
     factory: &dyn DripFactory,
@@ -57,6 +58,7 @@ pub fn run_reference_model<M: RadioModel>(
     let mut wake: Vec<u64> = vec![u64::MAX; n];
     let mut done: Vec<u64> = vec![u64::MAX; n];
     let mut stats = ExecStats::default();
+    let mut trace = opts.record_trace.then(Trace::default);
     let mut rounds = 0u64;
 
     let mut r = 0u64;
@@ -88,7 +90,14 @@ pub fn run_reference_model<M: RadioModel>(
                 _ => None,
             })
             .collect();
-        stats.transmissions += transmits.iter().flatten().count() as u64;
+        let mut event = RoundEvent {
+            round: r,
+            transmitters: (0..n)
+                .filter_map(|v| Some((v as NodeId, transmits[v]?)))
+                .collect(),
+            ..Default::default()
+        };
+        stats.transmissions += event.transmitters.len() as u64;
 
         // 3. What does each node perceive? (Recomputed from scratch.)
         let perceive = |v: usize| -> (u32, Msg) {
@@ -113,16 +122,22 @@ pub fn run_reference_model<M: RadioModel>(
         // 4. Deliver to awake actors, as the model dictates.
         for v in 0..n {
             match actions[v] {
-                Some(Action::Transmit(_)) => histories[v].push(crate::msg::Obs::Silence),
+                Some(Action::Transmit(_)) => histories[v].push(Obs::Silence),
                 Some(Action::Listen) => {
                     let (count, msg) = perceive(v);
                     let obs = M::listener_obs(count, msg);
                     record_listener_obs(obs, &mut stats);
                     histories[v].push(obs);
+                    match obs {
+                        Obs::Heard(m) => event.received.push((v as NodeId, m)),
+                        Obs::Collision | Obs::Noise => event.collisions.push(v as NodeId),
+                        Obs::Silence => {}
+                    }
                 }
                 Some(Action::Terminate) => {
                     state[v] = State::Done;
                     done[v] = r;
+                    event.terminated.push(v as NodeId);
                 }
                 None => {}
             }
@@ -145,10 +160,18 @@ pub fn run_reference_model<M: RadioModel>(
                 wake[v] = r;
                 histories[v].push(obs);
                 stats.forced_wakeups += 1;
+                event.woke.push((v as NodeId, obs));
             } else if config.tag(v as NodeId) == r {
                 state[v] = State::Awake;
                 wake[v] = r;
-                histories[v].push(crate::msg::Obs::Silence);
+                histories[v].push(Obs::Silence);
+                event.woke.push((v as NodeId, Obs::Silence));
+            }
+        }
+
+        if let Some(trace) = trace.as_mut() {
+            if !event.is_quiet() {
+                trace.events.push(event);
             }
         }
 
@@ -166,7 +189,7 @@ pub fn run_reference_model<M: RadioModel>(
         rounds_stepped: rounds,
         rounds_leapt: 0,
         stats,
-        trace: None,
+        trace,
     })
 }
 
@@ -179,26 +202,22 @@ mod tests {
     use crate::patient::PatientFactory;
     use radio_graph::generators;
 
+    /// The engines agree on every run of `factory` on `config`, untraced
+    /// and traced, under every model: executions, and traces round for
+    /// round.
     fn assert_engines_agree(config: &Configuration, factory: &dyn DripFactory) {
         for kind in ModelKind::ALL {
-            let fast = kind.run(config, factory, RunOpts::default()).unwrap();
-            let naive = kind
-                .run_reference(config, factory, RunOpts::default())
-                .unwrap();
-            assert_eq!(
-                fast.wake_round, naive.wake_round,
-                "{config} [{kind}]: wake rounds"
-            );
-            assert_eq!(
-                fast.done_round, naive.done_round,
-                "{config} [{kind}]: done rounds"
-            );
-            assert_eq!(
-                fast.histories, naive.histories,
-                "{config} [{kind}]: histories"
-            );
-            assert_eq!(fast.rounds, naive.rounds, "{config} [{kind}]: round count");
-            assert_eq!(fast.stats, naive.stats, "{config} [{kind}]: stats");
+            for opts in [RunOpts::default(), RunOpts::default().traced()] {
+                let what = format!("{config} [{kind}] traced={}", opts.record_trace);
+                let fast = kind.run(config, factory, opts).unwrap();
+                let naive = kind.run_reference(config, factory, opts).unwrap();
+                assert_eq!(fast.wake_round, naive.wake_round, "{what}: wake rounds");
+                assert_eq!(fast.done_round, naive.done_round, "{what}: done rounds");
+                assert_eq!(fast.histories, naive.histories, "{what}: histories");
+                assert_eq!(fast.rounds, naive.rounds, "{what}: round count");
+                assert_eq!(fast.stats, naive.stats, "{what}: stats");
+                assert_eq!(fast.trace, naive.trace, "{what}: trace");
+            }
         }
     }
 

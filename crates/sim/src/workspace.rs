@@ -23,7 +23,8 @@
 //! a fresh workspace per call, so single-run callers see no API change —
 //! and the differential suite (`tests/workspace_reuse.rs`) pins that a
 //! workspace reused across a shuffled mix of configurations, channel
-//! models, and leap modes produces bit-identical executions to fresh runs.
+//! models, and trace settings produces bit-identical executions to fresh
+//! runs.
 
 use std::collections::BTreeMap;
 
@@ -224,14 +225,12 @@ const RING_WORDS: usize = (RING_ROUNDS / 64) as usize;
 ///
 /// [`SimWorkspace::reset_for`] files every node under its wake-up tag. An
 /// entry whose node is still asleep when its round comes is that node's
-/// spontaneous wake-up. Under time-leap every awake, unterminated node
-/// also has exactly one live entry, at the round recorded in the
-/// workspace's due plane. Rescheduling a node pushes a new entry and
-/// leaves the old one behind; [`SimWorkspace`] skips an entry whose round
-/// no longer matches the node's due round, so stale entries cost one
-/// check each and never a visit. Without time-leap the calendar holds the
-/// wake-ups only: every awake node acts every round, from a flat sweep
-/// list.
+/// spontaneous wake-up. Every awake, unterminated node also has exactly
+/// one live entry, at the round recorded in the workspace's due plane.
+/// Rescheduling a node pushes a new entry and leaves the old one behind;
+/// [`SimWorkspace`] skips an entry whose round no longer matches the
+/// node's due round, so stale entries cost one check each and never a
+/// visit.
 ///
 /// Rounds less than [`RING_ROUNDS`] after the calendar's next round (the
 /// one after the last round taken) go in a ring of buckets indexed by
@@ -334,19 +333,15 @@ impl Calendar {
     }
 
     /// Moves every entry of round `r` into `out` (cleared first), and makes
-    /// `r + 1` the next round. `r` is never after
-    /// [`Calendar::first_round`]; a round before the calendar's next round
-    /// (without time-leap, the rounds before the first tag) holds nothing
-    /// and leaves the calendar as it is.
+    /// `r + 1` the next round. `r` is never before the calendar's next
+    /// round and never after [`Calendar::first_round`].
     ///
     /// The entries are copied, not swapped out with their buffer: every
     /// bucket keeps its own capacity, so a workspace warmed by one run
     /// allocates nothing for the ring's rounds in the next.
     fn take(&mut self, r: u64, out: &mut Vec<NodeId>) {
         out.clear();
-        if r < self.base {
-            return;
-        }
+        debug_assert!(r >= self.base, "round {r} taken behind the calendar");
         if r - self.base < RING_ROUNDS {
             let i = (r % RING_ROUNDS) as usize;
             let bit = 1 << (i % 64);
@@ -398,19 +393,15 @@ pub struct SimWorkspace {
     wake: Vec<u64>,
     done: Vec<u64>,
     calendar: Calendar,
-    /// Per node, under time-leap: the round of its live calendar entry
-    /// (`ASLEEP` while it has none — asleep, terminated, or being visited
-    /// this round). A sleeping node's wake-up entry is not recorded here.
-    /// Without time-leap the plane stays `ASLEEP`.
+    /// Per node: the round of its live calendar entry (`ASLEEP` while it
+    /// has none — asleep, terminated, or being visited this round). A
+    /// sleeping node's wake-up entry is not recorded here.
     due: Vec<u64>,
     /// The entries of the round being executed.
     bucket: Vec<NodeId>,
-    /// Without time-leap: every awake, unterminated node, in wake-up
-    /// order. Each round it decides them all.
-    sweep: Vec<NodeId>,
-    /// Nodes to reschedule at the end of the round: under time-leap every
-    /// node that decided or woke, and every node that heard something and
-    /// asked to be re-asked; without it, the nodes that woke.
+    /// Nodes to reschedule at the end of the round: every node that
+    /// decided or woke, and every node that heard something and asked to
+    /// be re-asked.
     visited: Vec<NodeId>,
     actions: Vec<(NodeId, Action)>,
     transmitters: Vec<(NodeId, Msg)>,
@@ -453,7 +444,6 @@ impl SimWorkspace {
             + plane(&self.done)
             + plane(&self.due)
             + plane(&self.bucket)
-            + plane(&self.sweep)
             + plane(&self.visited)
             + plane(&self.cnt)
             + plane(&self.cnt_stamp)
@@ -488,7 +478,6 @@ impl SimWorkspace {
         self.due.clear();
         self.due.resize(n, ASLEEP);
         self.bucket.clear();
-        self.sweep.clear();
         self.visited.clear();
         self.actions.clear();
         self.transmitters.clear();
@@ -646,17 +635,13 @@ impl SimWorkspace {
         let mut decides = 0u64;
         let mut horizon_queries = 0u64;
 
-        let mut r: u64 = 0;
         while done_count < n {
-            if opts.leap {
-                // Skip straight to the next round in which some node is
-                // due or wakes spontaneously: nothing happens in between.
-                // Every sleeping node has its wake-up entry and every
-                // awake one a live entry, so the calendar is empty only
-                // when every unfinished node's horizon is past the last
-                // round.
-                r = self.calendar.first_round().unwrap_or(ASLEEP);
-            }
+            // Skip straight to the next round in which some node is due or
+            // wakes spontaneously: nothing happens in between. Every
+            // sleeping node has its wake-up entry and every awake one a
+            // live entry, so the calendar is empty only when every
+            // unfinished node's horizon is past the last round.
+            let r = self.calendar.first_round().unwrap_or(ASLEEP);
             if r >= opts.max_rounds {
                 return Err(SimError::RoundLimit {
                     max_rounds: opts.max_rounds,
@@ -669,12 +654,11 @@ impl SimWorkspace {
                 ..Default::default()
             };
 
-            // 1. Decide: every node due this round. Under time-leap a
-            //    node whose entry was superseded (rescheduled since) is
-            //    skipped, and a consumed entry is marked so a duplicate
-            //    cannot decide twice; an entry of a sleeping node is its
-            //    wake-up, handled in step 5. Without time-leap the round's
-            //    entries are all wake-ups and every awake node decides.
+            // 1. Decide: every node due this round. A node whose entry was
+            //    superseded (rescheduled since) is skipped, and a consumed
+            //    entry is marked so a duplicate cannot decide twice; an
+            //    entry of a sleeping node is its wake-up, handled in
+            //    step 5.
             self.actions.clear();
             self.visited.clear();
             let mut bucket = std::mem::take(&mut self.bucket);
@@ -682,28 +666,19 @@ impl SimWorkspace {
             // Whether some entry is a node's tag: a sleeping node's
             // wake-up, or the tag of a node a message already woke.
             let mut tag_fires = false;
-            if opts.leap {
-                for &v in &bucket {
-                    let vi = v as usize;
-                    if self.wake[vi] == ASLEEP {
-                        tag_fires = true;
-                        continue;
-                    }
-                    if self.due[vi] != r {
-                        tag_fires |= config.tag(v) == r;
-                        continue;
-                    }
-                    self.due[vi] = ASLEEP;
-                    let action = nodes.decide(v, self.history::<N>(vi, r));
-                    self.actions.push((v, action));
+            for &v in &bucket {
+                let vi = v as usize;
+                if self.wake[vi] == ASLEEP {
+                    tag_fires = true;
+                    continue;
                 }
-            } else {
-                tag_fires = !bucket.is_empty();
-                for i in 0..self.sweep.len() {
-                    let v = self.sweep[i];
-                    let action = nodes.decide(v, self.history::<N>(v as usize, r));
-                    self.actions.push((v, action));
+                if self.due[vi] != r {
+                    tag_fires |= config.tag(v) == r;
+                    continue;
                 }
+                self.due[vi] = ASLEEP;
+                let action = nodes.decide(v, self.history::<N>(vi, r));
+                self.actions.push((v, action));
             }
             decides += self.actions.len() as u64;
 
@@ -731,32 +706,24 @@ impl SimWorkspace {
 
             // 3. Deliver to the deciders. A transmitter hears nothing and
             //    an unreached listener hears silence: both `(∅)` entries
-            //    are appended lazily, by the node's next visit. Under
-            //    time-leap every surviving decider is re-asked below.
-            let mut retired = false;
+            //    are appended lazily, by the node's next visit. Every
+            //    surviving decider is re-asked below.
             for i in 0..self.actions.len() {
                 let (v, action) = self.actions[i];
                 let vi = v as usize;
                 match action {
-                    Action::Transmit(_) => {
-                        if opts.leap {
-                            self.visited.push(v);
-                        }
-                    }
+                    Action::Transmit(_) => self.visited.push(v),
                     Action::Listen => {
                         if self.cnt_stamp[vi] == r {
                             let obs = M::listener_obs(self.cnt[vi], self.listened_msg(vi));
                             let traced = trace.is_some().then_some(&mut event);
                             self.listen(nodes, vi, r, obs, &mut stats, traced);
                         }
-                        if opts.leap {
-                            self.visited.push(v);
-                        }
+                        self.visited.push(v);
                     }
                     Action::Terminate => {
                         self.done[vi] = r;
                         done_count += 1;
-                        retired = true;
                         if trace.is_some() {
                             event.terminated.push(v);
                         }
@@ -766,9 +733,8 @@ impl SimWorkspace {
 
             // 4. Reach the other neighbours of transmitters: a node with a
             //    calendar entry is awake and covered by its horizon — it
-            //    listens without deciding (without time-leap every awake
-            //    node decided above), and is re-asked only if it says its
-            //    horizon may have moved; a sleeping node wakes exactly
+            //    listens without deciding, and is re-asked only if it says
+            //    its horizon may have moved; a sleeping node wakes exactly
             //    when the model says so (under the default model a
             //    collision leaves it asleep).
             for i in 0..self.touched.len() {
@@ -813,48 +779,38 @@ impl SimWorkspace {
                 }
             }
 
-            // 6. Reschedule. Under time-leap every node in `visited` is
-            //    re-asked for its horizon with its end-of-round history.
-            //    Without it every awake node acts again next round: the
-            //    sweep keeps its order, less the nodes that terminated,
-            //    ahead of those that woke.
-            if opts.leap {
-                for i in 0..self.visited.len() {
-                    let v = self.visited[i];
-                    let vi = v as usize;
-                    horizon_queries += 1;
-                    let horizon = nodes.quiet_until(v, self.history::<N>(vi, r + 1));
-                    // A horizon past the round limit only has to reach the
-                    // limit. (Only with `max_rounds == u64::MAX` can that be
-                    // the `ASLEEP` sentinel: the node is then never due
-                    // again, and the run ends at the limit.)
-                    let due = match horizon {
-                        Some(q) => self.wake[vi]
-                            .saturating_add(q)
-                            .clamp(r + 1, opts.max_rounds),
-                        None => r + 1,
-                    };
-                    if self.due[vi] != due {
-                        self.due[vi] = due;
-                        self.calendar.push(due, v);
-                    }
+            // 6. Reschedule: every node in `visited` is re-asked for its
+            //    horizon with its end-of-round history.
+            for i in 0..self.visited.len() {
+                let v = self.visited[i];
+                let vi = v as usize;
+                horizon_queries += 1;
+                let horizon = nodes.quiet_until(v, self.history::<N>(vi, r + 1));
+                // A horizon past the round limit only has to reach the
+                // limit. (Only with `max_rounds == u64::MAX` can that be
+                // the `ASLEEP` sentinel: the node is then never due again,
+                // and the run ends at the limit.)
+                let due = match horizon {
+                    Some(q) => self.wake[vi]
+                        .saturating_add(q)
+                        .clamp(r + 1, opts.max_rounds),
+                    None => r + 1,
+                };
+                if self.due[vi] != due {
+                    self.due[vi] = due;
+                    self.calendar.push(due, v);
                 }
-            } else {
-                if retired {
-                    let done = &self.done;
-                    self.sweep.retain(|&v| done[v as usize] == ASLEEP);
-                }
-                self.sweep.extend_from_slice(&self.visited);
             }
             self.bucket = bucket;
 
             if let Some(t) = trace.as_mut() {
-                // The calendar visits nodes in an order that depends on
-                // the leap mode; sorting by node makes each round's event
-                // lists mode-independent. An eventful round hands its
-                // transmitter buffer to the trace outright (no clone); the
-                // next round starts from the empty vector the take leaves
-                // behind.
+                // The calendar visits nodes in filing order, and forced
+                // wake-ups come before spontaneous ones; sorting by node
+                // lists each round's events in node order, as the
+                // reference engine records them. An eventful round hands
+                // its transmitter buffer to the trace outright (no clone);
+                // the next round starts from the empty vector the take
+                // leaves behind.
                 if !self.transmitters.is_empty() || !event.is_quiet() {
                     event.transmitters = std::mem::take(&mut self.transmitters);
                     event.transmitters.sort_unstable_by_key(|&(v, _)| v);
@@ -866,14 +822,12 @@ impl SimWorkspace {
                 }
             }
 
-            // Under time-leap a round counts as stepped iff some node
-            // decided in it or a wake-up tag equals it; every other round
-            // was leapt. Without time-leap every round is stepped.
-            if !opts.leap || !self.actions.is_empty() || tag_fires {
+            // A round counts as stepped iff some node decided in it or a
+            // wake-up tag equals it; every other round was leapt.
+            if !self.actions.is_empty() || tag_fires {
                 rounds_stepped += 1;
             }
             rounds = r + 1;
-            r += 1;
         }
 
         Ok(ResidentRun {
@@ -931,10 +885,9 @@ impl SimWorkspace {
 #[derive(Debug, Clone)]
 pub struct ResidentRun {
     /// Number of global rounds simulated (identical to
-    /// [`Execution::rounds`], leap or no leap).
+    /// [`Execution::rounds`]).
     pub rounds: u64,
-    /// Global rounds in which some node decided or a wake-up tag fell
-    /// (every round without time-leap).
+    /// Global rounds in which some node decided or a wake-up tag fell.
     pub rounds_stepped: u64,
     /// Global rounds the time-leap scheduler skipped as provably quiet.
     pub rounds_leapt: u64,
@@ -943,7 +896,7 @@ pub struct ResidentRun {
     pub completion_round: u64,
     /// Node visits that called [`DripNodes::decide`].
     pub decides: u64,
-    /// Calls to [`DripNodes::quiet_until`] (0 without time-leap).
+    /// Calls to [`DripNodes::quiet_until`].
     pub horizon_queries: u64,
     /// Aggregate counters.
     pub stats: ExecStats,
@@ -1020,10 +973,6 @@ mod tests {
                 splitmix64(((case as u64) << 32) ^ draws) % bound
             };
             calendar.reset(start);
-            if let Some(before) = start.checked_sub(1) {
-                // A round before the start holds nothing and moves nothing.
-                assert_eq!(take_both(&mut calendar, &mut BTreeMap::new(), before), 0);
-            }
             let mut want: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
             // The calendar's next round: no entry may be filed before it.
             let mut next = start;

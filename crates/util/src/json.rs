@@ -180,14 +180,6 @@ impl Object {
         })
     }
 
-    /// Takes a boolean field.
-    pub fn take_bool(&mut self, key: &str) -> Result<Option<bool>, String> {
-        self.take_as(key, "a boolean", |v| match v {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        })
-    }
-
     /// The key of the first field not yet taken.
     pub fn leftover(&self) -> Option<&str> {
         self.fields.first().map(|(k, _)| k.as_str())
@@ -426,7 +418,7 @@ mod tests {
             obj.take_str("s").unwrap().unwrap(),
             "\"\\/\u{8}\u{c}\n\r\té😀 é😀"
         );
-        assert_eq!((obj.take_bool("s"), obj.leftover()), (Ok(None), None));
+        assert_eq!((obj.take_str("s"), obj.leftover()), (Ok(None), None));
     }
 
     #[test]

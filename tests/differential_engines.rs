@@ -40,51 +40,17 @@ fn assert_identical(
     let default_fast = fast;
 
     // … then every model through the dispatching entry points: the
-    // time-leaping engine, the same engine with leaping disabled, and the
-    // naive reference — all three must agree byte for byte.
+    // time-leaping engine and the naive reference must agree byte for byte.
     for kind in ModelKind::ALL {
         let leap = kind.run(config, factory, RunOpts::default()).unwrap();
-        let step = kind
-            .run(config, factory, RunOpts::default().no_leap())
-            .unwrap();
         let naive = kind
             .run_reference(config, factory, RunOpts::default())
             .unwrap();
-        for (engine, fast) in [("leap", &leap), ("step", &step)] {
-            prop_assert_eq!(
-                &fast.wake_round,
-                &naive.wake_round,
-                "{} [{} {}]",
-                config,
-                kind,
-                engine
-            );
-            prop_assert_eq!(
-                &fast.done_round,
-                &naive.done_round,
-                "{} [{} {}]",
-                config,
-                kind,
-                engine
-            );
-            prop_assert_eq!(
-                &fast.histories,
-                &naive.histories,
-                "{} [{} {}]",
-                config,
-                kind,
-                engine
-            );
-            prop_assert_eq!(
-                fast.rounds,
-                naive.rounds,
-                "{} [{} {}]",
-                config,
-                kind,
-                engine
-            );
-            prop_assert_eq!(fast.stats, naive.stats, "{} [{} {}]", config, kind, engine);
-        }
+        prop_assert_eq!(&leap.wake_round, &naive.wake_round, "{} [{}]", config, kind);
+        prop_assert_eq!(&leap.done_round, &naive.done_round, "{} [{}]", config, kind);
+        prop_assert_eq!(&leap.histories, &naive.histories, "{} [{}]", config, kind);
+        prop_assert_eq!(leap.rounds, naive.rounds, "{} [{}]", config, kind);
+        prop_assert_eq!(leap.stats, naive.stats, "{} [{}]", config, kind);
         // round accounting: stepped + leapt always partitions the run
         prop_assert_eq!(
             leap.rounds_stepped + leap.rounds_leapt,
@@ -93,8 +59,6 @@ fn assert_identical(
             config,
             kind
         );
-        prop_assert_eq!(step.rounds_stepped, step.rounds, "{} [{}]", config, kind);
-        prop_assert_eq!(step.rounds_leapt, 0, "{} [{}]", config, kind);
         if kind == ModelKind::NoCollisionDetection {
             // the dispatcher's default must be the legacy behaviour
             prop_assert_eq!(&leap.histories, &default_fast.histories, "{}", config);
@@ -144,7 +108,7 @@ proptest! {
 
 // High-span configurations make every naive run cost Θ(span) rounds, so
 // these cases are fewer — the point is that the *leaping* engine crosses
-// huge silent stretches and still agrees with both step-by-step engines,
+// huge silent stretches and still agrees with the step-by-step reference,
 // under every model, with patient-wrapped DRIPs layered on top.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -208,8 +172,8 @@ fn a_round_filed_in_both_the_ring_and_the_far_map_visits_both() {
 }
 
 // Tags that start far from round 0 and span more than the calendar's ring:
-// every DRIP the traced differential draws from, leaping and stepping under
-// every model, against the reference engine (which steps through the
+// every DRIP the traced differential draws from, under every model,
+// against the reference engine (which steps through the
 // 10⁵ rounds before the first tag one by one). `FAR` is not a multiple of
 // the ring's size, so the ring's window starts mid-ring and wraps.
 proptest! {
@@ -248,32 +212,30 @@ fn million_span_silent_config_is_event_bound() {
         ex.rounds_stepped,
         ex.rounds
     );
-    // And the result is exactly the one the step-by-step engine computes.
-    let step = Executor::run(&config, &f, RunOpts::default().no_leap()).unwrap();
+    // And the result is exactly the one the step-by-step reference
+    // computes.
+    let step = run_reference(&config, &f, RunOpts::default()).unwrap();
     assert_eq!(ex.histories, step.histories);
     assert_eq!(ex.wake_round, step.wake_round);
     assert_eq!(ex.done_round, step.done_round);
     assert_eq!(ex.stats, step.stats);
-    assert_eq!(step.rounds_stepped, step.rounds);
+    assert_eq!(ex.rounds, step.rounds);
 }
 
-/// Leap and step runs record the same trace, round for round, under every
-/// model: the calendar visits nodes in a mode-dependent order, so this pins
-/// that each round's event lists come out in a mode-independent one, and
-/// that no eventful round is skipped or invented by the leap.
+/// The engine and the reference record the same trace, round for round,
+/// under every model: the calendar visits nodes in its own order, so this
+/// pins that each round's event lists come out in node order, as the
+/// reference lists them, and that no eventful round is skipped or invented
+/// by the leap.
 fn assert_traces_identical(
     config: &Configuration,
     factory: &dyn DripFactory,
 ) -> Result<(), TestCaseError> {
+    let traced = RunOpts::default().traced();
     for kind in ModelKind::ALL {
-        let leap = kind
-            .run(config, factory, RunOpts::default().traced())
-            .unwrap();
-        let step = kind
-            .run(config, factory, RunOpts::default().no_leap().traced())
-            .unwrap();
-        let (leap, step) = (leap.trace.unwrap(), step.trace.unwrap());
-        prop_assert_eq!(&leap.events, &step.events, "{} [{}]", config, kind);
+        let leap = kind.run(config, factory, traced).unwrap();
+        let naive = kind.run_reference(config, factory, traced).unwrap();
+        prop_assert_eq!(&leap.trace, &naive.trace, "{} [{}]", config, kind);
     }
     Ok(())
 }
@@ -316,7 +278,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn traced_leap_matches_traced_step(
+    fn traced_leap_matches_the_reference(
         config in config_strategy(),
         which in 0usize..6,
         wait in 0u64..5,
@@ -325,7 +287,7 @@ proptest! {
     }
 
     #[test]
-    fn traced_leap_matches_traced_step_at_wide_spans(
+    fn traced_leap_matches_the_reference_at_wide_spans(
         n in 2usize..9,
         extra in 0usize..6,
         span in 10u64..300,

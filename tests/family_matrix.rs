@@ -1,7 +1,6 @@
 //! Differential coverage of the `FamilySpec × TagStrategy` scenario
 //! matrix: every family the scenario grammar can name, under every
-//! channel model and both engine modes, must behave exactly like the
-//! naive reference engine — same executions, same elected leader — and
+//! channel model, must behave exactly like the naive reference engine — same executions, same elected leader — and
 //! classification through a recycled [`ClassifierWorkspace`] must stay
 //! bit-identical to fresh runs across a shuffled mix of the new
 //! topologies.
@@ -38,19 +37,14 @@ fn assert_same_execution(fast: &Execution, naive: &Execution, what: &str) {
 }
 
 /// Runs `factory` on `config` under every model with the time-leaping
-/// engine, the stepping engine, and the naive reference — all three must
-/// agree byte for byte.
+/// engine and the naive reference — both must agree byte for byte.
 fn assert_engines_agree(config: &Configuration, factory: &dyn DripFactory, what: &str) {
     for model in ModelKind::ALL {
         let leap = model.run(config, factory, RunOpts::default()).unwrap();
-        let step = model
-            .run(config, factory, RunOpts::default().no_leap())
-            .unwrap();
         let naive = model
             .run_reference(config, factory, RunOpts::default())
             .unwrap();
-        assert_same_execution(&leap, &naive, &format!("{what} [{model} leap]"));
-        assert_same_execution(&step, &naive, &format!("{what} [{model} step]"));
+        assert_same_execution(&leap, &naive, &format!("{what} [{model}]"));
         assert_eq!(
             leap.rounds_stepped + leap.rounds_leapt,
             leap.rounds,
@@ -60,7 +54,7 @@ fn assert_engines_agree(config: &Configuration, factory: &dyn DripFactory, what:
 }
 
 /// The full matrix: every zoo family × every tag strategy, a generic DRIP
-/// under all three models × leap/step vs the reference engine.
+/// under all three models vs the reference engine.
 #[test]
 fn every_family_and_strategy_is_engine_differentially_clean() {
     let drip = WaitThenTransmitFactory {
@@ -78,7 +72,7 @@ fn every_family_and_strategy_is_engine_differentially_clean() {
 
 /// Election equivalence: on every feasible scenario cell, the compiled
 /// dedicated algorithm elects the same single predicted leader under the
-/// fast engine (leaping and stepping) and the naive reference engine.
+/// fast engine and the naive reference engine.
 #[test]
 fn feasible_scenarios_elect_the_same_leader_on_every_engine() {
     let mut feasible_cells = 0usize;
@@ -96,11 +90,12 @@ fn feasible_scenarios_elect_the_same_leader_on_every_engine() {
             // … and each engine's execution must elect exactly the
             // predicted leader under the paper's model
             let model = ModelKind::NoCollisionDetection;
-            for (engine, opts) in [
-                ("leap", RunOpts::default()),
-                ("step", RunOpts::default().no_leap()),
+            let opts = RunOpts::default();
+            for (engine, ex) in [
+                ("leap", model.run(&config, &factory, opts)),
+                ("ref", model.run_reference(&config, &factory, opts)),
             ] {
-                let ex = model.run(&config, &factory, opts).unwrap();
+                let ex = ex.unwrap();
                 let leaders: Vec<_> = (0..config.size() as radio_graph::NodeId)
                     .filter(|&v| dedicated.decision().is_leader(ex.history(v)))
                     .collect();
@@ -110,13 +105,6 @@ fn feasible_scenarios_elect_the_same_leader_on_every_engine() {
                     "{what} [{engine}]"
                 );
             }
-            let ex = model
-                .run_reference(&config, &factory, RunOpts::default())
-                .unwrap();
-            let leaders: Vec<_> = (0..config.size() as radio_graph::NodeId)
-                .filter(|&v| dedicated.decision().is_leader(ex.history(v)))
-                .collect();
-            assert_eq!(leaders, vec![dedicated.predicted_leader()], "{what} [ref]");
         }
     }
     // the zoo × strategy matrix must actually exercise elections: if the

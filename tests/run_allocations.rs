@@ -2,12 +2,12 @@
 //! number of blocks whatever the network's size, and compiling makes one
 //! per list entry (its label) plus a constant.
 //!
-//! Under time-leap the engine's calendar files the rounds less than
-//! `RING_ROUNDS` ahead in a ring of buckets that keep their capacity, so a
-//! run whose rounds all fit there allocates exactly what it does without
-//! time-leap. Rounds further ahead go to a far-future map whose nodes grow
-//! with the number of far rounds pending at once rather than with n alone;
-//! that share is pinned separately, for this grid only.
+//! The engine's calendar files the rounds less than `RING_ROUNDS` ahead
+//! in a ring of buckets that keep their capacity, so a run whose rounds
+//! all fit there allocates only its node state. Rounds further ahead go
+//! to a far-future map whose nodes grow with the number of far rounds
+//! pending at once rather than with n alone; that share is pinned
+//! separately, for this grid only.
 //!
 //! A counting global allocator tallies the heap blocks the test thread
 //! creates (`alloc` and `alloc_zeroed`; resizing a block through `realloc`
@@ -75,15 +75,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, BLOCKS.with(Cell::get) - before)
 }
 
-/// A warmed `run_in` without time-leap allocates at most this many blocks
-/// at every size: the canonical DRIP's per-node planes and the leader
-/// list (5 blocks); the grid measures 5 everywhere. Without time-leap the
-/// calendar holds the wake-ups only, and on this grid (σ ≤ 64) every tag
-/// lands in its ring.
-const RUN_BLOCKS: u64 = 6;
+/// A warmed `run_in` whose rounds all fit the calendar's ring allocates
+/// exactly this many blocks at every size: the canonical DRIP's per-node
+/// planes and the leader list.
+const RUN_BLOCKS: u64 = 5;
 
-/// What the calendar's far-future map adds to a warmed `run_in` under
-/// time-leap, on this grid (n ≤ 4 096). Only rounds at least
+/// What the calendar's far-future map adds to a warmed `run_in` on this
+/// grid (n ≤ 4 096). Only rounds at least
 /// `RING_ROUNDS` ahead of the calendar reach the map. Its nodes are freed
 /// as it drains and allocated again by the next run, so this share is not
 /// constant: it grows with the far rounds pending at once (the grid's
@@ -141,42 +139,30 @@ fn warmed_runs_allocate_a_constant_number_of_blocks() {
     let mut in_ring = 0;
     for (what, config) in configurations() {
         let compiled = CompiledElection::compile_in(&mut classifier, &config);
-        let mut warmed_run = |opts: RunOpts| {
-            // Warm the workspace on this very configuration and options.
-            let warm = compiled.run_in(&mut sim, &config, model, opts);
-            let (run, blocks) = counted(|| compiled.run_in(&mut sim, &config, model, opts));
-            let outcome = |r: &anon_radio::ElectionReport| (r.leader, r.completion_round);
-            assert_eq!(
-                run.as_ref().map(outcome).ok(),
-                warm.as_ref().map(outcome).ok(),
-                "{what}: a warmed run elects what the first did"
-            );
-            (run.as_ref().map(outcome).ok(), blocks)
-        };
-        let (flat_outcome, flat) = warmed_run(RunOpts::default().no_leap());
-        assert!(
-            flat <= RUN_BLOCKS,
-            "{what}: a warmed run_in without time-leap allocated {flat} blocks \
-             (bound {RUN_BLOCKS})"
-        );
-        let (outcome, leap) = warmed_run(RunOpts::default());
+        let outcome = |r: &anon_radio::ElectionReport| (r.leader, r.completion_round);
+        // Warm the workspace on this very configuration.
+        let warm = compiled.run_in(&mut sim, &config, model, RunOpts::default());
+        let (run, blocks) =
+            counted(|| compiled.run_in(&mut sim, &config, model, RunOpts::default()));
+        let elected = run.as_ref().map(outcome).ok();
         assert_eq!(
-            outcome, flat_outcome,
-            "{what}: time-leap changed the outcome"
+            elected,
+            warm.as_ref().map(outcome).ok(),
+            "{what}: a warmed run elects what the first did"
         );
         assert!(
-            leap <= flat + CALENDAR_BLOCKS,
-            "{what}: a warmed run_in allocated {leap} blocks, {flat} without \
-             time-leap (calendar bound {CALENDAR_BLOCKS})"
+            blocks <= RUN_BLOCKS + CALENDAR_BLOCKS,
+            "{what}: a warmed run_in allocated {blocks} blocks \
+             (bound {RUN_BLOCKS} + calendar {CALENDAR_BLOCKS})"
         );
         // Every round is filed from a round at or after the first tag, for
         // a round no later than the completion round: when those are at
         // most `RING_ROUNDS` apart, the far map is never touched.
-        if outcome.is_some_and(|(_, done)| done - config.min_tag() <= RING_ROUNDS) {
+        if elected.is_some_and(|(_, done)| done - config.min_tag() <= RING_ROUNDS) {
             assert_eq!(
-                leap, flat,
-                "{what}: every round fits the calendar's ring, yet time-leap \
-                 allocated {leap} blocks against {flat} without it"
+                blocks, RUN_BLOCKS,
+                "{what}: every round fits the calendar's ring, yet the run \
+                 allocated {blocks} blocks"
             );
             in_ring += 1;
         }

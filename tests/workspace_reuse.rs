@@ -1,6 +1,6 @@
 //! Differential testing of workspace reuse: one `SimWorkspace` driven
 //! through a shuffled mix of configurations, protocols, channel models,
-//! and leap modes must produce bit-identical `Execution`s (histories,
+//! and trace settings must produce bit-identical `Execution`s (histories,
 //! wake/done rounds, stats, rounds split, traces) to fresh one-shot runs.
 //!
 //! This is the contract that lets the batch layers keep one workspace per
@@ -71,10 +71,10 @@ fn cases(seed: u64) -> Vec<(String, Configuration, Box<dyn DripFactory>, RunOpts
                     config.span(),
                 )),
             };
-            let opts = match k % 3 {
-                0 => RunOpts::default(),
-                1 => RunOpts::default().no_leap(),
-                _ => RunOpts::default().traced(),
+            let opts = if k % 3 == 2 {
+                RunOpts::default().traced()
+            } else {
+                RunOpts::default()
             };
             cases.push((
                 format!("case {k}: n={n} span={span}"),
@@ -113,16 +113,17 @@ fn one_workspace_matches_fresh_runs_across_a_shuffled_mix() {
 #[test]
 fn one_workspace_matches_fresh_canonical_elections() {
     // The compiled canonical DRIP (the paper's algorithm, quiet_until
-    // timetable and all) through a reused workspace, leap and no-leap.
+    // timetable and all) through a reused workspace, untraced and traced.
     let mut ws = SimWorkspace::new();
     for m in [1u64, 4, 9] {
         let config = radio_graph::families::h_m(m);
         let compiled = anon_radio::solve(&config).expect("H_m feasible");
         let factory = compiled.factory();
-        for opts in [RunOpts::default(), RunOpts::default().no_leap()] {
+        for opts in [RunOpts::default(), RunOpts::default().traced()] {
             let reused = ws.run(&config, &factory, opts).expect("terminates");
             let fresh = radio_sim::Executor::run(&config, &factory, opts).expect("terminates");
-            assert_bit_identical(&reused, &fresh, &format!("H_{m} leap={}", opts.leap));
+            let what = format!("H_{m} traced={}", opts.record_trace);
+            assert_bit_identical(&reused, &fresh, &what);
         }
         // and the full election pipeline through the workspace API
         let report = compiled
