@@ -1,5 +1,5 @@
-//! Criterion: the canonical-key schedule cache on a repeated-shape
-//! campaign grid — warm-cache vs `--no-cache` — plus the classify+compile
+//! Criterion: the schedule cache on a repeated-shape campaign grid —
+//! warm-cache vs `--no-cache` — plus the classify+compile
 //! micro-comparison the campaign numbers decompose into.
 //!
 //! **Gate (≥2×, alongside the batch.rs/classify.rs gates):** the
@@ -9,7 +9,7 @@
 //! bipartite:32x32) where span 3 leaves every cell infeasible: no
 //! simulation runs, so classify + compile is the entire per-run cost on
 //! the uncached side — exactly the half the cache memoizes. The warm
-//! runner answers every lookup from the exact-key level (`clustered`/
+//! runner answers every lookup with an exact hit (`clustered`/
 //! `extremes`/`arith` redraw the same tag vector every rep; `uniform`
 //! draws were all seen by the priming pass, criterion re-iterations
 //! replay identical positional seeds) and pays only derivation +
@@ -36,8 +36,8 @@ use std::sync::Arc;
 /// The repeated-shape grid: three dense shapes (complete:48, complete:64,
 /// bipartite:32x32) × all four tag strategies × enough reps that
 /// classify+compile dominates the uncached runtime. 3 shapes ×
-/// 4 strategies × 125 reps = 1500 runs, ~750 distinct keys — well inside
-/// the default capacity, so the warm pass never evicts.
+/// 4 strategies × 125 reps = 1500 runs, ~750 distinct keys of one entry
+/// each — well inside the default capacity, so the warm pass never evicts.
 fn repeated_shape_spec(cache: CacheConfig) -> CampaignSpec {
     CampaignSpec {
         phase: Phase::Elect,

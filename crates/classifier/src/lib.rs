@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod fast;
-pub mod key;
 pub mod lists;
 pub mod outcome;
 pub mod partition;
@@ -66,7 +65,6 @@ pub mod triple;
 pub mod wl;
 pub mod workspace;
 
-pub use key::{canonical_key_in, CanonicalKey, KeySink};
 pub use lists::{CanonicalLists, Level, ListEntry};
 pub use outcome::{classify, classify_with, Cost, Engine, IterationRecord, Outcome};
 pub use partition::Partition;

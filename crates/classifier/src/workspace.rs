@@ -168,8 +168,7 @@ enum LabelsRef<'a> {
 /// [`RecordSink`] sees. Everything is exposed without allocation; the
 /// materializing accessors ([`IterationView::to_partition`],
 /// [`IterationView::to_labels`]) are for sinks that choose to pay for
-/// owned copies. The view is `Copy`, so composite sinks can fan one
-/// iteration out to several inner sinks.
+/// owned copies.
 #[derive(Clone, Copy)]
 pub struct IterationView<'a> {
     classes: &'a [u32],
@@ -220,20 +219,6 @@ impl IterationView<'_> {
         }
     }
 
-    /// The content FxHash of node `v`'s label this iteration — a pure
-    /// function of the triple sequence, independent of the workspace's
-    /// interning order. The fast engine reads the interner's stored
-    /// per-label hash column for free; the reference engine's owned
-    /// labels hash on demand through the identical `hash_one(&[Triple])`
-    /// formula, so both engines agree bit for bit. This is what
-    /// [`KeySink`](crate::KeySink) folds: label *contents*, never ids.
-    pub fn label_hash(&self, v: NodeId) -> u64 {
-        match &self.labels {
-            LabelsRef::Interned { interner, ids } => interner.hashes[ids[v as usize] as usize],
-            LabelsRef::Owned(labels) => hash_one(&labels[v as usize].triples()),
-        }
-    }
-
     /// Materializes the partition after this iteration (allocates).
     pub fn to_partition(&self) -> Partition {
         Partition::from_parts(self.classes.to_vec(), self.num_classes, self.reps.to_vec())
@@ -259,17 +244,6 @@ pub trait RecordSink {
 /// campaign feasibility sweeps).
 impl RecordSink for () {
     fn record(&mut self, _iteration: usize, _view: IterationView<'_>) {}
-}
-
-/// Fans each iteration out to two sinks — the view is `Copy` precisely so
-/// composites like `(ListsSink, KeySink)` (the schedule cache's miss path:
-/// compile the lists and derive the trace key in one classification) cost
-/// nothing beyond the inner sinks.
-impl<A: RecordSink, B: RecordSink> RecordSink for (A, B) {
-    fn record(&mut self, iteration: usize, view: IterationView<'_>) {
-        self.0.record(iteration, view);
-        self.1.record(iteration, view);
-    }
 }
 
 /// Materializes every [`IterationRecord`] — the classic

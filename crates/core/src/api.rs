@@ -112,15 +112,13 @@ pub struct ElectionReport {
     /// Global rounds the engine executed one by one (see
     /// [`radio_sim::Execution::rounds_stepped`]).
     pub rounds_stepped: u64,
-    /// Global rounds the time-leap scheduler skipped as provably quiet
-    /// (0 when leaping is disabled).
+    /// Global rounds the time-leap scheduler skipped as provably quiet.
     pub rounds_leapt: u64,
     /// Node visits that decided an action (see
     /// [`radio_sim::ResidentRun::decides`]).
     pub decides: u64,
     /// Horizon queries the engine made (see
-    /// [`radio_sim::ResidentRun::horizon_queries`]; 0 when leaping is
-    /// disabled).
+    /// [`radio_sim::ResidentRun::horizon_queries`]).
     pub horizon_queries: u64,
 }
 
@@ -143,18 +141,6 @@ pub fn is_feasible_in(
     config: &Configuration,
 ) -> bool {
     workspace.summarize_in(config).feasible
-}
-
-/// [`is_feasible_in`] through a [`ScheduleCache`](crate::ScheduleCache):
-/// an exact cache hit answers without classifying at all, and a miss
-/// leaves the compiled election behind for later `solve`/campaign reuse.
-/// The verdict is bit-identical to the uncached path.
-pub fn is_feasible_cached(
-    workspace: &mut radio_classifier::ClassifierWorkspace,
-    config: &Configuration,
-    cache: &crate::cache::ScheduleCache,
-) -> bool {
-    cache.compile_in(workspace, config).0.feasible()
 }
 
 /// Compiles the dedicated leader-election algorithm `(D_G, f_G)` for a
@@ -196,19 +182,6 @@ mod tests {
         let mut ws = radio_classifier::ClassifierWorkspace::new();
         assert!(is_feasible_in(&mut ws, &families::h_m(2)));
         assert!(!is_feasible_in(&mut ws, &families::s_m(2)));
-    }
-
-    #[test]
-    fn cached_feasibility_matches_uncached() {
-        let cache = crate::cache::ScheduleCache::default();
-        let mut ws = radio_classifier::ClassifierWorkspace::new();
-        for c in [families::h_m(2), families::s_m(2), families::g_m(3)] {
-            let plain = is_feasible_in(&mut ws, &c);
-            // twice: once populating, once hitting — same verdict always
-            assert_eq!(is_feasible_cached(&mut ws, &c, &cache), plain, "{c}");
-            assert_eq!(is_feasible_cached(&mut ws, &c, &cache), plain, "{c}");
-        }
-        assert!(cache.stats().hits >= 3);
     }
 
     #[test]

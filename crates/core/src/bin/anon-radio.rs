@@ -561,17 +561,11 @@ fn campaign_command(args: &Args) -> Result<i32, String> {
     }
 
     // End-of-run cache summary: hit/miss/eviction totals surface key
-    // stability regressions without parsing JSONL. (The split between
-    // exact and canonical hits tells repeated-configuration reuse apart
-    // from cross-configuration trace sharing.)
+    // stability regressions without parsing JSONL.
     match runner.cache_stats() {
         Some(stats) => eprintln!(
-            "cache: {} hit(s) ({} exact, {} canonical), {} miss(es), {} eviction(s)",
-            stats.hits,
-            stats.exact_hits,
-            stats.canonical_hits(),
-            stats.misses,
-            stats.evictions
+            "cache: {} hit(s), {} miss(es), {} eviction(s)",
+            stats.exact_hits, stats.misses, stats.evictions
         ),
         None if phase == Phase::Elect => eprintln!("cache: disabled"),
         None => {}
@@ -872,7 +866,7 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}      --unix PATH      listen on a Unix-domain socket\n\
          \u{20}      --threads T --queue Q  worker pool size and bounded job-queue depth\n\
          \u{20}      --no-cache / --cache-capacity N  shared schedule-cache policy\n\
-         \u{20}                       (default: a cache of ~4096 entries)\n\
+         \u{20}                       (default: a cache of ~2048 entries)\n\
          \n\
          a flag takes its value as `--seed 5` or `--seed=5`; a subcommand rejects\n\
          (exit 2) any flag or argument it does not use, and counts (--reps,\n\

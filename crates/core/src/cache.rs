@@ -1,36 +1,20 @@
-//! The canonical-key schedule cache: memoizes the classify + compile
-//! pipeline across repeated configurations.
+//! The schedule cache: memoizes the classify + compile pipeline across
+//! repeated configurations.
 //!
 //! Campaign grids run thousands of reps per `(family, n, tag-strategy)`
-//! cell, and those reps collapse to a handful of distinct classifier
-//! traces. The outcome of `Classifier` + schedule compilation is a pure
-//! function of the refinement trace, so one compiled
-//! [`CompiledElection`] can serve every configuration that replays that
-//! trace — the cache *is* the "knowledge about the topology" the related
-//! complexity work charges election time against, amortized across a grid.
+//! cell, and strategies like `clustered`/`extremes`/`arith` redraw the
+//! same configuration rep after rep; a daemon's jobs repeat too. The
+//! centralized decision (Theorem 3.17) makes `Classifier` + schedule
+//! compilation a pure function of the configuration, so one compiled
+//! [`CompiledElection`] can serve every later occurrence of it.
 //!
-//! # Two key levels
+//! # One key
 //!
-//! [`CanonicalKey`](radio_classifier::key::CanonicalKey) can only be derived *by classifying* — it fingerprints
-//! the trace itself. On its own it would memoize schedule compilation but
-//! never classification. The cache therefore indexes every entry under two
-//! keys:
-//!
-//! * an **exact** key — a fingerprint of the raw configuration (node
-//!   count, node-ordered tags, CSR adjacency), computable without
-//!   classifying. An exact hit skips classification *and* compilation.
-//! * the **canonical** key — the trace fingerprint from
-//!   [`radio_classifier::canonical_key_in`]'s [`KeySink`] contract. On an
-//!   exact miss the configuration is classified once (streaming both the
-//!   canonical lists and the key out of the same run); a canonical hit
-//!   then reuses the cached schedule and registers the new exact key as an
-//!   alias, so the *next* occurrence of this configuration short-circuits
-//!   before classifying.
-//!
-//! A canonical hit may legitimately join non-isomorphic configurations:
-//! uniform-tag `C_4` and `K_4` drive `Classifier` through bit-identical
-//! traces, and everything the cache serves (summary, schedule) is a
-//! function of the trace alone — so sharing is sound, not merely probable.
+//! Every entry is keyed by [`config_fingerprint`]: a 128-bit fingerprint
+//! of the raw configuration (node count, span, node-ordered tags, CSR
+//! adjacency), computable without classifying. A hit skips
+//! classification *and* compilation; a miss runs
+//! [`CompiledElection::compile_in`] once and stores one entry.
 //!
 //! # Sharding, bounding, eviction
 //!
@@ -44,29 +28,29 @@
 //! # Bit-for-bit contract
 //!
 //! Cached ≡ uncached everywhere: a hit returns the same
-//! [`ClassifySummary`](radio_classifier::ClassifySummary) and a schedule equal (by value) to what a fresh
-//! compile would produce. Debug builds verify the schedule equality on
-//! every canonical hit. What *is* nondeterministic under concurrency is
-//! the hit/miss split itself (two workers can race to first-miss the same
-//! key), which is why campaign JSONL emits cache counters after `wall_ns`
-//! — outside the byte range golden tests compare.
+//! [`ClassifySummary`](radio_classifier::ClassifySummary) and a schedule
+//! equal (by value) to what a fresh compile would produce. What *is*
+//! nondeterministic under concurrency is the hit/miss split itself (two
+//! workers can race to first-miss the same key), which is why campaign
+//! JSONL emits cache counters after `wall_ns` — outside the byte range
+//! golden tests compare.
 
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use radio_classifier::{ClassifierWorkspace, KeySink, ListsSink};
+use radio_classifier::ClassifierWorkspace;
 use radio_graph::Configuration;
 use radio_util::fxhash::{FxHashMap, FxHasher};
 
 use crate::dedicated::CompiledElection;
-use crate::schedule::CanonicalSchedule;
 
 /// Number of independently-locked shards (fixed power of two).
 pub const SHARDS: usize = 16;
 
-/// Default total entry capacity of a [`ScheduleCache`].
-pub const DEFAULT_CAPACITY: usize = 4096;
+/// Default total entry capacity of a [`ScheduleCache`]: one entry per
+/// compiled election, so about 2 048 configurations.
+pub const DEFAULT_CAPACITY: usize = 2048;
 
 /// Cache policy knob carried by `CampaignSpec`, `ServeOptions` and the
 /// CLI.
@@ -113,9 +97,7 @@ impl CacheConfig {
 /// Snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (exact + canonical).
-    pub hits: u64,
-    /// Hits that short-circuited before classifying.
+    /// Lookups answered from the cache (no classification ran).
     pub exact_hits: u64,
     /// Lookups that classified *and* compiled from scratch.
     pub misses: u64,
@@ -124,14 +106,17 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hits that classified but reused a cached schedule.
+    /// Always 0: the cache has one key, so every hit is an exact hit.
+    /// It stays only because perfbench reports it as its
+    /// `cache.canonical_hits` metric, and goes with that metric in the
+    /// benchmark change of ROADMAP item 6.
     pub fn canonical_hits(&self) -> u64 {
-        self.hits - self.exact_hits
+        0
     }
 
     /// Total lookups.
     pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
+        self.exact_hits + self.misses
     }
 }
 
@@ -140,40 +125,21 @@ impl CacheStats {
 pub enum CacheLookup {
     /// Configuration fingerprint known — no classification ran.
     ExactHit,
-    /// Classified once; the trace key matched a cached schedule, so
-    /// compilation was skipped and the schedule `Arc` shared.
-    CanonicalHit,
-    /// Classified and compiled from scratch; both keys now populated.
+    /// Classified and compiled from scratch; one entry now populated.
     Miss,
 }
 
 impl CacheLookup {
-    /// Whether the cached schedule was reused (either hit flavour).
+    /// Whether the cached election was reused.
     pub fn is_hit(self) -> bool {
-        !matches!(self, CacheLookup::Miss)
+        self == CacheLookup::ExactHit
     }
 }
 
-/// Map key: both levels live in one map so a shard's LRU budget covers
-/// exact aliases and canonical entries uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    Exact(u128),
-    Canonical(u128),
-}
-
-impl Key {
-    fn shard(self) -> usize {
-        // The fingerprint bits are already well-mixed FxHash output; fold
-        // the level tag in so an exact/canonical pair with (impossibly)
-        // equal bits would still separate.
-        let (tag, bits) = match self {
-            Key::Exact(b) => (0u64, b),
-            Key::Canonical(b) => (1u64, b),
-        };
-        let fold = (bits as u64) ^ ((bits >> 64) as u64) ^ (tag.wrapping_mul(0x9E37_79B9));
-        (fold as usize) & (SHARDS - 1)
-    }
+/// The shard a fingerprint lives in. Its bits are already well-mixed
+/// FxHash output, so the two halves XOR-folded pick the shard.
+fn shard_of(key: u128) -> usize {
+    ((key as u64) ^ ((key >> 64) as u64)) as usize & (SHARDS - 1)
 }
 
 #[derive(Debug)]
@@ -184,12 +150,12 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: FxHashMap<Key, Entry>,
+    map: FxHashMap<u128, Entry>,
     tick: u64,
 }
 
 impl Shard {
-    fn touch(&mut self, key: Key) -> Option<CompiledElection> {
+    fn touch(&mut self, key: u128) -> Option<CompiledElection> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&key).map(|entry| {
@@ -200,7 +166,7 @@ impl Shard {
 
     /// Inserts under `key`, evicting the least-recently-used entry when
     /// the shard is at its budget. Returns the number of evictions (0/1).
-    fn insert(&mut self, key: Key, value: CompiledElection, budget: usize) -> u64 {
+    fn insert(&mut self, key: u128, value: CompiledElection, budget: usize) -> u64 {
         self.tick += 1;
         let mut evicted = 0;
         if !self.map.contains_key(&key) && self.map.len() >= budget {
@@ -228,12 +194,11 @@ impl Shard {
     }
 }
 
-/// A sharded-lock, bounded-LRU cache for compiled elections — see the
-/// module docs for the two-level key protocol and its soundness argument.
+/// A sharded-lock, bounded-LRU cache for compiled elections, keyed by
+/// [`config_fingerprint`] — see the module docs.
 pub struct ScheduleCache {
     shards: Box<[Mutex<Shard>]>,
     per_shard: usize,
-    hits: AtomicU64,
     exact_hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -273,15 +238,13 @@ impl ScheduleCache {
         ScheduleCache {
             shards,
             per_shard: per_shard.max(1),
-            hits: AtomicU64::new(0),
             exact_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Current number of entries (exact aliases and canonical entries both
-    /// count — the map stores each compiled election under up to two keys).
+    /// Current number of entries, one per cached configuration.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -297,22 +260,21 @@ impl ScheduleCache {
     /// Counter snapshot (approximate under concurrency, exact when quiescent).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
             exact_hits: self.exact_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
-    fn get(&self, key: Key) -> Option<CompiledElection> {
-        self.shards[key.shard()]
+    fn get(&self, key: u128) -> Option<CompiledElection> {
+        self.shards[shard_of(key)]
             .lock()
             .expect("cache shard poisoned")
             .touch(key)
     }
 
-    fn put(&self, key: Key, value: CompiledElection) {
-        let evicted = self.shards[key.shard()]
+    fn put(&self, key: u128, value: CompiledElection) {
+        let evicted = self.shards[shard_of(key)]
             .lock()
             .expect("cache shard poisoned")
             .insert(key, value, self.per_shard);
@@ -343,50 +305,13 @@ impl ScheduleCache {
         fingerprint: u128,
     ) -> (CompiledElection, CacheLookup) {
         debug_assert_eq!(fingerprint, config_fingerprint(config));
-        let exact = Key::Exact(fingerprint);
-        if let Some(cached) = self.get(exact) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(cached) = self.get(fingerprint) {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
             return (cached, CacheLookup::ExactHit);
         }
-        // One classification streams both the canonical lists and the
-        // trace key out of the same run.
-        let mut sink = (ListsSink::default(), KeySink::default());
-        let summary =
-            workspace.classify_with_sink(config, radio_classifier::Engine::Fast, &mut sink);
-        let (lists_sink, key_sink) = sink;
-        let canonical = Key::Canonical(key_sink.finish(config).bits());
-        if let Some(cached) = self.get(canonical) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            // The cached schedule was compiled from a trace equal to the
-            // one just observed, so the summaries agree and the schedule
-            // may be shared verbatim. Debug builds prove it.
-            #[cfg(debug_assertions)]
-            {
-                let fresh = CanonicalSchedule::from_lists(
-                    lists_sink.into_lists(config.span(), summary.leader_class),
-                );
-                debug_assert_eq!(
-                    cached.summary(),
-                    summary,
-                    "canonical key collision (summary)"
-                );
-                debug_assert_eq!(
-                    cached.schedule().lists,
-                    fresh.lists,
-                    "canonical key collision (lists)"
-                );
-            }
-            let compiled = CompiledElection::from_parts(summary, cached.shared_schedule());
-            self.put(exact, compiled.clone());
-            return (compiled, CacheLookup::CanonicalHit);
-        }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let lists = lists_sink.into_lists(config.span(), summary.leader_class);
-        let schedule = CanonicalSchedule::from_lists(lists);
-        let compiled = CompiledElection::from_parts(summary, std::sync::Arc::new(schedule));
-        self.put(canonical, compiled.clone());
-        self.put(exact, compiled.clone());
+        let compiled = CompiledElection::compile_in(workspace, config);
+        self.put(fingerprint, compiled.clone());
         (compiled, CacheLookup::Miss)
     }
 }
@@ -404,7 +329,7 @@ pub fn config_fingerprint(config: &Configuration) -> u128 {
     let mut fold = |word: u64| {
         lane_lo.write_u64(word);
         // per-word FxHash maps are bijections: mix the second lane's copy
-        // so the lanes' collision sets decorrelate (same trick as KeySink)
+        // so the lanes' collision sets decorrelate
         lane_hi.write_u64(word.rotate_left(32) ^ SEED);
     };
     let n = config.size();
@@ -457,10 +382,10 @@ mod tests {
             &second.shared_schedule()
         ));
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
         assert_eq!(stats.exact_hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
+        assert_eq!(cache.len(), 1, "a miss stores one entry");
     }
 
     #[test]
@@ -493,32 +418,34 @@ mod tests {
     }
 
     #[test]
-    fn canonical_hit_joins_trace_identical_configurations() {
-        // uniform-tag C_4 and K_4 share a classifier trace (one collision
-        // triple each, partition freezes) but have different adjacency, so
-        // the exact keys differ while the canonical keys agree.
+    fn trace_identical_configurations_take_one_entry_each() {
+        // uniform-tag C_4 and K_4 drive the classifier through identical
+        // traces (one collision triple each, partition freezes) but have
+        // different adjacency: each misses once and keeps its own entry,
+        // and the two compiled elections are equal by value.
         let cycle = Configuration::with_uniform_tags(generators::cycle(4), 0).unwrap();
         let complete = Configuration::with_uniform_tags(generators::complete(4), 0).unwrap();
         let cache = ScheduleCache::default();
         let mut ws = ClassifierWorkspace::new();
-        let (_, l1) = cache.compile_in(&mut ws, &cycle);
+        let (from_cycle, l1) = cache.compile_in(&mut ws, &cycle);
         assert_eq!(l1, CacheLookup::Miss);
-        let (_, l2) = cache.compile_in(&mut ws, &complete);
-        assert_eq!(l2, CacheLookup::CanonicalHit);
-        // the canonical hit registered an exact alias for K_4
+        let (from_complete, l2) = cache.compile_in(&mut ws, &complete);
+        assert_eq!(l2, CacheLookup::Miss);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(from_cycle.summary(), from_complete.summary());
+        assert_eq!(from_cycle.schedule().lists, from_complete.schedule().lists);
         let (_, l3) = cache.compile_in(&mut ws, &complete);
         assert_eq!(l3, CacheLookup::ExactHit);
         let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
         assert_eq!(stats.exact_hits, 1);
-        assert_eq!(stats.canonical_hits(), 1);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.canonical_hits(), 0);
     }
 
     #[test]
     fn lru_evicts_and_reinserts() {
-        // per-shard budget 1 ⇒ each shard holds one entry; every compile
-        // stores two keys, so a handful of configurations forces evictions.
+        // per-shard budget 1 ⇒ each shard holds one entry, so a dozen
+        // configurations over 16 shards forces evictions.
         let cache = ScheduleCache::with_budget(1);
         let mut ws = ClassifierWorkspace::new();
         let configs: Vec<Configuration> = (1..=12u64).map(families::h_m).collect();
@@ -527,7 +454,7 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "budget 1 must evict: {stats:?}");
-        assert!(cache.len() <= 2 * SHARDS);
+        assert!(cache.len() <= SHARDS);
         // whatever was evicted recomputes correctly and re-enters
         for c in &configs {
             let (compiled, _) = cache.compile_in(&mut ws, c);
@@ -575,7 +502,7 @@ mod tests {
         // racing first-misses make the exact split nondeterministic, but
         // at most one miss per (thread, config) worst case
         assert!(stats.misses <= 4 * 6);
-        assert!(stats.hits >= stats.lookups() - 4 * 6);
+        assert!(stats.exact_hits >= stats.lookups() - 4 * 6);
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl CompiledElection {
         }
     }
 
-    /// Rewraps an already-compiled pair (the cache's storage form).
-    pub fn from_parts(summary: ClassifySummary, schedule: SharedSchedule) -> CompiledElection {
-        CompiledElection { summary, schedule }
-    }
-
     /// The classifier summary (feasibility, iterations, class count,
     /// leader class).
     pub fn summary(&self) -> ClassifySummary {

@@ -56,8 +56,7 @@ pub mod universal;
 pub mod verify;
 
 pub use api::{
-    elect_leader, is_feasible, is_feasible_cached, is_feasible_in, solve, ElectError,
-    ElectionReport, Infeasible,
+    elect_leader, is_feasible, is_feasible_in, solve, ElectError, ElectionReport, Infeasible,
 };
 pub use cache::{CacheConfig, CacheLookup, CacheStats, ScheduleCache};
 pub use campaign::{

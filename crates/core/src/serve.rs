@@ -48,7 +48,7 @@
 //!
 //! Replies: `{"ok":true,"id":…,"op":…,…}` on success — elect replies
 //! carry the election report plus the cache verdict for *this* job
-//! (`"cache":"exact-hit"|"canonical-hit"|"miss"|"off"`) and the shared
+//! (`"cache":"exact-hit"|"miss"|"off"`) and the shared
 //! cache's cumulative `cache_hits`/`cache_misses` counters — or
 //! `{"ok":false,"id":…,"error":…,"message":…}` with `error` one of
 //! `bad-request` (unparseable or invalid job), `deadline` (the round
@@ -457,7 +457,6 @@ fn lookup_name(lookup: Option<CacheLookup>) -> &'static str {
     match lookup {
         None => "off",
         Some(CacheLookup::ExactHit) => "exact-hit",
-        Some(CacheLookup::CanonicalHit) => "canonical-hit",
         Some(CacheLookup::Miss) => "miss",
     }
 }
@@ -477,7 +476,7 @@ fn with_cache_fields(
     if let Some(cache) = &ws.cache {
         let stats = cache.stats();
         reply = reply
-            .u64("cache_hits", stats.hits)
+            .u64("cache_hits", stats.exact_hits)
             .u64("cache_misses", stats.misses);
     }
     reply
