@@ -6,9 +6,9 @@
 //! `batch_campaign/batched` benchmark must run at least 1.5× faster than
 //! `batch_campaign/one_per_worker` on the grid below: path:8 + star:8 ×
 //! arith-stride-1 tags × span 4 × Beeping × 5000 reps = 10 000 runs.
-//! Arith tags over span 4 redraw a handful of distinct configurations
-//! per cell, so most runs of a 16-run slice repeat an earlier run's
-//! `config_fingerprint` and copy its metrics: no cache lookup, no
+//! Arith tags on a deterministic family draw one configuration per
+//! cell, so every run of a 16-run slice after the first repeats its
+//! `Draw::key` and copies its metrics: no build, no cache lookup, no
 //! compile, no simulation. Both arms read metrics from the resident
 //! `SimWorkspace` run without building an `Execution`, so the ratio is
 //! the dedupe alone. Locally measured (release, 1 worker thread):

@@ -7,15 +7,16 @@
 //! `cache_campaign/no_cache` on the repeated-shape grid below. The grid
 //! is a feasibility-landscape sweep over *dense* shapes (complete:48/64,
 //! bipartite:32x32) where span 3 leaves every cell infeasible: no
-//! simulation runs, so classify + compile is the entire per-run cost on
-//! the uncached side — exactly the half the cache memoizes. The warm
-//! runner answers every lookup with an exact hit (`clustered`/
-//! `extremes`/`arith` redraw the same tag vector every rep; `uniform`
-//! draws were all seen by the priming pass, criterion re-iterations
-//! replay identical positional seeds) and pays only derivation +
-//! fingerprint + aggregation. Feasible sparse grids (e.g. star:32/
-//! path:48) are simulation-bound — the cache is correct but invisible
-//! there (~1.1×), which is why the gate grid is the dense one.
+//! simulation runs, so build + classify + compile is the entire per-run
+//! cost on the uncached side — exactly what the cache memoizes. The
+//! warm runner answers every lookup with an exact hit because the
+//! priming pass saw every positional seed: criterion re-iterations
+//! replay the same draws (only `arith` repeats its draw every rep;
+//! `uniform`, `clustered` and `extremes` draw fresh tags per rep at
+//! σ = 3). It pays only seed derivation + draw key + aggregation.
+//! Feasible sparse grids (e.g. star:32/path:48) are simulation-bound —
+//! the cache is correct but invisible there (~1.1×), which is why the
+//! gate grid is the dense one.
 //! Locally measured (release, 4 worker threads): no_cache ≈ 62 ms/iter,
 //! warm ≈ 28 ms/iter — ≈2.2×; `cache_solve` shows the per-call gap at
 //! ≈8.6× on the repeated 48-node path. Regressions below 2× mean the key

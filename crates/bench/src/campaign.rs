@@ -9,9 +9,9 @@
 
 pub use anon_radio::cache::{CacheConfig, CacheStats, ScheduleCache};
 pub use anon_radio::campaign::{
-    classify_metrics, election_metrics, election_metrics_batched, BatchConfig, CampaignRunner,
-    CampaignSpec, CampaignWorkspace, CellAggregate, CellKey, FamilySpec, Phase, RunMetrics,
-    ShardReport, TagStrategy,
+    classify_metrics, election_metrics_batched, BatchConfig, CampaignRunner, CampaignSpec,
+    CampaignWorkspace, CellAggregate, CellKey, FamilySpec, Phase, RunMetrics, ShardReport,
+    TagStrategy,
 };
 
 use radio_sim::{ModelKind, RunOpts};

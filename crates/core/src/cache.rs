@@ -1,20 +1,28 @@
-//! The schedule cache: memoizes the classify + compile pipeline across
-//! repeated configurations.
+//! The schedule cache: memoizes the build + classify + compile pipeline
+//! across repeated configurations.
 //!
-//! Campaign grids run thousands of reps per `(family, n, tag-strategy)`
-//! cell, and strategies like `clustered`/`extremes`/`arith` redraw the
-//! same configuration rep after rep; a daemon's jobs repeat too. The
-//! centralized decision (Theorem 3.17) makes `Classifier` + schedule
-//! compilation a pure function of the configuration, so one compiled
-//! [`CompiledElection`] can serve every later occurrence of it.
+//! A daemon's jobs repeat draws, and campaign grids that name a cache
+//! revisit the same draw once per channel model (the model is outside
+//! the draw) and, where `arith` tags or σ = 0 make every rep's tags
+//! equal, rep after rep. The centralized decision (Theorem 3.17) makes
+//! `Classifier` + schedule compilation a pure function of the
+//! configuration, and a drawn configuration is a pure function of its
+//! draw, so one compiled [`CompiledElection`] can serve every later
+//! occurrence of it.
 //!
-//! # One key
+//! # Two key routes, one map
 //!
-//! Every entry is keyed by [`config_fingerprint`]: a 128-bit fingerprint
-//! of the raw configuration (node count, span, node-ordered tags, CSR
-//! adjacency), computable without classifying. A hit skips
-//! classification *and* compilation; a miss runs
-//! [`CompiledElection::compile_in`] once and stores one entry.
+//! Every entry holds an election compiled once. [`ScheduleCache::draw_in`]
+//! keys a drawn configuration by its [`Draw::key`], a hash of the draw
+//! alone, and its entry also holds the configuration (behind an [`Arc`]):
+//! a hit hands back both without generating, hashing or classifying
+//! anything, and a miss builds, compiles and stores one entry.
+//! [`ScheduleCache::compile_in`] keys a configuration the caller already
+//! holds (an inline one) by [`config_fingerprint`], a 128-bit fingerprint
+//! of its contents, and its entry holds the election alone: the caller
+//! has the configuration, so the cache neither copies nor keeps it. Both
+//! keys live in the one map; the same configuration reached by both
+//! routes takes two entries.
 //!
 //! # Sharding, bounding, eviction
 //!
@@ -29,7 +37,8 @@
 //!
 //! Cached ≡ uncached everywhere: a hit returns the same
 //! [`ClassifySummary`](radio_classifier::ClassifySummary) and a schedule
-//! equal (by value) to what a fresh compile would produce. What *is*
+//! equal (by value) to what a fresh compile would produce, and a draw hit
+//! the configuration a fresh build would produce. What *is*
 //! nondeterministic under concurrency is the hit/miss split itself (two
 //! workers can race to first-miss the same key), which is why campaign
 //! JSONL emits cache counters after `wall_ns` — outside the byte range
@@ -37,11 +46,11 @@
 
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use radio_classifier::ClassifierWorkspace;
-use radio_graph::Configuration;
-use radio_util::fxhash::{FxHashMap, FxHasher};
+use radio_graph::{Configuration, Draw, DrawError};
+use radio_util::fxhash::{FxHashMap, FxHasher128};
 
 use crate::dedicated::CompiledElection;
 
@@ -49,7 +58,8 @@ use crate::dedicated::CompiledElection;
 pub const SHARDS: usize = 16;
 
 /// Default total entry capacity of a [`ScheduleCache`]: one entry per
-/// compiled election, so about 2 048 configurations.
+/// key, each holding the election compiled for it (and, on the draw
+/// route, the configuration), so about 2 048 configurations.
 pub const DEFAULT_CAPACITY: usize = 2048;
 
 /// Cache policy knob carried by `CampaignSpec`, `ServeOptions` and the
@@ -97,19 +107,20 @@ impl CacheConfig {
 /// Snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (no classification ran).
+    /// Lookups answered from the cache (nothing was built or
+    /// classified).
     pub exact_hits: u64,
-    /// Lookups that classified *and* compiled from scratch.
+    /// Lookups that built (on the draw route), classified *and* compiled
+    /// from scratch.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
 }
 
 impl CacheStats {
-    /// Always 0: the cache has one key, so every hit is an exact hit.
-    /// It stays only because perfbench reports it as its
-    /// `cache.canonical_hits` metric, and goes with that metric in the
-    /// benchmark change of ROADMAP item 6.
+    /// Always 0: every hit is an exact hit. It stays only because
+    /// perfbench reports it as its `cache.canonical_hits` metric, and
+    /// goes with that metric in the benchmark change of ROADMAP item 6.
     pub fn canonical_hits(&self) -> u64 {
         0
     }
@@ -120,12 +131,14 @@ impl CacheStats {
     }
 }
 
-/// How a single [`ScheduleCache::compile_in`] call was resolved.
+/// How a single [`ScheduleCache::draw_in`] or
+/// [`ScheduleCache::compile_in`] call was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheLookup {
-    /// Configuration fingerprint known — no classification ran.
+    /// Key known — nothing was built or classified.
     ExactHit,
-    /// Classified and compiled from scratch; one entry now populated.
+    /// Built (on the draw route), classified and compiled from scratch;
+    /// one entry now populated.
     Miss,
 }
 
@@ -136,16 +149,21 @@ impl CacheLookup {
     }
 }
 
-/// The shard a fingerprint lives in. Its bits are already well-mixed
-/// FxHash output, so the two halves XOR-folded pick the shard.
+/// The shard a key lives in. Its bits are already well-mixed FxHash
+/// output, so the two halves XOR-folded pick the shard.
 fn shard_of(key: u128) -> usize {
     ((key as u64) ^ ((key >> 64) as u64)) as usize & (SHARDS - 1)
 }
 
+/// What one entry holds: the election, and on the draw route the
+/// configuration it was compiled from (`None` on the fingerprint route,
+/// whose caller holds the configuration).
+type Compiled = (Option<Arc<Configuration>>, CompiledElection);
+
 #[derive(Debug)]
 struct Entry {
     last_used: u64,
-    value: CompiledElection,
+    value: Compiled,
 }
 
 #[derive(Debug, Default)]
@@ -155,7 +173,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn touch(&mut self, key: u128) -> Option<CompiledElection> {
+    fn touch(&mut self, key: u128) -> Option<Compiled> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&key).map(|entry| {
@@ -166,7 +184,7 @@ impl Shard {
 
     /// Inserts under `key`, evicting the least-recently-used entry when
     /// the shard is at its budget. Returns the number of evictions (0/1).
-    fn insert(&mut self, key: u128, value: CompiledElection, budget: usize) -> u64 {
+    fn insert(&mut self, key: u128, value: Compiled, budget: usize) -> u64 {
         self.tick += 1;
         let mut evicted = 0;
         if !self.map.contains_key(&key) && self.map.len() >= budget {
@@ -194,8 +212,9 @@ impl Shard {
     }
 }
 
-/// A sharded-lock, bounded-LRU cache for compiled elections, keyed by
-/// [`config_fingerprint`] — see the module docs.
+/// A sharded-lock, bounded-LRU cache of configurations with their compiled
+/// elections, keyed by [`Draw::key`] or [`config_fingerprint`] — see the
+/// module docs.
 pub struct ScheduleCache {
     shards: Box<[Mutex<Shard>]>,
     per_shard: usize,
@@ -244,7 +263,7 @@ impl ScheduleCache {
         }
     }
 
-    /// Current number of entries, one per cached configuration.
+    /// Current number of entries, one per cached key.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -266,14 +285,14 @@ impl ScheduleCache {
         }
     }
 
-    fn get(&self, key: u128) -> Option<CompiledElection> {
+    fn get(&self, key: u128) -> Option<Compiled> {
         self.shards[shard_of(key)]
             .lock()
             .expect("cache shard poisoned")
             .touch(key)
     }
 
-    fn put(&self, key: u128, value: CompiledElection) {
+    fn put(&self, key: u128, value: Compiled) {
         let evicted = self.shards[shard_of(key)]
             .lock()
             .expect("cache shard poisoned")
@@ -283,36 +302,61 @@ impl ScheduleCache {
         }
     }
 
-    /// The memoized form of [`CompiledElection::compile_in`]: returns a
-    /// compiled election bit-identical to a fresh compile, plus how the
-    /// lookup resolved. Infeasible configurations are cached like any
-    /// other (their schedule is well-defined; only the leader is absent).
+    /// Counts a miss, compiles `config` and stores its election under
+    /// `key`, with `stored` as the entry's configuration.
+    fn miss(
+        &self,
+        workspace: &mut ClassifierWorkspace,
+        key: u128,
+        config: &Configuration,
+        stored: Option<Arc<Configuration>>,
+    ) -> CompiledElection {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let compiled = CompiledElection::compile_in(workspace, config);
+        self.put(key, (stored, compiled.clone()));
+        compiled
+    }
+
+    /// The memoized form of [`Draw::configuration`] followed by
+    /// [`CompiledElection::compile_in`], keyed by [`Draw::key`]: a hit
+    /// hands back the stored configuration and election without building
+    /// anything. Both are bit-identical to a fresh build and compile.
+    /// Infeasible configurations are cached like any other (their
+    /// schedule is well-defined; only the leader is absent). A draw that
+    /// does not build stores and counts nothing.
+    pub fn draw_in(
+        &self,
+        workspace: &mut ClassifierWorkspace,
+        draw: &Draw,
+    ) -> Result<(Arc<Configuration>, CompiledElection, CacheLookup), DrawError> {
+        let key = draw.key();
+        // Only this route stores a configuration, so an entry without one
+        // is a fingerprint that collided with `key`: rebuild over it.
+        if let Some((Some(config), compiled)) = self.get(key) {
+            self.exact_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((config, compiled, CacheLookup::ExactHit));
+        }
+        let config = Arc::new(draw.configuration()?);
+        let compiled = self.miss(workspace, key, &config, Some(config.clone()));
+        Ok((config, compiled, CacheLookup::Miss))
+    }
+
+    /// The memoized form of [`CompiledElection::compile_in`] for a
+    /// configuration the caller already holds, keyed by
+    /// [`config_fingerprint`]: returns a compiled election bit-identical
+    /// to a fresh compile, plus how the lookup resolved. A miss stores the
+    /// election alone.
     pub fn compile_in(
         &self,
         workspace: &mut ClassifierWorkspace,
         config: &Configuration,
     ) -> (CompiledElection, CacheLookup) {
-        self.compile_keyed(workspace, config, config_fingerprint(config))
-    }
-
-    /// [`ScheduleCache::compile_in`] for a caller that already holds
-    /// `config`'s [`config_fingerprint`] (the campaign dedupe memo), so
-    /// the configuration is hashed once per run, not twice.
-    pub(crate) fn compile_keyed(
-        &self,
-        workspace: &mut ClassifierWorkspace,
-        config: &Configuration,
-        fingerprint: u128,
-    ) -> (CompiledElection, CacheLookup) {
-        debug_assert_eq!(fingerprint, config_fingerprint(config));
-        if let Some(cached) = self.get(fingerprint) {
+        let key = config_fingerprint(config);
+        if let Some((_, compiled)) = self.get(key) {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
-            return (cached, CacheLookup::ExactHit);
+            return (compiled, CacheLookup::ExactHit);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = CompiledElection::compile_in(workspace, config);
-        self.put(fingerprint, compiled.clone());
-        (compiled, CacheLookup::Miss)
+        (self.miss(workspace, key, config, None), CacheLookup::Miss)
     }
 }
 
@@ -322,30 +366,21 @@ impl ScheduleCache {
 /// the configuration's canonical representation); distinct ones separate
 /// up to the two-lane 128-bit birthday bound.
 pub fn config_fingerprint(config: &Configuration) -> u128 {
-    const SEED: u64 = 0xC0FF_EE00_D15C_0B1A;
-    let mut lane_lo = FxHasher::default();
-    let mut lane_hi = FxHasher::default();
-    lane_hi.write_u64(SEED);
-    let mut fold = |word: u64| {
-        lane_lo.write_u64(word);
-        // per-word FxHash maps are bijections: mix the second lane's copy
-        // so the lanes' collision sets decorrelate
-        lane_hi.write_u64(word.rotate_left(32) ^ SEED);
-    };
+    let mut lanes = FxHasher128::new(0xC0FF_EE00_D15C_0B1A);
     let n = config.size();
-    fold(n as u64);
-    fold(config.span());
+    lanes.write_usize(n);
+    lanes.write_u64(config.span());
     for &tag in config.tags() {
-        fold(tag);
+        lanes.write_u64(tag);
     }
     let csr = config.csr();
     for v in 0..n as radio_graph::NodeId {
-        fold(csr.degree(v) as u64);
+        lanes.write_usize(csr.degree(v));
         for &u in csr.neighbors(v) {
-            fold(u as u64);
+            lanes.write_u32(u);
         }
     }
-    ((lane_hi.finish() as u128) << 64) | lane_lo.finish() as u128
+    lanes.finish128()
 }
 
 #[cfg(test)]
@@ -386,6 +421,48 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
         assert_eq!(cache.len(), 1, "a miss stores one entry");
+    }
+
+    #[test]
+    fn draw_hits_share_the_stored_configuration() {
+        let cache = ScheduleCache::default();
+        let mut ws = ClassifierWorkspace::new();
+        let draw = Draw {
+            family: radio_graph::FamilySpec::RandomTree,
+            n: 12,
+            span: 5,
+            tags: radio_graph::TagStrategy::Uniform,
+            graph_seed: 7,
+            tag_seed: 8,
+        };
+        let (config, first, l1) = cache.draw_in(&mut ws, &draw).unwrap();
+        assert_eq!(l1, CacheLookup::Miss);
+        let (again, second, l2) = cache.draw_in(&mut ws, &draw).unwrap();
+        assert_eq!(l2, CacheLookup::ExactHit);
+        assert!(Arc::ptr_eq(&config, &again), "a hit builds nothing");
+        assert!(Arc::ptr_eq(
+            &first.shared_schedule(),
+            &second.shared_schedule()
+        ));
+        // what the entry holds is what a fresh build and compile give
+        let fresh = draw.configuration().unwrap();
+        assert_eq!(*again, fresh);
+        let compiled = CompiledElection::compile_in(&mut ws, &fresh);
+        assert_eq!(second.summary(), compiled.summary());
+        assert_eq!(second.schedule().lists, compiled.schedule().lists);
+        // the fingerprint route keys the same configuration apart
+        let (_, l3) = cache.compile_in(&mut ws, &fresh);
+        assert_eq!(l3, CacheLookup::Miss);
+        assert_eq!(cache.len(), 2);
+        // a draw that does not build stores and counts nothing, and its
+        // error reads as the family's
+        let bad = Draw { n: 0, ..draw };
+        let err = cache.draw_in(&mut ws, &bad).unwrap_err();
+        let family_err = draw.family.check_size(0).unwrap_err();
+        assert_eq!(err.to_string(), family_err.to_string());
+        assert_eq!(cache.len(), 2);
+        let stats = cache.stats();
+        assert_eq!((stats.exact_hits, stats.misses), (1, 2));
     }
 
     #[test]

@@ -29,24 +29,28 @@
 //!   — the `anon-radio campaign` subcommand's output format.
 //!
 //! The per-run workload is the spec's phase: the full election pipeline
-//! (classify → compile → simulate → validate, via [`election_metrics`]) or
-//! the classifier alone ([`classify_metrics`]).
+//! (build → classify → compile → simulate → validate, via
+//! [`election_metrics_batched`]) or the classifier alone
+//! ([`classify_metrics`]). An elect run starts from its [`Draw`]: the
+//! slice dedupe memo and, when the campaign names one, the schedule cache
+//! are keyed by [`Draw::key`], so a draw either of them already holds is
+//! neither generated nor classified again.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use radio_classifier::ClassifierWorkspace;
-use radio_graph::Configuration;
+use radio_graph::{Configuration, Draw};
 use radio_sim::parallel::par_map_init;
 use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::fxhash::FxHashMap;
-use radio_util::rng::{derive, derive_index, rng_from};
+use radio_util::rng::{derive, derive_index};
 use radio_util::stats::StreamingStats;
 
 pub use radio_graph::family::{FamilyError, FamilySpec};
 pub use radio_graph::tags::TagStrategy;
 
-use crate::cache::{config_fingerprint, CacheConfig, CacheLookup, CacheStats, ScheduleCache};
+use crate::cache::{CacheConfig, CacheLookup, CacheStats, ScheduleCache};
 use crate::dedicated::CompiledElection;
 
 /// Which pipeline stage a campaign sweeps.
@@ -132,22 +136,18 @@ impl CampaignWorkspace {
         }
     }
 
-    /// Classifies and compiles `config` through the shared schedule cache
-    /// when one is attached (returning its lookup outcome), else directly
-    /// through the classifier workspace (returning `None`). Both routes
-    /// compile bit-identical elections; neither clones the configuration.
-    /// A caller that already fingerprinted `config` passes the
-    /// fingerprint, and the cache lookup reuses it.
+    /// Classifies and compiles a configuration the caller holds through
+    /// the shared schedule cache when one is attached (keyed by its
+    /// fingerprint, returning the lookup outcome), else directly through
+    /// the classifier workspace (returning `None`). Both routes compile
+    /// bit-identical elections.
     pub(crate) fn compile(
         &mut self,
         config: &Configuration,
-        fingerprint: Option<u128>,
     ) -> (CompiledElection, Option<CacheLookup>) {
         match &self.cache {
             Some(cache) => {
-                let fingerprint = fingerprint.unwrap_or_else(|| config_fingerprint(config));
-                let (compiled, lookup) =
-                    cache.compile_keyed(&mut self.classifier, config, fingerprint);
+                let (compiled, lookup) = cache.compile_in(&mut self.classifier, config);
                 (compiled, Some(lookup))
             }
             None => (
@@ -161,8 +161,8 @@ impl CampaignWorkspace {
 /// Dedupe policy for elect campaigns (`--no-batch`, `--batch-size`).
 /// Campaigns run in contiguous slices of at most `size` runs that never
 /// cross a cell boundary (pure position arithmetic). With dedupe on (the
-/// default), a run whose configuration fingerprint repeats an earlier
-/// run of its slice copies that run's metrics instead of compiling and
+/// default), a run whose [`Draw::key`] repeats an earlier run of its
+/// slice copies that run's metrics instead of building, compiling and
 /// simulating again ([`election_metrics_batched`]). Rows are
 /// bit-identical either way up to the measured tail (`wall_ns` onward).
 /// The classify phase never dedupes.
@@ -357,12 +357,39 @@ impl CampaignSpec {
         Ok(())
     }
 
-    /// The configuration of repetition `rep` in `cell` — a pure function
-    /// of `(seed, family, tags, n, span, rep)`. The channel model is
-    /// *not* part of the derivation, so the same drawn configuration
-    /// appears once per model and model columns compare like for like.
-    /// Uniform-tag cells keep the exact pre-strategy-axis derivation, so
-    /// legacy campaign rows stay reproducible.
+    /// The draw of each repetition of `cell`, as a function of the rep —
+    /// a pure function of `(seed, family, tags, n, span, rep)`. The
+    /// cell's graph and tag streams are derived once, here, and rep `r`
+    /// indexes both. The channel model is *not* part of the derivation,
+    /// so the same drawn configuration appears once per model and model
+    /// columns compare like for like. Uniform-tag cells keep the exact
+    /// pre-strategy-axis derivation, so legacy campaign rows stay
+    /// reproducible.
+    pub fn draws(&self, cell: &CellKey) -> impl Fn(usize) -> Draw {
+        let base = derive_index(
+            derive_index(derive(self.seed, &cell.family.to_string()), cell.n as u64),
+            cell.span,
+        );
+        let graph_stream = derive(base, "graph");
+        // The uniform stream label predates the strategy axis and must
+        // stay byte-identical; other strategies get their own streams.
+        let tag_stream = match cell.tags {
+            TagStrategy::Uniform => derive(base, "tags"),
+            other => derive(base, &format!("tags/{other}")),
+        };
+        let cell = *cell;
+        move |rep| Draw {
+            family: cell.family,
+            n: cell.n,
+            span: cell.span,
+            tags: cell.tags,
+            graph_seed: derive_index(graph_stream, rep as u64),
+            tag_seed: derive_index(tag_stream, rep as u64),
+        }
+    }
+
+    /// The configuration of repetition `rep` in `cell`: its
+    /// [`CampaignSpec::draws`] draw, built.
     ///
     /// # Panics
     /// Panics if the cell is unrealizable — [`CampaignSpec::validate`]
@@ -370,28 +397,9 @@ impl CampaignSpec {
     /// campaigns fail fast on the constructing thread, never inside a
     /// shard worker).
     pub fn configuration(&self, cell: &CellKey, rep: usize) -> Configuration {
-        let base = derive_index(
-            derive_index(derive(self.seed, &cell.family.to_string()), cell.n as u64),
-            cell.span,
-        );
-        // The family streams straight into CSR form and the tag strategy
-        // draws from the same positional stream it always did.
-        let csr = cell
-            .family
-            .build_csr(cell.n, derive_index(derive(base, "graph"), rep as u64))
-            .expect("validated spec");
-        // The uniform stream label predates the strategy axis and must
-        // stay byte-identical; other strategies get their own streams.
-        let tag_stream = match cell.tags {
-            TagStrategy::Uniform => derive(base, "tags"),
-            other => derive(base, &format!("tags/{other}")),
-        };
-        let tags = cell.tags.draw(
-            cell.n,
-            cell.span,
-            &mut rng_from(derive_index(tag_stream, rep as u64)),
-        );
-        Configuration::new(csr, tags).expect("families build connected graphs")
+        self.draws(cell)(rep)
+            .configuration()
+            .expect("validated spec")
     }
 }
 
@@ -468,8 +476,11 @@ pub struct RunMetrics {
     /// cache is attached — `!cache_hit` alone cannot distinguish "missed"
     /// from "uncached".
     pub cache_miss: bool,
-    /// Wall-clock nanoseconds for the whole run (classify + compile +
-    /// simulate for the election workload).
+    /// Wall-clock nanoseconds for the whole run. An election run is timed
+    /// from its draw: the build (on a cache miss or an uncached run; a
+    /// cache hit builds nothing), classify + compile, and simulate. A run
+    /// deduped within its slice is timed too: it spent only its key and
+    /// the memo probe. A classify run times the classifier alone.
     pub wall_ns: u64,
     /// Workspace high-water mark in bytes after the run: the summed
     /// backing-buffer capacities of the engine state the run used (sim
@@ -584,40 +595,44 @@ impl CellAggregate {
     }
 }
 
-/// The elect-phase per-run workload: the full election pipeline on the
-/// drawn configuration — compile through `CampaignWorkspace::compile`,
-/// then the one simulate step every election takes
-/// ([`CompiledElection::simulate_in`]: the canonical DRIP's flat node
-/// state over length-only histories, resident in the worker's
-/// [`SimWorkspace`]; each node reports its own verdict), and check the
-/// exactly-one-leader contract against the classifier's prediction.
+/// The elect-phase per-run workload on one draw: build and compile it
+/// through the shared cache's [`ScheduleCache::draw_in`] when one is
+/// attached (a hit builds nothing), else directly; then the one simulate
+/// step every election takes ([`CompiledElection::simulate_in`]: the
+/// canonical DRIP's flat node state over length-only histories, resident
+/// in the worker's [`SimWorkspace`]; each node reports its own verdict),
+/// and check the exactly-one-leader contract against the classifier's
+/// prediction. The caller times the run.
 ///
 /// Infeasible draws are recorded as such (that *rate* is itself a
 /// campaign-level result — the feasibility landscape); foreign-model runs
 /// that break the election contract still contribute their execution
 /// shape, with `elected = false`.
-///
-/// A caller that already holds `config`'s [`config_fingerprint`] (the
-/// batch dedupe memo) passes it as `fingerprint`, and the cache lookup
-/// reuses it instead of hashing the configuration again; it must be that
-/// configuration's fingerprint.
-pub fn election_metrics(
+fn draw_metrics(
     workspace: &mut CampaignWorkspace,
-    config: &Configuration,
-    fingerprint: Option<u128>,
+    draw: &Draw,
     model: ModelKind,
     opts: RunOpts,
 ) -> RunMetrics {
-    // lint:allow(wall-clock): this is the designated timing site feeding the
-    // wall_ns column, which lives in the measured row tail after the pinned
-    // deterministic prefix
-    let start = Instant::now();
     let mut metrics = RunMetrics::default();
-    let (compiled, lookup) = workspace.compile(config, fingerprint);
-    metrics.cache_hit = lookup.is_some_and(CacheLookup::is_hit);
-    metrics.cache_miss = lookup.is_some_and(|l| !l.is_hit());
+    let (shared, built);
+    let (config, compiled): (&Configuration, _) = match &workspace.cache {
+        Some(cache) => {
+            let (config, compiled, lookup) = cache
+                .draw_in(&mut workspace.classifier, draw)
+                .expect("validated spec");
+            metrics.cache_hit = lookup.is_hit();
+            metrics.cache_miss = !lookup.is_hit();
+            shared = config;
+            (&shared, compiled)
+        }
+        None => {
+            built = draw.configuration().expect("validated spec");
+            let compiled = CompiledElection::compile_in(&mut workspace.classifier, &built);
+            (&built, compiled)
+        }
+    };
     if !compiled.feasible() {
-        metrics.wall_ns = start.elapsed().as_nanos() as u64;
         metrics.mem_hw = workspace.classifier.mem_bytes();
         return metrics;
     }
@@ -633,26 +648,31 @@ pub fn election_metrics(
         }
         Err(_) => metrics.aborted = true,
     }
-    metrics.wall_ns = start.elapsed().as_nanos() as u64;
     metrics.mem_hw = workspace.sim.mem_bytes() + workspace.classifier.mem_bytes();
     metrics
 }
 
 /// The elect-phase workload for one contiguous slice `lo..hi` of global
-/// run indices, all inside `cell`: [`election_metrics`] per run, memoized
-/// on [`config_fingerprint`] within the slice when `spec.batch` enables
-/// dedupe.
+/// run indices, all inside `cell`: each run starts from its
+/// [`CampaignSpec::draws`] draw, memoized on [`Draw::key`] within the
+/// slice when `spec.batch` enables dedupe, and is timed from that draw.
 ///
-/// Equal fingerprints mean equal configurations (the cache's exact-key
-/// identity), and equal configurations under the same model and opts
-/// produce bit-identical elections — so a duplicate draw copies its
-/// representative's metrics, measured tail included, instead of
-/// compiling and simulating again. Only its cache accounting is its own:
-/// it records a hit when a cache is attached (the memo answered it
-/// without consulting the shared cache) and neither a hit nor a miss
-/// otherwise. The memo is only probed and inserted, never iterated, so
-/// the returned metrics keep the slice's positional order. A fingerprint
-/// computed for the memo also keys the run's cache lookup.
+/// Equal keys mean equal configurations, and equal configurations under
+/// the same model and opts produce bit-identical elections — so a
+/// duplicate draw copies its representative's metrics instead of
+/// building, compiling and simulating again. Only its wall time (the key
+/// and the memo probe) and its cache accounting are its own: it records a
+/// hit when a cache is attached (the memo answered it without consulting
+/// the shared cache) and neither a hit nor a miss otherwise. The memo is
+/// only probed and inserted, never iterated, so the returned metrics keep
+/// the slice's positional order. A new draw goes through the shared
+/// cache's [`ScheduleCache::draw_in`] when one is attached (a hit builds
+/// nothing), and otherwise is built and compiled; no run fingerprints its
+/// configuration.
+///
+/// The memo merges equal draws, not equal configurations: two reps whose
+/// different seeds happen to draw the same configuration (frequent at
+/// small n and σ) both run.
 pub fn election_metrics_batched(
     workspace: &mut CampaignWorkspace,
     spec: &CampaignSpec,
@@ -660,28 +680,31 @@ pub fn election_metrics_batched(
     lo: usize,
     hi: usize,
 ) -> Vec<RunMetrics> {
+    let draws = spec.draws(cell);
     let mut metrics: Vec<RunMetrics> = Vec::with_capacity(hi - lo);
     let mut seen: FxHashMap<u128, usize> = FxHashMap::default();
     for idx in lo..hi {
-        let config = spec.configuration(cell, idx % spec.reps);
-        let fingerprint = spec.batch.enabled.then(|| config_fingerprint(&config));
-        if let Some(fingerprint) = fingerprint {
-            if let Some(&k) = seen.get(&fingerprint) {
-                let mut copy = metrics[k];
-                copy.cache_hit = workspace.cache.is_some();
-                copy.cache_miss = false;
-                metrics.push(copy);
-                continue;
+        // lint:allow(wall-clock): this is the designated timing site feeding the
+        // wall_ns column, which lives in the measured row tail after the pinned
+        // deterministic prefix
+        let start = Instant::now();
+        let draw = draws(idx % spec.reps);
+        let key = spec.batch.enabled.then(|| draw.key());
+        let mut run = match key.and_then(|key| seen.get(&key)) {
+            Some(&first) => RunMetrics {
+                cache_hit: workspace.cache.is_some(),
+                cache_miss: false,
+                ..metrics[first]
+            },
+            None => {
+                if let Some(key) = key {
+                    seen.insert(key, metrics.len());
+                }
+                draw_metrics(workspace, &draw, cell.model, spec.opts)
             }
-            seen.insert(fingerprint, metrics.len());
-        }
-        metrics.push(election_metrics(
-            workspace,
-            &config,
-            fingerprint,
-            cell.model,
-            spec.opts,
-        ));
+        };
+        run.wall_ns = start.elapsed().as_nanos() as u64;
+        metrics.push(run);
     }
     metrics
 }
@@ -1000,12 +1023,17 @@ fn run_slice(
 ) -> Vec<RunMetrics> {
     match spec.phase {
         Phase::Elect => election_metrics_batched(workspace, spec, cell, lo, hi),
-        Phase::Classify => (lo..hi)
-            .map(|idx| {
-                let config = spec.configuration(cell, idx % spec.reps);
-                classify_metrics(workspace, &config)
-            })
-            .collect(),
+        Phase::Classify => {
+            let draws = spec.draws(cell);
+            (lo..hi)
+                .map(|idx| {
+                    let config = draws(idx % spec.reps)
+                        .configuration()
+                        .expect("validated spec");
+                    classify_metrics(workspace, &config)
+                })
+                .collect()
+        }
     }
 }
 
@@ -1014,7 +1042,7 @@ fn run_slice(
 /// layer's per-*job* unit of dispatch, where a whole [`CampaignRunner`]
 /// per request would rebuild workspaces the resident worker already keeps
 /// warm. It folds through the same slices as a campaign shard, and
-/// seeds come from [`CampaignSpec::configuration`], which is positional,
+/// draws come from [`CampaignSpec::draws`], which is positional,
 /// so the aggregate (and therefore the deterministic prefix of
 /// [`cell_row`]) is bit-identical to a full campaign over the same
 /// single-cell spec regardless of shard/thread geometry.
@@ -1377,12 +1405,20 @@ mod tests {
         // A feasible configuration with a round limit far below its
         // election time: the run aborts, and its zeroed metrics must not
         // contaminate the cell's rounds/transmissions statistics.
-        let config = radio_graph::families::h_m(9); // needs well over 2 rounds
+        // Tags 0..=8 along a 9-node path: distinct, so feasible, and the
+        // last node wakes at round 8.
+        let draw = Draw {
+            family: FamilySpec::Path,
+            n: 9,
+            span: 8,
+            tags: TagStrategy::Arith { stride: 1 },
+            graph_seed: 0,
+            tag_seed: 0,
+        };
         let mut ws = CampaignWorkspace::new();
-        let m = election_metrics(
+        let m = draw_metrics(
             &mut ws,
-            &config,
-            None,
+            &draw,
             ModelKind::NoCollisionDetection,
             radio_sim::RunOpts::with_max_rounds(2),
         );
@@ -1392,10 +1428,9 @@ mod tests {
         assert_eq!((agg.runs, agg.feasible, agg.aborted), (1, 1, 1));
         assert!(agg.rounds.is_empty(), "no zero sample folded");
         // a completed run folds normally alongside it
-        let ok = election_metrics(
+        let ok = draw_metrics(
             &mut ws,
-            &config,
-            None,
+            &draw,
             ModelKind::NoCollisionDetection,
             radio_sim::RunOpts::default(),
         );
@@ -1407,13 +1442,18 @@ mod tests {
     #[test]
     fn election_metrics_reports_infeasible_draws() {
         // A uniform-tag cycle is maximally symmetric: infeasible.
-        let config =
-            Configuration::with_uniform_tags(radio_graph::generators::cycle(4), 0).unwrap();
+        let draw = Draw {
+            family: FamilySpec::Cycle,
+            n: 4,
+            span: 0,
+            tags: TagStrategy::Uniform,
+            graph_seed: 0,
+            tag_seed: 0,
+        };
         let mut ws = CampaignWorkspace::new();
-        let m = election_metrics(
+        let m = draw_metrics(
             &mut ws,
-            &config,
-            None,
+            &draw,
             ModelKind::NoCollisionDetection,
             RunOpts::default(),
         );
@@ -1540,8 +1580,8 @@ mod tests {
 
     #[test]
     fn batched_dedupe_accounts_hits_without_extra_lookups() {
-        // Arith tags redraw the same tag vector every rep, so every slice
-        // holds duplicate fingerprints: the slice-local memo answers them
+        // Arith tags draw the same tag vector every rep, so every slice
+        // holds duplicate draw keys: the slice-local memo answers them
         // without consulting the shared cache, while their metrics still
         // record hits. Rows stay bit-identical to the dedupe-off campaign
         // up to the measured tail.

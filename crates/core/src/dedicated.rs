@@ -30,8 +30,8 @@ use radio_classifier::{ClassifierWorkspace, ClassifySummary};
 ///
 /// Every election runs through one simulate step: [`CompiledElection::run_in`]
 /// for one-shot and served elections, the campaign's
-/// [`election_metrics`](crate::campaign::election_metrics) for campaign
-/// runs. Callers that want the full [`Execution`](radio_sim::Execution)
+/// [`election_metrics_batched`](crate::campaign::election_metrics_batched)
+/// for campaign runs. Callers that want the full [`Execution`](radio_sim::Execution)
 /// run [`CompiledElection::factory`] through the executor themselves.
 #[derive(Debug, Clone)]
 pub struct CompiledElection {

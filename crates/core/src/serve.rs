@@ -48,7 +48,9 @@
 //!
 //! Replies: `{"ok":true,"id":…,"op":…,…}` on success — elect replies
 //! carry the election report plus the cache verdict for *this* job
-//! (`"cache":"exact-hit"|"miss"|"off"`) and the shared
+//! (`"cache":"exact-hit"|"miss"|"off"`; a `family` job is looked up by
+//! its draw, an inline `config` job by its configuration's fingerprint,
+//! so the two never share an entry) and the shared
 //! cache's cumulative `cache_hits`/`cache_misses` counters — or
 //! `{"ok":false,"id":…,"error":…,"message":…}` with `error` one of
 //! `bad-request` (unparseable or invalid job), `deadline` (the round
@@ -83,10 +85,10 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 
 use radio_classifier::{ClassifierWorkspace, ClassifySummary};
-use radio_graph::Configuration;
+use radio_graph::{Configuration, Draw};
 use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 use radio_util::json::{Object, Writer};
-use radio_util::rng::{derive, rng_from, DEFAULT_ROOT_SEED};
+use radio_util::rng::{derive, DEFAULT_ROOT_SEED};
 
 use crate::api::{ElectError, ElectionReport, Infeasible};
 use crate::cache::{CacheConfig, CacheLookup, ScheduleCache, DEFAULT_CAPACITY};
@@ -307,30 +309,42 @@ impl OneShotJob {
 }
 
 impl ConfigSource {
-    /// Builds the configuration: parses inline text, or draws the graph
-    /// and tags from the `derive(seed, "graph")` / `derive(seed, "tags")`
-    /// streams — the one builder behind served jobs and every CLI
-    /// subcommand that reads a configuration.
+    /// Builds the configuration: parses inline text, or builds the
+    /// [`Draw`] of a drawn source, whose graph and tags come from the
+    /// `derive(seed, "graph")` / `derive(seed, "tags")` streams — the one
+    /// builder behind served jobs and every CLI subcommand that reads a
+    /// configuration.
     pub fn configuration(&self) -> Result<Configuration, String> {
         match self {
             ConfigSource::Inline(text) => {
                 radio_graph::io::from_text(text).map_err(|e| format!("invalid configuration: {e}"))
             }
+            ConfigSource::Drawn { .. } => self
+                .draw()
+                .expect("a drawn source has a draw")
+                .configuration()
+                .map_err(|e| e.to_string()),
+        }
+    }
+
+    /// A drawn source's [`Draw`]; `None` for an inline source.
+    fn draw(&self) -> Option<Draw> {
+        match *self {
+            ConfigSource::Inline(_) => None,
             ConfigSource::Drawn {
                 family,
                 n,
                 span,
                 tags,
                 seed,
-            } => {
-                let csr = family
-                    .build_csr(*n, derive(*seed, "graph"))
-                    .map_err(|e| e.to_string())?;
-                let tag_values = tags.draw(*n, *span, &mut rng_from(derive(*seed, "tags")));
-                Configuration::new(csr, tag_values).map_err(|e| {
-                    format!("{family} with {tags} tags is not a valid configuration: {e}")
-                })
-            }
+            } => Some(Draw {
+                family,
+                n,
+                span,
+                tags,
+                graph_seed: derive(seed, "graph"),
+                tag_seed: derive(seed, "tags"),
+            }),
         }
     }
 
@@ -564,7 +578,8 @@ impl std::fmt::Display for JobError {
 /// A stage boundary of an [`elect`] job, handed to the caller's probe in
 /// order. Workers ignore them; the one-shot CLI reports memory at each.
 pub enum Stage<'a> {
-    /// The configuration is built.
+    /// The configuration is in hand: built, or (a drawn job on a cached
+    /// worker) handed back by the cache with its compiled election.
     Built(&'a Configuration),
     /// A feasible election is compiled and simulates next; the job is done
     /// with the classifier workspace (the CLI frees its buffers here).
@@ -576,8 +591,9 @@ pub enum Stage<'a> {
 /// What an [`elect`] job produced.
 #[derive(Debug)]
 pub struct Elected {
-    /// The configuration the job ran on.
-    pub config: Configuration,
+    /// The configuration the job ran on (shared with the cache entry
+    /// when the cache held its draw).
+    pub config: Arc<Configuration>,
     /// The validated report, or why the configuration admits no election.
     pub outcome: Result<ElectionReport, Infeasible>,
     /// This job's schedule-cache outcome (`None` when `ws` has no cache).
@@ -587,14 +603,30 @@ pub struct Elected {
 /// Runs an `elect` job: builds its configuration, compiles it through `ws`
 /// (and its cache, when attached) and simulates a feasible one, calling
 /// `probe` at each [`Stage`]. An infeasible configuration is a result.
+/// With a cache attached, a drawn job is looked up by its draw
+/// ([`ScheduleCache::draw_in`]), so a draw the cache holds is neither
+/// built nor classified; an inline job is looked up by its configuration's
+/// fingerprint.
 pub fn elect(
     ws: &mut CampaignWorkspace,
     job: &OneShotJob,
     probe: &mut dyn FnMut(Stage<'_>),
 ) -> Result<Elected, JobError> {
-    let config = job.configuration().map_err(JobError::BadRequest)?;
-    probe(Stage::Built(&config));
-    let (compiled, lookup) = ws.compile(&config, None);
+    let (config, compiled, lookup) = match (&ws.cache, job.source.draw()) {
+        (Some(cache), Some(draw)) => {
+            let (config, compiled, lookup) = cache
+                .draw_in(&mut ws.classifier, &draw)
+                .map_err(|e| JobError::BadRequest(e.to_string()))?;
+            probe(Stage::Built(&config));
+            (config, compiled, Some(lookup))
+        }
+        _ => {
+            let config = Arc::new(job.configuration().map_err(JobError::BadRequest)?);
+            probe(Stage::Built(&config));
+            let (compiled, lookup) = ws.compile(&config);
+            (config, compiled, lookup)
+        }
+    };
     let outcome = if compiled.feasible() {
         probe(Stage::Compiled(&mut ws.classifier));
         let opts = run_opts(job.max_rounds);

@@ -40,13 +40,22 @@
 //! Families in the lower block are **pinned**: the spec itself determines
 //! the node count, and building at any other size is an error — never a
 //! silent clamp, so a grid cell's label can't disagree with its graph.
+//!
+//! A [`Draw`] names one drawn configuration: a family member tagged by a
+//! [`TagStrategy`], with the seeds its build reads. It is the one builder
+//! behind served `family` jobs and campaign runs, and its
+//! [`Draw::key`] names the configuration without building it.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
+use radio_util::fxhash::FxHasher128;
 use radio_util::rng::{derive, rng_from};
 
+use crate::config::{ConfigError, Configuration, Tag};
 use crate::csr::Csr;
 use crate::generators::{self, Emit};
+use crate::tags::TagStrategy;
 
 /// Errors from [`FamilySpec::build_csr`] / [`FamilySpec::check_size`]: the
 /// requested node count is not realizable by the family.
@@ -470,6 +479,107 @@ impl FamilySpec {
     }
 }
 
+/// One drawn configuration: `family` on `n` nodes, tagged by `tags` under
+/// span `span`, with the seed of each stream the build reads. A draw is a
+/// plain value; [`Draw::configuration`] builds it, and [`Draw::key`] names
+/// the configuration it builds without building it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Draw {
+    /// Graph family.
+    pub family: FamilySpec,
+    /// Node count.
+    pub n: usize,
+    /// Tag span σ.
+    pub span: Tag,
+    /// Tag-placement strategy.
+    pub tags: TagStrategy,
+    /// Seed of the family's edge stream (read by seeded families only).
+    pub graph_seed: u64,
+    /// Seed of the tag strategy's stream (read at σ > 0 by the random
+    /// strategies only).
+    pub tag_seed: u64,
+}
+
+/// Why a [`Draw`] builds no configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DrawError {
+    /// The family cannot be built on `n` nodes.
+    Family(FamilyError),
+    /// The graph and tags do not form a configuration.
+    Config {
+        /// The family drawn.
+        family: FamilySpec,
+        /// The tag strategy drawn.
+        tags: TagStrategy,
+        /// What [`Configuration::new`] rejected.
+        error: ConfigError,
+    },
+}
+
+impl fmt::Display for DrawError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DrawError::Family(e) => e.fmt(f),
+            DrawError::Config {
+                family,
+                tags,
+                error,
+            } => write!(
+                f,
+                "{family} with {tags} tags is not a valid configuration: {error}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DrawError {}
+
+impl Draw {
+    /// Builds the configuration: the family member from `graph_seed`,
+    /// then the tags from `tag_seed`.
+    pub fn configuration(&self) -> Result<Configuration, DrawError> {
+        let csr = self
+            .family
+            .build_csr(self.n, self.graph_seed)
+            .map_err(DrawError::Family)?;
+        let tags = self
+            .tags
+            .draw(self.n, self.span, &mut rng_from(self.tag_seed));
+        Configuration::new(csr, tags).map_err(|error| DrawError::Config {
+            family: self.family,
+            tags: self.tags,
+            error,
+        })
+    }
+
+    /// A 128-bit key of the configuration this draw builds: two FxHash
+    /// lanes over the family (with its parameters), `n`, σ, the strategy,
+    /// and only the seeds the build reads — the graph seed when the family
+    /// is seeded, the tag seed when σ > 0 and the strategy draws from its
+    /// stream (every strategy but `arith`). At σ = 0 every strategy draws
+    /// all-zero tags, so the key names neither the strategy nor the tag
+    /// seed there. Equal keys therefore mean equal configurations, up to
+    /// the two-lane birthday bound; the converse does not hold (two seeds
+    /// may happen to draw the same graph).
+    pub fn key(&self) -> u128 {
+        const SEED: u64 = 0xD4A7_5EED_0FC0_F1A6;
+        let mut lanes = FxHasher128::new(SEED);
+        self.family.hash(&mut lanes);
+        lanes.write_usize(self.n);
+        lanes.write_u64(self.span);
+        if self.family.stream_label().is_some() {
+            lanes.write_u64(self.graph_seed);
+        }
+        if self.span > 0 {
+            self.tags.hash(&mut lanes);
+            if !matches!(self.tags, TagStrategy::Arith { .. }) {
+                lanes.write_u64(self.tag_seed);
+            }
+        }
+        lanes.finish128()
+    }
+}
+
 /// The `G(n, p)` edge probability: `ppm` parts per million, or the
 /// size-adaptive `min(8/n, 1)` when unset.
 fn edge_probability(ppm: Option<u32>, n: usize) -> f64 {
@@ -863,6 +973,90 @@ pub(crate) mod tests {
                 g.edge_count() as u128,
                 "{spec} at n={n}"
             );
+        }
+    }
+
+    /// Every draw of the grid below: each family spec of CI's scenario
+    /// matrix (scalable ones at n = 6) × every tag strategy × σ ∈ {0, 1, 9}
+    /// × two graph seeds × two tag seeds.
+    fn matrix_draws() -> Vec<Draw> {
+        const MATRIX: [&str; 22] = [
+            "path",
+            "cycle",
+            "star",
+            "complete",
+            "wheel",
+            "ladder",
+            "binary-tree",
+            "tree:3",
+            "random-tree",
+            "gnp",
+            "gnp:0.2",
+            "random-connected:2",
+            "grid:3x2",
+            "torus:3x3",
+            "hypercube:3",
+            "caterpillar:3x1",
+            "random-caterpillar:4+2",
+            "spider:3x2",
+            "barbell:3+2",
+            "lollipop:4+2",
+            "double-star:2+2",
+            "bipartite:2x3",
+        ];
+        let mut draws = Vec::new();
+        for spec in MATRIX {
+            let family: FamilySpec = spec.parse().unwrap();
+            for tags in TagStrategy::ALL {
+                for span in [0, 1, 9] {
+                    for graph_seed in [3, 0xFEED] {
+                        for tag_seed in [5, 0xBEEF] {
+                            draws.push(Draw {
+                                family,
+                                n: family.node_count().unwrap_or(6),
+                                span,
+                                tags,
+                                graph_seed,
+                                tag_seed,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        draws
+    }
+
+    #[test]
+    fn equal_draw_keys_build_equal_configurations() {
+        use std::collections::hash_map::Entry;
+        let mut built: radio_util::fxhash::FxHashMap<u128, Configuration> = Default::default();
+        for draw in matrix_draws() {
+            let config = draw.configuration().unwrap_or_else(|e| panic!("{e}"));
+            match built.entry(draw.key()) {
+                Entry::Occupied(first) => assert_eq!(first.get(), &config, "{draw:?}"),
+                Entry::Vacant(slot) => {
+                    slot.insert(config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draw_keys_name_only_the_seeds_the_build_reads() {
+        // Per family: σ = 0 is one key for every strategy and tag seed;
+        // at σ ∈ {1, 9}, `arith` is one key and the three random
+        // strategies one per tag seed — 1 + 2·(1 + 3·2) = 15 keys, twice
+        // that for a seeded family, whose two graph seeds differ.
+        let draws = matrix_draws();
+        for family in draws.iter().map(|d| d.family) {
+            let keys: std::collections::BTreeSet<u128> = draws
+                .iter()
+                .filter(|d| d.family == family)
+                .map(Draw::key)
+                .collect();
+            let seeded = family.stream_label().is_some();
+            assert_eq!(keys.len(), if seeded { 30 } else { 15 }, "{family}");
         }
     }
 

@@ -38,7 +38,7 @@ pub mod tags;
 
 pub use config::Configuration;
 pub use csr::{Csr, GraphError, NodeId};
-pub use family::{FamilyError, FamilySpec};
+pub use family::{Draw, DrawError, FamilyError, FamilySpec};
 pub use tags::TagStrategy;
 
 #[cfg(test)]

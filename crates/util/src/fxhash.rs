@@ -27,6 +27,24 @@ impl FxHasher {
     }
 }
 
+/// Feeds `bytes` to `add_word` 8 bytes at a time, then the tail in one
+/// padded word. The tail padding means `write(b"ab")` != `write(b"ab\0")`,
+/// because the length is mixed into the final word.
+#[inline]
+fn byte_words(bytes: &[u8], mut add_word: impl FnMut(u64)) {
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        add_word(u64::from_le_bytes(chunk.try_into().unwrap()));
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rem.len()].copy_from_slice(rem);
+        tail[7] = tail[7].wrapping_add(rem.len() as u8);
+        add_word(u64::from_le_bytes(tail));
+    }
+}
+
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
@@ -35,20 +53,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        // Consume 8 bytes at a time, then the tail in one padded word. The
-        // tail padding means `write(b"ab")` != `write(b"ab\0")`, because the
-        // length is mixed into the final word.
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add_word(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            tail[7] = tail[7].wrapping_add(rem.len() as u8);
-            self.add_word(u64::from_le_bytes(tail));
-        }
+        byte_words(bytes, |word| self.add_word(word));
     }
 
     #[inline]
@@ -75,6 +80,70 @@ impl Hasher for FxHasher {
     fn write_u128(&mut self, v: u128) {
         self.add_word(v as u64);
         self.add_word((v >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.add_word(v as u64);
+    }
+}
+
+/// Two FxHash lanes over one word stream: a 128-bit fingerprint
+/// ([`FxHasher128::finish128`]). The high lane starts from `seed` and
+/// folds every word rotated and XORed with it: per-word FxHash maps are
+/// bijections, so this decorrelates the lanes' collision sets, and
+/// fingerprints made with different seeds differ even over equal words.
+#[derive(Debug, Clone, Copy)]
+pub struct FxHasher128 {
+    lo: FxHasher,
+    hi: FxHasher,
+    seed: u64,
+}
+
+impl FxHasher128 {
+    /// Both lanes empty but for `seed` in the high one.
+    pub fn new(seed: u64) -> FxHasher128 {
+        let mut hi = FxHasher::default();
+        hi.add_word(seed);
+        FxHasher128 {
+            lo: FxHasher::default(),
+            hi,
+            seed,
+        }
+    }
+
+    #[inline]
+    fn add_word(&mut self, word: u64) {
+        self.lo.add_word(word);
+        self.hi.add_word(word.rotate_left(32) ^ self.seed);
+    }
+
+    /// The two lanes, high lane in the upper 64 bits.
+    pub fn finish128(&self) -> u128 {
+        ((self.hi.state as u128) << 64) | self.lo.state as u128
+    }
+}
+
+impl Hasher for FxHasher128 {
+    /// The low lane alone.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.lo.state
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        byte_words(bytes, |word| self.add_word(word));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add_word(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add_word(v);
     }
 
     #[inline]

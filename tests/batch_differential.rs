@@ -2,10 +2,10 @@
 //! (the default, at several slice lengths) match `--no-batch` rows
 //! exactly after the measured tail, across the three channel models and
 //! several shard/thread geometries, both uncached (the campaign default)
-//! and with a schedule cache, where a slice hands its fingerprints to
-//! the cache's keyed compile. A deduped run copies an earlier run's
-//! metrics instead of simulating, so this pins that equal fingerprints
-//! really do mean equal elections.
+//! and with a schedule cache, where a slice's new draws go through the
+//! cache's draw-keyed lookup. A deduped run copies an earlier run's
+//! metrics instead of building and simulating, so this pins that equal
+//! draw keys really do mean equal elections.
 
 use anon_radio::cache::{CacheConfig, DEFAULT_CAPACITY};
 use anon_radio::campaign::{

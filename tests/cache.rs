@@ -18,10 +18,10 @@ use radio_classifier::ClassifierWorkspace;
 use radio_graph::{families, Configuration};
 use radio_sim::{ModelKind, RunOpts, SimWorkspace};
 
-/// A zoo-mix elect grid with repeated shapes: `arith` tags redraw the
+/// A zoo-mix elect grid with repeated shapes: `arith` tags draw the
 /// same tag vector every rep, so cache hits are guaranteed, while
-/// `uniform` reps and three models exercise exact-key reuse across the
-/// model axis.
+/// `uniform` reps and three models exercise key reuse across the model
+/// axis.
 fn zoo_spec(cache: CacheConfig) -> CampaignSpec {
     CampaignSpec {
         phase: Phase::Elect,
@@ -211,8 +211,8 @@ fn lru_eviction_and_reinsertion_preserve_results() {
 
 #[test]
 fn every_miss_stores_one_entry() {
-    // One thread, so no two workers race to first-miss one fingerprint
-    // and replace each other's entry: every miss adds exactly one entry
+    // One thread, so no two workers race to first-miss one key and
+    // replace each other's entry: every miss adds exactly one entry
     // and every eviction removes one.
     for capacity in [DEFAULT_CAPACITY, 1] {
         let mut runner = CampaignRunner::new(zoo_spec(CacheConfig::with_capacity(capacity)), 2);

@@ -7,9 +7,10 @@
 use anon_radio::cache::CacheConfig;
 use anon_radio::campaign::{CampaignRunner, CampaignSpec, FamilySpec, Phase, TagStrategy};
 use anon_radio::serve::{serve_session, serve_tcp, ServeOptions};
-use radio_graph::Configuration;
+use radio_graph::{Configuration, Draw};
 use radio_sim::{ModelKind, RunOpts};
-use radio_util::rng::{derive, rng_from};
+use radio_util::json::Writer;
+use radio_util::rng::derive;
 
 fn serve(input: &str, opts: &ServeOptions) -> (Vec<String>, anon_radio::serve::SessionSummary) {
     let mut out: Vec<u8> = Vec::new();
@@ -36,9 +37,16 @@ fn field_u64(reply: &str, name: &str) -> u64 {
 /// The exact configuration the serve layer draws for `family` on `n`
 /// nodes with uniform tags — the `elect --family` derivation.
 fn drawn_config(family: FamilySpec, n: usize, span: u64, seed: u64) -> Configuration {
-    let csr = family.build_csr(n, derive(seed, "graph")).unwrap();
-    let tags = TagStrategy::Uniform.draw(n, span, &mut rng_from(derive(seed, "tags")));
-    Configuration::new(csr, tags).unwrap()
+    Draw {
+        family,
+        n,
+        span,
+        tags: TagStrategy::Uniform,
+        graph_seed: derive(seed, "graph"),
+        tag_seed: derive(seed, "tags"),
+    }
+    .configuration()
+    .unwrap()
 }
 
 /// `family=path n=6 span=3 seed=42`, the spec most tests here serve.
@@ -176,6 +184,35 @@ fn repeated_jobs_hit_the_shared_schedule_cache() {
         field_u64(&lines[0], "leader"),
         field_u64(&lines[1], "leader")
     );
+}
+
+#[test]
+fn inline_jobs_are_cached_by_their_configuration() {
+    // The drawn job's configuration, sent inline: the inline job is keyed
+    // by its configuration's fingerprint and the drawn one by its draw, so
+    // each misses once, and the repeated inline job hits.
+    let drawn = "{\"op\":\"elect\",\"id\":1,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}";
+    let text = radio_graph::io::to_text(&drawn_path_config());
+    let inline = Writer::default()
+        .str("op", "elect")
+        .u64("id", 1)
+        .str("config", &text)
+        .finish();
+    let (lines, _) = serve(
+        &format!("{inline}\n{inline}\n{drawn}\n"),
+        &ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        },
+    );
+    assert_eq!(lines.len(), 3);
+    assert!(lines[0].contains("\"cache\":\"miss\""), "{}", lines[0]);
+    assert!(lines[1].contains("\"cache\":\"exact-hit\""), "{}", lines[1]);
+    assert!(lines[2].contains("\"cache\":\"miss\""), "{}", lines[2]);
+    // Up to the cache fields, the three replies are the same election.
+    let head = |reply: &str| reply.split(",\"cache\":").next().unwrap().to_string();
+    assert_eq!(head(&lines[0]), head(&lines[2]));
+    assert_eq!(head(&lines[1]), head(&lines[2]));
 }
 
 #[test]
