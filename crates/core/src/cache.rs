@@ -17,6 +17,10 @@
 //! alone, and its entry also holds the configuration (behind an [`Arc`]):
 //! a hit hands back both without generating, hashing or classifying
 //! anything, and a miss builds, compiles and stores one entry.
+//! [`ScheduleCache::get_draw`] is its lookup alone, for a caller that
+//! needs only the classifier's summary (a served `classify` job): a hit
+//! is the same, and a miss builds, compiles and stores nothing, since
+//! summarizing a configuration costs less than compiling it.
 //! [`ScheduleCache::compile_in`] keys a configuration the caller already
 //! holds (an inline one) by [`config_fingerprint`], a 128-bit fingerprint
 //! of its contents, and its entry holds the election alone: the caller
@@ -110,8 +114,11 @@ pub struct CacheStats {
     /// Lookups answered from the cache (nothing was built or
     /// classified).
     pub exact_hits: u64,
-    /// Lookups that built (on the draw route), classified *and* compiled
-    /// from scratch.
+    /// Lookups that found no entry. After one, a [`ScheduleCache::draw_in`]
+    /// or [`ScheduleCache::compile_in`] caller (an `elect` job, a campaign
+    /// run) builds (on the draw route), compiles and stores one entry; a
+    /// [`ScheduleCache::get_draw`] caller (a served `classify` job) builds
+    /// and summarizes its configuration itself and stores nothing.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
@@ -125,7 +132,7 @@ impl CacheStats {
         0
     }
 
-    /// Total lookups.
+    /// Total lookups, through all three lookup methods.
     pub fn lookups(&self) -> u64 {
         self.exact_hits + self.misses
     }
@@ -302,6 +309,19 @@ impl ScheduleCache {
         }
     }
 
+    /// The draw-route entry under `key`, counted as an exact hit. Only
+    /// the draw route stores a configuration, so an entry without one is a
+    /// fingerprint that collided with `key`, and not a hit.
+    fn draw_hit(&self, key: u128) -> Option<(Arc<Configuration>, CompiledElection)> {
+        match self.get(key) {
+            Some((Some(config), compiled)) => {
+                self.exact_hits.fetch_add(1, Ordering::Relaxed);
+                Some((config, compiled))
+            }
+            _ => None,
+        }
+    }
+
     /// Counts a miss, compiles `config` and stores its election under
     /// `key`, with `stored` as the entry's configuration.
     fn miss(
@@ -330,15 +350,25 @@ impl ScheduleCache {
         draw: &Draw,
     ) -> Result<(Arc<Configuration>, CompiledElection, CacheLookup), DrawError> {
         let key = draw.key();
-        // Only this route stores a configuration, so an entry without one
-        // is a fingerprint that collided with `key`: rebuild over it.
-        if let Some((Some(config), compiled)) = self.get(key) {
-            self.exact_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some((config, compiled)) = self.draw_hit(key) {
             return Ok((config, compiled, CacheLookup::ExactHit));
         }
         let config = Arc::new(draw.configuration()?);
         let compiled = self.miss(workspace, key, &config, Some(config.clone()));
         Ok((config, compiled, CacheLookup::Miss))
+    }
+
+    /// The lookup of [`ScheduleCache::draw_in`] alone: the configuration
+    /// and election stored under [`Draw::key`], or `None` when no entry
+    /// holds them. A hit counts an exact hit and refreshes the entry's LRU
+    /// tick; a miss counts a miss and builds, compiles and stores nothing
+    /// (a draw that would not build is such a miss, with no error).
+    pub fn get_draw(&self, draw: &Draw) -> Option<(Arc<Configuration>, CompiledElection)> {
+        let hit = self.draw_hit(draw.key());
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
     }
 
     /// The memoized form of [`CompiledElection::compile_in`] for a
@@ -463,6 +493,51 @@ mod tests {
         assert_eq!(cache.len(), 2);
         let stats = cache.stats();
         assert_eq!((stats.exact_hits, stats.misses), (1, 2));
+    }
+
+    #[test]
+    fn get_draw_looks_up_without_building_or_storing() {
+        let cache = ScheduleCache::default();
+        let mut ws = ClassifierWorkspace::new();
+        let draw = Draw {
+            family: radio_graph::FamilySpec::Path,
+            n: 6,
+            span: 3,
+            tags: radio_graph::TagStrategy::Uniform,
+            graph_seed: 1,
+            tag_seed: 2,
+        };
+        let stats = |hits, misses| CacheStats {
+            exact_hits: hits,
+            misses,
+            evictions: 0,
+        };
+        // an empty cache misses, and the miss stores nothing
+        assert!(cache.get_draw(&draw).is_none());
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), stats(0, 1));
+        // a draw that would not build misses too: no error, no entry
+        assert!(cache.get_draw(&Draw { n: 0, ..draw }).is_none());
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), stats(0, 2));
+        // after draw_in, a lookup hands back the stored configuration and
+        // the summary a fresh build's summarize_in gives
+        let (stored, _, _) = cache.draw_in(&mut ws, &draw).unwrap();
+        let key = draw.key();
+        let last_used = || cache.shards[shard_of(key)].lock().unwrap().map[&key].last_used;
+        let before = last_used();
+        let (config, compiled) = cache.get_draw(&draw).expect("draw_in stored the draw");
+        assert!(Arc::ptr_eq(&config, &stored), "a hit builds nothing");
+        let fresh = draw.configuration().unwrap();
+        assert_eq!(compiled.summary(), ws.summarize_in(&fresh));
+        assert!(last_used() > before, "a hit refreshes the entry's LRU tick");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), stats(1, 3));
+        // an entry without a configuration (a fingerprint colliding with
+        // the draw's key) is not a hit
+        cache.put(key, (None, compiled));
+        assert!(cache.get_draw(&draw).is_none());
+        assert_eq!(cache.stats(), stats(1, 4));
     }
 
     #[test]

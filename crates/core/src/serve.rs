@@ -51,7 +51,12 @@
 //! (`"cache":"exact-hit"|"miss"|"off"`; a `family` job is looked up by
 //! its draw, an inline `config` job by its configuration's fingerprint,
 //! so the two never share an entry) and the shared
-//! cache's cumulative `cache_hits`/`cache_misses` counters — or
+//! cache's cumulative `cache_hits`/`cache_misses` counters. A `family`
+//! `classify` job on a cached worker is looked up by its draw too, and a
+//! hit answers from the entry's classifier summary without building or
+//! classifying; a miss stores nothing. Its reply carries no verdict, so
+//! it reads the same with the cache on or off, but its lookup counts in
+//! the cumulative counters of later elect replies. Failures are
 //! `{"ok":false,"id":…,"error":…,"message":…}` with `error` one of
 //! `bad-request` (unparseable or invalid job), `deadline` (the round
 //! budget ran out; [`ElectError::RoundLimit`]), `election` (contract or
@@ -644,15 +649,27 @@ pub fn elect(
     })
 }
 
-/// Runs a `classify` job through `ws`'s classifier workspace, returning
-/// the configuration with its summary.
+/// Runs a `classify` job, returning the configuration with its summary.
+/// With a cache attached, a drawn job is looked up by its draw
+/// ([`ScheduleCache::get_draw`]): a hit hands back the entry's
+/// configuration and the summary its compile recorded, and builds and
+/// classifies nothing. Otherwise (a miss, an inline job, no cache) the job
+/// builds its configuration and summarizes it through `ws`'s classifier
+/// workspace, and stores nothing: compiling would cost more than the
+/// summary. The two summaries are equal, since a compile runs the same
+/// classifier with a sink that only records.
 pub fn classify(
     ws: &mut CampaignWorkspace,
     job: &OneShotJob,
-) -> Result<(Configuration, ClassifySummary), JobError> {
+) -> Result<(Arc<Configuration>, ClassifySummary), JobError> {
+    if let (Some(cache), Some(draw)) = (&ws.cache, job.source.draw()) {
+        if let Some((config, compiled)) = cache.get_draw(&draw) {
+            return Ok((config, compiled.summary()));
+        }
+    }
     let config = job.configuration().map_err(JobError::BadRequest)?;
     let summary = ws.classifier.summarize_in(&config);
-    Ok((config, summary))
+    Ok((Arc::new(config), summary))
 }
 
 /// Runs a `campaign-cell` job: validates its one-cell spec and folds the

@@ -114,7 +114,64 @@ fn classify_replies_match_the_classifier_summary() {
     );
     assert_eq!(field_u64(reply, "iterations"), summary.iterations as u64);
     assert_eq!(field_u64(reply, "classes"), u64::from(summary.num_classes));
+    match summary.leader {
+        Some(leader) => assert_eq!(field_u64(reply, "leader"), u64::from(leader)),
+        None => assert!(reply.contains("\"leader\":null"), "{reply}"),
+    }
     assert_eq!(field_u64(reply, "relabels"), summary.relabels);
+}
+
+#[test]
+fn classify_jobs_answer_from_the_draws_cache_entry() {
+    // elect, classify, elect of one draw on one worker: the first elect
+    // stores the draw's entry, and the classify job and the second elect
+    // both hit it.
+    let elect = "{\"op\":\"elect\",\"id\":1,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}";
+    let classify =
+        "{\"op\":\"classify\",\"id\":2,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}";
+    let (lines, _) = serve(
+        &format!("{elect}\n{classify}\n{elect}\n"),
+        &ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        },
+    );
+    assert_eq!(lines.len(), 3);
+    assert!(
+        lines[2].ends_with(",\"cache\":\"exact-hit\",\"cache_hits\":2,\"cache_misses\":1}"),
+        "{}",
+        lines[2]
+    );
+    // The reply carries no verdict: it is the reply an uncached session
+    // gives, byte for byte.
+    let (uncached, _) = serve(
+        &format!("{classify}\n"),
+        &ServeOptions {
+            cache: CacheConfig::disabled(),
+            ..ServeOptions::default()
+        },
+    );
+    assert_eq!(lines[1], uncached[0]);
+}
+
+#[test]
+fn a_classify_miss_stores_nothing() {
+    // The classify job misses and stores no entry, so the elect job of
+    // the same draw misses too; both lookups count.
+    let (lines, _) = serve(
+        "{\"op\":\"classify\",\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n\
+         {\"op\":\"elect\",\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n",
+        &ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        },
+    );
+    assert!(!lines[0].contains("cache"), "{}", lines[0]);
+    assert!(
+        lines[1].ends_with(",\"cache\":\"miss\",\"cache_hits\":0,\"cache_misses\":2}"),
+        "{}",
+        lines[1]
+    );
 }
 
 #[test]
