@@ -120,6 +120,12 @@ pub struct ElectionReport {
     /// Horizon queries the engine made (see
     /// [`radio_sim::ResidentRun::horizon_queries`]).
     pub horizon_queries: u64,
+    /// Deliveries the engine made: messages and collision or noise
+    /// observations recorded by listeners. A node whose match can no
+    /// longer change is deaf and is delivered nothing (see
+    /// [`radio_sim::ResidentRun`]), so this is at most what the channel
+    /// carries.
+    pub deliveries: u64,
 }
 
 /// Decides feasibility of leader election on `config` (Theorem 3.17).

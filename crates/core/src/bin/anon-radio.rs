@@ -404,7 +404,7 @@ fn elect_command(args: &Args) -> Result<i32, String> {
                 "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
                  done by global round {} | transmissions: {} | \
                  engine: {} stepped + {} leapt | \
-                 visits: {} decides + {} horizon queries",
+                 visits: {} decides + {} horizon queries | deliveries: {}",
                 report.leader,
                 report.phases,
                 report.rounds_local,
@@ -413,7 +413,8 @@ fn elect_command(args: &Args) -> Result<i32, String> {
                 report.rounds_stepped,
                 report.rounds_leapt,
                 report.decides,
-                report.horizon_queries
+                report.horizon_queries,
+                report.deliveries
             );
             0
         }

@@ -157,7 +157,26 @@ const LEADER: u8 = 2;
 /// cursor walks the trie of the same list entries the decision replay
 /// compares against, under every channel model — in phase `T`, only the
 /// leader class's path, since no node reads which other final class it
-/// lands in. Once a cursor is dead, `observe` computes no further keys.
+/// lands in.
+///
+/// A node is deaf ([`DripNodes::deaf`]) exactly when its cursor is dead,
+/// and the engine then delivers nothing to it. The hint is exact:
+///
+/// * a dead cursor stays dead and resolves to `NoMatch`, so the node goes
+///   off schedule at its next phase boundary, or terminates as a
+///   non-leader;
+/// * a node that goes off schedule gets a dead cursor, and an off-schedule
+///   node ignores what it hears;
+/// * horizons depend on the local round, the phase and the transmit round
+///   only, never on what a node heard in its current phase.
+///
+/// On its own configuration a cursor never dies before phase `T`: phases
+/// 1 … T−1 hold full tries, and every node's observations spell its
+/// class's label (Lemma 3.8). In phase `T` the nodes off m̂'s path go deaf
+/// at their first observation off it, so a phase-`T` transmission reaches
+/// only the nodes still on it. The run's delivery counters then count the
+/// deliveries made, not the ones the channel carries
+/// ([`radio_sim::ResidentRun`]).
 pub(crate) struct CanonicalNodes<'s> {
     schedule: &'s CanonicalSchedule,
     /// Current phase `j` (1-based).
@@ -203,13 +222,12 @@ impl DripNodes for CanonicalNodes<'_> {
             // r_T + 1: every node terminates, and the decision function
             // collapses into the node: phase T's cursor follows m̂'s path
             // alone and resolves to `Unique(m̂)` exactly when the node's
-            // history lands in the leader class.
-            if self.flags[v] & OFF_SCHEDULE == 0
-                && matches!(
-                    self.cursor[v].resolve(s.matcher()),
-                    MatchResult::Unique(k) if s.lists.leader_class == Some(k)
-                )
-            {
+            // history lands in the leader class (an off-schedule node's
+            // cursor is dead).
+            if matches!(
+                self.cursor[v].resolve(s.matcher()),
+                MatchResult::Unique(k) if s.lists.leader_class == Some(k)
+            ) {
                 self.flags[v] |= LEADER;
             }
             return Action::Terminate;
@@ -228,6 +246,7 @@ impl DripNodes for CanonicalNodes<'_> {
                     }
                     MatchResult::NoMatch | MatchResult::Ambiguous { .. } => {
                         self.flags[v] |= OFF_SCHEDULE;
+                        self.cursor[v] = MatchCursor::DEAD;
                     }
                 }
             }
@@ -259,8 +278,9 @@ impl DripNodes for CanonicalNodes<'_> {
     #[inline]
     fn observe(&mut self, v: NodeId, t: u64, obs: Obs) -> bool {
         let v = v as usize;
-        // A dead cursor stays dead: in phase T, every node off m̂'s path.
-        if self.cursor[v].is_dead() || self.flags[v] & OFF_SCHEDULE != 0 {
+        // A dead cursor stays dead: in phase T, every node off m̂'s path,
+        // and every off-schedule node.
+        if self.cursor[v].is_dead() {
             return false;
         }
         let s = self.schedule;
@@ -268,6 +288,12 @@ impl DripNodes for CanonicalNodes<'_> {
             self.cursor[v].advance(s.matcher(), key);
         }
         false
+    }
+
+    /// A dead cursor: nothing the node hears from now on is read.
+    #[inline]
+    fn deaf(&self, v: NodeId) -> bool {
+        self.cursor[v as usize].is_dead()
     }
 
     fn mem_bytes(&self) -> u64 {
@@ -432,11 +458,41 @@ pub(crate) mod tests {
         );
     }
 
-    /// Runs `compiled` on `config` both ways under every channel model
+    /// `CanonicalNodes` that hear every delivery: the hint
+    /// [`DripNodes::deaf`] keeps its default `false`, so the engine
+    /// delivers everything the channel carries, as it does to boxed nodes.
+    struct Hearing<'s>(CanonicalNodes<'s>);
+
+    impl DripNodes for Hearing<'_> {
+        const READS_HISTORY: bool = false;
+
+        fn decide(&mut self, v: NodeId, history: HistoryView<'_>) -> Action {
+            self.0.decide(v, history)
+        }
+
+        fn quiet_until(&self, v: NodeId, history: HistoryView<'_>) -> Option<u64> {
+            self.0.quiet_until(v, history)
+        }
+
+        fn observe(&mut self, v: NodeId, t: u64, obs: Obs) -> bool {
+            self.0.observe(v, t, obs)
+        }
+
+        fn mem_bytes(&self) -> u64 {
+            self.0.mem_bytes()
+        }
+    }
+
+    /// Runs `compiled` on `config` three ways under every channel model
     /// within `max_rounds`: the history-reading DRIP judged node by node by
-    /// `f_G` (the oracle), and the streaming simulate step every election
-    /// takes. Leaders and run shape must agree exactly, and so must a
-    /// round-limit error. Returns how many of the three runs hit the limit.
+    /// `f_G` (the oracle), the streaming nodes with every delivery made
+    /// (the hearing run), and the simulate step every election takes,
+    /// which delivers nothing to deaf nodes. The hearing run must match
+    /// the oracle exactly: leaders, counters and run shape. The simulate
+    /// step must match the hearing run in everything but its two delivery
+    /// counters, and each of those may only be smaller. A round-limit
+    /// error must be the same in all three. Returns how many of the three
+    /// models hit the limit.
     pub(crate) fn assert_streaming_matches_the_oracle(
         compiled: &crate::CompiledElection,
         config: &Configuration,
@@ -449,31 +505,65 @@ pub(crate) mod tests {
         for model in radio_sim::ModelKind::ALL {
             let what = format!("{config} model={model}");
             let dense = sim.run_kind(model, config, &compiled.factory(), opts);
+            let mut hearing = Hearing(CanonicalNodes::new(compiled.schedule(), config.size()));
+            let heard = sim
+                .run_nodes(model, config, &mut hearing, opts)
+                .map(|run| (hearing.0.leaders(), run));
             let streamed = compiled.simulate_in(sim, config, model, opts);
-            let (ex, (leaders, run)) = match (dense, streamed) {
-                (Ok(ex), Ok(streamed)) => (ex, streamed),
-                (Err(dense), Err(streamed)) => {
+            let (ex, (heard_leaders, heard), (leaders, run)) = match (dense, heard, streamed) {
+                (Ok(ex), Ok(heard), Ok(streamed)) => (ex, heard, streamed),
+                (Err(dense), Err(heard), Err(streamed)) => {
+                    assert_eq!(heard, dense, "{what}");
                     assert_eq!(streamed, dense, "{what}");
                     limited += 1;
                     continue;
                 }
-                (dense, streamed) => panic!(
-                    "{what}: dense {:?} but streaming {:?}",
+                (dense, heard, streamed) => panic!(
+                    "{what}: dense {:?}, hearing {:?} but streaming {:?}",
                     dense.map(|_| ()),
+                    heard.map(|_| ()),
                     streamed.map(|_| ())
                 ),
             };
-            let oracle: Vec<_> = (0..config.size() as radio_graph::NodeId)
+            let oracle: Vec<_> = (0..config.size() as NodeId)
                 .filter(|&v| decision.is_leader(ex.history(v)))
                 .collect();
             let done = ex.done_round.iter().copied().max().unwrap_or(0);
-            assert_eq!(leaders, oracle, "{what}");
+            assert_eq!(heard_leaders, oracle, "{what}");
             assert_eq!(
-                (run.stats, run.rounds, run.rounds_stepped, run.rounds_leapt),
+                (
+                    heard.stats,
+                    heard.rounds,
+                    heard.rounds_stepped,
+                    heard.rounds_leapt
+                ),
                 (ex.stats, ex.rounds, ex.rounds_stepped, ex.rounds_leapt),
                 "{what}"
             );
-            assert_eq!(run.completion_round, done, "{what}");
+            assert_eq!(heard.completion_round, done, "{what}");
+
+            // Skipping deaf listeners changes the delivery counters alone.
+            assert_eq!(leaders, heard_leaders, "{what}");
+            let shape = |run: &radio_sim::ResidentRun| {
+                let radio_sim::ExecStats {
+                    transmissions,
+                    forced_wakeups,
+                    ..
+                } = run.stats;
+                (
+                    (transmissions, forced_wakeups),
+                    (run.rounds, run.rounds_stepped, run.rounds_leapt),
+                    (run.completion_round, run.decides, run.horizon_queries),
+                )
+            };
+            assert_eq!(shape(&run), shape(&heard), "{what}");
+            assert!(
+                run.stats.messages_received <= heard.stats.messages_received
+                    && run.stats.collisions_observed <= heard.stats.collisions_observed,
+                "{what}: {:?} delivered, the channel carries {:?}",
+                run.stats,
+                heard.stats
+            );
         }
         limited
     }
@@ -491,6 +581,33 @@ pub(crate) mod tests {
             let limited = assert_streaming_matches_the_oracle(&compiled, &foreign, &mut sim, limit);
             assert_eq!(limited, 0, "{foreign}");
         }
+    }
+
+    #[test]
+    fn deaf_sleepers_still_wake() {
+        // The symmetric two-node path is infeasible after one phase, so
+        // its schedule holds no match path: every cursor is dead from the
+        // start and every node deaf. Run on a path whose second node
+        // sleeps through the first one's transmission, that transmission
+        // must still wake it.
+        let mut cls = radio_classifier::ClassifierWorkspace::new();
+        let symmetric = Configuration::new(generators::path(2), vec![0, 0]).unwrap();
+        let compiled = crate::CompiledElection::compile_in(&mut cls, &symmetric);
+        assert!(compiled.schedule().matcher().start(1, 1).is_dead());
+        let late = Configuration::new(generators::path(2), vec![0, 5]).unwrap();
+        let mut sim = radio_sim::SimWorkspace::new();
+        let limit = RunOpts::default().max_rounds;
+        let limited = assert_streaming_matches_the_oracle(&compiled, &late, &mut sim, limit);
+        assert_eq!(limited, 0);
+        let (_, run) = compiled
+            .simulate_in(
+                &mut sim,
+                &late,
+                radio_sim::ModelKind::default(),
+                RunOpts::default(),
+            )
+            .unwrap();
+        assert_eq!(run.stats.forced_wakeups, 1);
     }
 
     #[test]

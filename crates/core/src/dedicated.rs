@@ -180,6 +180,7 @@ impl CompiledElection {
             rounds_leapt: run.rounds_leapt,
             decides: run.decides,
             horizon_queries: run.horizon_queries,
+            deliveries: run.stats.messages_received + run.stats.collisions_observed,
         })
     }
 }

@@ -512,6 +512,9 @@ pub struct MatchCursor {
 }
 
 impl MatchCursor {
+    /// The dead cursor: it resolves to `NoMatch` whatever it is fed.
+    pub const DEAD: MatchCursor = MatchCursor { state: NO_STATE };
+
     /// Whether the cursor is dead: it resolves to `NoMatch` whatever it is
     /// fed next, so a caller may skip computing further keys.
     #[inline]

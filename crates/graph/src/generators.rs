@@ -352,19 +352,30 @@ pub(crate) fn gnp_connected_edges(n: usize, p: f64, rng: &mut impl Rng, emit: Em
         emit(u, v);
     });
     if p > 0.0 {
-        // No coin is flipped for a pair the backbone already joined. The
-        // scan meets pairs in `(u, v)` order, so it meets the sorted
-        // backbone pairs in order too: a cursor replaces a set lookup.
-        tree.sort_unstable();
-        let mut next = 0;
-        for u in 0..n as NodeId {
-            for v in (u + 1)..n as NodeId {
-                if tree.get(next) == Some(&(u, v)) {
-                    next += 1;
-                } else if rng.random_bool(p) {
+        // `random_bool(p)` compares the next word's top 53 bits, as a
+        // fraction of 2⁵³, with `p`; exactly that is an integer compare
+        // with ⌈p·2⁵³⌉ (the product is exact: a power-of-two scaling).
+        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+        let mut coins = |u: NodeId, vs: std::ops::Range<NodeId>| {
+            for v in vs {
+                if rng.next_u64() >> 11 < threshold {
                     emit(u, v);
                 }
             }
+        };
+        // No coin is flipped for a pair the backbone already joined. The
+        // scan meets pairs in `(u, v)` order, so it meets the sorted
+        // backbone pairs in order too: row `u`'s backbone partners split
+        // it into runs of coins.
+        tree.sort_unstable();
+        let mut partners = tree.iter().peekable();
+        for u in 0..n as NodeId {
+            let mut v = u + 1;
+            while let Some(&(_, w)) = partners.next_if(|&&(a, _)| a == u) {
+                coins(u, v..w);
+                v = w + 1;
+            }
+            coins(u, v..n as NodeId);
         }
     }
 }

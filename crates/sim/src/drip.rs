@@ -140,13 +140,33 @@ pub trait DripNodes {
     /// re-asked whatever this returns.
     fn observe(&mut self, v: NodeId, t: u64, obs: Obs) -> bool;
 
+    /// Whether awake node `v` is deaf: nothing it hears from now on can
+    /// change its state, its actions or what the caller reads off it. The
+    /// promise is that every later [`DripNodes::observe`] of `v` would
+    /// return `false` and change no state, and that `v`'s `decide` and
+    /// `quiet_until` never depend on what it hears from here on.
+    ///
+    /// The engine asks it after the round's decisions, for the
+    /// neighbours of a transmitter, and delivers nothing to a deaf one: no
+    /// observation is recorded, counted in [`ExecStats`](crate::ExecStats)
+    /// or traced. The hint holds for awake nodes only: a sleeping node is
+    /// reached whatever it says, since a transmission may wake it. The
+    /// default, `false`, keeps every delivery; boxed nodes read their
+    /// stored histories, so they are never deaf.
+    #[inline]
+    fn deaf(&self, v: NodeId) -> bool {
+        let _ = v;
+        false
+    }
+
     /// Bytes of per-node state, counted into
     /// [`SimWorkspace::mem_bytes`](crate::SimWorkspace::mem_bytes).
     fn mem_bytes(&self) -> u64;
 }
 
 /// Boxed nodes read their stored histories; they fold nothing online, and
-/// since their horizons read history, every observation re-asks one.
+/// since their horizons read history, every observation re-asks one. They
+/// are never deaf (the default), so their runs count every delivery.
 impl DripNodes for Vec<Box<dyn DripNode>> {
     const READS_HISTORY: bool = true;
 

@@ -17,7 +17,11 @@
 //!    action from its history (its local round is `r − wake`).
 //! 2. **Transmit** — transmitters are collected; for every neighbour of a
 //!    transmitter the engine counts transmitting neighbours (round-stamped
-//!    counters, no per-round clearing).
+//!    counters, no per-round clearing). An awake neighbour that is deaf
+//!    ([`DripNodes::deaf`](crate::drip::DripNodes::deaf): nothing it hears
+//!    can change it) is skipped, so steps 3 and 4 deliver nothing to it;
+//!    a sleeping one is always counted, since the transmission may wake
+//!    it. Boxed nodes are never deaf.
 //! 3. **Deliver** — transmitters record silence (they hear nothing);
 //!    listeners record what [`RadioModel::listener_obs`] dictates — the
 //!    deciders that chose to listen, and every other awake neighbour of a
@@ -187,14 +191,23 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Aggregate counters over one execution.
+///
+/// The two delivery counters count what awake listeners received. On an
+/// [`Execution`] (every run of a factory's nodes, and every run of the
+/// reference engine) that is every delivery the channel carries. On a
+/// [`ResidentRun`](crate::ResidentRun) it is the deliveries the engine
+/// made: a node that says it is deaf ([`DripNodes::deaf`]) is delivered
+/// nothing, so there the counters may fall short of the channel's.
+///
+/// [`DripNodes::deaf`]: crate::drip::DripNodes::deaf
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total transmissions over all nodes and rounds.
     pub transmissions: u64,
-    /// Total messages successfully received by awake listeners.
+    /// Total messages delivered to awake listeners.
     pub messages_received: u64,
-    /// Total collision/noise observations by awake listeners (`(∗)` plus,
-    /// under carrier-sensing models, `(~)`).
+    /// Total collision/noise observations delivered to awake listeners
+    /// (`(∗)` plus, under carrier-sensing models, `(~)`).
     pub collisions_observed: u64,
     /// Number of nodes woken by channel activity rather than their tag
     /// (a message under the default model; possibly noise under others).

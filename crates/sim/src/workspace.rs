@@ -577,7 +577,9 @@ impl SimWorkspace {
     /// Runs `nodes` on `config` under a runtime-selected channel model
     /// without materializing an [`Execution`]: the run's state stays
     /// resident in the workspace until the next run resets it, and the
-    /// returned summary carries everything else an [`Execution`] would.
+    /// returned summary carries the rest of what an [`Execution`] would.
+    /// Its delivery counters count the deliveries made: a node that
+    /// [`DripNodes::deaf`] names is delivered nothing.
     ///
     /// This is the engine's million-node path. Materializing a 10⁶-node
     /// execution clones every observation into per-node vectors — for
@@ -682,7 +684,10 @@ impl SimWorkspace {
             }
             decides += self.actions.len() as u64;
 
-            // 2. Collect transmitters and stamp neighbour counters.
+            // 2. Collect transmitters and stamp neighbour counters. An awake
+            //    deaf neighbour is skipped: it is neither stamped nor
+            //    touched, so steps 3 and 4 deliver nothing to it. A sleeping
+            //    one is always stamped, since the transmission may wake it.
             self.transmitters.clear();
             self.touched.clear();
             for &(v, action) in &self.actions {
@@ -693,6 +698,9 @@ impl SimWorkspace {
             for &(u, m) in &self.transmitters {
                 for &w in csr.neighbors(u) {
                     let wi = w as usize;
+                    if nodes.deaf(w) && self.wake[wi] != ASLEEP {
+                        continue;
+                    }
                     if self.cnt_stamp[wi] != r {
                         self.cnt_stamp[wi] = r;
                         self.cnt[wi] = 0;
@@ -880,8 +888,20 @@ impl SimWorkspace {
 }
 
 /// Summary of a run whose histories stayed resident in the workspace
-/// arena (see [`SimWorkspace::run_nodes`]): everything an
-/// [`Execution`] reports except the materialized per-node vectors.
+/// arena (see [`SimWorkspace::run_nodes`]): an [`Execution`]'s rounds and
+/// counters without the materialized per-node vectors, plus the engine's
+/// work counters.
+///
+/// Its delivery counters ([`ExecStats::messages_received`] and
+/// [`ExecStats::collisions_observed`]) count the deliveries the engine
+/// made. Those are the deliveries the channel carries, as an
+/// [`Execution`] counts them, unless some nodes are deaf
+/// ([`DripNodes::deaf`]): nothing is delivered to a deaf node, and then
+/// the counters are at most the channel's. The rounds, the transmissions
+/// and the forced wake-ups do not depend on deafness, and neither does
+/// the trace's list of transmitters, wake-ups and terminations; a deaf
+/// node's missed receptions are absent from its `received` and
+/// `collisions` lists.
 #[derive(Debug, Clone)]
 pub struct ResidentRun {
     /// Number of global rounds simulated (identical to
@@ -898,7 +918,8 @@ pub struct ResidentRun {
     pub decides: u64,
     /// Calls to [`DripNodes::quiet_until`].
     pub horizon_queries: u64,
-    /// Aggregate counters.
+    /// Aggregate counters; the delivery counters count the deliveries
+    /// made (see above).
     pub stats: ExecStats,
     /// Recorded trace, when requested via [`RunOpts::record_trace`].
     pub trace: Option<Trace>,
