@@ -640,10 +640,12 @@ fn serve_command(args: &Args) -> Result<i32, String> {
         cache: cache_policy(args, ServeOptions::default().cache)?,
     };
     if stdin_stdout {
-        // `Stdout` (not the lock) goes to the writer thread: the handle is
-        // Send and line-buffers exactly like the campaign row stream.
+        // `Stdin` and `Stdout` (not their locks) go to the lanes: the
+        // handles are Send, and stdout line-buffers exactly like the
+        // campaign row stream.
         let mut out = std::io::stdout();
-        let summary = serve_session(std::io::stdin().lock(), &mut out, &opts);
+        let input = std::io::BufReader::new(std::io::stdin());
+        let summary = serve_session(input, &mut out, &opts);
         eprintln!(
             "serve: {} reply line(s), {} written, {} dropped ({})",
             summary.jobs,
@@ -662,8 +664,9 @@ fn serve_command(args: &Args) -> Result<i32, String> {
             .map_err(|e| format!("cannot bind tcp {addr}: {e}"))?;
         if let Ok(local) = listener.local_addr() {
             eprintln!(
-                "serve: listening on tcp {local} ({} worker(s), queue {})",
-                opts.threads, opts.queue
+                "serve: listening on tcp {local} ({} workspace(s), {} lane(s) per connection)",
+                opts.threads,
+                opts.lanes()
             );
         }
         return Ok(shut_down(serve_tcp(listener, &opts)));
@@ -699,8 +702,9 @@ fn serve_unix_at(path: &str, opts: &ServeOptions) -> Result<i32, String> {
         format!("cannot bind unix socket {path}: {e} (remove the file if it is stale)")
     })?;
     eprintln!(
-        "serve: listening on unix {path} ({} worker(s), queue {})",
-        opts.threads, opts.queue
+        "serve: listening on unix {path} ({} workspace(s), {} lane(s) per connection)",
+        opts.threads,
+        opts.lanes()
     );
     let result = anon_radio::serve::serve_unix(listener, opts);
     let _ = std::fs::remove_file(path);
@@ -857,15 +861,18 @@ const USAGE: &str = "anon-radio — deterministic leader election in anonymous r
          \u{20}                                 compact binary encoding (direction sniffed\n\
          \u{20}                                 from the magic bytes; lossless both ways)\n\
          \u{20}  anon-radio serve [flags]       resident election service: long-lived\n\
-         \u{20}                                 workers with warm workspaces + shared\n\
-         \u{20}                                 schedule cache answer line-delimited JSON\n\
+         \u{20}                                 warm workspaces + a shared schedule\n\
+         \u{20}                                 cache answer line-delimited JSON\n\
          \u{20}                                 jobs (elect, classify, campaign-cell,\n\
          \u{20}                                 shutdown); replies stream in submission\n\
          \u{20}                                 order, one line each\n\
          \u{20}      --stdin-stdout   serve one session over stdin/stdout (CI mode)\n\
          \u{20}      --tcp ADDR       listen on a TCP address (e.g. 127.0.0.1:7878)\n\
          \u{20}      --unix PATH      listen on a Unix-domain socket\n\
-         \u{20}      --threads T --queue Q  worker pool size and bounded job-queue depth\n\
+         \u{20}      --threads T      jobs run at once, daemon-wide (one warm\n\
+         \u{20}                       workspace each)\n\
+         \u{20}      --queue Q        jobs one connection has read and not yet\n\
+         \u{20}                       answered: it runs on min(T, Q) lanes\n\
          \u{20}      --no-cache / --cache-capacity N  shared schedule-cache policy\n\
          \u{20}                       (default: a cache of ~2048 entries)\n\
          \n\

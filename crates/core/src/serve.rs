@@ -2,7 +2,7 @@
 //!
 //! The reuse machinery of the campaign layer — warm [`SimWorkspace`]s,
 //! warm [`ClassifierWorkspace`]s, the process-wide [`ScheduleCache`] —
-//! only pays off when workers survive across requests. This module is the
+//! only pays off when workspaces survive across requests. This module is the
 //! long-running process that makes that true: a supervised daemon
 //! accepting **jobs** over a line-delimited JSON protocol and streaming
 //! one **reply** line back per job.
@@ -12,7 +12,7 @@
 //! Every request is one line holding one flat JSON object; every reply is
 //! one line holding one flat JSON object (`campaign-cell` replies embed
 //! the nested row object). Requests are answered **in submission order**
-//! per connection, whatever order the worker pool finishes them in.
+//! per connection, whatever order the connection's lanes finish them in.
 //!
 //! ```text
 //! {"op":"elect","id":1,"family":"path","n":8,"span":4,"seed":42,"model":"no-cd"}
@@ -60,23 +60,37 @@
 //! `{"ok":false,"id":…,"error":…,"message":…}` with `error` one of
 //! `bad-request` (unparseable or invalid job), `deadline` (the round
 //! budget ran out; [`ElectError::RoundLimit`]), `election` (contract or
-//! prediction violation), `shutting-down`, or `internal` (a worker
-//! panicked; the job's reply reports it and the worker rebuilds its
-//! workspace — a panic never takes down the daemon).
+//! prediction violation), `shutting-down`, or `internal` (the job
+//! panicked; its reply reports it and its workspace is rebuilt — a panic
+//! never takes down the daemon). A line that is not UTF-8 is a
+//! `bad-request` like any other malformed line, and a refused job's
+//! `shutting-down` reply carries its `id` when the line parses.
 //!
 //! # Supervision
 //!
-//! One **bounded** job queue ([`std::sync::mpsc::sync_channel`], capacity
-//! [`ServeOptions::queue`]) provides backpressure: readers block instead
-//! of buffering unbounded work. A fixed pool of long-lived workers
-//! ([`ServeOptions::threads`]) each owns a warm [`CampaignWorkspace`]
-//! wired to one shared [`ScheduleCache`]; a per-connection writer thread
-//! reorders replies into submission order and treats write failures
-//! (client gone, broken pipe) as *per-connection* events — it keeps
-//! draining and discarding so workers never block on a dead client, and
-//! the process never exits on EPIPE. `{"op":"shutdown"}` (or EOF on
-//! stdin) stops intake, drains every queued job, emits the shutdown ack
-//! last, then joins workers.
+//! The daemon keeps [`ServeOptions::threads`] warm [`CampaignWorkspace`]s,
+//! all wired to one shared [`ScheduleCache`], and serves each connection
+//! on [`ServeOptions::lanes`] **lanes** — `min(threads, queue)` threads,
+//! the first of them the connection's own. A lane takes the connection's
+//! next line under its intake lock (the one admission point: blank lines
+//! skipped, malformed lines answered, `shutdown` acked), runs the job on a
+//! workspace it borrows for that job alone, holding no connection lock,
+//! and hands the reply to the connection's in-order reply buffer, which
+//! writes it once every earlier reply is out. So `threads` bounds the jobs
+//! running at once, daemon-wide, and `queue` the jobs one connection has
+//! read and not yet answered; on a one-lane connection each job is read,
+//! run and answered on one thread.
+//!
+//! Backpressure: a connection reads its next line only when one of its
+//! lanes is free, so a flooding client feels write pressure, not
+//! unbounded buffering. A write failure (client gone, broken pipe) is a
+//! *per-connection* event — the connection's later replies are counted as
+//! dropped, and the process never exits on EPIPE. A client that stops
+//! reading pins only its own lanes: a lane gives its workspace back before
+//! it writes, so other connections keep running. A panicking job is
+//! answered `internal` and its workspace is rebuilt. `{"op":"shutdown"}`
+//! (or EOF on stdin) stops intake, answers every accepted job, and emits
+//! the shutdown ack last.
 //!
 //! [`SimWorkspace`]: radio_sim::SimWorkspace
 //! [`ClassifierWorkspace`]: radio_classifier::ClassifierWorkspace
@@ -86,8 +100,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use radio_classifier::{ClassifierWorkspace, ClassifySummary};
 use radio_graph::{Configuration, Draw};
@@ -106,19 +119,29 @@ use crate::row::CampaignRow;
 /// Supervisor knobs for a serve session or daemon.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads, each owning one warm [`CampaignWorkspace`]
-    /// (clamped to ≥ 1). The CLI defaults this to
+    /// Jobs run at once, daemon-wide (clamped to ≥ 1): the daemon keeps
+    /// this many warm [`CampaignWorkspace`]s, and a job runs on one it
+    /// borrows. The CLI defaults this to
     /// [`radio_sim::parallel::default_threads`].
     pub threads: usize,
-    /// Bounded job-queue capacity (clamped to ≥ 1): readers block once
-    /// this many jobs are in flight — backpressure instead of unbounded
-    /// buffering.
+    /// Jobs one connection has read and not yet answered (clamped to
+    /// ≥ 1): a connection runs on [`ServeOptions::lanes`] lanes and reads
+    /// its next line only when one is free — backpressure instead of
+    /// unbounded buffering.
     pub queue: usize,
     /// Schedule-cache policy for the process-wide cache every worker
     /// shares ([`CacheConfig::disabled`] runs uncached). The default is a
     /// [`DEFAULT_CAPACITY`]-entry cache, not [`CacheConfig::default`]: a
     /// daemon's jobs repeat configurations, so its compiles hit.
     pub cache: CacheConfig,
+}
+
+impl ServeOptions {
+    /// Lanes per connection, `min(threads, queue)` with both clamped to
+    /// ≥ 1: the threads that read, run and answer one connection's jobs.
+    pub fn lanes(&self) -> usize {
+        self.threads.max(1).min(self.queue.max(1))
+    }
 }
 
 impl Default for ServeOptions {
@@ -169,7 +192,7 @@ pub enum JobKind {
     Classify(OneShotJob),
     /// One campaign grid cell (`reps` positional runs, one row back).
     CampaignCell(CellJob),
-    /// Stop intake, drain the queue, join workers.
+    /// Stop intake, answer every accepted job, ack last.
     Shutdown,
 }
 
@@ -536,7 +559,7 @@ fn execute_job(ws: &mut CampaignWorkspace, id: u64, job: &JobKind) -> String {
                 .u64("reps", job.reps as u64)
                 .raw("row", &row.to_jsonl())
         }),
-        // Shutdown is intercepted by the reader; a worker never sees it.
+        // Shutdown is answered by the intake; a job never carries it.
         JobKind::Shutdown => return error_reply(id, "internal", "shutdown reached a worker"),
     };
     match reply {
@@ -684,16 +707,13 @@ pub fn campaign_cell(ws: &mut CampaignWorkspace, job: &CellJob) -> Result<Campai
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor: queue, workers, ordered writer
+// Supervisor: warm workspaces, connection lanes
 // ---------------------------------------------------------------------------
 
-struct Task {
-    /// Connection-local submission index — the writer's ordering key.
-    seq: u64,
-    /// Effective correlation id (explicit `id` or `seq`).
-    id: u64,
-    job: JobKind,
-    reply: Sender<(u64, String)>,
+/// Locks `mutex`, reading through poison: no lock here is held across a
+/// job, so a poisoned lock still guards consistent state.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -704,30 +724,47 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// One long-lived worker: owns a warm [`CampaignWorkspace`] wired to the
-/// shared cache, executes jobs until the queue closes. A panicking job is
-/// answered with an `internal` error and the workspace is rebuilt — the
-/// daemon survives.
-fn worker_loop(jobs: &Mutex<Receiver<Task>>, cache: &Option<Arc<ScheduleCache>>) {
-    let mut ws = CampaignWorkspace::with_cache(cache.clone());
-    loop {
-        let task = {
-            let Ok(rx) = jobs.lock() else { return };
-            match rx.recv() {
-                Ok(task) => task,
-                Err(_) => return, // queue closed: drain complete
-            }
-        };
-        let line = match catch_unwind(AssertUnwindSafe(|| {
-            execute_job(&mut ws, task.id, &task.job)
-        })) {
+/// The daemon's warm [`CampaignWorkspace`]s, all wired to one shared
+/// cache: a lane borrows one per job, so at most [`ServeOptions::threads`]
+/// jobs run at once, daemon-wide.
+struct Workers {
+    cache: Option<Arc<ScheduleCache>>,
+    pool: Mutex<Pool>,
+    /// Signalled when a workspace comes back while a lane waits for one.
+    freed: Condvar,
+}
+
+struct Pool {
+    idle: Vec<CampaignWorkspace>,
+    waiting: usize,
+}
+
+impl Workers {
+    fn new(opts: &ServeOptions) -> Workers {
+        let cache = make_cache(&opts.cache);
+        let idle = (0..opts.threads.max(1))
+            .map(|_| CampaignWorkspace::with_cache(cache.clone()))
+            .collect();
+        Workers {
+            cache,
+            pool: Mutex::new(Pool { idle, waiting: 0 }),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Runs one job on a borrowed workspace and renders its reply. A
+    /// panicking job is answered with an `internal` error and its
+    /// workspace is rebuilt — the daemon survives.
+    fn run(&self, id: u64, job: &JobKind) -> String {
+        let mut ws = self.borrow();
+        let line = match catch_unwind(AssertUnwindSafe(|| execute_job(&mut ws, id, job))) {
             Ok(line) => line,
             Err(payload) => {
                 // The workspace may be mid-mutation; discard it rather
                 // than trust its invariants.
-                ws = CampaignWorkspace::with_cache(cache.clone());
+                ws = CampaignWorkspace::with_cache(self.cache.clone());
                 error_reply(
-                    task.id,
+                    id,
                     "internal",
                     &format!(
                         "job panicked ({}); worker workspace rebuilt",
@@ -736,105 +773,257 @@ fn worker_loop(jobs: &Mutex<Receiver<Task>>, cache: &Option<Arc<ScheduleCache>>)
                 )
             }
         };
-        let _ = task.reply.send((task.seq, line));
+        self.give_back(ws);
+        line
     }
-}
 
-/// Reorders replies into submission order and writes one line each. A
-/// write failure marks the client dead: the loop keeps draining (so
-/// workers never block on a gone consumer) and counts drops. Returns
-/// `(answered, dropped)`.
-fn writer_loop<W: Write>(out: &mut W, replies: Receiver<(u64, String)>) -> (u64, u64) {
-    let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-    let mut next = 0u64;
-    let mut dead = false;
-    let mut answered = 0u64;
-    let mut dropped = 0u64;
-    for (seq, line) in replies {
-        pending.insert(seq, line);
-        while let Some(mut line) = pending.remove(&next) {
-            next += 1;
-            if !dead {
-                // Reply and newline go out in one write: as two writes on
-                // a TCP stream, Nagle's algorithm holds the newline back
-                // until the client's delayed ACK, ~40 ms per reply.
-                line.push('\n');
-                let wrote = out.write_all(line.as_bytes()).and_then(|()| out.flush());
-                match wrote {
-                    Ok(()) => {
-                        answered += 1;
-                        continue;
-                    }
-                    Err(_) => dead = true, // broken pipe or peer gone
-                }
+    fn borrow(&self) -> CampaignWorkspace {
+        let mut pool = lock(&self.pool);
+        loop {
+            if let Some(ws) = pool.idle.pop() {
+                return ws;
             }
-            dropped += 1;
+            pool.waiting += 1;
+            pool = self
+                .freed
+                .wait(pool)
+                .unwrap_or_else(PoisonError::into_inner);
+            pool.waiting -= 1;
         }
     }
-    (answered, dropped)
+
+    fn give_back(&self, ws: CampaignWorkspace) {
+        let mut pool = lock(&self.pool);
+        pool.idle.push(ws);
+        // An uncontended job wakes nobody.
+        if pool.waiting > 0 {
+            drop(pool);
+            self.freed.notify_one();
+        }
+    }
 }
 
-/// Reads request lines, parses, and feeds the bounded queue (blocking on
-/// a full queue — that *is* the backpressure). Parse failures are
-/// answered directly with `bad-request` replies; `{"op":"shutdown"}`
-/// acknowledges, raises the flag, and stops intake. Returns
-/// `(reply_lines, saw_shutdown)`.
-fn reader_loop<R: BufRead>(
+/// What [`Intake::take`] hands a lane.
+enum Work {
+    /// A job to run, with its effective correlation id.
+    Run(u64, JobKind),
+    /// A reply the intake wrote itself: a `bad-request`, a
+    /// `shutting-down` refusal, or the shutdown ack.
+    Reply(String),
+}
+
+/// One connection's request reader — the daemon's one admission point:
+/// every line a connection sends is numbered and answered here or run.
+struct Intake<R> {
     input: R,
-    jobs: &SyncSender<Task>,
-    replies: &Sender<(u64, String)>,
-    shutdown: &AtomicBool,
-) -> (u64, bool) {
-    let mut seq = 0u64;
-    let mut saw_shutdown = false;
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    /// The current line's bytes, reused across lines.
+    line: Vec<u8>,
+    /// The next line's connection-local sequence number.
+    seq: u64,
+    /// Cleared at EOF, a read error, the shutdown line or a refusal.
+    open: bool,
+    saw_shutdown: bool,
+}
+
+impl<R: BufRead> Intake<R> {
+    fn new(input: R) -> Intake<R> {
+        Intake {
+            input,
+            line: Vec::new(),
+            seq: 0,
+            open: true,
+            saw_shutdown: false,
         }
-        if shutdown.load(Ordering::SeqCst) {
-            // Another connection shut the daemon down; refuse new work
-            // (structured, not a dropped connection) and stop reading.
-            let _ = replies.send((
-                seq,
-                error_reply(seq, "shutting-down", "the daemon is draining; job refused"),
-            ));
-            seq += 1;
-            break;
-        }
-        match JobRequest::parse(&line) {
-            Ok(request) => {
-                let id = request.id.unwrap_or(seq);
-                if matches!(request.kind, JobKind::Shutdown) {
-                    saw_shutdown = true;
-                    shutdown.store(true, Ordering::SeqCst);
-                    // The ack takes the highest sequence number, so the
-                    // in-order writer emits it only after every earlier
-                    // job has drained through the queue and workers.
-                    let ack = ok_reply(id, "shutdown").u64("jobs", seq).finish();
-                    let _ = replies.send((seq, ack));
-                    seq += 1;
-                    break;
-                }
-                let task = Task {
-                    seq,
-                    id,
-                    job: request.kind,
-                    reply: replies.clone(),
-                };
-                if jobs.send(task).is_err() {
-                    break; // worker pool gone — nothing can execute
-                }
-                seq += 1;
+    }
+
+    /// Reads the next non-blank line and numbers it: a job to run, or a
+    /// reply the intake answers itself. A line that is not UTF-8 or does
+    /// not parse is a `bad-request`; once `shutdown` is raised (by this
+    /// connection or another), the next line is refused with
+    /// `shutting-down` and intake stops. `{"op":"shutdown"}` raises the
+    /// flag, is acked with the highest sequence number — so the in-order
+    /// replies emit it only after every earlier job — and stops intake.
+    /// `None` once intake has stopped.
+    fn take(&mut self, shutdown: &AtomicBool) -> Option<(u64, Work)> {
+        while self.open {
+            self.line.clear();
+            if !matches!(self.input.read_until(b'\n', &mut self.line), Ok(n) if n > 0) {
+                self.open = false; // EOF, or the client is gone
+                break;
             }
-            Err(e) => {
-                let id = e.id.unwrap_or(seq);
-                let _ = replies.send((seq, error_reply(id, "bad-request", &e.message)));
-                seq += 1;
+            // Strip the line ending as `BufRead::lines` does.
+            if self.line.last() == Some(&b'\n') {
+                self.line.pop();
+                if self.line.last() == Some(&b'\r') {
+                    self.line.pop();
+                }
+            }
+            let text = std::str::from_utf8(&self.line);
+            if text.is_ok_and(|text| text.trim().is_empty()) {
+                continue;
+            }
+            let seq = self.seq;
+            self.seq += 1;
+            let request = text
+                .map_err(|e| JobParseError {
+                    id: None,
+                    message: format!(
+                        "request line is not UTF-8 (invalid byte at offset {})",
+                        e.valid_up_to()
+                    ),
+                })
+                .and_then(JobRequest::parse);
+            if shutdown.load(Ordering::SeqCst) {
+                // Another connection shut the daemon down; refuse new work
+                // (structured, not a dropped connection) and stop reading.
+                self.open = false;
+                let id = match &request {
+                    Ok(request) => request.id,
+                    Err(e) => e.id,
+                };
+                let refusal = "the daemon is draining; job refused";
+                return Some((
+                    seq,
+                    Work::Reply(error_reply(id.unwrap_or(seq), "shutting-down", refusal)),
+                ));
+            }
+            let work = match request {
+                Ok(JobRequest {
+                    id,
+                    kind: JobKind::Shutdown,
+                }) => {
+                    self.saw_shutdown = true;
+                    self.open = false;
+                    shutdown.store(true, Ordering::SeqCst);
+                    let ack = ok_reply(id.unwrap_or(seq), "shutdown").u64("jobs", seq);
+                    Work::Reply(ack.finish())
+                }
+                Ok(JobRequest { id, kind }) => Work::Run(id.unwrap_or(seq), kind),
+                Err(e) => Work::Reply(error_reply(e.id.unwrap_or(seq), "bad-request", &e.message)),
+            };
+            return Some((seq, work));
+        }
+        None
+    }
+}
+
+/// One connection's reply stream: reorders replies into submission order
+/// and writes one line each. A write failure marks the client dead; later
+/// replies are counted as drops and never written.
+struct Replies<W> {
+    output: W,
+    /// Replies that finished ahead of an earlier one, keyed by sequence
+    /// number; fewer than the connection's lanes.
+    pending: BTreeMap<u64, String>,
+    /// The sequence number the client is owed next.
+    next: u64,
+    dead: bool,
+    answered: u64,
+    dropped: u64,
+}
+
+impl<W: Write> Replies<W> {
+    fn new(output: W) -> Replies<W> {
+        Replies {
+            output,
+            pending: BTreeMap::new(),
+            next: 0,
+            dead: false,
+            answered: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Takes reply `seq`, and writes it and every buffered reply after it
+    /// once no earlier reply is missing.
+    fn deliver(&mut self, seq: u64, mut line: String) {
+        if seq != self.next {
+            self.pending.insert(seq, line);
+            return;
+        }
+        loop {
+            self.next += 1;
+            self.write(line);
+            match self.pending.remove(&self.next) {
+                Some(later) => line = later,
+                None => return,
             }
         }
     }
-    (seq, saw_shutdown)
+
+    fn write(&mut self, mut line: String) {
+        if !self.dead {
+            // Reply and newline go out in one write: as two writes on a
+            // TCP stream, Nagle's algorithm holds the newline back until
+            // the client's delayed ACK, ~40 ms per reply.
+            line.push('\n');
+            let wrote = self
+                .output
+                .write_all(line.as_bytes())
+                .and_then(|()| self.output.flush());
+            match wrote {
+                Ok(()) => {
+                    self.answered += 1;
+                    return;
+                }
+                Err(_) => self.dead = true, // broken pipe or peer gone
+            }
+        }
+        self.dropped += 1;
+    }
+}
+
+/// One lane of a connection: takes the next line under the intake lock,
+/// runs it on a borrowed workspace holding no connection lock, and
+/// delivers the reply under the replies lock — never two locks at once.
+fn lane<R: BufRead, W: Write>(
+    intake: &Mutex<Intake<R>>,
+    replies: &Mutex<Replies<W>>,
+    workers: &Workers,
+    shutdown: &AtomicBool,
+) {
+    loop {
+        let Some((seq, work)) = lock(intake).take(shutdown) else {
+            return;
+        };
+        let line = match work {
+            Work::Run(id, job) => workers.run(id, &job),
+            Work::Reply(line) => line,
+        };
+        lock(replies).deliver(seq, line);
+    }
+}
+
+/// Serves one connection on `lanes` lanes: lane 0 on the calling thread,
+/// the others on scoped threads. Returns once intake has stopped and
+/// every accepted job is answered.
+fn serve_connection<R, W>(
+    input: R,
+    output: W,
+    workers: &Workers,
+    lanes: usize,
+    shutdown: &AtomicBool,
+) -> SessionSummary
+where
+    R: BufRead + Send,
+    W: Write + Send,
+{
+    let intake = Mutex::new(Intake::new(input));
+    let replies = Mutex::new(Replies::new(output));
+    std::thread::scope(|scope| {
+        for _ in 1..lanes {
+            scope.spawn(|| lane(&intake, &replies, workers, shutdown));
+        }
+        lane(&intake, &replies, workers, shutdown);
+    });
+    let intake = intake.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let replies = replies.into_inner().unwrap_or_else(PoisonError::into_inner);
+    SessionSummary {
+        jobs: intake.seq,
+        answered: replies.answered,
+        dropped: replies.dropped,
+        shutdown: intake.saw_shutdown,
+    }
 }
 
 fn make_cache(config: &CacheConfig) -> Option<Arc<ScheduleCache>> {
@@ -845,41 +1034,25 @@ fn make_cache(config: &CacheConfig) -> Option<Arc<ScheduleCache>> {
 
 /// Serves one connection's worth of jobs from `input` to `output` — the
 /// `--stdin-stdout` mode, and the library surface the end-to-end tests
-/// drive over in-memory streams. Spawns its own worker pool (each worker
-/// a warm [`CampaignWorkspace`] on one shared [`ScheduleCache`]), reads
-/// until EOF or `{"op":"shutdown"}`, drains every accepted job, writes
-/// replies in submission order, and joins everything before returning.
+/// drive over in-memory streams. Builds its own [`ServeOptions::threads`]
+/// warm [`CampaignWorkspace`]s on one shared [`ScheduleCache`], serves the
+/// connection on `min(threads, queue)` lanes (the calling thread is the
+/// first; with one lane no thread is spawned), reads until EOF or
+/// `{"op":"shutdown"}`, answers every accepted job, and writes replies in
+/// submission order before returning.
 pub fn serve_session<R, W>(input: R, output: &mut W, opts: &ServeOptions) -> SessionSummary
 where
-    R: BufRead,
+    R: BufRead + Send,
     W: Write + Send,
 {
-    let cache = make_cache(&opts.cache);
-    let (job_tx, job_rx) = mpsc::sync_channel::<Task>(opts.queue.max(1));
-    let job_rx = Mutex::new(job_rx);
-    let shutdown = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let job_rx = &job_rx;
-        let cache = &cache;
-        for _ in 0..opts.threads.max(1) {
-            scope.spawn(move || worker_loop(job_rx, cache));
-        }
-        let (reply_tx, reply_rx) = mpsc::channel::<(u64, String)>();
-        let writer = scope.spawn(move || writer_loop(output, reply_rx));
-        let (jobs, saw_shutdown) = reader_loop(input, &job_tx, &reply_tx, &shutdown);
-        // Closing the reply sender and the queue lets workers drain to
-        // completion and the writer flush every reply, in that order —
-        // the graceful-shutdown join.
-        drop(reply_tx);
-        drop(job_tx);
-        let (answered, dropped) = writer.join().unwrap_or((0, 0));
-        SessionSummary {
-            jobs,
-            answered,
-            dropped,
-            shutdown: saw_shutdown,
-        }
-    })
+    let workers = Workers::new(opts);
+    serve_connection(
+        input,
+        output,
+        &workers,
+        opts.lanes(),
+        &AtomicBool::new(false),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -917,9 +1090,9 @@ enum Accept<S> {
 }
 
 /// Serves a pre-bound TCP listener until a client sends
-/// `{"op":"shutdown"}`: one persistent worker pool (shared queue, shared
-/// cache) across all connections, one reader + ordered-writer pair per
-/// connection. Binding is the caller's job so tests can bind port 0 and
+/// `{"op":"shutdown"}`: one set of warm workspaces (and one shared cache)
+/// for the whole process, each connection served on its own lanes.
+/// Binding is the caller's job so tests can bind port 0 and
 /// the CLI can report the address before handing over.
 pub fn serve_tcp(listener: std::net::TcpListener, opts: &ServeOptions) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
@@ -956,55 +1129,38 @@ where
     S: Splittable + Write + Send,
     A: FnMut() -> Accept<S>,
 {
-    let cache = make_cache(&opts.cache);
-    let (job_tx, job_rx) = mpsc::sync_channel::<Task>(opts.queue.max(1));
-    let mut job_tx = Some(job_tx);
-    let job_rx = Mutex::new(job_rx);
+    let workers = Workers::new(opts);
+    let lanes = opts.lanes();
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let job_rx = &job_rx;
-        let cache = &cache;
-        let shutdown = &shutdown;
-        for _ in 0..opts.threads.max(1) {
-            scope.spawn(move || worker_loop(job_rx, cache));
-        }
-        let result = loop {
+        let (workers, shutdown) = (&workers, &shutdown);
+        // Scope exit joins every connection: the one that shut down has
+        // answered its jobs, and any other stops at its next line.
+        loop {
             if shutdown.load(Ordering::SeqCst) {
-                break Ok(());
+                return Ok(());
             }
             match accept() {
                 Accept::Conn(stream) => {
                     let Ok(read_half) = stream.split() else {
                         continue;
                     };
-                    let jobs = job_tx.as_ref().expect("accept loop owns a sender").clone();
                     scope.spawn(move || {
-                        let (reply_tx, reply_rx) = mpsc::channel::<(u64, String)>();
-                        let writer = scope.spawn(move || {
-                            let mut out = stream;
-                            writer_loop(&mut out, reply_rx)
-                        });
-                        reader_loop(BufReader::new(read_half), &jobs, &reply_tx, shutdown);
-                        drop(reply_tx);
-                        drop(jobs);
-                        let _ = writer.join();
+                        let input = BufReader::new(read_half);
+                        serve_connection(input, stream, workers, lanes, shutdown)
                     });
                 }
                 Accept::Idle => std::thread::sleep(std::time::Duration::from_millis(20)),
-                Accept::Fatal(e) => break Err(e),
+                Accept::Fatal(e) => return Err(e),
             }
-        };
-        // Shutdown drain: dropping the queue sender lets workers finish
-        // every queued job and exit; scope exit joins workers and any
-        // still-open connection threads (which stop at their next line).
-        job_tx.take();
-        result
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn parse_ok(line: &str) -> JobRequest {
         JobRequest::parse(line).expect(line)
@@ -1137,16 +1293,16 @@ mod tests {
 
     #[test]
     fn writer_reorders_replies_into_submission_order() {
-        let (tx, rx) = mpsc::channel();
-        tx.send((2, "two".to_string())).unwrap();
-        tx.send((0, "zero".to_string())).unwrap();
-        tx.send((1, "one".to_string())).unwrap();
-        drop(tx);
-        let mut out = Vec::new();
-        let (answered, dropped) = writer_loop(&mut out, rx);
-        assert_eq!(answered, 3);
-        assert_eq!(dropped, 0);
-        assert_eq!(String::from_utf8(out).unwrap(), "zero\none\ntwo\n");
+        let mut replies = Replies::new(Vec::new());
+        replies.deliver(2, "two".to_string());
+        replies.deliver(0, "zero".to_string());
+        replies.deliver(1, "one".to_string());
+        assert_eq!(replies.answered, 3);
+        assert_eq!(replies.dropped, 0);
+        assert_eq!(
+            String::from_utf8(replies.output).unwrap(),
+            "zero\none\ntwo\n"
+        );
     }
 
     /// A sink that counts its `write` calls.
@@ -1169,15 +1325,16 @@ mod tests {
 
     #[test]
     fn writer_sends_each_reply_in_one_write() {
-        let (tx, rx) = mpsc::channel();
+        let mut replies = Replies::new(CountingSink::default());
         for seq in 0..3u64 {
-            tx.send((seq, format!("r{seq}"))).unwrap();
+            replies.deliver(seq, format!("r{seq}"));
         }
-        drop(tx);
-        let mut out = CountingSink::default();
-        assert_eq!(writer_loop(&mut out, rx), (3, 0));
-        assert_eq!(out.writes, 3, "payload and newline share one write");
-        assert_eq!(out.bytes, b"r0\nr1\nr2\n");
+        assert_eq!((replies.answered, replies.dropped), (3, 0));
+        assert_eq!(
+            replies.output.writes, 3,
+            "payload and newline share one write"
+        );
+        assert_eq!(replies.output.bytes, b"r0\nr1\nr2\n");
     }
 
     /// A sink that fails after `live` writes — the gone-client stand-in.
@@ -1200,17 +1357,98 @@ mod tests {
 
     #[test]
     fn writer_survives_a_broken_pipe_and_keeps_draining() {
-        let (tx, rx) = mpsc::channel();
-        for seq in 0..4u64 {
-            tx.send((seq, format!("r{seq}"))).unwrap();
-        }
-        drop(tx);
         // 1 write call per reply: one reply lands, the second reply's
         // write breaks the pipe.
-        let mut out = DyingSink { live: 1 };
-        let (answered, dropped) = writer_loop(&mut out, rx);
-        assert_eq!(answered, 1);
-        assert_eq!(dropped, 3, "remaining replies drain as drops, no panic");
+        let mut replies = Replies::new(DyingSink { live: 1 });
+        for seq in 0..4u64 {
+            replies.deliver(seq, format!("r{seq}"));
+        }
+        assert_eq!(replies.answered, 1);
+        assert_eq!(
+            replies.dropped, 3,
+            "remaining replies drain as drops, no panic"
+        );
+    }
+
+    /// A client that stops reading: its first write reports on `entered`,
+    /// then blocks until `release` sends or hangs up.
+    struct StalledSink {
+        entered: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+        stalled: bool,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for StalledSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if !self.stalled {
+                self.stalled = true;
+                let _ = self.entered.send(());
+                let _ = self.release.recv();
+            }
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_client_holds_no_workspace() {
+        use std::time::Duration;
+        // One workspace: B can run only if A's stalled lane gave it back.
+        let workers = Workers::new(&ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        });
+        let shutdown = AtomicBool::new(false);
+        let job = |id: u64| {
+            format!(
+                "{{\"op\":\"elect\",\"id\":{id},\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":{id}}}\n"
+            )
+        };
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let a_input = job(1) + &job(2);
+        let b_input = job(3);
+        std::thread::scope(|scope| {
+            let (workers, shutdown) = (&workers, &shutdown);
+            let a = scope.spawn(move || {
+                let mut out = StalledSink {
+                    entered: entered_tx,
+                    release: release_rx,
+                    stalled: false,
+                    bytes: Vec::new(),
+                };
+                let summary = serve_connection(a_input.as_bytes(), &mut out, workers, 1, shutdown);
+                (summary, String::from_utf8(out.bytes).unwrap())
+            });
+            let a_blocked = entered.recv_timeout(Duration::from_secs(60));
+            let (b_done, b_answered) = mpsc::channel();
+            scope.spawn(move || {
+                let mut out = Vec::new();
+                let summary = serve_connection(b_input.as_bytes(), &mut out, workers, 1, shutdown);
+                let _ = b_done.send((summary, String::from_utf8(out).unwrap()));
+            });
+            let b = b_answered.recv_timeout(Duration::from_secs(60));
+            // Release A before asserting, so a failure cannot hang the scope.
+            drop(release);
+            assert!(a_blocked.is_ok(), "A never reached its first write");
+            let (b_summary, b_text) = b.expect("B is answered while A's client stalls");
+            assert_eq!(b_summary.answered, 1);
+            assert!(b_text.starts_with("{\"ok\":true,\"id\":3,"), "{b_text}");
+            let (a_summary, a_text) = a.join().unwrap();
+            assert_eq!(a_summary.answered, 2);
+            let lines: Vec<&str> = a_text.lines().collect();
+            assert_eq!(lines.len(), 2, "{a_text}");
+            for (line, id) in lines.iter().zip([1, 2]) {
+                assert!(
+                    line.starts_with(&format!("{{\"ok\":true,\"id\":{id},")),
+                    "{line}"
+                );
+            }
+        });
     }
 
     #[test]

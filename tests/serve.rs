@@ -344,6 +344,56 @@ fn malformed_jobs_get_structured_errors_and_the_session_continues() {
 }
 
 #[test]
+fn a_non_utf8_line_is_a_bad_request_and_the_session_continues() {
+    let mut input = Vec::new();
+    input.extend_from_slice(
+        b"{\"op\":\"elect\",\"id\":1,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n",
+    );
+    input.extend_from_slice(b"\xff\xfe\n");
+    input.extend_from_slice(
+        b"{\"op\":\"elect\",\"id\":3,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}\n",
+    );
+    input.extend_from_slice(b"{\"op\":\"shutdown\",\"id\":9}\n");
+    let mut out: Vec<u8> = Vec::new();
+    let summary = serve_session(
+        &input[..],
+        &mut out,
+        &ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        },
+    );
+    assert!(summary.shutdown, "the lines after the bad one are read");
+    assert_eq!((summary.jobs, summary.answered), (4, 4));
+    let text = String::from_utf8(out).expect("replies are UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{text}");
+    assert!(
+        lines[0].starts_with("{\"ok\":true,\"id\":1,"),
+        "{}",
+        lines[0]
+    );
+    // The undecodable line has no readable id: it is answered with its
+    // sequence number, naming the offset of the first bad byte.
+    assert!(
+        lines[1].starts_with("{\"ok\":false,\"id\":1,\"error\":\"bad-request\""),
+        "{}",
+        lines[1]
+    );
+    assert!(lines[1].contains("offset 0"), "{}", lines[1]);
+    assert!(
+        lines[2].starts_with("{\"ok\":true,\"id\":3,"),
+        "{}",
+        lines[2]
+    );
+    assert!(
+        lines[3].starts_with("{\"ok\":true,\"id\":9,\"op\":\"shutdown\",\"jobs\":3"),
+        "{}",
+        lines[3]
+    );
+}
+
+#[test]
 fn shutdown_drains_in_flight_jobs_and_acks_last() {
     // More queued jobs than workers or queue slots: shutdown must still
     // answer every accepted job before the ack, in submission order.
@@ -413,6 +463,53 @@ fn tcp_transport_serves_multiple_connections_and_shuts_down() {
         ack.starts_with("{\"ok\":true,\"id\":3,\"op\":\"shutdown\""),
         "{ack}"
     );
+    server
+        .join()
+        .expect("server thread joins")
+        .expect("serve_tcp exits cleanly");
+}
+
+#[test]
+fn a_job_refused_during_shutdown_carries_its_own_id() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || serve_tcp(listener, &ServeOptions::default()));
+    let connect = || {
+        let conn = TcpStream::connect(addr).expect("connect");
+        let reader = BufReader::new(conn.try_clone().expect("clone"));
+        (conn, reader)
+    };
+    let ask = |(conn, reader): &mut (TcpStream, BufReader<TcpStream>), line: &str| {
+        writeln!(conn, "{line}").expect("send job");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    };
+
+    // B's answered job proves B was accepted before the shutdown.
+    let mut b = connect();
+    let first = ask(
+        &mut b,
+        "{\"op\":\"elect\",\"id\":5,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}",
+    );
+    assert!(first.starts_with("{\"ok\":true,\"id\":5,"), "{first}");
+    let ack = ask(&mut connect(), "{\"op\":\"shutdown\",\"id\":9}");
+    assert!(
+        ack.starts_with("{\"ok\":true,\"id\":9,\"op\":\"shutdown\""),
+        "{ack}"
+    );
+    let refused = ask(
+        &mut b,
+        "{\"op\":\"elect\",\"id\":77,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}",
+    );
+    assert!(
+        refused.starts_with("{\"ok\":false,\"id\":77,\"error\":\"shutting-down\""),
+        "{refused}"
+    );
+    drop(b);
     server
         .join()
         .expect("server thread joins")
