@@ -1,13 +1,11 @@
 //! Shared workload builders for the experiments: named graph families with
-//! controlled `n`, tagging regimes, and channel-model crossings, all
-//! seed-deterministic.
+//! controlled `n` and tagging regimes, all seed-deterministic.
 //!
 //! The families are [`FamilySpec`]s under the experiment harness's table
 //! names (same graphs, same seed-derivation streams as the campaign axis,
 //! so pre-campaign experiment outputs are unchanged).
 
 use radio_graph::{tags, Configuration, Csr, FamilySpec};
-use radio_sim::ModelKind;
 use radio_util::rng::{derive, rng_from};
 
 /// A named graph family parameterized by node count.
@@ -81,44 +79,6 @@ pub fn feasible_with_span(graph: Csr, span: u64, seed: u64) -> Configuration {
     with_distinct_tags(config.csr().clone(), seed)
 }
 
-/// One cell of a model-crossed sweep: a named configuration paired with
-/// the channel model to run it under.
-pub struct ModelCell {
-    /// Graph family name.
-    pub family: &'static str,
-    /// Channel model for this cell.
-    pub model: ModelKind,
-    /// The (seed-deterministic) configuration.
-    pub config: Configuration,
-}
-
-impl ModelCell {
-    /// `family × model` label for tables, e.g. `path/beeping`.
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.family, self.model)
-    }
-}
-
-/// Crosses every scaling family at size `n` with every [`ModelKind`]: the
-/// sweep grid the model-comparison experiments and benches iterate. Tags
-/// are random in `0..=span`; the same configuration (same seed) appears
-/// once per model, so model columns are directly comparable.
-pub fn model_crossed_cells(n: usize, span: u64, seed: u64) -> Vec<ModelCell> {
-    let mut cells = Vec::new();
-    for fam in scaling_families() {
-        let graph = fam.make(n, derive(seed, fam.name));
-        let config = with_random_tags(graph, span, derive(seed, fam.name));
-        for model in ModelKind::ALL {
-            cells.push(ModelCell {
-                family: fam.name,
-                model,
-                config: config.clone(),
-            });
-        }
-    }
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,34 +120,6 @@ mod tests {
         {
             Some(first_feasible) => assert_eq!(got, *first_feasible),
             None => assert_eq!(got, with_distinct_tags(generators::path(n), seed)),
-        }
-    }
-
-    #[test]
-    fn model_crossed_cells_cover_the_full_grid() {
-        let cells = model_crossed_cells(8, 3, 42);
-        assert_eq!(cells.len(), scaling_families().len() * ModelKind::ALL.len());
-        // same configuration across the three models of one family
-        for chunk in cells.chunks(ModelKind::ALL.len()) {
-            assert!(chunk.windows(2).all(|w| w[0].config == w[1].config));
-            assert_eq!(chunk[0].model, ModelKind::NoCollisionDetection);
-        }
-        assert!(cells[0].label().contains('/'));
-        // and each cell actually runs under its model
-        for cell in cells.iter().take(6) {
-            let ex = cell
-                .model
-                .run(
-                    &cell.config,
-                    &radio_sim::drip::WaitThenTransmitFactory {
-                        wait: 0,
-                        msg: radio_sim::Msg::ONE,
-                        lifetime: 8,
-                    },
-                    radio_sim::RunOpts::default(),
-                )
-                .unwrap();
-            assert_eq!(ex.node_count(), cell.config.size());
         }
     }
 

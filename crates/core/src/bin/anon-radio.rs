@@ -30,7 +30,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::Read;
+use std::fmt::Display;
+use std::io::{Read, Write as _};
 use std::str::FromStr;
 
 use anon_radio::cache::CacheConfig;
@@ -47,8 +48,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--help` anywhere is a request, not a file name or an unknown flag.
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        std::process::exit(0);
+        let mut out = Stdout::new();
+        out.println(USAGE);
+        std::process::exit(out.finish(0));
     }
     let known = |sub: &String| SUBCOMMANDS.iter().any(|&(name, _)| name == sub);
     let Some((subcommand, rest)) = args.split_first().filter(|(sub, _)| known(sub)) else {
@@ -258,6 +260,55 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1 << 20) as f64
 }
 
+/// The CLI's one stdout writer: every subcommand that prints does so
+/// through it, to a locked stdout. A failed write is kept and every later
+/// one skipped, and [`Stdout::finish`] turns it into the exit code: a
+/// closed pipe (`BrokenPipe` — the reader, say `head`, has exited) is a
+/// clean stop, exit 0, and any other write error exits 1 with a message.
+struct Stdout {
+    lock: std::io::StdoutLock<'static>,
+    error: Option<std::io::Error>,
+}
+
+impl Stdout {
+    fn new() -> Stdout {
+        Stdout {
+            lock: std::io::stdout().lock(),
+            error: None,
+        }
+    }
+
+    /// Writes `text`, unless an earlier write failed.
+    fn print(&mut self, text: impl Display) {
+        if self.error.is_none() {
+            if let Err(e) = write!(self.lock, "{text}") {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// Writes `text` and a newline.
+    fn println(&mut self, text: impl Display) {
+        self.print(format_args!("{text}\n"));
+    }
+
+    /// Flushes, and returns the exit code: `code` when every write went
+    /// out, 0 when the reader closed the pipe, 1 on any other failure.
+    fn finish(mut self, code: i32) -> i32 {
+        if self.error.is_none() {
+            self.error = self.lock.flush().err();
+        }
+        match self.error {
+            None => code,
+            Some(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+            Some(e) => {
+                eprintln!("error: could not write to stdout: {e}");
+                1
+            }
+        }
+    }
+}
+
 /// `anon-radio check` — the decision (Thm 3.17) through serve's
 /// `classify` executor.
 fn check_command(args: &Args) -> Result<i32, String> {
@@ -268,36 +319,38 @@ fn check_command(args: &Args) -> Result<i32, String> {
     };
     let (config, summary) = anon_radio::serve::classify(&mut CampaignWorkspace::new(), &job)
         .map_err(|e| e.to_string())?;
-    println!("{config}");
+    let mut out = Stdout::new();
+    out.println(&config);
     if summary.feasible {
-        println!(
+        out.println(format_args!(
             "FEASIBLE — leader class {} after {} iteration(s)",
             summary.leader_class.expect("feasible"),
             summary.iterations
-        );
+        ));
     } else {
-        println!(
+        out.println(format_args!(
             "INFEASIBLE — partition stabilized after {} iteration(s)",
             summary.iterations
-        );
+        ));
     }
-    Ok(0)
+    Ok(out.finish(0))
 }
 
 /// `anon-radio trace|compile|explain|dot` — print what the library
 /// derives from one configuration file.
 fn inspect_command(subcommand: &str, args: &Args) -> Result<i32, String> {
     let config = ConfigSource::Inline(config_text(args)?).configuration()?;
+    let mut out = Stdout::new();
     match subcommand {
         "trace" => {
             let outcome = radio_classifier::classify(&config);
-            print!("{}", radio_classifier::trace::render(&config, &outcome));
+            out.print(radio_classifier::trace::render(&config, &outcome));
         }
-        "dot" => print!("{}", io::to_dot(&config, "configuration")),
+        "dot" => out.print(io::to_dot(&config, "configuration")),
         "compile" => {
             let (outcome, schedule) = anon_radio::CanonicalSchedule::build(&config);
-            println!("{config}");
-            println!(
+            out.println(&config);
+            out.println(format_args!(
                 "classifier: {} after {} iteration(s)",
                 if outcome.feasible {
                     "FEASIBLE"
@@ -305,19 +358,19 @@ fn inspect_command(subcommand: &str, args: &Args) -> Result<i32, String> {
                     "INFEASIBLE"
                 },
                 outcome.iterations
-            );
-            print!("{}", schedule.render());
+            ));
+            out.print(schedule.render());
         }
         _ => {
             // `explain`
-            println!("{config}");
+            out.println(&config);
             match anon_radio::explain::explain_infeasibility(&config) {
-                Ok(report) => print!("{}", report.render()),
-                Err(e) => println!("{e}"),
+                Ok(report) => out.print(report.render()),
+                Err(e) => out.println(e),
             }
         }
     }
-    Ok(0)
+    Ok(out.finish(0))
 }
 
 /// `anon-radio elect` — the dedicated election through serve's `elect`
@@ -395,12 +448,13 @@ fn elect_command(args: &Args) -> Result<i32, String> {
             _ => {}
         },
     );
+    let mut out = Stdout::new();
     let code = match elected.map(|elected| (elected.config, elected.outcome)) {
         Ok((config, Ok(report))) => {
             if !drawn {
-                println!("{config}");
+                out.println(&config);
             }
-            println!(
+            out.println(format_args!(
                 "model: {model} | leader: v{} | phases: {} | local rounds: {} | \
                  done by global round {} | transmissions: {} | \
                  engine: {} stepped + {} leapt | \
@@ -415,7 +469,7 @@ fn elect_command(args: &Args) -> Result<i32, String> {
                 report.decides,
                 report.horizon_queries,
                 report.deliveries
-            );
+            ));
             0
         }
         Ok((_, Err(infeasible))) => {
@@ -435,7 +489,7 @@ fn elect_command(args: &Args) -> Result<i32, String> {
             peak as f64 / footprint as f64
         );
     }
-    Ok(code)
+    Ok(out.finish(code))
 }
 
 /// `anon-radio campaign` — execute a declarative election campaign grid
@@ -514,9 +568,10 @@ fn campaign_command(args: &Args) -> Result<i32, String> {
         .count("--threads")?
         .unwrap_or_else(radio_sim::parallel::default_threads);
     // Whole-grid validation: every family × size cell must be realizable
-    // as-is — unrealizable combinations (cycle below 3 nodes, a pinned
-    // grid:16x4 crossed with a foreign size) are an error, never a clamp,
-    // so no row's "n" can disagree with its simulated graph.
+    // as-is — an unrealizable one (a cycle below 3 nodes) is an error,
+    // never a clamp, so no row's "n" can disagree with its simulated
+    // graph. A size-pinned family (grid:16x4) replaces the size axis with
+    // its own node count.
     spec.validate()?;
     let total = spec.total_runs();
     let reps = spec.reps;
@@ -602,18 +657,16 @@ fn campaign_command(args: &Args) -> Result<i32, String> {
                 runner.aggregates().count(),
                 if binary_rows { "binary" } else { "JSONL" }
             );
+            Ok(0)
         }
         None => {
-            use std::io::Write as _;
-            let mut stdout = std::io::stdout().lock();
+            let mut stdout = Stdout::new();
             for row in &runner.jsonl_rows() {
-                if writeln!(stdout, "{row}").is_err() {
-                    return Ok(0); // closed pipe: clean stop, like `family`
-                }
+                stdout.println(row);
             }
+            Ok(stdout.finish(0))
         }
     }
-    Ok(0)
 }
 
 /// `anon-radio serve` — the resident election service: long-lived workers
@@ -792,19 +845,9 @@ fn family_command(args: &Args) -> Result<i32, String> {
         "s" => families::s_m(m),
         _ => return Err(format!("unknown family {kind} (expected g, h or s)")),
     };
-    // `family` is the designed producer end of shell pipelines; a consumer
-    // that exits early (e.g. on a bad flag) closes the pipe, and `print!`
-    // would panic on the resulting EPIPE. Write directly: a closed pipe is
-    // a clean stop, any other write failure is a real error.
-    use std::io::Write as _;
-    match std::io::stdout().write_all(io::to_text(&config).as_bytes()) {
-        Ok(()) => Ok(0),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(0),
-        Err(e) => {
-            eprintln!("error: could not write configuration: {e}");
-            Ok(1)
-        }
-    }
+    let mut out = Stdout::new();
+    out.print(io::to_text(&config));
+    Ok(out.finish(0))
 }
 
 fn usage() -> i32 {

@@ -90,7 +90,11 @@
 //! it writes, so other connections keep running. A panicking job is
 //! answered `internal` and its workspace is rebuilt. `{"op":"shutdown"}`
 //! (or EOF on stdin) stops intake, answers every accepted job, and emits
-//! the shutdown ack last.
+//! the shutdown ack last. A socket daemon then gives every other
+//! connection still open one second, in which each line it sends is
+//! refused `shutting-down`; after that it shuts down the connection's
+//! read half, so an idle client cannot keep the daemon alive: the
+//! connection answers the jobs it accepted and ends.
 //!
 //! [`SimWorkspace`]: radio_sim::SimWorkspace
 //! [`ClassifierWorkspace`]: radio_classifier::ClassifierWorkspace
@@ -101,6 +105,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::ScopedJoinHandle;
+use std::time::Duration;
 
 use radio_classifier::{ClassifierWorkspace, ClassifySummary};
 use radio_graph::{Configuration, Draw};
@@ -1066,12 +1072,19 @@ pub trait Splittable {
     type Reader: Read + Send;
     /// Clones out the read half.
     fn split(&self) -> std::io::Result<Self::Reader>;
+    /// Shuts down the reading side of the connection `reader` was split
+    /// from: a read blocked on any of its halves, and every later one,
+    /// returns EOF.
+    fn shutdown_read(reader: &Self::Reader) -> std::io::Result<()>;
 }
 
 impl Splittable for std::net::TcpStream {
     type Reader = std::net::TcpStream;
     fn split(&self) -> std::io::Result<std::net::TcpStream> {
         self.try_clone()
+    }
+    fn shutdown_read(reader: &std::net::TcpStream) -> std::io::Result<()> {
+        reader.shutdown(std::net::Shutdown::Read)
     }
 }
 
@@ -1080,6 +1093,9 @@ impl Splittable for std::os::unix::net::UnixStream {
     type Reader = std::os::unix::net::UnixStream;
     fn split(&self) -> std::io::Result<std::os::unix::net::UnixStream> {
         self.try_clone()
+    }
+    fn shutdown_read(reader: &std::os::unix::net::UnixStream) -> std::io::Result<()> {
+        reader.shutdown(std::net::Shutdown::Read)
     }
 }
 
@@ -1092,6 +1108,8 @@ enum Accept<S> {
 /// Serves a pre-bound TCP listener until a client sends
 /// `{"op":"shutdown"}`: one set of warm workspaces (and one shared cache)
 /// for the whole process, each connection served on its own lanes.
+/// Returns once every connection has ended: a connection still open one
+/// second after the shutdown has its read half shut down.
 /// Binding is the caller's job so tests can bind port 0 and
 /// the CLI can report the address before handing over.
 pub fn serve_tcp(listener: std::net::TcpListener, opts: &ServeOptions) -> std::io::Result<()> {
@@ -1124,6 +1142,12 @@ pub fn serve_unix(
     })
 }
 
+/// How long connections still open at shutdown may keep sending lines —
+/// each refused `shutting-down` — before their read halves are shut down:
+/// `GRACE_POLLS` checks `GRACE_POLL` apart, about one second.
+const GRACE_POLLS: u32 = 200;
+const GRACE_POLL: Duration = Duration::from_millis(5);
+
 fn serve_listener<S, A>(opts: &ServeOptions, mut accept: A) -> std::io::Result<()>
 where
     S: Splittable + Write + Send,
@@ -1134,26 +1158,43 @@ where
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let (workers, shutdown) = (&workers, &shutdown);
-        // Scope exit joins every connection: the one that shut down has
-        // answered its jobs, and any other stops at its next line.
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
+        // The connections not yet known to have ended: a read half to shut
+        // down, and the thread serving the connection.
+        let mut open: Vec<(S::Reader, ScopedJoinHandle<'_, SessionSummary>)> = Vec::new();
+        while !shutdown.load(Ordering::SeqCst) {
+            open.retain(|(_, conn)| !conn.is_finished());
             match accept() {
                 Accept::Conn(stream) => {
-                    let Ok(read_half) = stream.split() else {
+                    let (Ok(read_half), Ok(closer)) = (stream.split(), stream.split()) else {
                         continue;
                     };
-                    scope.spawn(move || {
+                    let conn = scope.spawn(move || {
                         let input = BufReader::new(read_half);
                         serve_connection(input, stream, workers, lanes, shutdown)
                     });
+                    open.push((closer, conn));
                 }
-                Accept::Idle => std::thread::sleep(std::time::Duration::from_millis(20)),
+                Accept::Idle => std::thread::sleep(Duration::from_millis(20)),
                 Accept::Fatal(e) => return Err(e),
             }
         }
+        // The connection that shut down stops reading and ends once its
+        // jobs are answered. Every other one gets the grace period to end
+        // on its own; one still open after it has its read half shut down,
+        // so its lanes see EOF, answer the jobs they accepted, and end.
+        // Scope exit joins them all.
+        for _ in 0..GRACE_POLLS {
+            if open.iter().all(|(_, conn)| conn.is_finished()) {
+                break;
+            }
+            std::thread::sleep(GRACE_POLL);
+        }
+        for (closer, conn) in &open {
+            if !conn.is_finished() {
+                let _ = S::shutdown_read(closer);
+            }
+        }
+        Ok(())
     })
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the `anon-radio` command-line binary.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::process::{Command, Stdio};
 
 fn bin() -> Command {
@@ -701,5 +701,67 @@ fn rows_convert_rejects_hostile_and_non_canonical_rows() {
             "case {i}: {stderr}"
         );
         assert!(!output.exists(), "case {i} wrote {}", output.display());
+    }
+}
+
+/// Every subcommand that prints ends quietly when its reader goes away:
+/// with stdout piped into a reader that takes at most 10 bytes and then
+/// closes the pipe, as `| head -c 10` does, each exits 0 and prints no
+/// panic. Each output but `check`'s, `elect`'s and `explain`'s (a few
+/// lines each) outgrows the pipe's buffer, so its writes fail for sure.
+#[test]
+fn a_closed_stdout_ends_every_subcommand_quietly() {
+    let small = family("g", "60");
+    let large = family("g", "1000");
+    let sizes = (4..=24)
+        .map(|n| n.to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let campaign = [
+        "campaign",
+        "--families",
+        "path,star,cycle",
+        "--sizes",
+        &sizes,
+        "--reps",
+        "1",
+        "--threads",
+        "1",
+    ];
+    let cases: [(&[&str], &str); 8] = [
+        (&["check", "-"], &small),
+        (&["elect", "-"], &small),
+        (&["compile", "-"], &small),
+        (&["explain", "-"], &small),
+        (&["trace", "-"], &small),
+        (&["dot", "-"], &large),
+        (&["family", "g", "20000"], ""),
+        (&campaign, ""),
+    ];
+    for (args, input) in cases {
+        let mut child = bin()
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(input.as_bytes()).expect("write stdin");
+        drop(stdin);
+        let mut head = Vec::new();
+        child
+            .stdout
+            .take()
+            .expect("piped stdout")
+            .take(10)
+            .read_to_end(&mut head)
+            .expect("read stdout");
+        assert_eq!(head.len(), 10, "{}: prints at least 10 bytes", args[0]);
+        // The reader is gone: the pipe is closed.
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{}: {stderr}", args[0]);
+        assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
     }
 }

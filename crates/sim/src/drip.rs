@@ -43,8 +43,8 @@ pub trait DripNode {
     /// observation).
     ///
     /// The history arrives as a borrowed [`HistoryView`] — in the engine's
-    /// hot loop it points straight into the shared observation arena, so
-    /// deciding a round allocates nothing. Call
+    /// hot loop it is a view of the node's own stored history, so deciding
+    /// a round allocates nothing. Call
     /// [`History::view`](crate::history::History::view) to drive a node from an owned history.
     ///
     /// The engines guarantee calls happen in increasing local-round order

@@ -66,9 +66,9 @@
 //!   its horizon may have moved (boxed nodes always; the canonical DRIP's
 //!   flat nodes never, since hearing does not move their horizon);
 //! * the silent rounds a node spends unvisited are appended to its history
-//!   in bulk on its next visit (the arena's `pad_to`); nodes that keep no
-//!   stored history need nothing, since their history length is the
-//!   global round less their wake round.
+//!   in one go on its next visit (padded with `(∅)` up to its local
+//!   round); nodes that keep no stored history need nothing, since their
+//!   history length is the global round less their wake round.
 //!
 //! The calendar files the rounds less than
 //! [`RING_ROUNDS`](crate::workspace::RING_ROUNDS) ahead of its next round
@@ -90,19 +90,17 @@
 //!
 //! # Hot-loop memory layout
 //!
-//! All per-node engine state is struct-of-arrays, and all observations
-//! live in one shared observation arena: per node an
-//! `(offset, len, capacity)` segment into a single flat `Vec<Obs>`,
-//! relocated with geometric growth when full; nodes that do not read
-//! their histories get no segment at all. The calendar's ring buckets
-//! keep their capacity from run to run, so steady-state rounds allocate
-//! nothing but the far-future map's occasional node, and only rounds at
-//! least [`RING_ROUNDS`](crate::workspace::RING_ROUNDS) ahead reach that
-//! map. No per-node `Vec<Obs>` ever exists during the run, and a node's
-//! history reaches its DRIP as a borrowed
-//! [`HistoryView`](crate::HistoryView) straight into the arena. Owned
-//! [`History`] values are materialized once, when the [`Execution`] is
-//! assembled.
+//! All per-node engine state is struct-of-arrays. Nodes that read their
+//! histories ([`DripNodes::READS_HISTORY`](crate::drip::DripNodes::READS_HISTORY))
+//! get one [`History`] each, as the reference engine keeps them: a
+//! node's history reaches its DRIP as a borrowed
+//! [`HistoryView`](crate::HistoryView) of it, and the [`Execution`] takes
+//! the histories over when the run ends, without copying them. Nodes that
+//! do not read their histories get no storage at all. The calendar's ring
+//! buckets keep their capacity from run to run, so steady-state rounds
+//! allocate nothing but history growth and the far-future map's
+//! occasional node, and only rounds at least
+//! [`RING_ROUNDS`](crate::workspace::RING_ROUNDS) ahead reach that map.
 //!
 //! # Batch execution
 //!

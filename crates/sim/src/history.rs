@@ -11,9 +11,10 @@
 //! * [`History`] — owned, growable; what executions return and tests
 //!   construct.
 //! * [`HistoryView`] — a borrowed, `Copy` read-only view. The engine's hot
-//!   loop keeps all observations in one shared arena and hands DRIPs views
-//!   into it, so deciding a round allocates nothing. Every read accessor
-//!   exists on both forms (the owned form delegates to its view).
+//!   loop keeps one [`History`] per node and hands DRIPs views of it, so
+//!   deciding a round allocates nothing; nodes that keep no history get
+//!   an all-silence view of the right length. Every read accessor exists
+//!   on both forms (the owned form delegates to its view).
 
 use std::fmt;
 use std::ops::Index;
@@ -64,6 +65,16 @@ impl History {
     #[inline]
     pub fn push(&mut self, obs: Obs) {
         self.entries.push(obs);
+    }
+
+    /// Pads with `(∅)` entries up to length `len` (a no-op when the
+    /// history is already that long): how the engine records, in one go,
+    /// the silent rounds a node spent unvisited.
+    #[inline]
+    pub(crate) fn pad_to(&mut self, len: usize) {
+        if len > self.entries.len() {
+            self.entries.resize(len, Obs::Silence);
+        }
     }
 
     /// All entries as a slice.
@@ -151,8 +162,8 @@ impl<'a> IntoIterator for &'a History {
 /// Two backing representations exist, indistinguishable through the
 /// accessors:
 ///
-/// * **dense** — a fat pointer into a contiguous `[Obs]` run (the owned
-///   form, the default workspace arena);
+/// * **dense** — a fat pointer into a contiguous `[Obs]` run (an owned
+///   [`History`], such as the one the engine keeps per node);
 /// * **silent** — a length and nothing else: every entry reads as `(∅)`.
 ///   The engine stores no history for nodes whose
 ///   [`DripNodes::READS_HISTORY`](crate::drip::DripNodes::READS_HISTORY)
@@ -401,6 +412,26 @@ mod tests {
         let h2 = History::from_entries(vec![Obs::Silence, Obs::Collision, Obs::Heard(Msg(1))]);
         assert_eq!(h2.first_nonsilent(), Some(1));
         assert_eq!(h2.first_message(), Some(2));
+    }
+
+    #[test]
+    fn pad_to_appends_silence_up_to_the_length() {
+        let mut h = History::from_entries(vec![Obs::Heard(Msg(4))]);
+        h.pad_to(4);
+        assert_eq!(
+            h.as_slice(),
+            &[Obs::Heard(Msg(4)), Obs::Silence, Obs::Silence, Obs::Silence]
+        );
+        // Already that long, or longer: nothing changes.
+        h.push(Obs::Collision);
+        let before = h.clone();
+        h.pad_to(5);
+        assert_eq!(h, before);
+        h.pad_to(2);
+        assert_eq!(h, before);
+        let mut empty = History::new();
+        empty.pad_to(0);
+        assert!(empty.is_empty());
     }
 
     #[test]

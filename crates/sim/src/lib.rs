@@ -48,8 +48,8 @@
 //! * [`history`] — per-node local histories (owned + borrowed views).
 //! * [`drip`] — the DRIP traits plus a library of simple DRIPs.
 //! * [`model`] — pluggable channel semantics (the `RadioModel` layer).
-//! * [`engine`] — the executor (arena-backed hot loop; a round-bucketed
-//!   calendar visits a node only when it acts or hears).
+//! * [`engine`] — the executor (a round-bucketed calendar visits a node
+//!   only when it acts or hears).
 //! * [`election`] — leader-election runner (DRIP + decision function).
 //! * [`patient`] — the patient-DRIP transform of Lemma 3.12.
 //! * [`trace`] — optional round-by-round event recording.

@@ -7,9 +7,9 @@
 //! skewed per-item costs of configuration sweeps (an `H_4096` run is
 //! ~1000× an `H_4` run) far better than static chunking, and gives every
 //! worker thread one long-lived piece of state built by an `init` closure
-//! — in the batch layers that state is a [`SimWorkspace`], so back-to-back
-//! runs on a worker recycle all engine buffers instead of reallocating
-//! them per item.
+//! — in the batch layers that state is a
+//! [`SimWorkspace`](crate::SimWorkspace), so back-to-back runs on a worker
+//! recycle all engine buffers instead of reallocating them per item.
 //!
 //! Results are written without contention: the output buffer is pre-split
 //! into fixed-size chunks, the shared atomic cursor hands out *chunks*
@@ -24,8 +24,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use crate::workspace::SimWorkspace;
 
 /// Applies `f` to every item, in parallel, preserving order of results.
 ///
@@ -52,8 +50,9 @@ where
 /// slice, which returns immediately).
 ///
 /// This is the substrate of the campaign runner: `init` builds a
-/// [`SimWorkspace`] per worker, so a shard of ten thousand elections
-/// allocates engine state once per *worker*, not once per run.
+/// [`SimWorkspace`](crate::SimWorkspace) per worker, so a shard of ten
+/// thousand elections allocates engine state once per *worker*, not once
+/// per run.
 pub fn par_map_init<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -135,24 +134,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|nz| nz.get())
         .unwrap_or(1)
-}
-
-/// Runs one DRIP over a batch of configurations in parallel, under the
-/// given channel model — the entry point sweep harnesses use to cross a
-/// workload axis with a [`ModelKind`](crate::ModelKind) axis. Each worker
-/// thread owns one long-lived [`SimWorkspace`], recycled across its runs.
-pub fn run_batch(
-    configs: &[radio_graph::Configuration],
-    factory: &(dyn crate::drip::DripFactory + Sync),
-    model: crate::model::ModelKind,
-    opts: crate::engine::RunOpts,
-) -> Vec<Result<crate::engine::Execution, crate::engine::SimError>> {
-    par_map_init(
-        configs,
-        default_threads(),
-        SimWorkspace::new,
-        |ws, config| ws.run_kind(model, config, factory, opts),
-    )
 }
 
 #[cfg(test)]
@@ -281,11 +262,18 @@ mod tests {
             .map(|n| Configuration::new(generators::path(n), (0..n as u64).collect()).unwrap())
             .collect();
         let factory = SilentFactory { lifetime: 4 };
-        let results = run_batch(
+        let results = par_map_init(
             &configs,
-            &factory,
-            crate::model::ModelKind::default(),
-            crate::engine::RunOpts::default(),
+            default_threads(),
+            crate::SimWorkspace::new,
+            |ws, config| {
+                ws.run_kind(
+                    crate::model::ModelKind::default(),
+                    config,
+                    &factory,
+                    crate::engine::RunOpts::default(),
+                )
+            },
         );
         for (config, result) in configs.iter().zip(&results) {
             let fresh =

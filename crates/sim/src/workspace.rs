@@ -1,22 +1,24 @@
 //! Reusable per-run engine state — the batch-execution substrate.
 //!
-//! A single election allocates a dozen vectors (arena segments, wake/done
-//! rounds, the visit calendar, round-stamped counters). That is
-//! irrelevant for one run and dominant for a campaign of millions: the
-//! batch layers (`parallel`, `anon_radio::campaign`) therefore run every
-//! simulation through a long-lived [`SimWorkspace`], which owns all of
-//! that state and recycles it run after run.
+//! A single election allocates a dozen vectors (wake/done rounds, the
+//! visit calendar, round-stamped counters). That is irrelevant for one
+//! run and dominant for a campaign of millions: the batch layers
+//! (`parallel`, `anon_radio::campaign`) therefore run every simulation
+//! through a long-lived [`SimWorkspace`], which owns all of that state
+//! and recycles it run after run.
 //!
 //! [`SimWorkspace::reset_for`] re-dimensions the buffers for the next
 //! configuration *without freeing them*, and files every node's wake-up
 //! in the visit calendar: once a workspace has warmed up to the largest
 //! configuration in a batch, back-to-back runs allocate almost nothing in
 //! the hot loop. What is left is the run's node state — the boxes a
-//! factory spawns, or the planes of flat [`DripNodes`] — and the owned
-//! histories of the returned [`Execution`], both part of the run's
-//! inputs/outputs, not the engine, plus the index nodes of the calendar's
-//! far-future map, which only rounds at least [`RING_ROUNDS`] ahead of the
-//! calendar reach.
+//! factory spawns, or the planes of flat [`DripNodes`] — and, for nodes
+//! that read their histories, one [`History`] per node, as the reference
+//! engine keeps them, which the returned [`Execution`] takes over: all of
+//! it part of the run's inputs/outputs, not the engine. The only other
+//! allocations are the index nodes of the calendar's far-future map,
+//! which only rounds at least [`RING_ROUNDS`] ahead of the calendar
+//! reach.
 //!
 //! The one-shot entry points ([`Executor::run`](crate::Executor::run),
 //! [`ModelKind::run`](crate::ModelKind::run)) are thin wrappers that build
@@ -39,174 +41,10 @@ use crate::model::{
 use crate::msg::{Action, Msg, Obs};
 use crate::trace::{RoundEvent, Trace};
 
-/// One shared observation arena: every node's history is an
-/// `(offset, len, capacity)` segment of a single flat `Vec<Obs>`.
-///
-/// Appending into a full segment relocates it to the end of the arena with
-/// doubled capacity (amortized O(1)); the backing vector itself grows
-/// geometrically, so steady-state rounds perform no allocation at all.
-/// Relocation abandons the old segment in place; once that garbage would
-/// exceed the live observations the arena compacts itself (an O(live)
-/// rewrite, amortized against the pushes that created the garbage), so the
-/// buffer never holds more than ~2× the live observations. At million-node
-/// scale this is the difference between the arena tracking the histories
-/// and the arena dwarfing them. [`ObsArena::reset`] clears the segments
-/// while keeping the backing vector's capacity — how a [`SimWorkspace`]
-/// carries its warmed-up arena from run to run.
-///
-/// Only nodes that read their stored histories
-/// ([`DripNodes::READS_HISTORY`]) use it. For the others the engine keeps
-/// no history at all: a node's history length in global round `r` is
-/// `r − wake`, which is all their views carry.
-#[derive(Debug, Default)]
-pub(crate) struct ObsArena {
-    /// Backing buffer (one `Obs` per recorded round).
-    data: Vec<Obs>,
-    /// Per-node segment offsets into `data`.
-    off: Vec<usize>,
-    /// Per-node count of stored observations.
-    len: Vec<u32>,
-    /// Per-node segment capacities.
-    cap: Vec<u32>,
-    /// Slots abandoned by segment relocations since the last compaction.
-    dead: usize,
-}
-
-impl ObsArena {
-    /// Initial per-node segment capacity (allocated on first push).
-    const FIRST_CAP: u32 = 8;
-
-    #[cfg(test)]
-    fn new(n: usize) -> ObsArena {
-        let mut arena = ObsArena::default();
-        arena.reset(n);
-        arena
-    }
-
-    /// Backing-buffer footprint in bytes (capacities, not lengths). The
-    /// arena never shrinks, so this is its high-water mark.
-    pub(crate) fn mem_bytes(&self) -> u64 {
-        (self.data.capacity() * std::mem::size_of::<Obs>()
-            + self.off.capacity() * std::mem::size_of::<usize>()
-            + self.len.capacity() * std::mem::size_of::<u32>()
-            + self.cap.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Re-dimensions for `n` empty segments, retaining all buffer capacity.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.data.clear();
-        self.off.clear();
-        self.off.resize(n, 0);
-        self.len.clear();
-        self.len.resize(n, 0);
-        self.cap.clear();
-        self.cap.resize(n, 0);
-        self.dead = 0;
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, v: usize, obs: Obs) {
-        if self.len[v] == self.cap[v] {
-            self.grow(v, self.len[v] as usize + 1);
-        }
-        self.data[self.off[v] + self.len[v] as usize] = obs;
-        self.len[v] += 1;
-    }
-
-    /// Appends `k` `(∅)` entries to segment `v` in one go — how
-    /// [`ObsArena::pad_to`] delivers the silent rounds a node spent
-    /// unvisited.
-    ///
-    /// O(1) past capacity checks, because a segment's unused tail
-    /// `[len..cap)` still holds the `Obs::Silence` the backing vector was
-    /// resized with (pushes only ever write at `len`), so appending
-    /// silence is just a length bump.
-    pub(crate) fn push_silence_n(&mut self, v: usize, k: usize) {
-        let need = self.len[v] as usize + k;
-        if need > self.cap[v] as usize {
-            self.grow(v, need);
-        }
-        self.len[v] += k as u32;
-    }
-
-    /// Pads segment `v` with `(∅)` entries up to length `len` (a no-op
-    /// when it is already that long).
-    #[inline]
-    pub(crate) fn pad_to(&mut self, v: usize, len: u64) {
-        if len > u64::from(self.len[v]) {
-            self.push_silence_n(v, (len - u64::from(self.len[v])) as usize);
-        }
-    }
-
-    /// Relocates segment `v` to the end with capacity
-    /// `max(2×cap, FIRST_CAP, need)`, compacting the whole buffer first
-    /// when relocation garbage would outweigh the live data.
-    #[cold]
-    fn grow(&mut self, v: usize, need: usize) {
-        // At least double (amortization), but satisfy big jumps — a
-        // node unvisited for a long stretch can demand millions of slots
-        // at once — exactly, so a huge silent run is not over-allocated
-        // (and over-filled) by up to 2×.
-        let new_cap = (self.cap[v] as usize * 2)
-            .max(ObsArena::FIRST_CAP as usize)
-            .max(need);
-        // The whole abandoned segment (live prefix and unused tail alike)
-        // becomes garbage; compact once garbage would outweigh the live
-        // data, keeping the buffer within ~2× of the live elements.
-        self.dead += self.cap[v] as usize;
-        if self.dead * 2 > self.data.len() {
-            self.compact();
-            // Compaction shrank `v`'s segment to its live length; the
-            // relocation below abandons exactly those slots.
-            self.dead = self.len[v] as usize;
-        }
-        let new_off = self.data.len();
-        let old_off = self.off[v];
-        let live = self.len[v] as usize;
-        // Relocate by appending: the live prefix is copied once (not
-        // fill-initialized first and then overwritten), only the fresh tail
-        // is filled — establishing the all-silence-beyond-`len` invariant
-        // `push_silence_n` relies on.
-        self.data.extend_from_within(old_off..old_off + live);
-        self.data.resize(new_off + new_cap, Obs::Silence);
-        self.off[v] = new_off;
-        self.cap[v] = u32::try_from(new_cap).expect("history exceeds u32 capacity");
-    }
-
-    /// Rewrites every segment contiguously at the front of the buffer,
-    /// dropping all relocation garbage. Segments keep their contents;
-    /// capacities shrink to the live lengths, so the next append per segment
-    /// relocates — which the doubling policy amortizes as usual.
-    #[cold]
-    fn compact(&mut self) {
-        let mut order: Vec<u32> = (0..self.off.len() as u32).collect();
-        order.sort_unstable_by_key(|&v| self.off[v as usize]);
-        let mut write = 0usize;
-        for &v in &order {
-            let vi = v as usize;
-            let live = self.len[vi] as usize;
-            self.data
-                .copy_within(self.off[vi]..self.off[vi] + live, write);
-            self.off[vi] = write;
-            self.cap[vi] = self.len[vi];
-            write += live;
-        }
-        self.data.truncate(write);
-    }
-
-    #[inline]
-    pub(crate) fn view(&self, v: usize) -> HistoryView<'_> {
-        HistoryView::new(&self.data[self.off[v]..self.off[v] + self.len[v] as usize])
-    }
-
-    /// Materializes all segments as owned histories, leaving the arena
-    /// intact for the next run.
-    pub(crate) fn histories(&self) -> Vec<History> {
-        (0..self.off.len())
-            .map(|v| self.view(v).to_history())
-            .collect()
-    }
-}
+/// The capacity each stored history starts with. Histories mostly
+/// outgrow it, and starting here spares every node the reallocations at
+/// 4, 8 and 16 entries, which cost boxed runs more than they save.
+const FIRST_HISTORY_CAP: usize = 32;
 
 /// Sentinel for "has not happened yet" in the wake/done planes, and for
 /// "no calendar entry" in the due plane.
@@ -389,7 +227,10 @@ pub struct SimWorkspace {
     /// High-water mark of the runs' node state
     /// ([`DripNodes::mem_bytes`]), which the nodes themselves own.
     node_bytes: u64,
-    arena: ObsArena,
+    /// Per node, its local history `H_v`, for runs whose nodes read it
+    /// ([`DripNodes::READS_HISTORY`]); empty for the others, whose views
+    /// are all-silence lengths.
+    histories: Vec<History>,
     wake: Vec<u64>,
     done: Vec<u64>,
     calendar: Calendar,
@@ -415,7 +256,7 @@ impl std::fmt::Debug for SimWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimWorkspace")
             .field("nodes", &self.wake.len())
-            .field("arena_obs", &self.arena.data.len())
+            .field("histories", &self.histories.len())
             .finish()
     }
 }
@@ -432,13 +273,15 @@ impl SimWorkspace {
     /// plus the largest per-node state a run brought along
     /// ([`DripNodes::mem_bytes`]: the canonical DRIP's planes, or a boxed
     /// run's pointer plane; boxed node internals and the calendar's map
-    /// nodes are excluded). Feeds the campaign `mem_hw` column.
+    /// nodes are excluded). A boxed run's histories are not counted: they
+    /// belong to its [`Execution`] (a resident
+    /// [`SimWorkspace::run_nodes`] run leaves them here only until the
+    /// next run). Feeds the campaign `mem_hw` column.
     pub fn mem_bytes(&self) -> u64 {
         fn plane<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * std::mem::size_of::<T>()) as u64
         }
-        self.arena.mem_bytes()
-            + self.calendar.mem_bytes()
+        self.calendar.mem_bytes()
             + self.node_bytes
             + plane(&self.wake)
             + plane(&self.done)
@@ -454,19 +297,24 @@ impl SimWorkspace {
     }
 
     /// Re-dimensions every buffer for `config` without freeing capacity:
-    /// the per-run state (arena segments, wake/done/due/counter planes,
-    /// the calendar) is cleared in place, and every node is filed in the
+    /// the per-run state (histories, wake/done/due/counter planes, the
+    /// calendar) is cleared in place, and every node is filed in the
     /// calendar under its wake-up tag, which makes the smallest tag the
     /// calendar's start. Called automatically at the start of every run.
     pub fn reset_for(&mut self, config: &Configuration) {
         self.reset_run(config, true);
     }
 
-    /// [`SimWorkspace::reset_for`], with one arena segment per node only
+    /// [`SimWorkspace::reset_for`], with one empty history per node only
     /// when the nodes read their stored histories.
     fn reset_run(&mut self, config: &Configuration, store_histories: bool) {
         let n = config.size();
-        self.arena.reset(if store_histories { n } else { 0 });
+        self.histories.clear();
+        if store_histories {
+            self.histories.resize_with(n, || {
+                History::from_entries(Vec::with_capacity(FIRST_HISTORY_CAP))
+            });
+        }
         self.wake.clear();
         self.wake.resize(n, ASLEEP);
         self.done.clear();
@@ -536,7 +384,7 @@ impl SimWorkspace {
         Ok(Execution {
             wake_round: std::mem::take(&mut self.wake),
             done_round: std::mem::take(&mut self.done),
-            histories: self.arena.histories(),
+            histories: std::mem::take(&mut self.histories),
             rounds: run.rounds,
             rounds_stepped: run.rounds_stepped,
             rounds_leapt: run.rounds_leapt,
@@ -546,15 +394,16 @@ impl SimWorkspace {
     }
 
     /// Node `v`'s history at the start of global round `r`: its local
-    /// rounds `0 .. r − wake`. Nodes that read history get their arena
-    /// segment, first padded with the silent rounds they spent unvisited;
-    /// for the others the length is all there is.
+    /// rounds `0 .. r − wake`. Nodes that read history get their own
+    /// [`History`], first padded with the silent rounds they spent
+    /// unvisited; for the others the length is all there is.
     #[inline]
     fn history<N: DripNodes>(&mut self, v: usize, r: u64) -> HistoryView<'_> {
         let len = r - self.wake[v];
         if N::READS_HISTORY {
-            self.arena.pad_to(v, len);
-            self.arena.view(v)
+            let history = &mut self.histories[v];
+            history.pad_to(len as usize);
+            history.view()
         } else {
             HistoryView::silent(len as usize)
         }
@@ -568,8 +417,9 @@ impl SimWorkspace {
     fn record<N: DripNodes>(&mut self, nodes: &mut N, v: usize, r: u64, obs: Obs) -> bool {
         let t = r - self.wake[v];
         if N::READS_HISTORY {
-            self.arena.pad_to(v, t);
-            self.arena.push(v, obs);
+            let history = &mut self.histories[v];
+            history.pad_to(t as usize);
+            history.push(obs);
         }
         !matches!(obs, Obs::Silence) && nodes.observe(v as NodeId, t, obs)
     }
@@ -581,10 +431,7 @@ impl SimWorkspace {
     /// Its delivery counters count the deliveries made: a node that
     /// [`DripNodes::deaf`] names is delivered nothing.
     ///
-    /// This is the engine's million-node path. Materializing a 10⁶-node
-    /// execution clones every observation into per-node vectors — for
-    /// history-heavy runs that clone alone can exceed the configuration
-    /// footprint by an order of magnitude. The nodes bring their own
+    /// This is the engine's million-node path. The nodes bring their own
     /// state, so the run spawns nothing, and
     /// [`DripNodes::READS_HISTORY`] decides whether histories are stored:
     /// nodes that fold what they hear through [`DripNodes::observe`] get
@@ -593,8 +440,9 @@ impl SimWorkspace {
     /// are re-asked for their horizon after a delivery only when `observe`
     /// says so. Whatever the nodes concluded (a leader verdict, say) stays
     /// in `nodes` for the caller to read. A factory's DRIP runs here as the
-    /// boxed nodes it spawns (`Vec<Box<dyn DripNode>>`), with histories
-    /// stored in full.
+    /// boxed nodes it spawns (`Vec<Box<dyn DripNode>>`), with one full
+    /// [`History`] per node, which stays in the workspace until the next
+    /// run resets it.
     pub fn run_nodes<N: DripNodes>(
         &mut self,
         model: ModelKind,
@@ -887,8 +735,8 @@ impl SimWorkspace {
     }
 }
 
-/// Summary of a run whose histories stayed resident in the workspace
-/// arena (see [`SimWorkspace::run_nodes`]): an [`Execution`]'s rounds and
+/// Summary of a run whose state stayed resident in the workspace (see
+/// [`SimWorkspace::run_nodes`]): an [`Execution`]'s rounds and
 /// counters without the materialized per-node vectors, plus the engine's
 /// work counters.
 ///
@@ -928,46 +776,6 @@ pub struct ResidentRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arena_segments_grow_and_relocate_correctly() {
-        // Long histories force many segment relocations; the final owned
-        // histories must be exactly the per-round observations.
-        let mut arena = ObsArena::new(3);
-        for i in 0..100u64 {
-            arena.push(0, Obs::Heard(Msg(i)));
-            if i % 2 == 0 {
-                arena.push(1, Obs::Silence);
-            }
-            if i % 3 == 0 {
-                arena.push(2, Obs::Collision);
-            }
-        }
-        assert_eq!(arena.view(0).len(), 100);
-        assert_eq!(arena.view(0).message_at(73), Some(Msg(73)));
-        let hs = arena.histories();
-        assert_eq!(hs[0].len(), 100);
-        assert_eq!(hs[1].len(), 50);
-        assert_eq!(hs[2].len(), 34);
-        assert!(hs[1].all_silent());
-        assert!((0..100).all(|i| hs[0].message_at(i) == Some(Msg(i as u64))));
-    }
-
-    #[test]
-    fn arena_push_silence_n_appends_bulk_silence() {
-        let mut arena = ObsArena::new(2);
-        arena.push(0, Obs::Heard(Msg(1)));
-        arena.push_silence_n(0, 1000);
-        arena.push(0, Obs::Heard(Msg(2)));
-        arena.push_silence_n(1, 3);
-        let hs = arena.histories();
-        assert_eq!(hs[0].len(), 1002);
-        assert_eq!(hs[0].message_at(0), Some(Msg(1)));
-        assert!(hs[0].as_slice()[1..1001].iter().all(|o| o.is_silence()));
-        assert_eq!(hs[0].message_at(1001), Some(Msg(2)));
-        assert_eq!(hs[1].len(), 3);
-        assert!(hs[1].all_silent());
-    }
 
     /// Takes round `r` from `calendar` and from the model `want`, and
     /// checks they hand out the same entries (in any order within the
@@ -1036,30 +844,6 @@ mod tests {
             assert_eq!(taken, pushed, "start {start}");
             assert!(pushed > 2_000, "start {start}: only {pushed} pushes");
         }
-    }
-
-    #[test]
-    fn arena_reset_clears_segments_but_keeps_capacity() {
-        let mut arena = ObsArena::new(2);
-        for i in 0..500u64 {
-            arena.push(0, Obs::Heard(Msg(i)));
-            arena.push(1, Obs::Silence);
-        }
-        let warm = arena.data.capacity();
-        assert!(warm >= 1000);
-        arena.reset(3);
-        assert_eq!(arena.data.len(), 0);
-        assert_eq!(arena.data.capacity(), warm, "backing capacity survives");
-        assert_eq!(arena.view(0).len(), 0);
-        // segments work as new after the reset, and the silence-tail
-        // invariant holds for the recycled buffer
-        arena.push(2, Obs::Heard(Msg(9)));
-        arena.push_silence_n(2, 20);
-        let hs = arena.histories();
-        assert!(hs[0].is_empty() && hs[1].is_empty());
-        assert_eq!(hs[2].len(), 21);
-        assert_eq!(hs[2].message_at(0), Some(Msg(9)));
-        assert!(hs[2].as_slice()[1..].iter().all(|o| o.is_silence()));
     }
 
     #[test]

@@ -515,3 +515,57 @@ fn a_job_refused_during_shutdown_carries_its_own_id() {
         .expect("server thread joins")
         .expect("serve_tcp exits cleanly");
 }
+
+#[test]
+fn an_idle_connection_does_not_hold_the_daemon_open_after_shutdown() {
+    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let result = serve_tcp(listener, &ServeOptions::default());
+        let _ = done_tx.send(result.map_err(|e| e.to_string()));
+    });
+
+    // The idle client: connected, served once, then silent.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    let mut idle_reader = BufReader::new(idle.try_clone().expect("clone"));
+    writeln!(
+        idle,
+        "{{\"op\":\"elect\",\"id\":1,\"family\":\"path\",\"n\":6,\"span\":3,\"seed\":42}}"
+    )
+    .expect("send job");
+    let mut first = String::new();
+    idle_reader.read_line(&mut first).expect("read reply");
+    assert!(first.starts_with("{\"ok\":true,\"id\":1,"), "{first}");
+
+    let mut other = TcpStream::connect(addr).expect("connect");
+    writeln!(other, "{{\"op\":\"shutdown\",\"id\":2}}").expect("send shutdown");
+    let mut ack = String::new();
+    BufReader::new(other.try_clone().expect("clone"))
+        .read_line(&mut ack)
+        .expect("read ack");
+    assert!(
+        ack.starts_with("{\"ok\":true,\"id\":2,\"op\":\"shutdown\""),
+        "{ack}"
+    );
+
+    // The one-second grace period, plus a second of slack.
+    let result = done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_tcp returns while a client sits idle");
+    result.expect("serve_tcp exits cleanly");
+
+    // The idle client reads EOF: its connection was closed, not dropped
+    // mid-reply.
+    idle.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut rest = Vec::new();
+    idle_reader
+        .read_to_end(&mut rest)
+        .expect("the idle client reads EOF");
+    assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+}

@@ -7,11 +7,14 @@
 //! worker thread: if any per-run state leaked across `reset_for`, a
 //! reused run would diverge from its fresh twin somewhere in this mix —
 //! sizes grow and shrink between consecutive runs on purpose, so stale
-//! segment lengths, counter stamps, or quiescence horizons would surface.
+//! histories, counter stamps, or quiescence horizons would surface.
 
 use radio_graph::{generators, tags, Configuration};
 use radio_sim::drip::{BeaconFactory, EchoFactory, SilentFactory, WaitThenTransmitFactory};
-use radio_sim::{DripFactory, Execution, ModelKind, Msg, PatientFactory, RunOpts, SimWorkspace};
+use radio_sim::parallel::{default_threads, par_map_init};
+use radio_sim::{
+    DripFactory, DripNode, Execution, ModelKind, Msg, PatientFactory, RunOpts, SimWorkspace,
+};
 use radio_util::rng::{rng_from, stream};
 
 fn assert_bit_identical(reused: &Execution, fresh: &Execution, what: &str) {
@@ -138,8 +141,9 @@ fn one_workspace_matches_fresh_canonical_elections() {
 
 #[test]
 fn workspace_batches_match_reference_engine() {
-    // Round-trip through the batch entry point too: the reference engine
-    // is the oracle, the workspace batch must agree with it exactly.
+    // Round-trip through a parallel batch too, one workspace per worker:
+    // the reference engine is the oracle, the batch must agree with it
+    // exactly.
     let mut rng = rng_from(7);
     let configs: Vec<Configuration> = (3..10)
         .map(|n| {
@@ -154,7 +158,12 @@ fn workspace_batches_match_reference_engine() {
         lifetime: 9,
     };
     for model in ModelKind::ALL {
-        let batch = radio_sim::parallel::run_batch(&configs, &factory, model, RunOpts::default());
+        let batch = par_map_init(
+            &configs,
+            default_threads(),
+            SimWorkspace::new,
+            |ws, config| ws.run_kind(model, config, &factory, RunOpts::default()),
+        );
         for (config, result) in configs.iter().zip(batch) {
             let naive = model
                 .run_reference(config, &factory, RunOpts::default())
@@ -165,6 +174,53 @@ fn workspace_batches_match_reference_engine() {
             assert_eq!(ex.done_round, naive.done_round);
             assert_eq!(ex.stats, naive.stats);
             assert_eq!(ex.rounds, naive.rounds);
+        }
+    }
+}
+
+#[test]
+fn a_resident_boxed_run_leaves_nothing_behind_for_the_next() {
+    // A resident run of boxed nodes keeps their histories in the
+    // workspace; a smaller configuration run next on the same workspace
+    // must still match the reference engine exactly, histories included.
+    let large = Configuration::new(generators::star(9), vec![0, 1, 1, 2, 3, 3, 5, 8, 13]).unwrap();
+    let small = Configuration::new(generators::path(4), vec![2, 0, 7, 3]).unwrap();
+    let factory = EchoFactory { lifetime: 14 };
+    let patient = PatientFactory::new(
+        WaitThenTransmitFactory {
+            wait: 1,
+            msg: Msg(6),
+            lifetime: 9,
+        },
+        large.span(),
+    );
+    for model in ModelKind::ALL {
+        for resident in [&factory as &dyn DripFactory, &patient] {
+            let mut ws = SimWorkspace::new();
+            let mut nodes: Vec<Box<dyn DripNode>> =
+                (0..large.size()).map(|_| resident.spawn()).collect();
+            let run = ws
+                .run_nodes(model, &large, &mut nodes, RunOpts::default())
+                .expect("terminates");
+            let whole = model
+                .run_reference(&large, resident, RunOpts::default())
+                .expect("terminates");
+            assert_eq!(run.rounds, whole.rounds, "model={model}: resident rounds");
+            for opts in [RunOpts::default(), RunOpts::default().traced()] {
+                let what = format!("model={model} traced={}", opts.record_trace);
+                let reused = ws
+                    .run_kind(model, &small, &factory, opts)
+                    .expect("terminates");
+                let naive = model
+                    .run_reference(&small, &factory, opts)
+                    .expect("terminates");
+                assert_eq!(reused.histories, naive.histories, "{what}: histories");
+                assert_eq!(reused.wake_round, naive.wake_round, "{what}: wake rounds");
+                assert_eq!(reused.done_round, naive.done_round, "{what}: done rounds");
+                assert_eq!(reused.rounds, naive.rounds, "{what}: rounds");
+                assert_eq!(reused.stats, naive.stats, "{what}: stats");
+                assert_eq!(reused.trace, naive.trace, "{what}: trace");
+            }
         }
     }
 }
